@@ -8,8 +8,7 @@ of that bias difference. Averaging over a session gives the calibration
 table this demo builds and checks against the generator's ground truth.
 """
 
-from tdoa_dtb import (NodeCatalog, Position, Scenario, aggregate_dtb,
-                      form_tdoa, generate, instantaneous_dtb)
+from tdoa_dtb import NodeCatalog, Position, Scenario, calibrate, generate
 
 catalog = NodeCatalog({
     "1": Position(0.0, 0.0),
@@ -32,14 +31,8 @@ session = generate(scenario)
 print(f"generated {len(session.epochs)} epochs over "
       f"{session.epochs[-1].time:.0f} s")
 
-# one bias-difference sample per (epoch, non-reference node)
-samples = []
-for epoch in session.epochs:
-    rover = session.trajectory.interpolate(epoch.time)
-    for obs in form_tdoa(epoch, "1"):
-        samples.append(instantaneous_dtb(obs, rover, session.catalog))
-
-table = aggregate_dtb(samples)
+# one bias-difference sample per (epoch, non-reference node), averaged per node
+table, _ = calibrate(session.epochs, session.trajectory, session.catalog, "1")
 truth = session.truth_dtb("1")
 
 print(f"\ncalibrated against reference node {table.ref_node_id}:")

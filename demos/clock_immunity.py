@@ -8,8 +8,7 @@ unchanged from a run with a perfect clock. With pseudo-ranges quantized to a
 timestamp-like grid and grid-aligned clock values the match is bit-exact.
 """
 
-from tdoa_dtb import (ClockModel, NodeCatalog, Position, Scenario,
-                      aggregate_dtb, form_tdoa, generate, instantaneous_dtb)
+from tdoa_dtb import ClockModel, NodeCatalog, Position, Scenario, calibrate, generate
 
 catalog = NodeCatalog({
     "1": Position(0.0, 0.0),
@@ -32,12 +31,8 @@ def calibrate_with(clock):
         quantize=2.0 ** -20,   # integer-valued clock stays on this grid
     )
     session = generate(scenario)
-    samples = []
-    for epoch in session.epochs:
-        rover = session.trajectory.interpolate(epoch.time)
-        samples.extend(instantaneous_dtb(o, rover, session.catalog)
-                       for o in form_tdoa(epoch, "1"))
-    return session, aggregate_dtb(samples)
+    table, _ = calibrate(session.epochs, session.trajectory, session.catalog, "1")
+    return session, table
 
 
 sawtooth = ClockModel(kind="sawtooth", drift_rate=16.0, reset_period=4.0,

@@ -3,10 +3,9 @@
 __version__ = "0.1.0"
 
 from .geometry import NodeCatalog, Position, range_between, sd_range
-from .ingestion import (Epoch, ReferenceTrajectory, ToaObservation,
-                        interpolate_reference, load_session)
+from .ingestion import Epoch, ReferenceTrajectory, ToaObservation, load_session
 from .differencing import TdoaObservation, form_tdoa, select_reference
-from .dtb import (DtbEntry, DtbSample, DtbTable, aggregate_dtb,
+from .dtb import (DtbEntry, DtbSample, DtbTable, aggregate_dtb, calibrate,
                   instantaneous_dtb, read_dtb, rereference_dtb, write_dtb)
 from .noise import (NoiseModel, NoisePoint, detrend_toa, estimate_noise_points,
                     fit_noise_model, sigma_for)
@@ -17,11 +16,10 @@ from .synthetic import ClockModel, PathLossModel, Scenario, generate, load_scena
 
 __all__ = [
     "NodeCatalog", "Position", "range_between", "sd_range",
-    "Epoch", "ReferenceTrajectory", "ToaObservation", "interpolate_reference",
-    "load_session",
+    "Epoch", "ReferenceTrajectory", "ToaObservation", "load_session",
     "TdoaObservation", "form_tdoa", "select_reference",
-    "DtbEntry", "DtbSample", "DtbTable", "aggregate_dtb", "instantaneous_dtb",
-    "read_dtb", "rereference_dtb", "write_dtb",
+    "DtbEntry", "DtbSample", "DtbTable", "aggregate_dtb", "calibrate",
+    "instantaneous_dtb", "read_dtb", "rereference_dtb", "write_dtb",
     "NoiseModel", "NoisePoint", "detrend_toa", "estimate_noise_points",
     "fit_noise_model", "sigma_for",
     "EkfConfig", "EkfState", "EpochResult", "TrackPoint", "init_apriori",

@@ -13,26 +13,28 @@ stderr; data only ever goes to files. Every output directory receives a
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
+from collections import Counter
 from datetime import datetime, timezone
 
 from . import __version__
-from .differencing import form_tdoa, select_reference
-from .dtb import aggregate_dtb, instantaneous_dtb, read_dtb, rereference_dtb, write_dtb
+from .differencing import select_reference
+from .dtb import calibrate, read_dtb, rereference_dtb, write_dtb
 from .ekf import (EkfConfig, read_residuals_csv, read_track_csv, run_filter,
                   write_residuals_csv, write_track_csv)
-from .errors import ReferenceMissing, TdoaDtbError
+from .errors import TdoaDtbError
 from .geometry import NodeCatalog
-from .ingestion import (load_session, load_toa_epochs, load_trajectory,
-                        write_toa_csv, write_trajectory_csv)
+from .ingestion import (DEFAULT_EPOCH_TOL, load_session, load_toa_epochs,
+                        load_trajectory, write_toa_csv, write_trajectory_csv)
 from .metrics import session_metrics, write_metrics_json
-from .noise import (estimate_noise_points, fit_noise_model, read_noise_model,
-                    write_noise_model, write_noise_points)
+from .noise import (DEFAULT_BIN_DB, DEFAULT_WINDOW_S, estimate_noise_points,
+                    fit_noise_model, read_noise_model, write_noise_model,
+                    write_noise_points)
 from .synthetic import generate, load_scenario
+from .table import write_csv
 
 RESIDUAL_HIST_BIN_M = 0.25
 
@@ -64,7 +66,7 @@ def _write_manifest(out_path, subcommand: str, args: argparse.Namespace,
 def _add_session_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--unit", choices=["meters", "seconds"], default="meters",
                    help="unit of the toa column (seconds are converted via c)")
-    p.add_argument("--epoch-tol", type=float, default=1e-3,
+    p.add_argument("--epoch-tol", type=float, default=DEFAULT_EPOCH_TOL,
                    help="timestamps within this many seconds share an epoch")
 
 
@@ -101,29 +103,12 @@ def _cmd_calibrate(args) -> int:
     epochs, catalog, traj = load_session(args.toa, args.nodes, args.traj,
                                          args.unit, args.epoch_tol)
     ref = select_reference(epochs, args.ref_node)
-    samples = []
-    for epoch in epochs:
-        if not traj.covers(epoch.time):
-            continue
-        try:
-            tdoa = form_tdoa(epoch, ref)
-        except ReferenceMissing:
-            # drop policy: epochs without the reference node are excluded to
-            # keep the whole table tied to a single reference
-            continue
-        rover = traj.interpolate(epoch.time)
-        samples.extend(instantaneous_dtb(o, rover, catalog) for o in tdoa)
-    if not samples:
-        raise ReferenceMissing(
-            f"reference node {ref!r} never observed within the trajectory span")
-    table = aggregate_dtb(samples, session=args.session, trim_sigma=args.trim_sigma)
+    table, samples = calibrate(epochs, traj, catalog, ref,
+                               trim_sigma=args.trim_sigma, session=args.session)
     write_dtb(table, args.out)
     if args.samples:
-        with open(args.samples, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["time", "node_id", "ref_node", "dtb_m"])
-            for s in samples:
-                writer.writerow([repr(s.epoch), s.node_id, s.ref_node_id, repr(s.value)])
+        write_csv(args.samples, ["time", "node_id", "ref_node", "dtb_m"],
+                  ((s.epoch, s.node_id, s.ref_node_id, s.value) for s in samples))
     _write_manifest(args.out, "calibrate", args)
     print(f"calibrated {len(table.entries)} nodes against reference {ref!r} "
           f"from {len(samples)} samples", file=sys.stderr)
@@ -165,16 +150,10 @@ def _cmd_evaluate(args) -> int:
 
 def _write_residual_hist(residuals: list[float], path) -> None:
     """Plot-ready histogram of postfit residuals with fixed 0.25 m bins."""
-    counts: dict[int, int] = {}
-    for v in residuals:
-        idx = int(math.floor(v / RESIDUAL_HIST_BIN_M))
-        counts[idx] = counts.get(idx, 0) + 1
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["bin_left_m", "bin_right_m", "count"])
-        for idx in sorted(counts):
-            writer.writerow([repr(idx * RESIDUAL_HIST_BIN_M),
-                             repr((idx + 1) * RESIDUAL_HIST_BIN_M), counts[idx]])
+    counts = Counter(math.floor(v / RESIDUAL_HIST_BIN_M) for v in residuals)
+    write_csv(path, ["bin_left_m", "bin_right_m", "count"],
+              ((idx * RESIDUAL_HIST_BIN_M, (idx + 1) * RESIDUAL_HIST_BIN_M, counts[idx])
+               for idx in sorted(counts)))
 
 
 def _cmd_rereference(args) -> int:
@@ -199,8 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-noise", help="fit the received-power noise model")
     p.add_argument("--toa", required=True)
-    p.add_argument("--window", type=float, default=2.0, help="detrend window, s")
-    p.add_argument("--bin", type=float, default=2.0, help="rsrp bin width, dB")
+    p.add_argument("--window", type=float, default=DEFAULT_WINDOW_S, help="detrend window, s")
+    p.add_argument("--bin", type=float, default=DEFAULT_BIN_DB, help="rsrp bin width, dB")
     p.add_argument("--out", required=True)
     p.add_argument("--points", default=None, help="optional scatter CSV output")
     _add_session_flags(p)
@@ -226,15 +205,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", required=True)
     p.add_argument("--dtb", required=True)
     p.add_argument("--noise", required=True)
-    p.add_argument("--traj", default=None,
-                   help="accepted for symmetry; positioning does not use it")
     p.add_argument("--out", required=True, help="track CSV output")
     p.add_argument("--residuals", required=True, help="postfit residual CSV output")
-    p.add_argument("--sigma-x", type=float, default=0.5)
-    p.add_argument("--sigma-y", type=float, default=0.5)
-    p.add_argument("--gate", type=float, default=5.0)
-    p.add_argument("--min-obs", type=int, default=1)
-    p.add_argument("--default-sigma", type=float, default=3.0)
+    p.add_argument("--sigma-x", type=float, default=EkfConfig.sigma_x)
+    p.add_argument("--sigma-y", type=float, default=EkfConfig.sigma_y)
+    p.add_argument("--gate", type=float, default=EkfConfig.innovation_gate)
+    p.add_argument("--min-obs", type=int, default=EkfConfig.min_obs_per_update)
+    p.add_argument("--default-sigma", type=float, default=EkfConfig.default_sigma)
     _add_session_flags(p)
     p.set_defaults(func=_cmd_position)
 

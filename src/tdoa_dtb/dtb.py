@@ -1,24 +1,22 @@
-"""Differential Transmitter Bias estimation, aggregation and serialization.
+"""Differential Transmitter Bias calibration, aggregation and serialization.
 
 An instantaneous DTB sample is what is left of a TDoA observable after the
 known single-differenced geometry (from the reference trajectory) is removed.
 Individual node biases are not observable on their own; only differences
 against the session's reference node are, so every table is tied to one
 reference node and one session label.
-
-Correction file format (CSV):
-    session,ref_node,node_id,mean_m,std_m,n_samples
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
-from .errors import MixedReference, ParseError, UnknownNode
+from .differencing import TdoaObservation, form_tdoa
+from .errors import MixedReference, ParseError, ReferenceMissing, UnknownNode
 from .geometry import NodeCatalog, Position, node_sort_key, sd_range
-from .differencing import TdoaObservation
+from .ingestion import Epoch, ReferenceTrajectory
+from .table import read_csv, write_csv
 
 
 @dataclass(frozen=True)
@@ -153,39 +151,56 @@ def rereference_dtb(table: DtbTable, new_ref: str) -> DtbTable:
     return DtbTable(new_ref, entries, table.session)
 
 
+def calibrate(epochs: list[Epoch], traj: ReferenceTrajectory, catalog: NodeCatalog,
+              ref: str, trim_sigma: float | None = None, session: str = ""
+              ) -> tuple[DtbTable, list[DtbSample]]:
+    """DTB table of a session recorded along a surveyed trajectory, with its samples.
+
+    Drop policy: epochs outside the trajectory span, and epochs without the
+    reference node, give no samples, which keeps the whole table tied to one
+    reference. Raises ReferenceMissing when no sample is left.
+    """
+    samples = []
+    for epoch in epochs:
+        if not traj.covers(epoch.time):
+            continue
+        try:
+            tdoa = form_tdoa(epoch, ref)
+        except ReferenceMissing:
+            continue
+        rover = traj.interpolate(epoch.time)
+        samples.extend(instantaneous_dtb(o, rover, catalog) for o in tdoa)
+    if not samples:
+        raise ReferenceMissing(
+            f"reference node {ref!r} never observed within the trajectory span")
+    return aggregate_dtb(samples, session=session, trim_sigma=trim_sigma), samples
+
+
+DTB_COLUMNS = {"session": str, "ref_node": str, "node_id": str,
+               "mean_m": float, "std_m": float, "n_samples": int}
+
+
 def write_dtb(table: DtbTable, path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["session", "ref_node", "node_id", "mean_m", "std_m", "n_samples"])
-        for node_id in table.node_ids():
-            e = table.entries[node_id]
-            writer.writerow([table.session, table.ref_node_id, node_id,
-                             repr(e.mean), repr(e.std), e.n_samples])
+    rows = []
+    for node_id in table.node_ids():
+        e = table.entries[node_id]
+        rows.append((table.session, table.ref_node_id, node_id, e.mean, e.std, e.n_samples))
+    write_csv(path, list(DTB_COLUMNS), rows)
 
 
 def read_dtb(path) -> DtbTable:
-    entries: dict[str, DtbEntry] = {}
-    ref = None
-    session = None
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        expected = {"session", "ref_node", "node_id", "mean_m", "std_m", "n_samples"}
-        if reader.fieldnames is None or not expected <= set(reader.fieldnames):
-            raise ParseError(path, 1, "expected header session,ref_node,node_id,mean_m,std_m,n_samples")
-        for lineno, row in enumerate(reader, start=2):
-            if ref is None:
-                ref, session = row["ref_node"], row["session"]
-            elif row["ref_node"] != ref or row["session"] != session:
-                raise ParseError(path, lineno, "mixed reference node or session in one file")
-            node_id = row["node_id"].strip()
-            if node_id in entries or node_id == ref:
-                raise ParseError(path, lineno, f"duplicate or reference node row {node_id!r}")
-            try:
-                entry = DtbEntry(float(row["mean_m"]), float(row["std_m"]),
-                                 int(row["n_samples"]))
-            except ValueError as exc:
-                raise ParseError(path, lineno, f"bad DTB row: {exc}") from None
-            entries[node_id] = entry
-    if ref is None:
+    rows = read_csv(path, DTB_COLUMNS)
+    if not rows:
         raise ParseError(path, 1, "empty DTB file")
+    session, ref = rows[0][1][:2]
+    entries: dict[str, DtbEntry] = {}
+    for line, (row_session, row_ref, node_id, mean, std, n_samples) in rows:
+        if (row_session, row_ref) != (session, ref):
+            raise ParseError(path, line, "mixed reference node or session in one file")
+        if node_id in entries or node_id == ref:
+            raise ParseError(path, line, f"duplicate or reference node row {node_id!r}")
+        try:
+            entries[node_id] = DtbEntry(mean, std, n_samples)
+        except ValueError as exc:
+            raise ParseError(path, line, f"bad DTB row: {exc}") from None
     return DtbTable(ref, entries, session)

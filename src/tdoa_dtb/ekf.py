@@ -10,18 +10,17 @@ observations are never applied.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .differencing import TdoaObservation, form_tdoa
 from .dtb import DtbTable, rereference_dtb
-from .errors import (NegativeDt, ParseError, ReferenceMissing, SingularGeometry,
-                     TooFewNodes)
+from .errors import NegativeDt, ReferenceMissing, SingularGeometry, TooFewNodes
 from .geometry import NodeCatalog, Position, range_between
 from .ingestion import Epoch
-from .noise import NoiseModel, sigma_for
+from .noise import DEFAULT_SIGMA_NO_RSRP, NoiseModel, sigma_for
+from .table import read_csv, write_csv
 
 MIN_RANGE_M = 1.0e-6   # below this the range partials are undefined
 PSD_TOL = -1.0e-9
@@ -40,7 +39,7 @@ class EkfConfig:
     sigma_y: float = 0.5
     min_obs_per_update: int = 1
     innovation_gate: float = 5.0
-    default_sigma: float = 3.0   # m, per-ToA sigma when rsrp is absent
+    default_sigma: float = DEFAULT_SIGMA_NO_RSRP   # m, per-ToA sigma when rsrp is absent
 
     def __post_init__(self):
         if self.sigma_x <= 0 or self.sigma_y <= 0:
@@ -225,52 +224,26 @@ def to_track(results: list[EpochResult]) -> list[TrackPoint]:
     ) for r in results]
 
 
+TRACK_COLUMNS = {"time": float, "x": float, "y": float, "cov_xx": float,
+                 "cov_xy": float, "cov_yy": float, "n_obs": int, "n_rejected": int}
+RESIDUAL_COLUMNS = {"time": float, "node_id": str, "postfit_m": float}
+
+
 def write_track_csv(results: list[EpochResult], path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["time", "x", "y", "cov_xx", "cov_xy", "cov_yy",
-                         "n_obs", "n_rejected"])
-        for p in to_track(results):
-            writer.writerow([repr(p.time), repr(p.x), repr(p.y), repr(p.cov_xx),
-                             repr(p.cov_xy), repr(p.cov_yy), p.n_obs, p.n_rejected])
+    write_csv(path, list(TRACK_COLUMNS),
+              ((p.time, p.x, p.y, p.cov_xx, p.cov_xy, p.cov_yy, p.n_obs, p.n_rejected)
+               for p in to_track(results)))
 
 
 def read_track_csv(path) -> list[TrackPoint]:
-    points = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        expected = {"time", "x", "y", "cov_xx", "cov_xy", "cov_yy", "n_obs", "n_rejected"}
-        if reader.fieldnames is None or not expected <= set(reader.fieldnames):
-            raise ParseError(path, 1, "bad track header")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                points.append(TrackPoint(
-                    float(row["time"]), float(row["x"]), float(row["y"]),
-                    float(row["cov_xx"]), float(row["cov_xy"]), float(row["cov_yy"]),
-                    int(row["n_obs"]), int(row["n_rejected"])))
-            except ValueError as exc:
-                raise ParseError(path, lineno, f"bad track row: {exc}") from None
-    return points
+    return [TrackPoint(*values) for _, values in read_csv(path, TRACK_COLUMNS)]
 
 
 def write_residuals_csv(results: list[EpochResult], path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["time", "node_id", "postfit_m"])
-        for r in results:
-            for node_id, value in r.postfit_residuals:
-                writer.writerow([repr(r.state.epoch), node_id, repr(value)])
+    write_csv(path, list(RESIDUAL_COLUMNS),
+              ((r.state.epoch, node_id, value)
+               for r in results for node_id, value in r.postfit_residuals))
 
 
 def read_residuals_csv(path) -> list[tuple[float, str, float]]:
-    rows = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None or not {"time", "node_id", "postfit_m"} <= set(reader.fieldnames):
-            raise ParseError(path, 1, "bad residuals header")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                rows.append((float(row["time"]), row["node_id"], float(row["postfit_m"])))
-            except ValueError as exc:
-                raise ParseError(path, lineno, f"bad residual row: {exc}") from None
-    return rows
+    return [values for _, values in read_csv(path, RESIDUAL_COLUMNS)]

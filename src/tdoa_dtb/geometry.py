@@ -7,11 +7,11 @@ two dimensional.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 from .errors import ParseError, TooFewNodes, UnknownNode
+from .table import read_csv, write_csv
 
 
 @dataclass(frozen=True)
@@ -76,28 +76,23 @@ class NodeCatalog:
     @classmethod
     def from_csv(cls, path) -> "NodeCatalog":
         """Load a catalog from a CSV with header node_id,x,y[,z]."""
-        positions = {}
-        with open(path, newline="") as f:
-            reader = csv.DictReader(f)
-            if reader.fieldnames is None or not {"node_id", "x", "y"} <= set(reader.fieldnames):
-                raise ParseError(path, 1, "expected header node_id,x,y[,z]")
-            for lineno, row in enumerate(reader, start=2):
-                node_id = row["node_id"].strip()
-                if node_id in positions:
-                    raise ParseError(path, lineno, f"duplicate node id {node_id!r}")
-                try:
-                    z = float(row["z"]) if row.get("z") not in (None, "") else 0.0
-                    positions[node_id] = Position(float(row["x"]), float(row["y"]), z)
-                except (TypeError, ValueError) as exc:
-                    raise ParseError(path, lineno, f"bad coordinate: {exc}") from None
+        positions: dict[str, Position] = {}
+        owners: dict[Position, str] = {}
+        for line, (node_id, x, y, z) in read_csv(
+                path, {"node_id": str, "x": float, "y": float}, {"z": float}):
+            pos = Position(x, y, 0.0 if z is None else z)
+            if node_id in positions:
+                raise ParseError(path, line, f"duplicate node id {node_id!r}")
+            if pos in owners:
+                raise ParseError(path, line, f"node {node_id!r} shares the position "
+                                             f"of node {owners[pos]!r}")
+            positions[node_id] = pos
+            owners[pos] = node_id
         return cls(positions)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["node_id", "x", "y", "z"])
-            for node_id, pos in self.items():
-                writer.writerow([node_id, repr(pos.x), repr(pos.y), repr(pos.z)])
+        write_csv(path, ["node_id", "x", "y", "z"],
+                  ((node_id, p.x, p.y, p.z) for node_id, p in self.items()))
 
 
 def range_between(a: Position, b: Position) -> float:

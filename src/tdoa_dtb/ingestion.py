@@ -1,23 +1,20 @@
 """Session loading: ToA observation files, node catalogs, reference trajectories.
 
-Canonical file formats (all CSV, meters and seconds):
-
-* ToA file:        ``time,node_id,toa,rsrp`` (rsrp column optional, dBm;
-  toa in meters or seconds depending on the unit mode)
-* Trajectory file: ``time,x,y`` with an optional ``z`` column
-* Node catalog:    ``node_id,x,y`` with an optional ``z`` column
+ToA files carry ``time,node_id,toa[,rsrp]``: toa in meters (or seconds under
+the seconds unit mode), rsrp in dBm. Trajectories carry ``time,x,y[,z]``.
 """
 
 from __future__ import annotations
 
 import bisect
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySession, OutOfRange, ParseError, UnitError, UnknownNode
+from .errors import (EmptySession, OutOfRange, ParseError, TdoaDtbError, UnitError,
+                     UnknownNode)
 from .geometry import NodeCatalog, Position, node_sort_key
+from .table import read_csv, write_csv
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
@@ -26,6 +23,8 @@ SPEED_OF_LIGHT = 299792458.0  # m/s
 MAX_PLAUSIBLE_RANGE_M = 1.0e6
 
 DEFAULT_EPOCH_TOL = 1.0e-3  # s
+
+TOA_COLUMNS = {"time": float, "node_id": str, "toa": float}
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,8 @@ class Epoch:
             raise ValueError("epoch with no observations")
         ids = [o.node_id for o in self.observations]
         if len(ids) != len(set(ids)):
-            raise ValueError(f"duplicate node in epoch at t={self.time}")
+            dup = next(i for i in ids if ids.count(i) > 1)
+            raise ValueError(f"duplicate node {dup!r} in epoch at t={self.time}")
 
     def by_node(self) -> dict[str, ToaObservation]:
         return {o.node_id: o for o in self.observations}
@@ -104,59 +104,32 @@ class ReferenceTrajectory:
         return Position(*map(float, row))
 
 
-def interpolate_reference(traj: ReferenceTrajectory, t: float) -> Position:
-    """Linearly interpolated reference position at time t."""
-    return traj.interpolate(t)
-
-
 def load_trajectory(path) -> ReferenceTrajectory:
-    samples = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None or not {"time", "x", "y"} <= set(reader.fieldnames):
-            raise ParseError(path, 1, "expected header time,x,y[,z]")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                z = float(row["z"]) if row.get("z") not in (None, "") else 0.0
-                samples.append((float(row["time"]), Position(float(row["x"]), float(row["y"]), z)))
-            except (TypeError, ValueError) as exc:
-                raise ParseError(path, lineno, f"bad trajectory row: {exc}") from None
-    if len(samples) < 2:
+    rows = read_csv(path, {"time": float, "x": float, "y": float}, {"z": float})
+    if len(rows) < 2:
         raise ParseError(path, 1, "trajectory needs at least 2 samples")
-    try:
-        return ReferenceTrajectory(samples)
-    except ValueError as exc:
-        raise ParseError(path, 1, str(exc)) from None
+    for (_, (t0, *_)), (line, (t1, *_)) in zip(rows, rows[1:]):
+        if t1 <= t0:
+            raise ParseError(path, line, "trajectory times must be strictly increasing")
+    return ReferenceTrajectory([(t, Position(x, y, 0.0 if z is None else z))
+                                for _, (t, x, y, z) in rows])
 
 
 def load_toa_rows(path, unit_mode: str = "meters") -> list[ToaObservation]:
     """Parse a ToA file into observations, converting seconds to meters if asked."""
     if unit_mode not in ("meters", "seconds"):
         raise ValueError(f"unit_mode must be 'meters' or 'seconds', got {unit_mode!r}")
-    rows = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None or not {"time", "node_id", "toa"} <= set(reader.fieldnames):
-            raise ParseError(path, 1, "expected header time,node_id,toa[,rsrp]")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                t = float(row["time"])
-                toa = float(row["toa"])
-                rsrp_raw = row.get("rsrp")
-                rsrp = float(rsrp_raw) if rsrp_raw not in (None, "") else None
-            except (TypeError, ValueError) as exc:
-                raise ParseError(path, lineno, f"bad observation row: {exc}") from None
-            if unit_mode == "seconds":
-                toa *= SPEED_OF_LIGHT
-                if abs(toa) > MAX_PLAUSIBLE_RANGE_M:
-                    raise UnitError(
-                        f"{path}:{lineno}: converted pseudorange {toa:.3e} m exceeds "
-                        f"plausible light-travel bounds; raw values are likely meters"
-                    )
-            if not np.isfinite(toa):
-                raise ParseError(path, lineno, f"non-finite pseudorange {toa}")
-            rows.append(ToaObservation(t, row["node_id"].strip(), toa, rsrp))
-    return rows
+    rows = read_csv(path, TOA_COLUMNS, {"rsrp": float})
+    if unit_mode == "meters":
+        return [ToaObservation(*values) for _, values in rows]
+    for line, (_, _, toa, _) in rows:
+        if abs(toa) * SPEED_OF_LIGHT > MAX_PLAUSIBLE_RANGE_M:
+            raise UnitError(
+                f"{path}:{line}: converted pseudorange {toa * SPEED_OF_LIGHT:.3e} m "
+                f"exceeds plausible light-travel bounds; raw values are likely meters"
+            )
+    return [ToaObservation(t, node_id, toa * SPEED_OF_LIGHT, rsrp)
+            for _, (t, node_id, toa, rsrp) in rows]
 
 
 def group_epochs(rows: list[ToaObservation], epoch_tol: float = DEFAULT_EPOCH_TOL) -> list[Epoch]:
@@ -181,7 +154,11 @@ def group_epochs(rows: list[ToaObservation], epoch_tol: float = DEFAULT_EPOCH_TO
 def load_toa_epochs(path, unit_mode: str = "meters",
                     epoch_tol: float = DEFAULT_EPOCH_TOL) -> list[Epoch]:
     """Load and epoch-group a ToA file without requiring a catalog."""
-    epochs = group_epochs(load_toa_rows(path, unit_mode), epoch_tol)
+    rows = load_toa_rows(path, unit_mode)
+    try:
+        epochs = group_epochs(rows, epoch_tol)
+    except ValueError as exc:
+        raise TdoaDtbError(f"{path}: {exc}") from None
     if not epochs:
         raise EmptySession(f"{path}: no observations")
     return epochs
@@ -196,34 +173,23 @@ def load_session(toa_file, node_file, trajectory_file, unit_mode: str = "meters"
     skips them, positioning does not need the trajectory).
     """
     catalog = NodeCatalog.from_csv(node_file)
-    rows = load_toa_rows(toa_file, unit_mode)
-    for obs in rows:
-        if obs.node_id not in catalog:
-            raise UnknownNode(f"{toa_file}: observation at t={obs.epoch} references "
-                              f"unknown node {obs.node_id!r}")
-    epochs = group_epochs(rows, epoch_tol)
-    if not epochs:
-        raise EmptySession(f"{toa_file}: no observations")
+    epochs = load_toa_epochs(toa_file, unit_mode, epoch_tol)
+    for epoch in epochs:
+        for obs in epoch.observations:
+            if obs.node_id not in catalog:
+                raise UnknownNode(f"{toa_file}: observation at t={obs.epoch} references "
+                                  f"unknown node {obs.node_id!r}")
     traj = load_trajectory(trajectory_file)
     return epochs, catalog, traj
 
 
 def write_toa_csv(epochs: list[Epoch], path) -> None:
     """Write epochs back to the canonical ToA format (meters)."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["time", "node_id", "toa", "rsrp"])
-        for epoch in epochs:
-            for obs in epoch.observations:
-                writer.writerow([
-                    repr(obs.epoch), obs.node_id, repr(obs.pseudorange),
-                    "" if obs.rsrp is None else repr(obs.rsrp),
-                ])
+    write_csv(path, list(TOA_COLUMNS) + ["rsrp"],
+              ((o.epoch, o.node_id, o.pseudorange, o.rsrp)
+               for epoch in epochs for o in epoch.observations))
 
 
 def write_trajectory_csv(traj: ReferenceTrajectory, path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["time", "x", "y", "z"])
-        for t, pos in traj.samples():
-            writer.writerow([repr(t), repr(pos.x), repr(pos.y), repr(pos.z)])
+    write_csv(path, ["time", "x", "y", "z"],
+              ((t, p.x, p.y, p.z) for t, p in traj.samples()))

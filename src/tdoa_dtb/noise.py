@@ -10,15 +10,14 @@ an ordinary least squares of 1/sigma on rsrp.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import csv
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FitError, NoRsrp, ParseError, WindowTooSmall
 from .ingestion import Epoch
+from .table import read_csv, write_csv
 
 DEFAULT_WINDOW_S = 2.0
 DEFAULT_BIN_DB = 2.0
@@ -155,34 +154,25 @@ def sigma_for(model: NoiseModel, rsrp: float | None,
     return min(max(model.k / (rsrp - model.rsrp0), model.sigma_floor), model.sigma_cap)
 
 
+NOISE_COLUMNS = {"k": float, "rsrp0": float, "sigma_floor": float, "sigma_cap": float}
+
+
 def write_noise_model(model: NoiseModel, path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["k", "rsrp0", "sigma_floor", "sigma_cap"])
-        writer.writerow([repr(model.k), repr(model.rsrp0),
-                         repr(model.sigma_floor), repr(model.sigma_cap)])
+    write_csv(path, list(NOISE_COLUMNS),
+              [(model.k, model.rsrp0, model.sigma_floor, model.sigma_cap)])
 
 
 def read_noise_model(path) -> NoiseModel:
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        expected = {"k", "rsrp0", "sigma_floor", "sigma_cap"}
-        if reader.fieldnames is None or not expected <= set(reader.fieldnames):
-            raise ParseError(path, 1, "expected header k,rsrp0,sigma_floor,sigma_cap")
-        rows = list(reader)
+    rows = read_csv(path, NOISE_COLUMNS)
     if len(rows) != 1:
         raise ParseError(path, 2, f"expected exactly one model row, got {len(rows)}")
+    line, values = rows[0]
     try:
-        return NoiseModel(float(rows[0]["k"]), float(rows[0]["rsrp0"]),
-                          float(rows[0]["sigma_floor"]), float(rows[0]["sigma_cap"]))
+        return NoiseModel(*values)
     except ValueError as exc:
-        raise ParseError(path, 2, f"bad noise model: {exc}") from None
+        raise ParseError(path, line, f"bad noise model: {exc}") from None
 
 
 def write_noise_points(points: list[NoisePoint], path) -> None:
     """Plot-ready scatter of estimated noise against received power."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["rsrp_dbm", "sigma_m"])
-        for p in points:
-            writer.writerow([repr(p.rsrp), repr(p.sigma_hat)])
+    write_csv(path, ["rsrp_dbm", "sigma_m"], ((p.rsrp, p.sigma_hat) for p in points))

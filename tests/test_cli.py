@@ -46,6 +46,15 @@ def test_data_error_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+def test_duplicate_node_in_one_epoch_is_a_data_error(tmp_path, capsys):
+    toa = tmp_path / "toa.csv"
+    toa.write_text("time,node_id,toa,rsrp\n10.0,1,5.0,\n10.0,2,6.0,\n10.0005,1,7.0,\n")
+    code = main(["fit-noise", "--toa", str(toa), "--out", str(tmp_path / "noise.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(toa) in err and "t=10.0" in err
+
+
 def test_calibrate_reference_never_present(tmp_path, scenario_file, capsys):
     out = tmp_path / "sim"
     assert main(["simulate", "--scenario", str(scenario_file),

@@ -3,11 +3,12 @@ import math
 import pytest
 
 from tdoa_dtb.differencing import TdoaObservation, form_tdoa
-from tdoa_dtb.dtb import (DtbEntry, DtbSample, DtbTable, aggregate_dtb,
+from tdoa_dtb.dtb import (DtbEntry, DtbSample, DtbTable, aggregate_dtb, calibrate,
                           instantaneous_dtb, read_dtb, rereference_dtb,
                           write_dtb)
-from tdoa_dtb.errors import MixedReference, ParseError, UnknownNode
+from tdoa_dtb.errors import MixedReference, ParseError, ReferenceMissing, UnknownNode
 from tdoa_dtb.geometry import NodeCatalog, Position, sd_range
+from tdoa_dtb.ingestion import Epoch, ReferenceTrajectory
 from tdoa_dtb.synthetic import ClockModel, Scenario, generate
 
 from conftest import square_catalog
@@ -22,6 +23,43 @@ def calibrate_synthetic(scenario, ref="1"):
         for obs in form_tdoa(epoch, ref):
             samples.append(instantaneous_dtb(obs, rover, session.catalog))
     return session, samples
+
+
+def test_calibrate_matches_straight_line_loop(basic_scenario):
+    basic_scenario.noise = 0.8
+    session, samples = calibrate_synthetic(basic_scenario, ref="1")
+    table, got = calibrate(session.epochs, session.trajectory, session.catalog, "1",
+                           trim_sigma=2.0, session="S")
+    assert got == samples
+    assert table == aggregate_dtb(samples, session="S", trim_sigma=2.0)
+
+
+def test_calibrate_drops_epochs_outside_trajectory(basic_scenario):
+    session, samples = calibrate_synthetic(basic_scenario, ref="1")
+    part = ReferenceTrajectory(session.trajectory.samples()[10:40])
+    table, got = calibrate(session.epochs, part, session.catalog, "1")
+    expected = [s for s in samples if part.t_start <= s.epoch <= part.t_end]
+    assert len(expected) == 30 * 3
+    assert got == expected
+    assert table == aggregate_dtb(expected)
+
+
+def test_calibrate_drops_epochs_without_reference(basic_scenario):
+    session, samples = calibrate_synthetic(basic_scenario, ref="1")
+    epochs = [Epoch(e.time, tuple(o for o in e.observations if o.node_id != "1"))
+              if i % 3 == 0 else e for i, e in enumerate(session.epochs)]
+    kept = {e.time for i, e in enumerate(session.epochs) if i % 3 != 0}
+    _, got = calibrate(epochs, session.trajectory, session.catalog, "1")
+    assert got == [s for s in samples if s.epoch in kept]
+
+
+def test_calibrate_without_usable_epoch(basic_scenario):
+    session = generate(basic_scenario)
+    with pytest.raises(ReferenceMissing):
+        calibrate(session.epochs, session.trajectory, session.catalog, "99")
+    late = ReferenceTrajectory([(1e6, Position(5, 5)), (1e6 + 1, Position(6, 5))])
+    with pytest.raises(ReferenceMissing):
+        calibrate(session.epochs, late, session.catalog, "1")
 
 
 def test_instantaneous_bias_free():
@@ -162,10 +200,12 @@ def test_rereference_round_trip_returns_original_means():
 
 def test_write_read_round_trip(tmp_path):
     table = DtbTable("1", {"2": DtbEntry(-7.75, 0.5066, 4),
-                           "3": DtbEntry(17.6, 1.5, 120)}, session="D5")
+                           "3": DtbEntry(17.6, 1.5, 120),
+                           "10": DtbEntry(0.1 + 0.2, 1.0 / 3.0, 7)}, session="D5")
     path = tmp_path / "dtb.csv"
     write_dtb(table, path)
     assert read_dtb(path) == table
+    assert path.read_bytes().endswith(b"D5,1,10,0.30000000000000004,0.3333333333333333,7\r\n")
 
 
 def test_read_rejects_duplicate_rows(tmp_path):

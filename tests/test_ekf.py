@@ -4,7 +4,8 @@ import pytest
 from tdoa_dtb.differencing import TdoaObservation, form_tdoa
 from tdoa_dtb.dtb import DtbEntry, DtbTable
 from tdoa_dtb.ekf import (EkfConfig, EkfState, init_apriori, measurement_model,
-                          predict, run_filter, to_track, update)
+                          predict, read_residuals_csv, read_track_csv, run_filter,
+                          to_track, update, write_residuals_csv, write_track_csv)
 from tdoa_dtb.errors import NegativeDt, SingularGeometry, TooFewNodes
 from tdoa_dtb.geometry import NodeCatalog, Position
 from tdoa_dtb.metrics import true_error
@@ -281,3 +282,13 @@ def test_run_filter_skips_reference_missing_epochs():
     results = run_filter(epochs, session.truth_dtb("1"), session.catalog, WIDE_NOISE)
     assert results[5].accepted_obs == 0
     assert results[5].postfit_residuals == []
+
+
+def test_track_and_residuals_round_trip(tmp_path):
+    _, results = run_synthetic(positioning_scenario(noise=1.0, duration=20.0))
+    write_track_csv(results, tmp_path / "track.csv")
+    write_residuals_csv(results, tmp_path / "residuals.csv")
+    assert read_track_csv(tmp_path / "track.csv") == to_track(results)
+    assert read_residuals_csv(tmp_path / "residuals.csv") == [
+        (r.state.epoch, node_id, value)
+        for r in results for node_id, value in r.postfit_residuals]

@@ -3,8 +3,7 @@ import pytest
 from tdoa_dtb.errors import OutOfRange, ParseError, UnitError, UnknownNode
 from tdoa_dtb.geometry import Position
 from tdoa_dtb.ingestion import (SPEED_OF_LIGHT, Epoch, ReferenceTrajectory,
-                                ToaObservation, group_epochs,
-                                interpolate_reference, load_session,
+                                ToaObservation, group_epochs, load_session,
                                 load_toa_rows, write_toa_csv,
                                 write_trajectory_csv, load_trajectory)
 
@@ -84,21 +83,21 @@ def test_epoch_rejects_duplicate_node():
 
 def test_interpolate_midpoint():
     traj = ReferenceTrajectory([(0.0, Position(0, 0)), (10.0, Position(10, 0))])
-    p = interpolate_reference(traj, 5.0)
+    p = traj.interpolate(5.0)
     assert (p.x, p.y) == (5.0, 0.0)
 
 
 def test_interpolate_knot_identity():
     traj = ReferenceTrajectory([(0.0, Position(0, 0)), (4.0, Position(2, 2)),
                                 (8.0, Position(2, 6))])
-    p = interpolate_reference(traj, 4.0)
+    p = traj.interpolate(4.0)
     assert (p.x, p.y) == (2.0, 2.0)
 
 
 def test_interpolate_piecewise():
     traj = ReferenceTrajectory([(0.0, Position(0, 0)), (4.0, Position(2, 2)),
                                 (8.0, Position(2, 6))])
-    p = interpolate_reference(traj, 6.0)
+    p = traj.interpolate(6.0)
     assert p.x == pytest.approx(2.0, abs=1e-12)
     assert p.y == pytest.approx(4.0, abs=1e-12)
 
@@ -131,6 +130,22 @@ def test_session_round_trip(tmp_path):
         assert e1.time == e2.time
         assert e1.observations == e2.observations
     assert trajectory2.samples() == trajectory.samples()
+
+    # a second write of what was read gives the same bytes
+    toa3 = tmp_path / "toa3.csv"
+    traj3 = tmp_path / "traj3.csv"
+    write_toa_csv(epochs2, toa3)
+    write_trajectory_csv(trajectory2, traj3)
+    assert toa3.read_bytes() == toa2.read_bytes()
+    assert traj3.read_bytes() == traj2.read_bytes()
+    assert toa2.read_bytes().splitlines(keepends=True)[3] == b"10.0,3,70.0,\r\n"
+
+
+def test_trajectory_file_times_must_increase(tmp_path):
+    path = _write(tmp_path / "t.csv", "time,x,y\n0,0,0\n1,1,0\n1,2,0\n")
+    with pytest.raises(ParseError) as exc:
+        load_trajectory(path)
+    assert exc.value.line == 4
 
 
 def test_trajectory_too_short(tmp_path):

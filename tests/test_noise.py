@@ -14,15 +14,14 @@ def grid_search_fit(points, k_range=(1.0, 300.0), rsrp0_range=(-160.0, -90.0), n
     """Brute-force least squares oracle over a (k, rsrp0) grid."""
     rsrp = np.array([p.rsrp for p in points])
     sig = np.array([p.sigma_hat for p in points])
-    best = (None, None, math.inf)
-    for k in np.linspace(*k_range, n):
-        for r0 in np.linspace(*rsrp0_range, n):
-            if r0 >= rsrp.min() - 1.0:
-                continue
-            cost = float(np.sum((sig - k / (rsrp - r0)) ** 2))
-            if cost < best[2]:
-                best = (k, r0, cost)
-    return best[0], best[1]
+    ks = np.linspace(*k_range, n)
+    r0s = np.linspace(*rsrp0_range, n)
+    r0s = r0s[r0s < rsrp.min() - 1.0]
+    # cost[i, j] belongs to (ks[i], r0s[j]); argmin takes the first minimum in
+    # row-major order, the tie-break of a k-outer, rsrp0-inner strict-< scan
+    cost = np.sum((sig - ks[:, None, None] / (rsrp - r0s[:, None])) ** 2, axis=2)
+    i, j = np.unravel_index(np.argmin(cost), cost.shape)
+    return ks[i], r0s[j]
 
 
 def exact_points(k=60.0, rsrp0=-110.0, rsrps=(-95, -90, -85, -80, -75, -70)):
@@ -196,10 +195,11 @@ def test_sigma_non_increasing_in_rsrp():
 
 
 def test_model_file_round_trip(tmp_path):
-    model = NoiseModel(61.25, -112.5, 0.4, 12.0)
-    path = tmp_path / "noise.csv"
-    write_noise_model(model, path)
-    assert read_noise_model(path) == model
+    for model in (NoiseModel(61.25, -112.5, 0.4, 12.0),
+                  NoiseModel(60.0 / 7.0, -110.1, 0.1 + 0.2, 15.0)):
+        path = tmp_path / "noise.csv"
+        write_noise_model(model, path)
+        assert read_noise_model(path) == model
 
 
 def test_model_invariants():

@@ -8,7 +8,7 @@ meter of it.
 """
 
 from tdoa_dtb import (DtbEntry, DtbTable, NodeCatalog, NoiseModel, Position,
-                      Scenario, generate, run_filter, session_metrics, to_track)
+                      Scenario, generate, run_filter, session_metrics)
 
 catalog = NodeCatalog({
     "1": Position(0.0, 0.0),
@@ -39,10 +39,8 @@ truth = session.truth_dtb("1")
 zeros = DtbTable("1", {n: DtbEntry(0.0, 0.0, 1) for n in truth.entries})
 
 for label, table in (("calibrated", truth), ("uncalibrated", zeros)):
-    results = run_filter(session.epochs, table, session.catalog, noise)
-    track = to_track(results)
-    residuals = [v for r in results for _, v in r.postfit_residuals]
-    m = session_metrics(track, session.trajectory, residuals)
+    track, residuals = run_filter(session.epochs, table, session.catalog, noise)
+    m = session_metrics(track, session.trajectory, [v for _, _, v in residuals])
     print(f"{label}:")
     print(f"  true error   mean {m.true_error_mean:6.2f} m, "
           f"rms {m.true_error_rms:6.2f} m")

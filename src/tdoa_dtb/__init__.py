@@ -9,8 +9,8 @@ from .dtb import (DtbEntry, DtbSample, DtbTable, aggregate_dtb, calibrate,
                   instantaneous_dtb, read_dtb, rereference_dtb, write_dtb)
 from .noise import (NoiseModel, NoisePoint, detrend_toa, estimate_noise_points,
                     fit_noise_model, sigma_for)
-from .ekf import (EkfConfig, EkfState, EpochResult, TrackPoint, init_apriori,
-                  measurement_model, predict, run_filter, to_track, update)
+from .ekf import (EkfConfig, EkfState, TrackPoint, init_apriori, measurement_model,
+                  predict, run_filter, update)
 from .metrics import SessionMetrics, session_metrics, sigma_formal, sigma_postfits, true_error
 from .synthetic import ClockModel, PathLossModel, Scenario, generate, load_scenario
 
@@ -22,8 +22,8 @@ __all__ = [
     "instantaneous_dtb", "read_dtb", "rereference_dtb", "write_dtb",
     "NoiseModel", "NoisePoint", "detrend_toa", "estimate_noise_points",
     "fit_noise_model", "sigma_for",
-    "EkfConfig", "EkfState", "EpochResult", "TrackPoint", "init_apriori",
-    "measurement_model", "predict", "run_filter", "to_track", "update",
+    "EkfConfig", "EkfState", "TrackPoint", "init_apriori", "measurement_model",
+    "predict", "run_filter", "update",
     "SessionMetrics", "session_metrics", "sigma_formal", "sigma_postfits",
     "true_error",
     "ClockModel", "PathLossModel", "Scenario", "generate", "load_scenario",

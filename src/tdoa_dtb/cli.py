@@ -48,6 +48,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _finite_float(text: str, zero_ok: bool = False) -> float:
+    """argparse type: a finite number > 0, or >= 0 with zero_ok."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (0 < value < math.inf or (zero_ok and value == 0)):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number {'>=' if zero_ok else '>'} 0, got {text!r}")
+    return value
+
+
 def _write_manifest(out_path, subcommand: str, args: argparse.Namespace,
                     is_dir: bool = False) -> None:
     out_dir = os.path.abspath(out_path) if is_dir else os.path.dirname(os.path.abspath(out_path))
@@ -66,7 +78,8 @@ def _write_manifest(out_path, subcommand: str, args: argparse.Namespace,
 def _add_session_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--unit", choices=["meters", "seconds"], default="meters",
                    help="unit of the toa column (seconds are converted via c)")
-    p.add_argument("--epoch-tol", type=float, default=DEFAULT_EPOCH_TOL,
+    p.add_argument("--epoch-tol", type=lambda text: _finite_float(text, zero_ok=True),
+                   default=DEFAULT_EPOCH_TOL,
                    help="timestamps within this many seconds share an epoch")
 
 
@@ -124,12 +137,12 @@ def _cmd_position(args) -> int:
                     min_obs_per_update=args.min_obs,
                     innovation_gate=args.gate,
                     default_sigma=args.default_sigma)
-    results = run_filter(epochs, dtb, catalog, noise, cfg)
-    write_track_csv(results, args.out)
-    write_residuals_csv(results, args.residuals)
+    track, residuals = run_filter(epochs, dtb, catalog, noise, cfg)
+    write_track_csv(track, args.out)
+    write_residuals_csv(residuals, args.residuals)
     _write_manifest(args.out, "position", args)
-    n_upd = sum(1 for r in results if r.accepted_obs > 0)
-    print(f"filtered {len(results)} epochs ({n_upd} with updates)", file=sys.stderr)
+    n_upd = sum(1 for p in track if p.n_obs > 0)
+    print(f"filtered {len(track)} epochs ({n_upd} with updates)", file=sys.stderr)
     return 0
 
 
@@ -178,8 +191,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-noise", help="fit the received-power noise model")
     p.add_argument("--toa", required=True)
-    p.add_argument("--window", type=float, default=DEFAULT_WINDOW_S, help="detrend window, s")
-    p.add_argument("--bin", type=float, default=DEFAULT_BIN_DB, help="rsrp bin width, dB")
+    p.add_argument("--window", type=_finite_float, default=DEFAULT_WINDOW_S,
+                   help="detrend window, s")
+    p.add_argument("--bin", type=_finite_float, default=DEFAULT_BIN_DB,
+                   help="rsrp bin width, dB")
     p.add_argument("--out", required=True)
     p.add_argument("--points", default=None, help="optional scatter CSV output")
     _add_session_flags(p)
@@ -194,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "reference are dropped")
     p.add_argument("--out", required=True)
     p.add_argument("--session", default="", help="session label stored in the table")
-    p.add_argument("--trim-sigma", type=float, default=None,
+    p.add_argument("--trim-sigma", type=_finite_float, default=None,
                    help="optional outlier trim factor (off by default)")
     p.add_argument("--samples", default=None, help="optional DTB time-series CSV output")
     _add_session_flags(p)
@@ -207,11 +222,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", required=True)
     p.add_argument("--out", required=True, help="track CSV output")
     p.add_argument("--residuals", required=True, help="postfit residual CSV output")
-    p.add_argument("--sigma-x", type=float, default=EkfConfig.sigma_x)
-    p.add_argument("--sigma-y", type=float, default=EkfConfig.sigma_y)
-    p.add_argument("--gate", type=float, default=EkfConfig.innovation_gate)
+    p.add_argument("--sigma-x", type=_finite_float, default=EkfConfig.sigma_x)
+    p.add_argument("--sigma-y", type=_finite_float, default=EkfConfig.sigma_y)
+    p.add_argument("--gate", type=_finite_float, default=EkfConfig.innovation_gate)
     p.add_argument("--min-obs", type=int, default=EkfConfig.min_obs_per_update)
-    p.add_argument("--default-sigma", type=float, default=EkfConfig.default_sigma)
+    p.add_argument("--default-sigma", type=_finite_float, default=EkfConfig.default_sigma)
     _add_session_flags(p)
     p.set_defaults(func=_cmd_position)
 

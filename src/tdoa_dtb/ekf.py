@@ -10,13 +10,14 @@ observations are never applied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .differencing import TdoaObservation, form_tdoa
-from .dtb import DtbTable, rereference_dtb
-from .errors import NegativeDt, ReferenceMissing, SingularGeometry, TooFewNodes
+from .dtb import DtbTable
+from .errors import MixedReference, NegativeDt, ReferenceMissing, SingularGeometry, TooFewNodes
 from .geometry import NodeCatalog, Position, range_between
 from .ingestion import Epoch
 from .noise import DEFAULT_SIGMA_NO_RSRP, NoiseModel, sigma_for
@@ -54,25 +55,28 @@ class EkfState:
 
     def __post_init__(self):
         self.position = np.asarray(self.position, dtype=float).reshape(2)
-        self.covariance = _symmetrize_psd(np.asarray(self.covariance, dtype=float).reshape(2, 2))
+        cov = np.asarray(self.covariance, dtype=float).reshape(2, 2)
+        self.covariance = cov = 0.5 * (cov + cov.T)
+        (a, b), (_, d) = cov.tolist()
+        min_eig = 0.5 * (a + d) - math.hypot(0.5 * (a - d), b)   # closed form for 2x2
+        if min_eig < PSD_TOL:
+            raise ValueError(f"covariance not PSD, min eigenvalue {min_eig:.3e}")
         if not np.all(np.isfinite(self.position)):
             raise ValueError("non-finite filter position")
 
 
-@dataclass
-class EpochResult:
-    state: EkfState
-    postfit_residuals: list[tuple[str, float]] = field(default_factory=list)
-    accepted_obs: int = 0
-    rejected_obs: int = 0
+@dataclass(frozen=True)
+class TrackPoint:
+    """One filtered epoch, as written to the track CSV; covariance flattened."""
 
-
-def _symmetrize_psd(cov: np.ndarray) -> np.ndarray:
-    cov = 0.5 * (cov + cov.T)
-    eigvals = np.linalg.eigvalsh(cov)
-    if eigvals.min() < PSD_TOL:
-        raise ValueError(f"covariance not PSD, min eigenvalue {eigvals.min():.3e}")
-    return cov
+    time: float
+    x: float
+    y: float
+    cov_xx: float
+    cov_xy: float
+    cov_yy: float
+    n_obs: int
+    n_rejected: int
 
 
 def init_apriori(catalog: NodeCatalog) -> EkfState:
@@ -107,7 +111,8 @@ def measurement_model(state: EkfState, obs: TdoaObservation, dtb: DtbTable,
     d(predicted)/dx = (x_r - x_n)/rho_n - (x_r - x_m)/rho_m, likewise for y.
     """
     if obs.ref_node_id != dtb.ref_node_id:
-        dtb = rereference_dtb(dtb, obs.ref_node_id)
+        raise MixedReference(f"difference against {obs.ref_node_id!r}, "
+                             f"DTB table against {dtb.ref_node_id!r}")
     node = catalog[obs.node_id]
     ref = catalog[obs.ref_node_id]
     rover = Position(float(state.position[0]), float(state.position[1]))
@@ -123,13 +128,15 @@ def measurement_model(state: EkfState, obs: TdoaObservation, dtb: DtbTable,
 
 
 def update(state: EkfState, epoch_obs: list[TdoaObservation], dtb: DtbTable,
-           catalog: NodeCatalog, noise: NoiseModel, cfg: EkfConfig) -> EpochResult:
+           catalog: NodeCatalog, noise: NoiseModel, cfg: EkfConfig
+           ) -> tuple[EkfState, list[tuple[str, float]], int]:
     """Joint vector update with all accepted observations of one epoch.
 
     Per-observation variance combines both ends of the difference:
     R_i = sigma(rsrp_node)^2 + sigma(rsrp_ref)^2. Innovations beyond
     gate * sqrt(H P H' + R) are counted as rejected and never applied. With
     zero accepted observations the predicted state is returned unchanged.
+    Returns (state, [(node_id, postfit_m) per applied observation], n_rejected).
     """
     rows = []      # (obs, innovation, (hx, hy), r_var)
     rejected = 0
@@ -151,7 +158,7 @@ def update(state: EkfState, epoch_obs: list[TdoaObservation], dtb: DtbTable,
 
     if len(rows) < max(cfg.min_obs_per_update, 1):
         # too few usable observations: state stays at the prediction
-        return EpochResult(state=state, accepted_obs=0, rejected_obs=rejected)
+        return state, [], rejected
 
     h_mat = np.array([r[2] for r in rows])                  # (n, 2)
     innovations = np.array([r[1] for r in rows])            # (n,)
@@ -168,19 +175,21 @@ def update(state: EkfState, epoch_obs: list[TdoaObservation], dtb: DtbTable,
     for obs, _, _, _ in rows:
         predicted, _ = measurement_model(new_state, obs, dtb, catalog)
         postfits.append((obs.node_id, obs.sd_pseudorange - predicted))
-    return EpochResult(state=new_state, postfit_residuals=postfits,
-                       accepted_obs=len(rows), rejected_obs=rejected)
+    return new_state, postfits, rejected
 
 
 def run_filter(epochs: list[Epoch], dtb: DtbTable, catalog: NodeCatalog,
-               noise: NoiseModel, cfg: EkfConfig | None = None) -> list[EpochResult]:
+               noise: NoiseModel, cfg: EkfConfig | None = None
+               ) -> tuple[list[TrackPoint], list[tuple[float, str, float]]]:
     """Filter a session: apriori from the node layout, then predict/update per epoch.
 
-    Single differences are formed against the DTB table's reference node;
-    epochs where that node is missing contribute a prediction-only result.
+    Returns the track, one point per epoch, and the (time, node_id, postfit_m)
+    residual rows. Single differences are formed against the DTB table's
+    reference node; epochs where that node is missing are prediction-only.
     """
     cfg = cfg or EkfConfig()
-    results: list[EpochResult] = []
+    track: list[TrackPoint] = []
+    residuals: list[tuple[float, str, float]] = []
     state: EkfState | None = None
     for epoch in sorted(epochs, key=lambda e: e.time):
         if state is None:
@@ -191,37 +200,14 @@ def run_filter(epochs: list[Epoch], dtb: DtbTable, catalog: NodeCatalog,
         try:
             tdoa = form_tdoa(epoch, dtb.ref_node_id)
         except ReferenceMissing:
-            results.append(EpochResult(state=state))
-            continue
-        result = update(state, tdoa, dtb, catalog, noise, cfg)
-        state = result.state
-        results.append(result)
-    return results
-
-
-@dataclass(frozen=True)
-class TrackPoint:
-    """One row of the track output, covariance flattened for CSV transport."""
-
-    time: float
-    x: float
-    y: float
-    cov_xx: float
-    cov_xy: float
-    cov_yy: float
-    n_obs: int
-    n_rejected: int
-
-
-def to_track(results: list[EpochResult]) -> list[TrackPoint]:
-    return [TrackPoint(
-        time=r.state.epoch,
-        x=float(r.state.position[0]), y=float(r.state.position[1]),
-        cov_xx=float(r.state.covariance[0, 0]),
-        cov_xy=float(r.state.covariance[0, 1]),
-        cov_yy=float(r.state.covariance[1, 1]),
-        n_obs=r.accepted_obs, n_rejected=r.rejected_obs,
-    ) for r in results]
+            postfits, rejected = [], 0
+        else:
+            state, postfits, rejected = update(state, tdoa, dtb, catalog, noise, cfg)
+        (cov_xx, cov_xy), (_, cov_yy) = state.covariance.tolist()
+        track.append(TrackPoint(state.epoch, *state.position.tolist(), cov_xx, cov_xy,
+                                cov_yy, len(postfits), rejected))
+        residuals.extend((state.epoch, node_id, value) for node_id, value in postfits)
+    return track, residuals
 
 
 TRACK_COLUMNS = {"time": float, "x": float, "y": float, "cov_xx": float,
@@ -229,20 +215,18 @@ TRACK_COLUMNS = {"time": float, "x": float, "y": float, "cov_xx": float,
 RESIDUAL_COLUMNS = {"time": float, "node_id": str, "postfit_m": float}
 
 
-def write_track_csv(results: list[EpochResult], path) -> None:
+def write_track_csv(track: list[TrackPoint], path) -> None:
     write_csv(path, list(TRACK_COLUMNS),
               ((p.time, p.x, p.y, p.cov_xx, p.cov_xy, p.cov_yy, p.n_obs, p.n_rejected)
-               for p in to_track(results)))
+               for p in track))
 
 
 def read_track_csv(path) -> list[TrackPoint]:
     return [TrackPoint(*values) for _, values in read_csv(path, TRACK_COLUMNS)]
 
 
-def write_residuals_csv(results: list[EpochResult], path) -> None:
-    write_csv(path, list(RESIDUAL_COLUMNS),
-              ((r.state.epoch, node_id, value)
-               for r in results for node_id, value in r.postfit_residuals))
+def write_residuals_csv(residuals: list[tuple[float, str, float]], path) -> None:
+    write_csv(path, list(RESIDUAL_COLUMNS), residuals)
 
 
 def read_residuals_csv(path) -> list[tuple[float, str, float]]:

@@ -18,7 +18,7 @@ from tdoa_dtb.cli import main as cli_main
 from tdoa_dtb.differencing import TdoaObservation, form_tdoa
 from tdoa_dtb.dtb import (DtbEntry, DtbTable, aggregate_dtb, instantaneous_dtb,
                           rereference_dtb)
-from tdoa_dtb.ekf import EkfConfig, EkfState, measurement_model, run_filter, to_track
+from tdoa_dtb.ekf import EkfConfig, EkfState, measurement_model, run_filter
 from tdoa_dtb.geometry import NodeCatalog, Position
 from tdoa_dtb.metrics import sigma_formal, sigma_postfits, true_error
 from tdoa_dtb.noise import NoiseModel, NoisePoint, fit_noise_model
@@ -74,9 +74,9 @@ def calibrated_run():
     table = calibrate(session)
     calib_seconds = time.perf_counter() - t0
     t0 = time.perf_counter()
-    results = run_filter(session.epochs, table, session.catalog, FLAT_NOISE)
+    track, residuals = run_filter(session.epochs, table, session.catalog, FLAT_NOISE)
     filter_seconds = time.perf_counter() - t0
-    return dict(session=session, table=table, results=results,
+    return dict(session=session, table=table, track=track, residuals=residuals,
                 calib_seconds=calib_seconds, filter_seconds=filter_seconds)
 
 
@@ -108,7 +108,7 @@ def test_criterion_2_dtb_stability_magnitude(calibrated_run):
 
 def test_criterion_3_positioning_with_dtb(calibrated_run):
     session = calibrated_run["session"]
-    track = to_track(calibrated_run["results"])
+    track = calibrated_run["track"]
     mean_err, _ = true_error(track, session.trajectory)
     report("3 positioning with DTB", mean_err <= 2.0,
            f"true_error_mean {mean_err:.3f} m")
@@ -126,10 +126,10 @@ def test_criterion_4_divergence_without_dtb(calibrated_run):
     t0 = time.perf_counter()
     zeros = DtbTable("1", {n: DtbEntry(0.0, 0.0, 1)
                            for n in calibrated_run["table"].entries})
-    uncal = run_filter(session.epochs, zeros, session.catalog, FLAT_NOISE)
+    uncal, _ = run_filter(session.epochs, zeros, session.catalog, FLAT_NOISE)
     elapsed = time.perf_counter() - t0
-    cal_err, _ = true_error(to_track(calibrated_run["results"]), session.trajectory)
-    uncal_err, _ = true_error(to_track(uncal), session.trajectory)
+    cal_err, _ = true_error(calibrated_run["track"], session.trajectory)
+    uncal_err, _ = true_error(uncal, session.trajectory)
     ok = uncal_err > 10.0 * cal_err and elapsed < 5.0
     report("4 divergence without DTB", ok,
            f"{uncal_err:.1f} m vs {cal_err:.2f} m calibrated, {elapsed:.2f} s")
@@ -142,13 +142,11 @@ def test_criterion_5_metric_ordering():
     for seed in range(n_runs):
         scenario = acceptance_scenario(seed=seed, duration=99.5, speed=0.8)
         session = generate(scenario)
-        results = run_filter(session.epochs, session.truth_dtb("1"),
-                             session.catalog, FLAT_NOISE)
-        track = to_track(results)
+        track, residuals = run_filter(session.epochs, session.truth_dtb("1"),
+                                      session.catalog, FLAT_NOISE)
         _, rms = true_error(track, session.trajectory)
         formal = sigma_formal(track)
-        postfits = sigma_postfits(
-            [v for r in results for _, v in r.postfit_residuals])
+        postfits = sigma_postfits([v for _, _, v in residuals])
         formal_le_rms += formal <= rms
         postfits_ge_formal += postfits >= formal
     ok = formal_le_rms >= 0.8 * n_runs and postfits_ge_formal == n_runs
@@ -199,10 +197,9 @@ def test_criterion_7_rover_clock_immunity():
         == instantaneous_dtb(b, clocked.trajectory.interpolate(eb.time), clocked.catalog)
         for ea, eb in zip(clean.epochs, clocked.epochs)
         for a, b in zip(form_tdoa(ea, "1"), form_tdoa(eb, "1")))
-    r1 = run_filter(clean.epochs, clean.truth_dtb("1"), clean.catalog, FLAT_NOISE)
-    r2 = run_filter(clocked.epochs, clocked.truth_dtb("1"), clocked.catalog, FLAT_NOISE)
-    track_equal = all(np.array_equal(a.state.position, b.state.position)
-                      for a, b in zip(r1, r2))
+    r1, _ = run_filter(clean.epochs, clean.truth_dtb("1"), clean.catalog, FLAT_NOISE)
+    r2, _ = run_filter(clocked.epochs, clocked.truth_dtb("1"), clocked.catalog, FLAT_NOISE)
+    track_equal = all((a.x, a.y) == (b.x, b.y) for a, b in zip(r1, r2))
     report("7 rover-clock immunity", samples_equal and track_equal,
            "DTB samples and track bit-identical under sawtooth clock")
 

@@ -141,3 +141,35 @@ def test_rerun_is_byte_identical(tmp_path, scenario_file):
         main(["simulate", "--scenario", str(scenario_file), "--out-dir", str(out)])
     for name in ("toa.csv", "nodes.csv", "trajectory.csv", "truth_dtb.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+_POSITION = ["position", "--nodes", "n.csv", "--dtb", "d.csv", "--noise", "m.csv",
+             "--residuals", "r.csv"]
+_CALIBRATE = ["calibrate", "--nodes", "n.csv", "--traj", "t.csv"]
+BAD_FLAG_COMMANDS = {
+    "--epoch-tol": _CALIBRATE, "--trim-sigma": _CALIBRATE,
+    "--bin": ["fit-noise"], "--window": ["fit-noise"],
+    "--sigma-x": _POSITION, "--sigma-y": _POSITION, "--gate": _POSITION,
+    "--default-sigma": _POSITION,
+}
+BAD_FLAG_CASES = [(flag, value) for flag in BAD_FLAG_COMMANDS
+                  for value in ("0", "-1", "nan", "inf")
+                  if (flag, value) != ("--epoch-tol", "0")]
+
+
+@pytest.mark.parametrize("flag,value", BAD_FLAG_CASES)
+def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, flag, value):
+    out = tmp_path / "out.csv"
+    argv = BAD_FLAG_COMMANDS[flag] + ["--toa", str(tmp_path / "toa.csv"),
+                                      "--out", str(out), flag, value]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and flag in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_epoch_tol_zero_is_accepted(tmp_path, scenario_file):
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--scenario", str(scenario_file), "--out-dir", str(sim)]) == 0
+    assert main(["fit-noise", "--toa", str(sim / "toa.csv"), "--epoch-tol", "0",
+                 "--out", str(tmp_path / "noise.csv")]) == 0

@@ -3,10 +3,10 @@ import pytest
 
 from tdoa_dtb.differencing import TdoaObservation, form_tdoa
 from tdoa_dtb.dtb import DtbEntry, DtbTable
-from tdoa_dtb.ekf import (EkfConfig, EkfState, init_apriori, measurement_model,
+from tdoa_dtb.ekf import (PSD_TOL, EkfConfig, EkfState, init_apriori, measurement_model,
                           predict, read_residuals_csv, read_track_csv, run_filter,
-                          to_track, update, write_residuals_csv, write_track_csv)
-from tdoa_dtb.errors import NegativeDt, SingularGeometry, TooFewNodes
+                          update, write_residuals_csv, write_track_csv)
+from tdoa_dtb.errors import MixedReference, NegativeDt, SingularGeometry, TooFewNodes
 from tdoa_dtb.geometry import NodeCatalog, Position
 from tdoa_dtb.metrics import true_error
 from tdoa_dtb.noise import NoiseModel
@@ -39,8 +39,8 @@ def positioning_scenario(seed=0, noise=0.0, biases=None, **kwargs):
 def run_synthetic(scenario, dtb=None, cfg=None):
     session = generate(scenario)
     dtb = dtb or session.truth_dtb("1")
-    results = run_filter(session.epochs, dtb, session.catalog, WIDE_NOISE, cfg)
-    return session, results
+    track, residuals = run_filter(session.epochs, dtb, session.catalog, WIDE_NOISE, cfg)
+    return session, track, residuals
 
 
 def test_init_apriori_square():
@@ -66,6 +66,37 @@ def test_init_apriori_too_few():
 
     with pytest.raises(TooFewNodes):
         init_apriori(OneNode())
+
+
+def test_state_rejects_indefinite_covariance():
+    with pytest.raises(ValueError, match="not PSD"):
+        EkfState(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))   # eigenvalues 3, -1
+
+
+def test_state_accepts_near_singular_psd_covariance():
+    cov = np.diag([1e-12, 1.0])
+    assert np.array_equal(EkfState(np.zeros(2), cov).covariance, cov)
+
+
+def test_psd_check_agrees_with_eigvalsh():
+    """The closed-form 2x2 check raises exactly when eigvalsh finds an eigenvalue
+    below PSD_TOL, on random symmetric matrices clear of the tolerance."""
+    rng = np.random.default_rng(17)
+    checked = 0
+    for _ in range(2000):
+        scale = 10.0 ** rng.uniform(-3, 3)
+        a, b, d = rng.normal(size=3) * scale
+        cov = np.array([[a, b], [b, d]])
+        min_eig = np.linalg.eigvalsh(cov).min()
+        if abs(min_eig - PSD_TOL) < 1e-6 * scale:
+            continue
+        checked += 1
+        if min_eig < PSD_TOL:
+            with pytest.raises(ValueError, match="not PSD"):
+                EkfState(np.zeros(2), cov)
+        else:
+            EkfState(np.zeros(2), cov)
+    assert checked > 1900
 
 
 def test_predict_identity_at_zero_dt():
@@ -114,15 +145,13 @@ def test_measurement_model_applies_dtb():
     assert predicted == -3.0
 
 
-def test_measurement_model_rereferences_on_mismatch():
+def test_measurement_model_rejects_mismatched_reference():
     catalog = NodeCatalog({"a": Position(10, 0), "b": Position(-10, 0),
                            "c": Position(0, 10)})
     dtb = DtbTable("b", {"a": DtbEntry(4.0, 0.0, 1), "c": DtbEntry(1.0, 0.0, 1)})
     state = EkfState(np.zeros(2), np.eye(2))
-    predicted, _ = measurement_model(
-        state, TdoaObservation(0.0, "a", "c", 0.0), dtb, catalog)
-    # DTB(a vs c) = DTB(a vs b) - DTB(c vs b) = 3; geometry cancels at the center
-    assert predicted == pytest.approx(3.0, abs=1e-12)
+    with pytest.raises(MixedReference):
+        measurement_model(state, TdoaObservation(0.0, "a", "c", 0.0), dtb, catalog)
 
 
 def test_jacobian_matches_finite_differences():
@@ -162,11 +191,11 @@ def test_update_all_gated_leaves_prediction():
     state = EkfState(np.array([10.0, 10.0]), np.eye(2) * 0.01)
     # absurd measurement far outside the gate
     obs = [TdoaObservation(0.0, "2", "1", 500.0)]
-    result = update(state, obs, dtb, catalog, WIDE_NOISE, EkfConfig())
-    assert result.accepted_obs == 0
-    assert result.rejected_obs == 1
-    assert np.array_equal(result.state.position, state.position)
-    assert np.array_equal(result.state.covariance, state.covariance)
+    new_state, postfits, n_rejected = update(state, obs, dtb, catalog, WIDE_NOISE, EkfConfig())
+    assert len(postfits) == 0
+    assert n_rejected == 1
+    assert np.array_equal(new_state.position, state.position)
+    assert np.array_equal(new_state.covariance, state.covariance)
 
 
 def test_update_reduces_covariance_trace():
@@ -176,9 +205,9 @@ def test_update_reduces_covariance_trace():
     state = init_apriori(session.catalog)
     state.epoch = session.epochs[0].time
     tdoa = form_tdoa(session.epochs[0], "1")
-    result = update(state, tdoa, dtb, session.catalog, WIDE_NOISE, EkfConfig())
-    assert result.accepted_obs == len(tdoa)
-    assert np.trace(result.state.covariance) < np.trace(state.covariance)
+    new_state, postfits, _ = update(state, tdoa, dtb, session.catalog, WIDE_NOISE, EkfConfig())
+    assert len(postfits) == len(tdoa)
+    assert np.trace(new_state.covariance) < np.trace(state.covariance)
 
 
 def test_zero_noise_convergence():
@@ -192,19 +221,19 @@ def test_zero_noise_convergence():
     scenario = positioning_scenario(noise=0.0, biases={"2": 5.0, "5": -4.0},
                                     speed=0.1, duration=25.0)
     session = generate(scenario)
-    results = run_filter(session.epochs, session.truth_dtb("1"),
-                         session.catalog, tight)
-    for r in results[20:40]:
-        ref = session.trajectory.interpolate(r.state.epoch)
-        err = np.hypot(r.state.position[0] - ref.x, r.state.position[1] - ref.y)
+    track, _ = run_filter(session.epochs, session.truth_dtb("1"),
+                          session.catalog, tight)
+    for p in track[20:40]:
+        ref = session.trajectory.interpolate(p.time)
+        err = np.hypot(p.x - ref.x, p.y - ref.y)
         assert err < 1e-3
 
 
 def test_covariance_psd_through_filter():
     scenario = positioning_scenario(noise=1.0, seed=5)
-    _, results = run_synthetic(scenario)
-    for r in results:
-        eig = np.linalg.eigvalsh(r.state.covariance)
+    _, track, _ = run_synthetic(scenario)
+    for p in track:
+        eig = np.linalg.eigvalsh(np.array([[p.cov_xx, p.cov_xy], [p.cov_xy, p.cov_yy]]))
         assert eig.min() > -1e-9
 
 
@@ -212,11 +241,11 @@ def test_divergence_without_dtb():
     """All-zero DTB on ~20 m biases ruins the track."""
     biases = {n: b for n, b in zip("12345678", [0, 22, -18, 20, -21, 19, 23, -20])}
     scenario = positioning_scenario(noise=1.0, biases=biases, seed=2)
-    session, good = run_synthetic(scenario)
+    session, good, _ = run_synthetic(scenario)
     zeros = empty_dtb(session.catalog, "1")
-    _, bad = run_synthetic(scenario, dtb=zeros)
-    good_err, _ = true_error(to_track(good), session.trajectory)
-    bad_err, _ = true_error(to_track(bad), session.trajectory)
+    _, bad, _ = run_synthetic(scenario, dtb=zeros)
+    good_err, _ = true_error(good, session.trajectory)
+    bad_err, _ = true_error(bad, session.trajectory)
     assert bad_err > 10.0 * good_err
 
 
@@ -224,13 +253,13 @@ def test_rover_clock_immunity_end_to_end():
     """Sawtooth clock injected on all ToA leaves the track bit-identical."""
     biases = {"2": 5.0, "5": -4.0}
     base = dict(noise=1.0, biases=biases, seed=3, quantize=2.0 ** -20)
-    _, clean = run_synthetic(positioning_scenario(**base))
+    _, clean, _ = run_synthetic(positioning_scenario(**base))
     saw = ClockModel(kind="sawtooth", drift_rate=16.0, reset_period=4.0,
                      reset_magnitude=64.0)
-    _, clocked = run_synthetic(positioning_scenario(rover_clock=saw, **base))
+    _, clocked, _ = run_synthetic(positioning_scenario(rover_clock=saw, **base))
     for a, b in zip(clean, clocked):
-        assert np.array_equal(a.state.position, b.state.position)
-        assert np.array_equal(a.state.covariance, b.state.covariance)
+        assert (a.x, a.y) == (b.x, b.y)
+        assert (a.cov_xx, a.cov_xy, a.cov_yy) == (b.cov_xx, b.cov_xy, b.cov_yy)
 
 
 def test_gauge_invariance_of_node_biases():
@@ -241,34 +270,34 @@ def test_gauge_invariance_of_node_biases():
     s1 = positioning_scenario(biases=biases, **base)
     s2 = positioning_scenario(biases=shifted, **base)
     assert truth_dtb(s1, "1") == truth_dtb(s2, "1")
-    _, r1 = run_synthetic(s1)
-    _, r2 = run_synthetic(s2)
+    _, r1, _ = run_synthetic(s1)
+    _, r2, _ = run_synthetic(s2)
     for a, b in zip(r1, r2):
-        assert np.array_equal(a.state.position, b.state.position)
+        assert (a.x, a.y) == (b.x, b.y)
 
 
 def test_postfit_residuals_centered():
     """With exact DTB and Gaussian noise the postfits are centered at zero."""
     scenario = positioning_scenario(noise=1.0, seed=6,
                                     duration=400.0, speed=0.25)
-    _, results = run_synthetic(scenario)
-    resid = np.array([v for r in results for _, v in r.postfit_residuals])
+    _, _, residuals = run_synthetic(scenario)
+    resid = np.array([v for _, _, v in residuals])
     sigma = resid.std(ddof=1)
     assert abs(resid.mean()) < 4.0 * sigma / np.sqrt(resid.size)
 
 
 def test_run_filter_empty():
     catalog = square_catalog()
-    assert run_filter([], empty_dtb(catalog, "1"), catalog, WIDE_NOISE) == []
+    assert run_filter([], empty_dtb(catalog, "1"), catalog, WIDE_NOISE) == ([], [])
 
 
 def test_run_filter_single_epoch():
     scenario = positioning_scenario()
     session = generate(scenario)
-    results = run_filter(session.epochs[:1], session.truth_dtb("1"),
-                         session.catalog, WIDE_NOISE)
-    assert len(results) == 1
-    assert results[0].accepted_obs == 7
+    track, _ = run_filter(session.epochs[:1], session.truth_dtb("1"),
+                          session.catalog, WIDE_NOISE)
+    assert len(track) == 1
+    assert track[0].n_obs == 7
 
 
 def test_run_filter_skips_reference_missing_epochs():
@@ -279,16 +308,14 @@ def test_run_filter_skips_reference_missing_epochs():
     # strip the reference node from one epoch
     e = epochs[5]
     epochs[5] = Epoch(e.time, tuple(o for o in e.observations if o.node_id != "1"))
-    results = run_filter(epochs, session.truth_dtb("1"), session.catalog, WIDE_NOISE)
-    assert results[5].accepted_obs == 0
-    assert results[5].postfit_residuals == []
+    track, residuals = run_filter(epochs, session.truth_dtb("1"), session.catalog, WIDE_NOISE)
+    assert track[5].n_obs == 0
+    assert [r for r in residuals if r[0] == track[5].time] == []
 
 
 def test_track_and_residuals_round_trip(tmp_path):
-    _, results = run_synthetic(positioning_scenario(noise=1.0, duration=20.0))
-    write_track_csv(results, tmp_path / "track.csv")
-    write_residuals_csv(results, tmp_path / "residuals.csv")
-    assert read_track_csv(tmp_path / "track.csv") == to_track(results)
-    assert read_residuals_csv(tmp_path / "residuals.csv") == [
-        (r.state.epoch, node_id, value)
-        for r in results for node_id, value in r.postfit_residuals]
+    _, track, residuals = run_synthetic(positioning_scenario(noise=1.0, duration=20.0))
+    write_track_csv(track, tmp_path / "track.csv")
+    write_residuals_csv(residuals, tmp_path / "residuals.csv")
+    assert read_track_csv(tmp_path / "track.csv") == track
+    assert read_residuals_csv(tmp_path / "residuals.csv") == residuals

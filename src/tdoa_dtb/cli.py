@@ -60,6 +60,17 @@ def _finite_float(text: str, zero_ok: bool = False) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _write_manifest(out_path, subcommand: str, args: argparse.Namespace,
                     is_dir: bool = False) -> None:
     out_dir = os.path.abspath(out_path) if is_dir else os.path.dirname(os.path.abspath(out_path))
@@ -225,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-x", type=_finite_float, default=EkfConfig.sigma_x)
     p.add_argument("--sigma-y", type=_finite_float, default=EkfConfig.sigma_y)
     p.add_argument("--gate", type=_finite_float, default=EkfConfig.innovation_gate)
-    p.add_argument("--min-obs", type=int, default=EkfConfig.min_obs_per_update)
+    p.add_argument("--min-obs", type=_positive_int, default=EkfConfig.min_obs_per_update)
     p.add_argument("--default-sigma", type=_finite_float, default=EkfConfig.default_sigma)
     _add_session_flags(p)
     p.set_defaults(func=_cmd_position)

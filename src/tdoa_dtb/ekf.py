@@ -2,10 +2,13 @@
 
 State is the planar position only: the rover clock is removed by differencing
 and the node biases by the DTB corrections, so no bias states are needed.
-Propagation is identity with process noise accumulating linearly in time;
-updates are joint vector updates with Joseph-form covariance for numerical
-robustness. Innovation gating only counts rejections by default; rejected
-observations are never applied.
+Propagation is identity with process noise accumulating linearly in time.
+Each epoch's update is one joint update in information form: the accepted
+observations are folded into the 2x2 information H'R^-1 H and the vector
+H'R^-1 nu, and the covariance becomes (I + P H'R^-1 H)^-1 P. That inverts only
+a 2x2 matrix whose determinant is at least 1, never P itself (a valid prior
+may be singular) nor an n-by-n innovation covariance. Innovation gating only
+counts rejections; rejected observations are never applied.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 from .differencing import TdoaObservation, form_tdoa
 from .dtb import DtbTable
 from .errors import MixedReference, NegativeDt, ReferenceMissing, SingularGeometry, TooFewNodes
-from .geometry import NodeCatalog, Position, range_between
+from .geometry import NodeCatalog
 from .ingestion import Epoch
 from .noise import DEFAULT_SIGMA_NO_RSRP, NoiseModel, sigma_for
 from .table import read_csv, write_csv
@@ -43,8 +46,15 @@ class EkfConfig:
     default_sigma: float = DEFAULT_SIGMA_NO_RSRP   # m, per-ToA sigma when rsrp is absent
 
     def __post_init__(self):
-        if self.sigma_x <= 0 or self.sigma_y <= 0:
+        # written as not (x > 0) so that NaN fails too
+        if not (self.sigma_x > 0 and self.sigma_y > 0):
             raise ValueError("process noise densities must be positive")
+        if not self.innovation_gate > 0:
+            raise ValueError("innovation gate must be positive")
+        if not self.default_sigma > 0:
+            raise ValueError("default sigma must be positive")
+        if self.min_obs_per_update < 1:
+            raise ValueError("min_obs_per_update must be at least 1")
 
 
 @dataclass
@@ -58,8 +68,10 @@ class EkfState:
         cov = np.asarray(self.covariance, dtype=float).reshape(2, 2)
         self.covariance = cov = 0.5 * (cov + cov.T)
         (a, b), (_, d) = cov.tolist()
+        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(d)):
+            raise ValueError("non-finite filter covariance")
         min_eig = 0.5 * (a + d) - math.hypot(0.5 * (a - d), b)   # closed form for 2x2
-        if min_eig < PSD_TOL:
+        if not min_eig >= PSD_TOL:
             raise ValueError(f"covariance not PSD, min eigenvalue {min_eig:.3e}")
         if not np.all(np.isfinite(self.position)):
             raise ValueError("non-finite filter position")
@@ -103,78 +115,88 @@ def predict(state: EkfState, dt: float, cfg: EkfConfig) -> EkfState:
                     epoch=state.epoch + dt)
 
 
-def measurement_model(state: EkfState, obs: TdoaObservation, dtb: DtbTable,
+def measurement_model(x: float, y: float, obs: TdoaObservation, dtb: DtbTable,
                       catalog: NodeCatalog) -> tuple[float, tuple[float, float]]:
-    """Predicted single difference and its position partials at the current state.
+    """Predicted single difference and its position partials at the rover (x, y).
 
     predicted = (range to node) - (range to reference) + DTB(node)
     d(predicted)/dx = (x_r - x_n)/rho_n - (x_r - x_m)/rho_m, likewise for y.
+    Ranges are 3D: the rover sits at z = 0, a node at its catalog z.
     """
     if obs.ref_node_id != dtb.ref_node_id:
         raise MixedReference(f"difference against {obs.ref_node_id!r}, "
                              f"DTB table against {dtb.ref_node_id!r}")
     node = catalog[obs.node_id]
     ref = catalog[obs.ref_node_id]
-    rover = Position(float(state.position[0]), float(state.position[1]))
-    rho_n = range_between(rover, node)
-    rho_m = range_between(rover, ref)
+    dx_n, dy_n = x - node.x, y - node.y
+    dx_m, dy_m = x - ref.x, y - ref.y
+    rho_n = math.sqrt(dx_n * dx_n + dy_n * dy_n + node.z * node.z)
+    rho_m = math.sqrt(dx_m * dx_m + dy_m * dy_m + ref.z * ref.z)
     if rho_n < MIN_RANGE_M or rho_m < MIN_RANGE_M:
         culprit = obs.node_id if rho_n < MIN_RANGE_M else obs.ref_node_id
         raise SingularGeometry(f"rover coincides with node {culprit!r}")
     predicted = rho_n - rho_m + dtb.mean(obs.node_id)
-    hx = (rover.x - node.x) / rho_n - (rover.x - ref.x) / rho_m
-    hy = (rover.y - node.y) / rho_n - (rover.y - ref.y) / rho_m
-    return predicted, (hx, hy)
+    return predicted, (dx_n / rho_n - dx_m / rho_m, dy_n / rho_n - dy_m / rho_m)
 
 
 def update(state: EkfState, epoch_obs: list[TdoaObservation], dtb: DtbTable,
            catalog: NodeCatalog, noise: NoiseModel, cfg: EkfConfig
            ) -> tuple[EkfState, list[tuple[str, float]], int]:
-    """Joint vector update with all accepted observations of one epoch.
+    """Joint update with all accepted observations of one epoch, in information form.
 
     Per-observation variance combines both ends of the difference:
     R_i = sigma(rsrp_node)^2 + sigma(rsrp_ref)^2. Innovations beyond
-    gate * sqrt(H P H' + R) are counted as rejected and never applied. With
-    zero accepted observations the predicted state is returned unchanged.
+    gate * sqrt(h P h' + R_i) are counted as rejected and never applied. With
+    fewer than cfg.min_obs_per_update accepted observations the predicted state
+    is returned unchanged. Otherwise, with M = H'R^-1 H and g = H'R^-1 nu over
+    the accepted ones, P+ = (I + P M)^-1 P and x+ = x + P+ g, which equals the
+    Kalman gain form without inverting P or the n-by-n H P H' + R.
     Returns (state, [(node_id, postfit_m) per applied observation], n_rejected).
     """
-    rows = []      # (obs, innovation, (hx, hy), r_var)
+    x, y = state.position.tolist()
+    (a, b), (_, d) = state.covariance.tolist()
+    applied = []
     rejected = 0
+    m_xx = m_xy = m_yy = g_x = g_y = 0.0
     for obs in epoch_obs:
         try:
-            predicted, h = measurement_model(state, obs, dtb, catalog)
+            predicted, (hx, hy) = measurement_model(x, y, obs, dtb, catalog)
         except SingularGeometry:
             rejected += 1
             continue
         r_var = (sigma_for(noise, obs.rsrp_node, cfg.default_sigma) ** 2
                  + sigma_for(noise, obs.rsrp_ref, cfg.default_sigma) ** 2)
         innovation = obs.sd_pseudorange - predicted
-        hvec = np.array(h)
-        s = float(hvec @ state.covariance @ hvec + r_var)
-        if abs(innovation) > cfg.innovation_gate * np.sqrt(s):
+        s = a * hx * hx + 2.0 * b * hx * hy + d * hy * hy + r_var
+        if abs(innovation) > cfg.innovation_gate * math.sqrt(s):
             rejected += 1
             continue
-        rows.append((obs, innovation, hvec, r_var))
+        applied.append(obs)
+        w_hx, w_hy = hx / r_var, hy / r_var
+        m_xx += w_hx * hx
+        m_xy += w_hx * hy
+        m_yy += w_hy * hy
+        g_x += w_hx * innovation
+        g_y += w_hy * innovation
 
-    if len(rows) < max(cfg.min_obs_per_update, 1):
+    if len(applied) < cfg.min_obs_per_update:
         # too few usable observations: state stays at the prediction
         return state, [], rejected
 
-    h_mat = np.array([r[2] for r in rows])                  # (n, 2)
-    innovations = np.array([r[1] for r in rows])            # (n,)
-    r_mat = np.diag([r[3] for r in rows])                   # (n, n)
-    p = state.covariance
-    s_mat = h_mat @ p @ h_mat.T + r_mat
-    gain = p @ h_mat.T @ np.linalg.inv(s_mat)               # (2, n)
-    new_pos = state.position + gain @ innovations
-    ikh = np.eye(2) - gain @ h_mat
-    new_cov = ikh @ p @ ikh.T + gain @ r_mat @ gain.T       # Joseph form
-    new_state = EkfState(position=new_pos, covariance=new_cov, epoch=state.epoch)
-
-    postfits = []
-    for obs, _, _, _ in rows:
-        predicted, _ = measurement_model(new_state, obs, dtb, catalog)
-        postfits.append((obs.node_id, obs.sd_pseudorange - predicted))
+    # P+ = C^-1 P with C = I + P M; det(C) >= 1 because P and M are both PSD.
+    # C^-1 P is symmetric in exact arithmetic: average its two off-diagonal terms.
+    c_xx, c_xy = 1.0 + a * m_xx + b * m_xy, a * m_xy + b * m_yy
+    c_yx, c_yy = b * m_xx + d * m_xy, 1.0 + b * m_xy + d * m_yy
+    det = c_xx * c_yy - c_xy * c_yx
+    p_xx = (c_yy * a - c_xy * b) / det
+    p_xy = 0.5 * ((c_yy * b - c_xy * d) + (c_xx * b - c_yx * a)) / det
+    p_yy = (c_xx * d - c_yx * b) / det
+    x += p_xx * g_x + p_xy * g_y
+    y += p_xy * g_x + p_yy * g_y
+    new_state = EkfState(position=[x, y], covariance=[[p_xx, p_xy], [p_xy, p_yy]],
+                         epoch=state.epoch)
+    postfits = [(obs.node_id, obs.sd_pseudorange - measurement_model(x, y, obs, dtb, catalog)[0])
+                for obs in applied]
     return new_state, postfits, rejected
 
 

@@ -18,7 +18,7 @@ from tdoa_dtb.cli import main as cli_main
 from tdoa_dtb.differencing import TdoaObservation, form_tdoa
 from tdoa_dtb.dtb import (DtbEntry, DtbTable, aggregate_dtb, instantaneous_dtb,
                           rereference_dtb)
-from tdoa_dtb.ekf import EkfConfig, EkfState, measurement_model, run_filter
+from tdoa_dtb.ekf import EkfConfig, measurement_model, run_filter
 from tdoa_dtb.geometry import NodeCatalog, Position
 from tdoa_dtb.metrics import sigma_formal, sigma_postfits, true_error
 from tdoa_dtb.noise import NoiseModel, NoisePoint, fit_noise_model
@@ -171,10 +171,10 @@ def test_criterion_6_jacobian_finite_differences():
         obs = TdoaObservation(0.0, "n", "m", 0.0)
 
         def h(pos):
-            return measurement_model(EkfState(pos, np.eye(2)), obs, dtb, catalog)[0]
+            return measurement_model(*pos, obs, dtb, catalog)[0]
 
         rover = np.array([rx, ry])
-        _, (hx, hy) = measurement_model(EkfState(rover, np.eye(2)), obs, dtb, catalog)
+        _, (hx, hy) = measurement_model(*rover, obs, dtb, catalog)
         fd_x = (h(rover + [step, 0]) - h(rover - [step, 0])) / (2 * step)
         fd_y = (h(rover + [0, step]) - h(rover - [0, step])) / (2 * step)
         worst = max(worst, abs(hx - fd_x), abs(hy - fd_y))

@@ -150,7 +150,7 @@ BAD_FLAG_COMMANDS = {
     "--epoch-tol": _CALIBRATE, "--trim-sigma": _CALIBRATE,
     "--bin": ["fit-noise"], "--window": ["fit-noise"],
     "--sigma-x": _POSITION, "--sigma-y": _POSITION, "--gate": _POSITION,
-    "--default-sigma": _POSITION,
+    "--default-sigma": _POSITION, "--min-obs": _POSITION,
 }
 BAD_FLAG_CASES = [(flag, value) for flag in BAD_FLAG_COMMANDS
                   for value in ("0", "-1", "nan", "inf")

@@ -7,9 +7,9 @@ from tdoa_dtb.ekf import (PSD_TOL, EkfConfig, EkfState, init_apriori, measuremen
                           predict, read_residuals_csv, read_track_csv, run_filter,
                           update, write_residuals_csv, write_track_csv)
 from tdoa_dtb.errors import MixedReference, NegativeDt, SingularGeometry, TooFewNodes
-from tdoa_dtb.geometry import NodeCatalog, Position
+from tdoa_dtb.geometry import NodeCatalog, Position, sd_range
 from tdoa_dtb.metrics import true_error
-from tdoa_dtb.noise import NoiseModel
+from tdoa_dtb.noise import NoiseModel, sigma_for
 from tdoa_dtb.synthetic import ClockModel, Scenario, generate, truth_dtb
 
 from conftest import eight_node_catalog, loop_waypoints, square_catalog
@@ -78,6 +78,20 @@ def test_state_accepts_near_singular_psd_covariance():
     assert np.array_equal(EkfState(np.zeros(2), cov).covariance, cov)
 
 
+def test_state_rejects_non_finite_covariance():
+    with pytest.raises(ValueError, match="non-finite"):
+        EkfState(np.zeros(2), [[np.nan, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("field,value", [
+    ("sigma_x", np.nan), ("sigma_y", np.nan), ("innovation_gate", np.nan),
+    ("default_sigma", np.nan), ("innovation_gate", 0.0), ("default_sigma", -1.0),
+    ("min_obs_per_update", 0), ("min_obs_per_update", -1)])
+def test_config_rejects_out_of_range(field, value):
+    with pytest.raises(ValueError):
+        EkfConfig(**{field: value})
+
+
 def test_psd_check_agrees_with_eigvalsh():
     """The closed-form 2x2 check raises exactly when eigvalsh finds an eigenvalue
     below PSD_TOL, on random symmetric matrices clear of the tolerance."""
@@ -120,9 +134,8 @@ def test_predict_negative_dt():
 def test_measurement_model_collinear():
     catalog = NodeCatalog({"n": Position(10, 0), "m": Position(-10, 0)})
     dtb = empty_dtb(catalog, "m")
-    state = EkfState(np.zeros(2), np.eye(2))
     obs = TdoaObservation(0.0, "n", "m", 0.0)
-    predicted, (hx, hy) = measurement_model(state, obs, dtb, catalog)
+    predicted, (hx, hy) = measurement_model(0.0, 0.0, obs, dtb, catalog)
     assert predicted == 0.0
     assert hx == pytest.approx(-2.0, abs=1e-12)
     assert hy == pytest.approx(0.0, abs=1e-12)
@@ -131,17 +144,15 @@ def test_measurement_model_collinear():
 def test_measurement_model_singular():
     catalog = NodeCatalog({"n": Position(10, 0), "m": Position(-10, 0)})
     dtb = empty_dtb(catalog, "m")
-    state = EkfState(np.array([10.0, 0.0]), np.eye(2))
     with pytest.raises(SingularGeometry):
-        measurement_model(state, TdoaObservation(0.0, "n", "m", 0.0), dtb, catalog)
+        measurement_model(10.0, 0.0, TdoaObservation(0.0, "n", "m", 0.0), dtb, catalog)
 
 
 def test_measurement_model_applies_dtb():
     catalog = NodeCatalog({"n": Position(10, 0), "m": Position(-10, 0)})
     dtb = DtbTable("m", {"n": DtbEntry(-3.0, 0.0, 1)})
-    state = EkfState(np.zeros(2), np.eye(2))
     predicted, _ = measurement_model(
-        state, TdoaObservation(0.0, "n", "m", 0.0), dtb, catalog)
+        0.0, 0.0, TdoaObservation(0.0, "n", "m", 0.0), dtb, catalog)
     assert predicted == -3.0
 
 
@@ -149,9 +160,8 @@ def test_measurement_model_rejects_mismatched_reference():
     catalog = NodeCatalog({"a": Position(10, 0), "b": Position(-10, 0),
                            "c": Position(0, 10)})
     dtb = DtbTable("b", {"a": DtbEntry(4.0, 0.0, 1), "c": DtbEntry(1.0, 0.0, 1)})
-    state = EkfState(np.zeros(2), np.eye(2))
     with pytest.raises(MixedReference):
-        measurement_model(state, TdoaObservation(0.0, "a", "c", 0.0), dtb, catalog)
+        measurement_model(0.0, 0.0, TdoaObservation(0.0, "a", "c", 0.0), dtb, catalog)
 
 
 def test_jacobian_matches_finite_differences():
@@ -175,10 +185,9 @@ def test_jacobian_matches_finite_differences():
         obs = TdoaObservation(0.0, "n", "m", 0.0)
 
         def predicted_at(pos):
-            state = EkfState(pos, np.eye(2))
-            return measurement_model(state, obs, dtb, catalog)[0]
+            return measurement_model(*pos, obs, dtb, catalog)[0]
 
-        _, (hx, hy) = measurement_model(EkfState(rover, np.eye(2)), obs, dtb, catalog)
+        _, (hx, hy) = measurement_model(*rover, obs, dtb, catalog)
         fd_x = (predicted_at(rover + [step, 0]) - predicted_at(rover - [step, 0])) / (2 * step)
         fd_y = (predicted_at(rover + [0, step]) - predicted_at(rover - [0, step])) / (2 * step)
         worst = max(worst, abs(hx - fd_x), abs(hy - fd_y))
@@ -208,6 +217,117 @@ def test_update_reduces_covariance_trace():
     new_state, postfits, _ = update(state, tdoa, dtb, session.catalog, WIDE_NOISE, EkfConfig())
     assert len(postfits) == len(tdoa)
     assert np.trace(new_state.covariance) < np.trace(state.covariance)
+
+
+def reference_update(state, epoch_obs, dtb, catalog, noise, cfg):
+    """The Kalman-gain form of update: n-by-n S, its inverse and the Joseph
+    covariance, kept as the oracle for the information-form update."""
+    x, y = state.position.tolist()
+    rows = []
+    rejected = 0
+    for obs in epoch_obs:
+        try:
+            predicted, h = measurement_model(x, y, obs, dtb, catalog)
+        except SingularGeometry:
+            rejected += 1
+            continue
+        r_var = (sigma_for(noise, obs.rsrp_node, cfg.default_sigma) ** 2
+                 + sigma_for(noise, obs.rsrp_ref, cfg.default_sigma) ** 2)
+        innovation = obs.sd_pseudorange - predicted
+        hvec = np.array(h)
+        s = float(hvec @ state.covariance @ hvec + r_var)
+        if abs(innovation) > cfg.innovation_gate * np.sqrt(s):
+            rejected += 1
+            continue
+        rows.append((obs, innovation, hvec, r_var))
+    if len(rows) < cfg.min_obs_per_update:
+        return state, [], rejected
+    h_mat = np.array([r[2] for r in rows])
+    innovations = np.array([r[1] for r in rows])
+    r_mat = np.diag([r[3] for r in rows])
+    p = state.covariance
+    s_mat = h_mat @ p @ h_mat.T + r_mat
+    gain = p @ h_mat.T @ np.linalg.inv(s_mat)
+    new_pos = state.position + gain @ innovations
+    ikh = np.eye(2) - gain @ h_mat
+    new_cov = ikh @ p @ ikh.T + gain @ r_mat @ gain.T
+    new_state = EkfState(position=new_pos, covariance=new_cov, epoch=state.epoch)
+    x, y = new_pos.tolist()
+    postfits = [(obs.node_id, obs.sd_pseudorange - measurement_model(x, y, obs, dtb, catalog)[0])
+                for obs, _, _, _ in rows]
+    return new_state, postfits, rejected
+
+
+def random_epoch(rng, n_nodes, rover_at_node=False):
+    """One epoch of differences against node "1" with noise, blunders and blank rsrp.
+
+    Returns (state, observations, dtb, catalog); the state sits near the true
+    rover, or exactly on node "2" when rover_at_node is set.
+    """
+    ids = [str(i + 1) for i in range(n_nodes)]
+    catalog = NodeCatalog({i: Position(*rng.uniform(0.0, 120.0, 2)) for i in ids})
+    dtb = DtbTable("1", {i: DtbEntry(float(rng.uniform(-20, 20)), 0.0, 1) for i in ids[1:]})
+    rover = Position(*rng.uniform(10.0, 110.0, 2))
+    node2 = catalog["2"]
+    guess = (node2.x, node2.y) if rover_at_node else (rover.x + rng.normal(),
+                                                      rover.y + rng.normal())
+    root = rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-1, 1.5)
+    state = EkfState(np.array(guess), root @ root.T + 1e-3 * np.eye(2))
+    rsrp_ref = None if rng.random() < 0.2 else float(rng.uniform(-105, -50))
+    obs = []
+    for node_id in ids[1:]:
+        sd = (sd_range(rover, catalog[node_id], catalog["1"]) + dtb.mean(node_id)
+              + rng.normal(0.0, 1.0))
+        if rng.random() < 0.1:
+            sd += rng.uniform(200.0, 500.0)   # blunder well outside the gate
+        rsrp = None if rng.random() < 0.1 else float(rng.uniform(-105, -50))
+        obs.append(TdoaObservation(0.0, node_id, "1", sd, rsrp, rsrp_ref))
+    return state, obs, dtb, catalog
+
+
+def assert_updates_agree(got, want):
+    (state, postfits, rejected), (ref_state, ref_postfits, ref_rejected) = got, want
+    assert rejected == ref_rejected
+    assert [n for n, _ in postfits] == [n for n, _ in ref_postfits]
+    assert np.abs(state.position - ref_state.position).max() <= 1e-9
+    scale = np.abs(ref_state.covariance).max()
+    assert np.abs(state.covariance - ref_state.covariance).max() <= 1e-12 * scale
+    assert np.allclose([v for _, v in postfits], [v for _, v in ref_postfits],
+                       rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("n_nodes", [8, 64])
+def test_update_matches_kalman_gain_reference(n_nodes):
+    """Information-form update against the Kalman-gain oracle on random epochs,
+    including gated blunders, a rover on a node, blank rsrp and a singular prior."""
+    rng = np.random.default_rng(n_nodes)
+    cfg = EkfConfig()
+    n_rejected = n_singular = n_blank = 0
+    for trial in range(40):
+        state, obs, dtb, catalog = random_epoch(rng, n_nodes, rover_at_node=trial % 10 == 1)
+        if trial == 0:
+            state = EkfState(state.position, np.diag([1e-12, 1.0]))
+        got = update(state, obs, dtb, catalog, WIDE_NOISE, cfg)
+        assert_updates_agree(got, reference_update(state, obs, dtb, catalog, WIDE_NOISE, cfg))
+        n_rejected += got[2]
+        n_singular += trial % 10 == 1
+        n_blank += sum(o.rsrp_node is None for o in obs)
+    assert n_rejected > n_singular > 0 and n_blank > 0
+
+
+def test_run_filter_matches_kalman_gain_reference(monkeypatch):
+    session = generate(positioning_scenario(noise=1.0, seed=7, duration=60.0))
+    dtb = session.truth_dtb("1")
+    track, residuals = run_filter(session.epochs, dtb, session.catalog, WIDE_NOISE)
+    monkeypatch.setattr("tdoa_dtb.ekf.update", reference_update)
+    ref_track, ref_residuals = run_filter(session.epochs, dtb, session.catalog, WIDE_NOISE)
+    assert [(p.time, p.n_obs, p.n_rejected) for p in track] == \
+        [(p.time, p.n_obs, p.n_rejected) for p in ref_track]
+    assert [r[:2] for r in residuals] == [r[:2] for r in ref_residuals]
+    for p, q in zip(track, ref_track):
+        assert abs(p.x - q.x) <= 1e-9 and abs(p.y - q.y) <= 1e-9
+        cov, ref_cov = (np.array([r.cov_xx, r.cov_xy, r.cov_yy]) for r in (p, q))
+        assert np.abs(cov - ref_cov).max() <= 1e-12 * np.abs(ref_cov).max()
 
 
 def test_zero_noise_convergence():

@@ -12,7 +12,6 @@ from .noise import (NoiseModel, NoisePoint, detrend_toa, estimate_noise_points,
 from .ekf import (EkfConfig, EkfState, TrackPoint, init_apriori, measurement_model,
                   predict, run_filter, update)
 from .metrics import SessionMetrics, session_metrics, sigma_formal, sigma_postfits, true_error
-from .synthetic import ClockModel, PathLossModel, Scenario, generate, load_scenario
 
 __all__ = [
     "NodeCatalog", "Position", "range_between", "sd_range",
@@ -28,3 +27,14 @@ __all__ = [
     "true_error",
     "ClockModel", "PathLossModel", "Scenario", "generate", "load_scenario",
 ]
+
+# The simulator's names are served on first use (PEP 562), so importing the
+# package or the CLI does not load the simulator's array and YAML libraries.
+_SYNTHETIC = frozenset({"ClockModel", "PathLossModel", "Scenario", "generate", "load_scenario"})
+
+
+def __getattr__(name):
+    if name in _SYNTHETIC:
+        from . import synthetic
+        return getattr(synthetic, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -33,7 +33,6 @@ from .metrics import session_metrics, write_metrics_json
 from .noise import (DEFAULT_BIN_DB, DEFAULT_WINDOW_S, estimate_noise_points,
                     fit_noise_model, read_noise_model, write_noise_model,
                     write_noise_points)
-from .synthetic import generate, load_scenario
 from .table import write_csv
 
 RESIDUAL_HIST_BIN_M = 0.25
@@ -95,6 +94,10 @@ def _add_session_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_simulate(args) -> int:
+    # imported here, not at the top: the simulator's array and YAML libraries
+    # are the slowest part of start-up, and no other command needs them
+    from .synthetic import generate, load_scenario
+
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario.seed = args.seed

@@ -14,13 +14,13 @@ counts rejections; rejected observations are never applied.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
-
-import numpy as np
 
 from .differencing import TdoaObservation, form_tdoa
 from .dtb import DtbTable
-from .errors import MixedReference, NegativeDt, ReferenceMissing, SingularGeometry, TooFewNodes
+from .errors import (MixedReference, NegativeDt, ReferenceMissing, SingularGeometry,
+                     TdoaDtbError, TooFewNodes)
 from .geometry import NodeCatalog
 from .ingestion import Epoch
 from .noise import DEFAULT_SIGMA_NO_RSRP, NoiseModel, sigma_for
@@ -59,22 +59,30 @@ class EkfConfig:
 
 @dataclass
 class EkfState:
-    position: np.ndarray      # shape (2,), meters
-    covariance: np.ndarray    # shape (2, 2), m^2, symmetric PSD
-    epoch: float = 0.0
+    """Planar filter state in plain floats.
+
+    Any two numbers are accepted as the position and any 2x2 nested sequence
+    as the covariance; both are stored as tuples of floats, the covariance
+    symmetrised.
+    """
+
+    position: tuple[float, float]   # (x, y), m
+    covariance: tuple[tuple[float, float], tuple[float, float]]   # ((xx, xy), (xy, yy)), m^2, PSD
+    epoch: float = 0.0              # s
 
     def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float).reshape(2)
-        cov = np.asarray(self.covariance, dtype=float).reshape(2, 2)
-        self.covariance = cov = 0.5 * (cov + cov.T)
-        (a, b), (_, d) = cov.tolist()
+        x, y = map(float, self.position)
+        (a, b), (c, d) = self.covariance
+        a, b, d = float(a), 0.5 * (float(b) + float(c)), float(d)
         if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(d)):
             raise ValueError("non-finite filter covariance")
         min_eig = 0.5 * (a + d) - math.hypot(0.5 * (a - d), b)   # closed form for 2x2
         if not min_eig >= PSD_TOL:
             raise ValueError(f"covariance not PSD, min eigenvalue {min_eig:.3e}")
-        if not np.all(np.isfinite(self.position)):
+        if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError("non-finite filter position")
+        self.position = (x, y)
+        self.covariance = ((a, b), (b, d))
 
 
 @dataclass(frozen=True)
@@ -99,19 +107,21 @@ def init_apriori(catalog: NodeCatalog) -> EkfState:
     """
     if len(catalog) < 2:
         raise TooFewNodes("apriori needs at least 2 nodes")
-    xy = np.array([[p.x, p.y] for _, p in catalog.items()])
-    mean = xy.mean(axis=0)
-    var = np.maximum(xy.var(axis=0, ddof=1), 1.0)
-    return EkfState(position=mean, covariance=np.diag(var))
+    xs = [p.x for _, p in catalog.items()]
+    ys = [p.y for _, p in catalog.items()]
+    var_x = max(statistics.variance(xs), 1.0)
+    var_y = max(statistics.variance(ys), 1.0)
+    return EkfState(position=(statistics.fmean(xs), statistics.fmean(ys)),
+                    covariance=((var_x, 0.0), (0.0, var_y)))
 
 
 def predict(state: EkfState, dt: float, cfg: EkfConfig) -> EkfState:
     """Identity propagation: position carried over, covariance inflated by Q*dt."""
     if dt < 0:
         raise NegativeDt(f"dt={dt}")
-    q = np.diag([cfg.sigma_x ** 2 * dt, cfg.sigma_y ** 2 * dt])
-    return EkfState(position=state.position.copy(),
-                    covariance=state.covariance + q,
+    (a, b), (_, d) = state.covariance
+    return EkfState(position=state.position,
+                    covariance=((a + cfg.sigma_x ** 2 * dt, b), (b, d + cfg.sigma_y ** 2 * dt)),
                     epoch=state.epoch + dt)
 
 
@@ -153,8 +163,8 @@ def update(state: EkfState, epoch_obs: list[TdoaObservation], dtb: DtbTable,
     Kalman gain form without inverting P or the n-by-n H P H' + R.
     Returns (state, [(node_id, postfit_m) per applied observation], n_rejected).
     """
-    x, y = state.position.tolist()
-    (a, b), (_, d) = state.covariance.tolist()
+    x, y = state.position
+    (a, b), (_, d) = state.covariance
     applied = []
     rejected = 0
     m_xx = m_xy = m_yy = g_x = g_y = 0.0
@@ -193,7 +203,7 @@ def update(state: EkfState, epoch_obs: list[TdoaObservation], dtb: DtbTable,
     p_yy = (c_xx * d - c_yx * b) / det
     x += p_xx * g_x + p_xy * g_y
     y += p_xy * g_x + p_yy * g_y
-    new_state = EkfState(position=[x, y], covariance=[[p_xx, p_xy], [p_xy, p_yy]],
+    new_state = EkfState(position=(x, y), covariance=((p_xx, p_xy), (p_xy, p_yy)),
                          epoch=state.epoch)
     postfits = [(obs.node_id, obs.sd_pseudorange - measurement_model(x, y, obs, dtb, catalog)[0])
                 for obs in applied]
@@ -214,19 +224,22 @@ def run_filter(epochs: list[Epoch], dtb: DtbTable, catalog: NodeCatalog,
     residuals: list[tuple[float, str, float]] = []
     state: EkfState | None = None
     for epoch in sorted(epochs, key=lambda e: e.time):
-        if state is None:
-            state = init_apriori(catalog)
-            state.epoch = epoch.time
-        else:
-            state = predict(state, epoch.time - state.epoch, cfg)
         try:
+            if state is None:
+                state = init_apriori(catalog)
+                state.epoch = epoch.time
+            else:
+                state = predict(state, epoch.time - state.epoch, cfg)
             tdoa = form_tdoa(epoch, dtb.ref_node_id)
-        except ReferenceMissing:
-            postfits, rejected = [], 0
-        else:
             state, postfits, rejected = update(state, tdoa, dtb, catalog, noise, cfg)
-        (cov_xx, cov_xy), (_, cov_yy) = state.covariance.tolist()
-        track.append(TrackPoint(state.epoch, *state.position.tolist(), cov_xx, cov_xy,
+        except ReferenceMissing:
+            postfits, rejected = [], 0   # prediction-only epoch
+        except (ValueError, OverflowError) as exc:
+            # an EkfState check failed or a float overflowed: the epoch times,
+            # the node layout or the settings drove the filter out of float range
+            raise TdoaDtbError(f"filter state at t={epoch.time}: {exc}") from None
+        (cov_xx, cov_xy), (_, cov_yy) = state.covariance
+        track.append(TrackPoint(state.epoch, *state.position, cov_xx, cov_xy,
                                 cov_yy, len(postfits), rejected))
         residuals.extend((state.epoch, node_id, value) for node_id, value in postfits)
     return track, residuals

@@ -9,8 +9,6 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (EmptySession, OutOfRange, ParseError, TdoaDtbError, UnitError,
                      UnknownNode)
 from .geometry import NodeCatalog, Position, node_sort_key
@@ -65,23 +63,22 @@ class ReferenceTrajectory:
         times = [t for t, _ in samples]
         if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
             raise ValueError("trajectory times must be strictly increasing")
-        self.times = np.asarray(times, dtype=float)
-        self.xyz = np.array([[p.x, p.y, p.z] for _, p in samples], dtype=float)
+        self.times = [float(t) for t in times]
+        self.xyz = [(float(p.x), float(p.y), float(p.z)) for _, p in samples]
 
     @property
     def t_start(self) -> float:
-        return float(self.times[0])
+        return self.times[0]
 
     @property
     def t_end(self) -> float:
-        return float(self.times[-1])
+        return self.times[-1]
 
     def __len__(self) -> int:
         return len(self.times)
 
     def samples(self) -> list[tuple[float, Position]]:
-        return [(float(t), Position(*map(float, row)))
-                for t, row in zip(self.times, self.xyz)]
+        return [(t, Position(*row)) for t, row in zip(self.times, self.xyz)]
 
     def covers(self, t: float) -> bool:
         return self.t_start <= t <= self.t_end
@@ -93,15 +90,15 @@ class ReferenceTrajectory:
             )
         i = bisect.bisect_right(self.times, t)
         if i == len(self.times):
-            return Position(*map(float, self.xyz[-1]))
+            return Position(*self.xyz[-1])
         i0 = max(i - 1, 0)
         t0 = self.times[i0]
         if t == t0:
-            return Position(*map(float, self.xyz[i0]))
+            return Position(*self.xyz[i0])
         t1 = self.times[i0 + 1]
         w = (t - t0) / (t1 - t0)
-        row = (1.0 - w) * self.xyz[i0] + w * self.xyz[i0 + 1]
-        return Position(*map(float, row))
+        return Position(*((1.0 - w) * a + w * b
+                          for a, b in zip(self.xyz[i0], self.xyz[i0 + 1])))
 
 
 def load_trajectory(path) -> ReferenceTrajectory:

@@ -10,10 +10,11 @@ an ordinary least squares of 1/sigma on rsrp.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
+import statistics
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import FitError, NoRsrp, ParseError, WindowTooSmall
 from .ingestion import Epoch
@@ -37,10 +38,13 @@ class NoiseModel:
     sigma_cap: float = DEFAULT_SIGMA_CAP
 
     def __post_init__(self):
-        if self.k <= 0:
+        # each check written as not (...) so that NaN fails too
+        if not self.k > 0:
             raise ValueError(f"noise model scale must be positive, got {self.k}")
-        if self.sigma_floor <= 0 or self.sigma_cap <= self.sigma_floor:
-            raise ValueError("need 0 < sigma_floor < sigma_cap")
+        if not math.isfinite(self.rsrp0):
+            raise ValueError(f"noise model asymptote must be finite, got {self.rsrp0}")
+        if not 0 < self.sigma_floor < self.sigma_cap < math.inf:
+            raise ValueError("need 0 < sigma_floor < sigma_cap < inf")
 
 
 @dataclass(frozen=True)
@@ -58,11 +62,12 @@ def detrend_toa(series: list[tuple[float, float]], window: float = DEFAULT_WINDO
     """Subtract a centered moving average (time window) from a sorted series."""
     if len(series) < 2:
         return [(t, 0.0) for t, _ in series]
-    times = np.asarray([t for t, _ in series], dtype=float)
-    values = np.asarray([v for _, v in series], dtype=float)
-    if np.any(np.diff(times) < 0):
+    times = [t for t, _ in series]
+    values = [v for _, v in series]
+    steps = [t1 - t0 for t0, t1 in zip(times, times[1:])]
+    if any(step < 0 for step in steps):
         raise ValueError("series must be time-sorted")
-    spacing = float(np.median(np.diff(times)))
+    spacing = statistics.median(steps)
     if window <= spacing:
         raise WindowTooSmall(
             f"window {window}s must exceed the median sample spacing {spacing}s"
@@ -70,11 +75,10 @@ def detrend_toa(series: list[tuple[float, float]], window: float = DEFAULT_WINDO
     # tiny padding keeps boundary samples symmetrically included despite
     # floating-point timestamps
     half = window / 2.0 + 1e-9 * window
-    lo = np.searchsorted(times, times - half, side="left")
-    hi = np.searchsorted(times, times + half, side="right")
-    csum = np.concatenate([[0.0], np.cumsum(values)])
-    trend = (csum[hi] - csum[lo]) / (hi - lo)
-    return list(zip(times.tolist(), (values - trend).tolist()))
+    lo = [bisect.bisect_left(times, t - half) for t in times]
+    hi = [bisect.bisect_right(times, t + half) for t in times]
+    csum = [0.0, *itertools.accumulate(values)]
+    return [(t, v - (csum[h] - csum[l]) / (h - l)) for t, v, l, h in zip(times, values, lo, hi)]
 
 
 def estimate_noise_points(epochs: list[Epoch], window: float = DEFAULT_WINDOW_S,
@@ -111,7 +115,9 @@ def estimate_noise_points(epochs: list[Epoch], window: float = DEFAULT_WINDOW_S,
         if len(resids) < min_bin_samples:
             continue
         center = (idx + 0.5) * rsrp_bin_width
-        points.append(NoisePoint(center, float(np.std(resids, ddof=1))))
+        mean = sum(resids) / len(resids)   # two-pass sample std
+        spread = math.sqrt(sum((r - mean) * (r - mean) for r in resids) / (len(resids) - 1))
+        points.append(NoisePoint(center, spread))
     return points
 
 
@@ -127,21 +133,27 @@ def fit_noise_model(points: list[NoisePoint],
     usable = [p for p in points if p.sigma_hat > 0]
     if len(usable) < 3:
         raise FitError(f"need at least 3 points with positive sigma, got {len(usable)}")
-    rsrp = np.array([p.rsrp for p in usable])
-    if rsrp.max() - rsrp.min() < 10.0:
-        raise FitError(f"points span only {rsrp.max() - rsrp.min():.1f} dB, need >= 10")
-    y = 1.0 / np.array([p.sigma_hat for p in usable])
-    slope, intercept = np.polyfit(rsrp, y, 1)
-    if slope <= 0:
+    rsrp = [p.rsrp for p in usable]
+    lo, hi = min(rsrp), max(rsrp)
+    if hi - lo < 10.0:
+        raise FitError(f"points span only {hi - lo:.1f} dB, need >= 10")
+    try:
+        slope, intercept = statistics.linear_regression(rsrp, [1.0 / p.sigma_hat for p in usable])
+    except (ValueError, OverflowError) as exc:   # its sums left the float range
+        raise FitError(f"least-squares line failed: {exc}") from None
+    if not slope > 0:
         raise FitError("noise does not decrease with power; reciprocal model invalid")
-    k = float(1.0 / slope)
-    rsrp0 = float(-intercept * k)
-    if rsrp0 > rsrp.min() - 1.0:
+    k = 1.0 / slope
+    rsrp0 = -intercept * k
+    if not rsrp0 <= lo - 1.0:
         raise FitError(
             f"fitted asymptote {rsrp0:.1f} dBm lies inside the data range "
-            f"(min power {rsrp.min():.1f} dBm)"
+            f"(min power {lo:.1f} dBm)"
         )
-    return NoiseModel(k, rsrp0, sigma_floor, sigma_cap)
+    try:
+        return NoiseModel(k, rsrp0, sigma_floor, sigma_cap)
+    except ValueError as exc:
+        raise FitError(f"fitted model unusable: {exc}") from None
 
 
 def sigma_for(model: NoiseModel, rsrp: float | None,

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tdoa_dtb
 from tdoa_dtb.cli import main
 from tdoa_dtb.dtb import read_dtb
 
@@ -173,3 +178,125 @@ def test_epoch_tol_zero_is_accepted(tmp_path, scenario_file):
     assert main(["simulate", "--scenario", str(scenario_file), "--out-dir", str(sim)]) == 0
     assert main(["fit-noise", "--toa", str(sim / "toa.csv"), "--epoch-tol", "0",
                  "--out", str(tmp_path / "noise.csv")]) == 0
+
+
+EIGHT_NODE_YAML = """
+seed: 5
+epoch_rate: 2.0
+speed: 1.0
+duration: 30.0
+nodes:
+  "1": [0.0, 0.0]
+  "2": [30.0, 0.0]
+  "3": [60.0, 0.0]
+  "4": [60.0, 30.0]
+  "5": [60.0, 60.0]
+  "6": [30.0, 60.0]
+  "7": [0.0, 60.0]
+  "8": [0.0, 30.0]
+clock: {kind: sawtooth, drift_rate: 10.0, reset_period: 5.0, reset_magnitude: 50.0}
+waypoints: [[25.0, 25.0], [35.0, 25.0], [35.0, 35.0]]
+noise: {k: 60.0, rsrp0: -110.0, sigma_floor: 0.3, sigma_cap: 15.0}
+path_loss: {p0: -40.0, gamma: 2.5}
+"""
+
+
+@pytest.fixture
+def eight_node_session(tmp_path):
+    """A simulated 8-node session with its truth DTB table and a noise model."""
+    scenario = tmp_path / "scenario8.yaml"
+    scenario.write_text(EIGHT_NODE_YAML)
+    sim = tmp_path / "sim8"
+    assert main(["simulate", "--scenario", str(scenario), "--out-dir", str(sim)]) == 0
+    (tmp_path / "noise.csv").write_text("k,rsrp0,sigma_floor,sigma_cap\n60.0,-110.0,0.3,15.0\n")
+    return sim
+
+
+def _overflow_probe(tmp_path, sim, probe):
+    """Files and flags for one probe: (toa, nodes, flags, time of the failing epoch)."""
+    header, *rows = (sim / "toa.csv").read_text().splitlines()
+    toa, nodes, flags = tmp_path / "toa_probe.csv", sim / "nodes.csv", []
+    if probe == "first-epoch-at-minus-1.7e308":
+        # the first epoch's eight rows; the next epoch's update overflows
+        rows = [f"-1.7e308,{row.split(',', 1)[1]}" for row in rows[:8]] + rows[8:]
+        failing = float(rows[8].split(",")[0])
+    elif probe == "one-row-at-1e308":
+        # its prediction adds Q = 4 * 1e308 = inf
+        rows = rows + [f"1e308,{rows[0].split(',', 1)[1]}"]
+        flags, failing = ["--sigma-x", "2"], 1e308
+    else:
+        # the prior's variance of the node x coordinates overflows
+        node_header, *node_rows = nodes.read_text().splitlines()
+        node_id, _, y, z = node_rows[-1].split(",")
+        nodes = tmp_path / "nodes_far.csv"
+        node_rows[-1] = f"{node_id},1e200,{y},{z}"
+        nodes.write_text("\n".join([node_header, *node_rows]) + "\n")
+        failing = float(rows[0].split(",")[0])
+    toa.write_text("\n".join([header, *rows]) + "\n")
+    return toa, nodes, flags, failing
+
+
+@pytest.mark.parametrize("probe", ["first-epoch-at-minus-1.7e308", "one-row-at-1e308",
+                                   "node-at-1e200"])
+def test_filter_overflow_is_a_data_error(tmp_path, capsys, eight_node_session, probe):
+    """Times or a node layout that drive the filter state beyond the float range
+    end as exit 2 naming the epoch time, with no track or residual file."""
+    toa, nodes, flags, failing = _overflow_probe(tmp_path, eight_node_session, probe)
+    track, residuals = tmp_path / "track.csv", tmp_path / "residuals.csv"
+    assert main(["position", "--toa", str(toa), "--nodes", str(nodes),
+                 "--dtb", str(eight_node_session / "truth_dtb.csv"),
+                 "--noise", str(tmp_path / "noise.csv"), "--out", str(track),
+                 "--residuals", str(residuals), *flags]) == 2
+    err = capsys.readouterr().err
+    assert f"filter state at t={failing!r}:" in err and "Traceback" not in err
+    assert not track.exists() and not residuals.exists()
+
+
+COMMAND_PATH_SCRIPT = """
+import json, sys
+
+import tdoa_dtb.cli
+
+def heavy():
+    return sorted(m for m in ("numpy", "yaml") if m in sys.modules)
+
+assert heavy() == [], ("import tdoa_dtb.cli", heavy())
+steps = json.loads(sys.argv[1])
+for argv in steps[:-1]:
+    assert tdoa_dtb.cli.main(argv) == 0, argv
+    assert heavy() == [], (argv[0], heavy())
+
+assert tdoa_dtb.cli.main(steps[-1]) == 0, steps[-1]
+from tdoa_dtb import Scenario, generate
+assert Scenario.__module__ == generate.__module__ == "tdoa_dtb.synthetic"
+namespace = {}
+exec("from tdoa_dtb import *", namespace)
+missing = sorted(set(tdoa_dtb.__all__) - set(namespace))
+assert missing == [], missing
+"""
+
+
+def test_command_path_loads_neither_numpy_nor_yaml(tmp_path, scenario_file):
+    """Every command but simulate runs in a fresh interpreter without numpy or
+    yaml; simulate and the package's simulator exports still work there."""
+    sim, d = tmp_path / "sim", tmp_path
+    assert main(["simulate", "--scenario", str(scenario_file), "--out-dir", str(sim)]) == 0
+    steps = [
+        ["fit-noise", "--toa", f"{sim}/toa.csv", "--out", f"{d}/noise.csv"],
+        ["calibrate", "--toa", f"{sim}/toa.csv", "--nodes", f"{sim}/nodes.csv",
+         "--traj", f"{sim}/trajectory.csv", "--out", f"{d}/dtb.csv"],
+        ["position", "--toa", f"{sim}/toa.csv", "--nodes", f"{sim}/nodes.csv",
+         "--dtb", f"{d}/dtb.csv", "--noise", f"{d}/noise.csv", "--out", f"{d}/track.csv",
+         "--residuals", f"{d}/residuals.csv"],
+        ["evaluate", "--track", f"{d}/track.csv", "--traj", f"{sim}/trajectory.csv",
+         "--residuals", f"{d}/residuals.csv", "--out", f"{d}/metrics.json"],
+        ["rereference", "--dtb", f"{d}/dtb.csv", "--new-ref", "3", "--out", f"{d}/dtb3.csv"],
+        ["simulate", "--scenario", str(scenario_file), "--out-dir", f"{d}/sim2"],
+    ]
+    src = str(Path(tdoa_dtb.__file__).resolve().parent.parent)
+    result = subprocess.run([sys.executable, "-c", COMMAND_PATH_SCRIPT, json.dumps(steps)],
+                            env=dict(os.environ, PYTHONPATH=src),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert (d / "sim2" / "toa.csv").read_bytes() == (sim / "toa.csv").read_bytes()
+    assert json.loads((d / "metrics.json").read_text())["n_epochs"] == 601

@@ -48,14 +48,14 @@ def test_init_apriori_square():
         "1": Position(0, 0), "2": Position(10, 0),
         "3": Position(0, 10), "4": Position(10, 10)}))
     assert state.position == pytest.approx([5.0, 5.0])
-    assert state.covariance[0, 0] == pytest.approx(100.0 / 3.0)
-    assert state.covariance[1, 1] == pytest.approx(100.0 / 3.0)
-    assert state.covariance[0, 1] == 0.0
+    assert state.covariance[0][0] == pytest.approx(100.0 / 3.0)
+    assert state.covariance[1][1] == pytest.approx(100.0 / 3.0)
+    assert state.covariance[0][1] == 0.0
 
 
 def test_init_apriori_variance_floor():
     state = init_apriori(NodeCatalog({"1": Position(0, 0), "2": Position(0, 100)}))
-    assert state.covariance[0, 0] == 1.0   # coincident x floored to 1 m^2
+    assert state.covariance[0][0] == 1.0   # coincident x floored to 1 m^2
 
 
 def test_init_apriori_too_few():
@@ -66,6 +66,28 @@ def test_init_apriori_too_few():
 
     with pytest.raises(TooFewNodes):
         init_apriori(OneNode())
+
+
+def test_init_apriori_matches_numpy_reference():
+    """Stdlib mean and ddof=1 variance against numpy's on seeded layouts:
+    2 to 64 nodes, spreads from 0.1 m to 10 km, offsets up to 1e6 m, and
+    layouts narrow enough on one axis for the 1 m^2 floor."""
+    rng = np.random.default_rng(2024)
+    floored = 0
+    for _ in range(300):
+        n = int(rng.integers(2, 65))
+        scale = 10.0 ** rng.uniform(-1.0, 4.0, 2)
+        xy = rng.normal(size=(n, 2)) * scale + rng.uniform(-1e6, 1e6, 2)
+        catalog = NodeCatalog({str(i): Position(float(x), float(y))
+                               for i, (x, y) in enumerate(xy)})
+        state = init_apriori(catalog)
+        want_var = np.maximum(xy.var(axis=0, ddof=1), 1.0)
+        floored += int(np.sum(want_var == 1.0))
+        assert state.position == pytest.approx(xy.mean(axis=0).tolist(), rel=1e-12, abs=1e-12)
+        (a, b), (_, d) = state.covariance
+        assert [a, d] == pytest.approx(want_var.tolist(), rel=1e-12, abs=1e-12)
+        assert b == 0.0
+    assert floored > 0
 
 
 def test_state_rejects_indefinite_covariance():
@@ -124,6 +146,20 @@ def test_predict_growth():
     state = EkfState(np.zeros(2), np.eye(2))
     out = predict(state, 4.0, EkfConfig(sigma_x=0.5, sigma_y=0.5))
     assert np.allclose(out.covariance, np.eye(2) * 2.0)   # 1 + 0.25*4
+
+
+def test_predict_adds_noise_per_axis():
+    state = EkfState((1.0, 2.0), ((1.0, 0.3), (0.3, 2.0)), epoch=1.0)
+    out = predict(state, 4.0, EkfConfig(sigma_x=0.5, sigma_y=1.0))
+    assert out.covariance == ((2.0, 0.3), (0.3, 6.0))
+    assert out.position == (1.0, 2.0) and out.epoch == 5.0
+
+
+def test_state_holds_floats_and_symmetrises():
+    state = EkfState(np.array([1, 2]), [[2, 1], [0, 2]])
+    assert state.position == (1.0, 2.0) and state.covariance == ((2.0, 0.5), (0.5, 2.0))
+    assert all(type(v) is float for v in (*state.position, *state.covariance[0],
+                                          *state.covariance[1]))
 
 
 def test_predict_negative_dt():
@@ -222,7 +258,7 @@ def test_update_reduces_covariance_trace():
 def reference_update(state, epoch_obs, dtb, catalog, noise, cfg):
     """The Kalman-gain form of update: n-by-n S, its inverse and the Joseph
     covariance, kept as the oracle for the information-form update."""
-    x, y = state.position.tolist()
+    x, y = state.position
     rows = []
     rejected = 0
     for obs in epoch_obs:
@@ -289,9 +325,9 @@ def assert_updates_agree(got, want):
     (state, postfits, rejected), (ref_state, ref_postfits, ref_rejected) = got, want
     assert rejected == ref_rejected
     assert [n for n, _ in postfits] == [n for n, _ in ref_postfits]
-    assert np.abs(state.position - ref_state.position).max() <= 1e-9
+    assert np.abs(np.subtract(state.position, ref_state.position)).max() <= 1e-9
     scale = np.abs(ref_state.covariance).max()
-    assert np.abs(state.covariance - ref_state.covariance).max() <= 1e-12 * scale
+    assert np.abs(np.subtract(state.covariance, ref_state.covariance)).max() <= 1e-12 * scale
     assert np.allclose([v for _, v in postfits], [v for _, v in ref_postfits],
                        rtol=0.0, atol=1e-9)
 

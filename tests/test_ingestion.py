@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from tdoa_dtb.errors import OutOfRange, ParseError, UnitError, UnknownNode
@@ -100,6 +101,26 @@ def test_interpolate_piecewise():
     p = traj.interpolate(6.0)
     assert p.x == pytest.approx(2.0, abs=1e-12)
     assert p.y == pytest.approx(4.0, abs=1e-12)
+
+
+def test_interpolate_matches_numpy_reference():
+    """Per-coordinate (1-w)*a + w*b against the numpy row arithmetic it
+    replaced, at seeded times inside segments, on knots and at both ends."""
+    rng = np.random.default_rng(9)
+    times = np.cumsum(rng.uniform(0.01, 3.0, 60))
+    xyz = rng.normal(0.0, 50.0, (60, 3))
+    traj = ReferenceTrajectory([(float(t), Position(*map(float, row)))
+                                for t, row in zip(times, xyz)])
+    queries = np.concatenate([rng.uniform(times[0], times[-1], 500), times])
+    for t in queries.tolist():
+        i0 = min(int(np.searchsorted(times, t, side="right")) - 1, len(times) - 1)
+        if t == times[i0]:
+            want = xyz[i0]
+        else:
+            w = (t - times[i0]) / (times[i0 + 1] - times[i0])
+            want = (1.0 - w) * xyz[i0] + w * xyz[i0 + 1]
+        p = traj.interpolate(t)
+        assert (p.x, p.y, p.z) == tuple(want.tolist())
 
 
 def test_interpolate_out_of_range():

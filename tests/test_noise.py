@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -51,6 +52,80 @@ def test_detrend_recovers_noise_std():
     assert 0.9 < residuals.std(ddof=1) < 1.1
 
 
+def reference_detrend(series, window):
+    """The numpy form of detrend_toa, kept as the oracle for the stdlib one."""
+    if len(series) < 2:
+        return [(t, 0.0) for t, _ in series]
+    times = np.asarray([t for t, _ in series], dtype=float)
+    values = np.asarray([v for _, v in series], dtype=float)
+    if np.any(np.diff(times) < 0):
+        raise ValueError("series must be time-sorted")
+    spacing = float(np.median(np.diff(times)))
+    if window <= spacing:
+        raise WindowTooSmall(
+            f"window {window}s must exceed the median sample spacing {spacing}s"
+        )
+    half = window / 2.0 + 1e-9 * window
+    lo = np.searchsorted(times, times - half, side="left")
+    hi = np.searchsorted(times, times + half, side="right")
+    csum = np.concatenate([[0.0], np.cumsum(values)])
+    trend = (csum[hi] - csum[lo]) / (hi - lo)
+    return list(zip(times.tolist(), (values - trend).tolist()))
+
+
+def detrend_outcome(fn, series, window):
+    try:
+        return fn(series, window)
+    except (ValueError, WindowTooSmall) as exc:
+        return type(exc), str(exc)
+
+
+def seeded_series(rng, n):
+    """Irregular times with gaps, samples exactly a half window apart and
+    values with a clock-like ramp, resets and noise."""
+    steps = rng.choice([0.1, 1.0], size=n - 1, p=[0.6, 0.4]) * rng.uniform(0.5, 1.5, n - 1)
+    steps[rng.random(n - 1) < 0.4] = 0.1      # on a 0.1 s raster a 2 s window's edges hit samples
+    steps[rng.random(n - 1) < 0.03] = rng.uniform(5.0, 60.0)   # gaps
+    steps[rng.random(n - 1) < 0.02] = 0.0     # repeated timestamps
+    times = 1000.0 * rng.random() + np.concatenate([[0.0], np.cumsum(steps)])
+    values = (80.0 + 10.0 * times - 50.0 * np.floor(times / 5.0)
+              + rng.normal(0.0, 10.0 ** rng.uniform(-2, 1), n))
+    return list(zip(times.tolist(), values.tolist()))
+
+
+def test_detrend_matches_numpy_reference():
+    rng = np.random.default_rng(77)
+    half = 2.0 / 2.0 + 1e-9 * 2.0   # detrend_toa's padded half window for a 2 s window
+    edges = list(itertools.accumulate([0.0] + [half] * 7 + [0.5] * 6))
+    cases = [[(3.0, 1.5), (3.1, -2.0)], [(0.0, 1.0)], [],
+             [(t, float(i % 3)) for i, t in enumerate(edges)]]
+    cases += [seeded_series(rng, int(n)) for n in rng.integers(2, 400, 200)]
+    compared = 0
+    for series in cases:
+        for window in (0.1, 0.25, 2.0, 7.5):
+            got = detrend_outcome(detrend_toa, series, window)
+            want = detrend_outcome(reference_detrend, series, window)
+            if isinstance(want, tuple):   # the same error, with the same message
+                assert got == want
+                continue
+            assert [t for t, _ in got] == [t for t, _ in want]
+            assert max((abs(a - b) for (_, a), (_, b) in zip(got, want)), default=0.0) <= 1e-12
+            compared += 1
+    assert compared > 300
+
+
+def test_detrend_errors_match_numpy_reference():
+    unsorted = [(0.0, 1.0), (0.2, 2.0), (0.1, 3.0), (0.3, 4.0)]
+    sparse = [(float(t), 0.0) for t in range(10)]
+    for series, window, error in ((unsorted, 2.0, ValueError), (sparse, 0.5, WindowTooSmall),
+                                  (sparse, 1.0, WindowTooSmall)):
+        with pytest.raises(error) as got:
+            detrend_toa(series, window)
+        with pytest.raises(error) as want:
+            reference_detrend(series, window)
+        assert str(got.value) == str(want.value)
+
+
 def test_detrend_window_too_small():
     series = [(float(t), 0.0) for t in range(10)]
     with pytest.raises(WindowTooSmall):
@@ -101,6 +176,32 @@ def test_noise_points_no_rsrp():
         estimate_noise_points(stripped)
 
 
+def test_noise_points_match_numpy_std():
+    """Each bin's two-pass sample std against np.std(ddof=1) of the same
+    residuals, on nodes spread over many bins with blank rsrp rows."""
+    rsrps = {str(i): float(r) for i, r in enumerate(np.linspace(-100.0, -55.0, 12))}
+    sigmas = {n: 60.0 / (r + 110.0) for n, r in rsrps.items()}
+    epochs = make_epochs(rsrps, sigmas, n=600, seed=4)
+    epochs = [Epoch(e.time, tuple(ToaObservation(o.epoch, o.node_id, o.pseudorange,
+                                                 None if (i + j) % 7 == 0 else o.rsrp)
+                                  for j, o in enumerate(e.observations)))
+              for i, e in enumerate(epochs)]
+    bins = {}
+    for node in rsrps:
+        rows = [(e.time, o.pseudorange, o.rsrp) for e in epochs for o in e.observations
+                if o.node_id == node]
+        for (_, resid), (_, _, rsrp) in zip(reference_detrend([(t, v) for t, v, _ in rows], 2.0),
+                                            rows):
+            if rsrp is not None:
+                bins.setdefault(math.floor(rsrp / 2.0), []).append(resid)
+    want = [((idx + 0.5) * 2.0, float(np.std(bins[idx], ddof=1))) for idx in sorted(bins)]
+    points = estimate_noise_points(epochs, window=2.0, rsrp_bin_width=2.0)
+    assert len(points) == len(want) >= 10
+    for p, (center, std) in zip(points, want):
+        assert p.rsrp == center
+        assert p.sigma_hat == pytest.approx(std, rel=1e-12)
+
+
 def test_noise_points_track_generating_model():
     """Closed loop: data generated from the model tracks its curve per bin."""
     k, rsrp0 = 60.0, -110.0
@@ -137,6 +238,17 @@ def test_fit_narrow_span():
         fit_noise_model(exact_points(rsrps=(-90, -88, -86, -84)))
 
 
+@pytest.mark.parametrize("points,message", [
+    # 1/sigma near the smallest normal float: the slope is subnormal, k = inf
+    # and rsrp0 = -inf, which no NoiseModel accepts
+    ([(-90.0, 1e308), (-85.0, 5e307), (-80.0, 2.5e307)], "unusable"),
+    # powers near the largest float: the line's sums overflow
+    ([(-90.0, 2.0), (1e308, 1.0), (1.6e308, 0.5)], "least-squares line failed")])
+def test_fit_beyond_float_range_is_fit_error(points, message):
+    with pytest.raises(FitError, match=message):
+        fit_noise_model([NoisePoint(*p) for p in points])
+
+
 def test_fit_noisy_vs_grid_oracle():
     """10% multiplicative noise, 100 seeded trials: the closed-form fit agrees
     with the brute-force grid oracle within 20% / 3 dB on the Monte Carlo
@@ -163,6 +275,58 @@ def test_fit_noisy_vs_grid_oracle():
     # both estimators recover the generating parameters on average
     assert abs(k_mean - k_true) <= 0.2 * k_true
     assert abs(r0_mean - rsrp0_true) <= 3.0
+
+
+def reference_fit(points):
+    """The np.polyfit form of fit_noise_model, kept as the oracle for the
+    closed-form line; returns (k, rsrp0) or the FitError message."""
+    usable = [p for p in points if p.sigma_hat > 0]
+    if len(usable) < 3:
+        return "too few"
+    rsrp = np.array([p.rsrp for p in usable])
+    if rsrp.max() - rsrp.min() < 10.0:
+        return "narrow"
+    slope, intercept = np.polyfit(rsrp, 1.0 / np.array([p.sigma_hat for p in usable]), 1)
+    if slope <= 0:
+        return "not decreasing"
+    k = float(1.0 / slope)
+    rsrp0 = float(-intercept * k)
+    if rsrp0 > rsrp.min() - 1.0:
+        return "asymptote inside"
+    return k, rsrp0
+
+
+FIT_ERROR_KINDS = {"need at least": "too few", "points span only": "narrow",
+                   "noise does not decrease": "not decreasing",
+                   "fitted asymptote": "asymptote inside"}
+
+
+def test_fit_matches_polyfit_reference():
+    """Seeded point sets, from 2 to 14 points over 6 to 60 dB with 0 to 60%
+    noise, some with zero sigma: the same (k, rsrp0) within 1e-9 relative, or
+    the same FitError."""
+    rng = np.random.default_rng(5)
+    kinds = {}
+    for _ in range(600):
+        n = int(rng.integers(2, 15))
+        lo = rng.uniform(-105.0, -60.0)
+        rsrps = np.sort(lo + rng.uniform(0.0, rng.uniform(6.0, 60.0), n))
+        k, rsrp0 = rng.uniform(5.0, 200.0), lo - rng.uniform(0.5, 40.0)
+        sig = k / (rsrps - rsrp0) * np.abs(1.0 + rng.normal(0.0, rng.uniform(0.0, 0.6), n))
+        sig[rng.random(n) < 0.05] = 0.0
+        points = [NoisePoint(float(r), float(s)) for r, s in zip(rsrps, sig)]
+        want = reference_fit(points)
+        try:
+            model = fit_noise_model(points)
+        except FitError as exc:
+            got = next(kind for prefix, kind in FIT_ERROR_KINDS.items()
+                       if str(exc).startswith(prefix))
+            assert got == want
+        else:
+            assert (model.k, model.rsrp0) == pytest.approx(want, rel=1e-9)
+            got = "fitted"
+        kinds[got] = kinds.get(got, 0) + 1
+    assert set(kinds) == {"fitted", *FIT_ERROR_KINDS.values()}, kinds
 
 
 def test_sigma_for_direct_value():
@@ -207,3 +371,13 @@ def test_model_invariants():
         NoiseModel(-1.0, -110.0)
     with pytest.raises(ValueError):
         NoiseModel(60.0, -110.0, sigma_floor=2.0, sigma_cap=1.0)
+
+
+@pytest.mark.parametrize("k,rsrp0,sigma_floor,sigma_cap", [
+    (math.nan, -110.0, 0.3, 15.0), (0.0, -110.0, 0.3, 15.0),
+    (60.0, math.nan, 0.3, 15.0), (60.0, -math.inf, 0.3, 15.0), (60.0, math.inf, 0.3, 15.0),
+    (60.0, -110.0, math.nan, 15.0), (60.0, -110.0, 0.0, 15.0),
+    (60.0, -110.0, 0.3, math.nan), (60.0, -110.0, 0.3, math.inf)])
+def test_model_rejects_nan_and_out_of_range(k, rsrp0, sigma_floor, sigma_cap):
+    with pytest.raises(ValueError):
+        NoiseModel(k, rsrp0, sigma_floor, sigma_cap)

@@ -40,9 +40,9 @@ sawtooth = ClockModel(kind="sawtooth", drift_rate=16.0, reset_period=4.0,
 session_clean, table_clean = calibrate_with(ClockModel())
 session_saw, table_saw = calibrate_with(sawtooth)
 
-spread = max(abs(o.pseudorange - c.pseudorange)
+spread = max(abs(saw - clean)
              for es, ec in zip(session_saw.epochs, session_clean.epochs)
-             for o, c in zip(es.observations, ec.observations))
+             for (saw, _), (clean, _) in zip(es.obs.values(), ec.obs.values()))
 print(f"raw pseudo-ranges differ by up to {spread:.0f} m between runs")
 
 print("\ncalibration under each clock:")

@@ -3,10 +3,10 @@
 __version__ = "0.1.0"
 
 from .geometry import NodeCatalog, Position, range_between, sd_range
-from .ingestion import Epoch, ReferenceTrajectory, ToaObservation, load_session
+from .ingestion import Epoch, ReferenceTrajectory, load_session
 from .differencing import TdoaObservation, form_tdoa, select_reference
-from .dtb import (DtbEntry, DtbSample, DtbTable, aggregate_dtb, calibrate,
-                  instantaneous_dtb, read_dtb, rereference_dtb, write_dtb)
+from .dtb import (DtbEntry, DtbTable, aggregate_dtb, calibrate, read_dtb, rereference_dtb,
+                  write_dtb)
 from .noise import (NoiseModel, NoisePoint, detrend_toa, estimate_noise_points,
                     fit_noise_model, sigma_for)
 from .ekf import (EkfConfig, EkfState, TrackPoint, init_apriori, measurement_model,
@@ -15,10 +15,10 @@ from .metrics import SessionMetrics, session_metrics, sigma_formal, sigma_postfi
 
 __all__ = [
     "NodeCatalog", "Position", "range_between", "sd_range",
-    "Epoch", "ReferenceTrajectory", "ToaObservation", "load_session",
+    "Epoch", "ReferenceTrajectory", "load_session",
     "TdoaObservation", "form_tdoa", "select_reference",
-    "DtbEntry", "DtbSample", "DtbTable", "aggregate_dtb", "calibrate",
-    "instantaneous_dtb", "read_dtb", "rereference_dtb", "write_dtb",
+    "DtbEntry", "DtbTable", "aggregate_dtb", "calibrate", "read_dtb",
+    "rereference_dtb", "write_dtb",
     "NoiseModel", "NoisePoint", "detrend_toa", "estimate_noise_points",
     "fit_noise_model", "sigma_for",
     "EkfConfig", "EkfState", "TrackPoint", "init_apriori", "measurement_model",

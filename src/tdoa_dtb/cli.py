@@ -48,14 +48,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _finite_float(text: str, zero_ok: bool = False) -> float:
-    """argparse type: a finite number > 0, or >= 0 with zero_ok."""
+    """argparse type: a number > 0, or >= 0 with zero_ok, whose square is finite."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not (0 < value < math.inf or (zero_ok and value == 0)):
-        raise argparse.ArgumentTypeError(
-            f"expected a finite number {'>=' if zero_ok else '>'} 0, got {text!r}")
+    if not (0 < value and value * value < math.inf or (zero_ok and value == 0)):
+        raise argparse.ArgumentTypeError(f"expected a number {'>=' if zero_ok else '>'} 0 "
+                                         f"with a finite square, got {text!r}")
     return value
 
 
@@ -135,7 +135,7 @@ def _cmd_calibrate(args) -> int:
     write_dtb(table, args.out)
     if args.samples:
         write_csv(args.samples, ["time", "node_id", "ref_node", "dtb_m"],
-                  ((s.epoch, s.node_id, s.ref_node_id, s.value) for s in samples))
+                  ((t, node_id, ref, value) for t, node_id, value in samples))
     _write_manifest(args.out, "calibrate", args)
     print(f"calibrated {len(table.entries)} nodes against reference {ref!r} "
           f"from {len(samples)} samples", file=sys.stderr)

@@ -19,16 +19,10 @@ from .ingestion import Epoch
 class TdoaObservation:
     """Single-differenced observable of one node against the reference node."""
 
-    epoch: float
     node_id: str
-    ref_node_id: str
     sd_pseudorange: float       # meters
     rsrp_node: float | None = None
     rsrp_ref: float | None = None
-
-    def __post_init__(self):
-        if self.node_id == self.ref_node_id:
-            raise ValueError("TDoA of a node against itself")
 
 
 def form_tdoa(epoch: Epoch, ref_node_id: str) -> list[TdoaObservation]:
@@ -37,25 +31,17 @@ def form_tdoa(epoch: Epoch, ref_node_id: str) -> list[TdoaObservation]:
     Raises ReferenceMissing when the epoch has no observation for the
     reference; callers decide whether to drop the epoch or re-reference.
     """
-    by_node = epoch.by_node()
-    if ref_node_id not in by_node:
+    obs = epoch.obs
+    if ref_node_id not in obs:
         raise ReferenceMissing(
             f"epoch t={epoch.time} has no observation for reference node {ref_node_id!r}"
         )
-    ref = by_node[ref_node_id]
+    ref_pseudorange, ref_rsrp = obs[ref_node_id]
     out = []
-    for node_id in sorted(by_node, key=node_sort_key):
-        if node_id == ref_node_id:
-            continue
-        obs = by_node[node_id]
-        out.append(TdoaObservation(
-            epoch=epoch.time,
-            node_id=node_id,
-            ref_node_id=ref_node_id,
-            sd_pseudorange=obs.pseudorange - ref.pseudorange,
-            rsrp_node=obs.rsrp,
-            rsrp_ref=ref.rsrp,
-        ))
+    for node_id in sorted(obs, key=node_sort_key):
+        if node_id != ref_node_id:
+            pseudorange, rsrp = obs[node_id]
+            out.append(TdoaObservation(node_id, pseudorange - ref_pseudorange, rsrp, ref_rsrp))
     return out
 
 
@@ -72,7 +58,7 @@ def select_reference(epochs: list[Epoch], policy: str = "most_visible") -> str:
         return policy
     counts = Counter()
     for epoch in epochs:
-        counts.update({o.node_id for o in epoch.observations})
+        counts.update(epoch.obs.keys())
     # highest count wins; ties broken by smallest node id
     top = max(counts.values())
     candidates = [n for n, c in counts.items() if c == top]

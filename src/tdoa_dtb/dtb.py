@@ -12,25 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .differencing import TdoaObservation, form_tdoa
-from .errors import MixedReference, ParseError, ReferenceMissing, UnknownNode
-from .geometry import NodeCatalog, Position, node_sort_key, sd_range
+from .differencing import form_tdoa
+from .errors import ParseError, ReferenceMissing, TdoaDtbError, UnknownNode
+from .geometry import NodeCatalog, node_sort_key, sd_range
 from .ingestion import Epoch, ReferenceTrajectory
 from .table import read_csv, write_csv
-
-
-@dataclass(frozen=True)
-class DtbSample:
-    """One instantaneous differential bias value."""
-
-    epoch: float
-    node_id: str
-    ref_node_id: str
-    value: float    # meters
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ValueError(f"non-finite DTB sample {self.value}")
 
 
 @dataclass(frozen=True)
@@ -78,13 +64,6 @@ class DtbTable:
                 and self.entries == other.entries)
 
 
-def instantaneous_dtb(obs: TdoaObservation, rover_ref: Position,
-                      catalog: NodeCatalog) -> DtbSample:
-    """DTB sample: measured single difference minus the true single-differenced range."""
-    geom = sd_range(rover_ref, catalog[obs.node_id], catalog[obs.ref_node_id])
-    return DtbSample(obs.epoch, obs.node_id, obs.ref_node_id, obs.sd_pseudorange - geom)
-
-
 def _mean_std(values: list[float]) -> tuple[float, float]:
     n = len(values)
     mean = sum(values) / n
@@ -94,9 +73,9 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return mean, math.sqrt(var)
 
 
-def aggregate_dtb(samples: list[DtbSample], session: str = "",
+def aggregate_dtb(samples: list[tuple[float, str, float]], ref: str, session: str = "",
                   trim_sigma: float | None = None) -> DtbTable:
-    """Reduce instantaneous samples to per-node mean / sample std / count.
+    """Reduce (time, node_id, value) samples against ref to per-node mean / sample std / count.
 
     trim_sigma, when given, discards samples farther than trim_sigma times
     the per-node std from the per-node mean (single pass) before the final
@@ -104,15 +83,11 @@ def aggregate_dtb(samples: list[DtbSample], session: str = "",
     """
     if not samples:
         raise ValueError("no DTB samples to aggregate")
-    refs = {s.ref_node_id for s in samples}
-    if len(refs) != 1:
-        raise MixedReference(f"samples carry multiple reference nodes: {sorted(refs)}")
-    ref = refs.pop()
-    by_node: dict[str, list[float]] = {}
-    for s in samples:
-        by_node.setdefault(s.node_id, []).append(s.value)
+    per_node: dict[str, list[float]] = {}
+    for _, node_id, value in samples:
+        per_node.setdefault(node_id, []).append(value)
     entries = {}
-    for node_id, values in by_node.items():
+    for node_id, values in per_node.items():
         if trim_sigma is not None and len(values) > 1:
             mean, std = _mean_std(values)
             if std > 0:
@@ -153,8 +128,9 @@ def rereference_dtb(table: DtbTable, new_ref: str) -> DtbTable:
 
 def calibrate(epochs: list[Epoch], traj: ReferenceTrajectory, catalog: NodeCatalog,
               ref: str, trim_sigma: float | None = None, session: str = ""
-              ) -> tuple[DtbTable, list[DtbSample]]:
-    """DTB table of a session recorded along a surveyed trajectory, with its samples.
+              ) -> tuple[DtbTable, list[tuple[float, str, float]]]:
+    """DTB table of a session recorded along a surveyed trajectory, with its
+    (time, node_id, dtb_m) samples.
 
     Drop policy: epochs outside the trajectory span, and epochs without the
     reference node, give no samples, which keeps the whole table tied to one
@@ -168,12 +144,17 @@ def calibrate(epochs: list[Epoch], traj: ReferenceTrajectory, catalog: NodeCatal
             tdoa = form_tdoa(epoch, ref)
         except ReferenceMissing:
             continue
-        rover = traj.interpolate(epoch.time)
-        samples.extend(instantaneous_dtb(o, rover, catalog) for o in tdoa)
+        rover, ref_pos = traj.interpolate(epoch.time), catalog[ref]
+        for o in tdoa:
+            value = o.sd_pseudorange - sd_range(rover, catalog[o.node_id], ref_pos)
+            if not math.isfinite(value):
+                raise TdoaDtbError(f"non-finite DTB sample {value} of node {o.node_id!r} "
+                                   f"at t={epoch.time}")
+            samples.append((epoch.time, o.node_id, value))
     if not samples:
         raise ReferenceMissing(
             f"reference node {ref!r} never observed within the trajectory span")
-    return aggregate_dtb(samples, session=session, trim_sigma=trim_sigma), samples
+    return aggregate_dtb(samples, ref, session=session, trim_sigma=trim_sigma), samples
 
 
 DTB_COLUMNS = {"session": str, "ref_node": str, "node_id": str,

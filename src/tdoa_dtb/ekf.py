@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 from .differencing import TdoaObservation, form_tdoa
 from .dtb import DtbTable
-from .errors import (MixedReference, NegativeDt, ReferenceMissing, SingularGeometry,
-                     TdoaDtbError, TooFewNodes)
+from .errors import NegativeDt, ReferenceMissing, SingularGeometry, TdoaDtbError, TooFewNodes
 from .geometry import NodeCatalog
 from .ingestion import Epoch
 from .noise import DEFAULT_SIGMA_NO_RSRP, NoiseModel, sigma_for
@@ -46,9 +45,12 @@ class EkfConfig:
     default_sigma: float = DEFAULT_SIGMA_NO_RSRP   # m, per-ToA sigma when rsrp is absent
 
     def __post_init__(self):
-        # written as not (x > 0) so that NaN fails too
+        # written as not (x > 0) so that NaN fails too; a square that overflows
+        # would drive the covariance out of float range at the first prediction
         if not (self.sigma_x > 0 and self.sigma_y > 0):
             raise ValueError("process noise densities must be positive")
+        if not (self.sigma_x * self.sigma_x < math.inf and self.sigma_y * self.sigma_y < math.inf):
+            raise ValueError("process noise densities must have a finite square")
         if not self.innovation_gate > 0:
             raise ValueError("innovation gate must be positive")
         if not self.default_sigma > 0:
@@ -131,19 +133,17 @@ def measurement_model(x: float, y: float, obs: TdoaObservation, dtb: DtbTable,
 
     predicted = (range to node) - (range to reference) + DTB(node)
     d(predicted)/dx = (x_r - x_n)/rho_n - (x_r - x_m)/rho_m, likewise for y.
-    Ranges are 3D: the rover sits at z = 0, a node at its catalog z.
+    Ranges are 3D: the rover sits at z = 0, a node at its catalog z. The
+    reference is the DTB table's reference node.
     """
-    if obs.ref_node_id != dtb.ref_node_id:
-        raise MixedReference(f"difference against {obs.ref_node_id!r}, "
-                             f"DTB table against {dtb.ref_node_id!r}")
     node = catalog[obs.node_id]
-    ref = catalog[obs.ref_node_id]
+    ref = catalog[dtb.ref_node_id]
     dx_n, dy_n = x - node.x, y - node.y
     dx_m, dy_m = x - ref.x, y - ref.y
     rho_n = math.sqrt(dx_n * dx_n + dy_n * dy_n + node.z * node.z)
     rho_m = math.sqrt(dx_m * dx_m + dy_m * dy_m + ref.z * ref.z)
     if rho_n < MIN_RANGE_M or rho_m < MIN_RANGE_M:
-        culprit = obs.node_id if rho_n < MIN_RANGE_M else obs.ref_node_id
+        culprit = obs.node_id if rho_n < MIN_RANGE_M else dtb.ref_node_id
         raise SingularGeometry(f"rover coincides with node {culprit!r}")
     predicted = rho_n - rho_m + dtb.mean(obs.node_id)
     return predicted, (dx_n / rho_n - dx_m / rho_m, dy_n / rho_n - dy_m / rho_m)

@@ -39,10 +39,6 @@ class EmptySession(TdoaDtbError):
     """No epochs available where at least one was required."""
 
 
-class MixedReference(TdoaDtbError):
-    """DTB samples with differing reference nodes were aggregated together."""
-
-
 class WindowTooSmall(TdoaDtbError):
     """Detrending window does not cover the sample spacing."""
 

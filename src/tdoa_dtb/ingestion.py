@@ -26,32 +26,15 @@ TOA_COLUMNS = {"time": float, "node_id": str, "toa": float}
 
 
 @dataclass(frozen=True)
-class ToaObservation:
-    """One node's pseudo-range (and optionally received power) at one epoch."""
-
-    epoch: float          # session-relative seconds
-    node_id: str
-    pseudorange: float    # meters
-    rsrp: float | None = None   # dBm; None when the session lacks power data
-
-
-@dataclass(frozen=True)
 class Epoch:
-    """All observations sharing one measurement timestamp."""
+    """All observations sharing one measurement timestamp.
+
+    obs maps node_id to (pseudorange in meters, rsrp in dBm or None), in
+    (time, node_sort_key) row order.
+    """
 
     time: float
-    observations: tuple[ToaObservation, ...]
-
-    def __post_init__(self):
-        if not self.observations:
-            raise ValueError("epoch with no observations")
-        ids = [o.node_id for o in self.observations]
-        if len(ids) != len(set(ids)):
-            dup = next(i for i in ids if ids.count(i) > 1)
-            raise ValueError(f"duplicate node {dup!r} in epoch at t={self.time}")
-
-    def by_node(self) -> dict[str, ToaObservation]:
-        return {o.node_id: o for o in self.observations}
+    obs: dict[str, tuple[float, float | None]]
 
 
 class ReferenceTrajectory:
@@ -112,39 +95,41 @@ def load_trajectory(path) -> ReferenceTrajectory:
                                 for _, (t, x, y, z) in rows])
 
 
-def load_toa_rows(path, unit_mode: str = "meters") -> list[ToaObservation]:
-    """Parse a ToA file into observations, converting seconds to meters if asked."""
+def load_toa_rows(path, unit_mode: str = "meters"
+                  ) -> list[tuple[float, str, float, float | None]]:
+    """Parse a ToA file into (time, node_id, pseudorange_m, rsrp) rows,
+    converting seconds to meters if asked."""
     if unit_mode not in ("meters", "seconds"):
         raise ValueError(f"unit_mode must be 'meters' or 'seconds', got {unit_mode!r}")
     rows = read_csv(path, TOA_COLUMNS, {"rsrp": float})
     if unit_mode == "meters":
-        return [ToaObservation(*values) for _, values in rows]
+        return [values for _, values in rows]
     for line, (_, _, toa, _) in rows:
         if abs(toa) * SPEED_OF_LIGHT > MAX_PLAUSIBLE_RANGE_M:
             raise UnitError(
                 f"{path}:{line}: converted pseudorange {toa * SPEED_OF_LIGHT:.3e} m "
                 f"exceeds plausible light-travel bounds; raw values are likely meters"
             )
-    return [ToaObservation(t, node_id, toa * SPEED_OF_LIGHT, rsrp)
-            for _, (t, node_id, toa, rsrp) in rows]
+    return [(t, node_id, toa * SPEED_OF_LIGHT, rsrp) for _, (t, node_id, toa, rsrp) in rows]
 
 
-def group_epochs(rows: list[ToaObservation], epoch_tol: float = DEFAULT_EPOCH_TOL) -> list[Epoch]:
-    """Partition observations into epochs of equal timestamp within a tolerance.
+def group_epochs(rows, epoch_tol: float = DEFAULT_EPOCH_TOL) -> list[Epoch]:
+    """Partition (time, node_id, pseudorange, rsrp) rows into epochs of equal
+    timestamp within a tolerance.
 
     Each row lands in exactly one epoch; a row opens a new epoch when its time
-    differs from the current epoch's first row by more than the tolerance.
+    differs from the current epoch's first row by more than the tolerance. A
+    node seen twice in one epoch is a ValueError.
     """
-    ordered = sorted(rows, key=lambda o: (o.epoch, node_sort_key(o.node_id)))
     epochs: list[Epoch] = []
-    group: list[ToaObservation] = []
-    for obs in ordered:
-        if group and obs.epoch - group[0].epoch > epoch_tol:
-            epochs.append(Epoch(group[0].epoch, tuple(group)))
-            group = []
-        group.append(obs)
-    if group:
-        epochs.append(Epoch(group[0].epoch, tuple(group)))
+    obs: dict = {}
+    for t, node_id, pseudorange, rsrp in sorted(rows, key=lambda r: (r[0], node_sort_key(r[1]))):
+        if not epochs or t - epochs[-1].time > epoch_tol:
+            obs = {}
+            epochs.append(Epoch(t, obs))
+        elif node_id in obs:
+            raise ValueError(f"duplicate node {node_id!r} in epoch at t={epochs[-1].time}")
+        obs[node_id] = (pseudorange, rsrp)
     return epochs
 
 
@@ -172,19 +157,19 @@ def load_session(toa_file, node_file, trajectory_file, unit_mode: str = "meters"
     catalog = NodeCatalog.from_csv(node_file)
     epochs = load_toa_epochs(toa_file, unit_mode, epoch_tol)
     for epoch in epochs:
-        for obs in epoch.observations:
-            if obs.node_id not in catalog:
-                raise UnknownNode(f"{toa_file}: observation at t={obs.epoch} references "
-                                  f"unknown node {obs.node_id!r}")
+        for node_id in epoch.obs:
+            if node_id not in catalog:
+                raise UnknownNode(f"{toa_file}: observation at t={epoch.time} references "
+                                  f"unknown node {node_id!r}")
     traj = load_trajectory(trajectory_file)
     return epochs, catalog, traj
 
 
 def write_toa_csv(epochs: list[Epoch], path) -> None:
-    """Write epochs back to the canonical ToA format (meters)."""
+    """Write epochs back to the canonical ToA format (meters), each row at its epoch's time."""
     write_csv(path, list(TOA_COLUMNS) + ["rsrp"],
-              ((o.epoch, o.node_id, o.pseudorange, o.rsrp)
-               for epoch in epochs for o in epoch.observations))
+              ((epoch.time, node_id, pseudorange, rsrp)
+               for epoch in epochs for node_id, (pseudorange, rsrp) in epoch.obs.items()))
 
 
 def write_trajectory_csv(traj: ReferenceTrajectory, path) -> None:

@@ -91,9 +91,8 @@ def estimate_noise_points(epochs: list[Epoch], window: float = DEFAULT_WINDOW_S,
     """
     per_node: dict[str, list[tuple[float, float, float | None]]] = {}
     for epoch in epochs:
-        for obs in epoch.observations:
-            per_node.setdefault(obs.node_id, []).append(
-                (epoch.time, obs.pseudorange, obs.rsrp))
+        for node_id, (pseudorange, rsrp) in epoch.obs.items():
+            per_node.setdefault(node_id, []).append((epoch.time, pseudorange, rsrp))
     pairs: list[tuple[float, float]] = []  # (rsrp, residual)
     for rows in per_node.values():
         rows.sort(key=lambda r: r[0])

@@ -23,7 +23,7 @@ import yaml
 from .dtb import DtbEntry, DtbTable
 from .errors import InvalidScenario, TooFewNodes
 from .geometry import NodeCatalog, Position, range_between
-from .ingestion import Epoch, ReferenceTrajectory, ToaObservation
+from .ingestion import Epoch, ReferenceTrajectory
 from .noise import NoiseModel, sigma_for
 
 
@@ -171,7 +171,7 @@ def generate(scenario: Scenario) -> SyntheticSession:
         rover = Position(x, y)
         traj_samples.append((t, rover))
         clock = scenario.rover_clock.bias_at(t)
-        observations = []
+        obs = {}
         for node_index, node_id in enumerate(node_ids):
             rho = range_between(rover, scenario.catalog[node_id])
             rsrp = scenario.path_loss.rsrp(rho)
@@ -184,8 +184,8 @@ def generate(scenario: Scenario) -> SyntheticSession:
             toa = (rho - scenario.node_biases.get(node_id, 0.0)
                    + nlos.get(node_id, 0.0) + eps)
             toa = _quantize(toa, scenario.quantize) + clock
-            observations.append(ToaObservation(t, node_id, toa, rsrp))
-        epochs.append(Epoch(t, tuple(observations)))
+            obs[node_id] = (toa, rsrp)
+        epochs.append(Epoch(t, obs))
     return SyntheticSession(epochs, scenario.catalog,
                             ReferenceTrajectory(traj_samples), scenario)
 

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from tdoa_dtb.cli import main as cli_main
-from tdoa_dtb.differencing import TdoaObservation, form_tdoa
-from tdoa_dtb.dtb import (DtbEntry, DtbTable, aggregate_dtb, instantaneous_dtb,
-                          rereference_dtb)
+from tdoa_dtb.differencing import TdoaObservation
+from tdoa_dtb.dtb import DtbEntry, DtbTable, rereference_dtb
+from tdoa_dtb.dtb import calibrate as calibrate_dtb
 from tdoa_dtb.ekf import EkfConfig, measurement_model, run_filter
 from tdoa_dtb.geometry import NodeCatalog, Position
 from tdoa_dtb.metrics import sigma_formal, sigma_postfits, true_error
@@ -58,12 +58,8 @@ def acceptance_scenario(seed=101, biases=BIASES, duration=499.5, speed=0.16,
 
 
 def calibrate(session, ref="1"):
-    samples = []
-    for epoch in session.epochs:
-        rover = session.trajectory.interpolate(epoch.time)
-        samples.extend(instantaneous_dtb(o, rover, session.catalog)
-                       for o in form_tdoa(epoch, ref))
-    return aggregate_dtb(samples)
+    table, _ = calibrate_dtb(session.epochs, session.trajectory, session.catalog, ref)
+    return table
 
 
 @pytest.fixture(scope="module")
@@ -168,7 +164,7 @@ def test_criterion_6_jacobian_finite_differences():
         trials += 1
         catalog = NodeCatalog({"n": Position(nx, ny), "m": Position(mx, my)})
         dtb = DtbTable("m", {"n": DtbEntry(0.0, 0.0, 1)})
-        obs = TdoaObservation(0.0, "n", "m", 0.0)
+        obs = TdoaObservation("n", 0.0)
 
         def h(pos):
             return measurement_model(*pos, obs, dtb, catalog)[0]
@@ -192,11 +188,9 @@ def test_criterion_7_rover_clock_immunity():
 
     clean = generate(clean_scn)
     clocked = generate(clocked_scn)
-    samples_equal = all(
-        instantaneous_dtb(a, clean.trajectory.interpolate(ea.time), clean.catalog)
-        == instantaneous_dtb(b, clocked.trajectory.interpolate(eb.time), clocked.catalog)
-        for ea, eb in zip(clean.epochs, clocked.epochs)
-        for a, b in zip(form_tdoa(ea, "1"), form_tdoa(eb, "1")))
+    samples_equal = (
+        calibrate_dtb(clean.epochs, clean.trajectory, clean.catalog, "1")[1]
+        == calibrate_dtb(clocked.epochs, clocked.trajectory, clocked.catalog, "1")[1])
     r1, _ = run_filter(clean.epochs, clean.truth_dtb("1"), clean.catalog, FLAT_NOISE)
     r2, _ = run_filter(clocked.epochs, clocked.truth_dtb("1"), clocked.catalog, FLAT_NOISE)
     track_equal = all((a.x, a.y) == (b.x, b.y) for a, b in zip(r1, r2))

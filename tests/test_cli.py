@@ -72,6 +72,26 @@ def test_calibrate_reference_never_present(tmp_path, scenario_file, capsys):
     assert "ReferenceMissing" in capsys.readouterr().err
 
 
+def test_non_finite_dtb_sample_is_a_data_error(tmp_path, scenario_file, capsys):
+    """Finite pseudoranges whose single difference overflows end as exit 2
+    naming the node and the epoch time, with no DTB file."""
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--scenario", str(scenario_file), "--out-dir", str(sim)]) == 0
+    header, *rows = (sim / "toa.csv").read_text().splitlines()
+    for i, toa in ((0, "-1.7e308"), (1, "1.7e308")):
+        t, node_id, _, rsrp = rows[i].split(",")
+        rows[i] = ",".join([t, node_id, toa, rsrp])
+    toa_file = tmp_path / "toa_probe.csv"
+    toa_file.write_text("\n".join([header, *rows]) + "\n")
+    out = tmp_path / "dtb.csv"
+    assert main(["calibrate", "--toa", str(toa_file), "--nodes", str(sim / "nodes.csv"),
+                 "--traj", str(sim / "trajectory.csv"), "--ref-node", "1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite DTB sample" in err and "node '2'" in err and "t=0.0" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_full_pipeline(tmp_path, scenario_file):
     sim = tmp_path / "sim"
     dtb = tmp_path / "dtb.csv"
@@ -158,7 +178,7 @@ BAD_FLAG_COMMANDS = {
     "--default-sigma": _POSITION, "--min-obs": _POSITION,
 }
 BAD_FLAG_CASES = [(flag, value) for flag in BAD_FLAG_COMMANDS
-                  for value in ("0", "-1", "nan", "inf")
+                  for value in ("0", "-1", "nan", "inf", "1e200")
                   if (flag, value) != ("--epoch-tol", "0")]
 
 

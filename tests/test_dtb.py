@@ -2,11 +2,10 @@ import math
 
 import pytest
 
-from tdoa_dtb.differencing import TdoaObservation, form_tdoa
-from tdoa_dtb.dtb import (DtbEntry, DtbSample, DtbTable, aggregate_dtb, calibrate,
-                          instantaneous_dtb, read_dtb, rereference_dtb,
-                          write_dtb)
-from tdoa_dtb.errors import MixedReference, ParseError, ReferenceMissing, UnknownNode
+from tdoa_dtb.differencing import form_tdoa
+from tdoa_dtb.dtb import (DtbEntry, DtbTable, aggregate_dtb, calibrate, read_dtb,
+                          rereference_dtb, write_dtb)
+from tdoa_dtb.errors import ParseError, ReferenceMissing, UnknownNode
 from tdoa_dtb.geometry import NodeCatalog, Position, sd_range
 from tdoa_dtb.ingestion import Epoch, ReferenceTrajectory
 from tdoa_dtb.synthetic import ClockModel, Scenario, generate
@@ -15,13 +14,15 @@ from conftest import square_catalog
 
 
 def calibrate_synthetic(scenario, ref="1"):
-    """Straight-line calibration of a generated session against its trajectory."""
+    """Straight-line calibration of a generated session against its trajectory:
+    (time, node_id, measured minus true single difference) samples."""
     session = generate(scenario)
     samples = []
     for epoch in session.epochs:
         rover = session.trajectory.interpolate(epoch.time)
         for obs in form_tdoa(epoch, ref):
-            samples.append(instantaneous_dtb(obs, rover, session.catalog))
+            geom = sd_range(rover, session.catalog[obs.node_id], session.catalog[ref])
+            samples.append((epoch.time, obs.node_id, obs.sd_pseudorange - geom))
     return session, samples
 
 
@@ -31,26 +32,26 @@ def test_calibrate_matches_straight_line_loop(basic_scenario):
     table, got = calibrate(session.epochs, session.trajectory, session.catalog, "1",
                            trim_sigma=2.0, session="S")
     assert got == samples
-    assert table == aggregate_dtb(samples, session="S", trim_sigma=2.0)
+    assert table == aggregate_dtb(samples, "1", session="S", trim_sigma=2.0)
 
 
 def test_calibrate_drops_epochs_outside_trajectory(basic_scenario):
     session, samples = calibrate_synthetic(basic_scenario, ref="1")
     part = ReferenceTrajectory(session.trajectory.samples()[10:40])
     table, got = calibrate(session.epochs, part, session.catalog, "1")
-    expected = [s for s in samples if part.t_start <= s.epoch <= part.t_end]
+    expected = [s for s in samples if part.t_start <= s[0] <= part.t_end]
     assert len(expected) == 30 * 3
     assert got == expected
-    assert table == aggregate_dtb(expected)
+    assert table == aggregate_dtb(expected, "1")
 
 
 def test_calibrate_drops_epochs_without_reference(basic_scenario):
     session, samples = calibrate_synthetic(basic_scenario, ref="1")
-    epochs = [Epoch(e.time, tuple(o for o in e.observations if o.node_id != "1"))
+    epochs = [Epoch(e.time, {n: o for n, o in e.obs.items() if n != "1"})
               if i % 3 == 0 else e for i, e in enumerate(session.epochs)]
     kept = {e.time for i, e in enumerate(session.epochs) if i % 3 != 0}
     _, got = calibrate(epochs, session.trajectory, session.catalog, "1")
-    assert got == [s for s in samples if s.epoch in kept]
+    assert got == [s for s in samples if s[0] in kept]
 
 
 def test_calibrate_without_usable_epoch(basic_scenario):
@@ -66,30 +67,31 @@ def test_instantaneous_bias_free():
     catalog = square_catalog()
     rover = Position(5.0, 5.0)
     geom = sd_range(rover, catalog["2"], catalog["1"])
-    obs = TdoaObservation(0.0, "2", "1", geom)
-    sample = instantaneous_dtb(obs, rover, catalog)
-    assert sample.value == 0.0
+    epoch = Epoch(0.0, {"1": (0.0, None), "2": (geom, None)})
+    traj = ReferenceTrajectory([(0.0, rover), (1.0, rover)])
+    _, samples = calibrate([epoch], traj, catalog, "1")
+    assert samples == [(0.0, "2", 0.0)]
 
 
 def test_instantaneous_matches_injected_biases(basic_scenario):
     # b^n = 5, b^m = 2, zero noise -> every sample is -b^n + b^m = -3
     session, samples = calibrate_synthetic(basic_scenario, ref="1")
-    for s in samples:
-        if s.node_id == "2":
-            assert s.value == pytest.approx(-3.0, abs=1e-9)
+    for _, node_id, value in samples:
+        if node_id == "2":
+            assert value == pytest.approx(-3.0, abs=1e-9)
 
 
 def test_instantaneous_unknown_node():
     catalog = square_catalog()
-    obs = TdoaObservation(0.0, "99", "1", 1.0)
+    epoch = Epoch(0.0, {"1": (10.0, None), "99": (11.0, None)})
+    traj = ReferenceTrajectory([(0.0, Position(5, 5)), (1.0, Position(5, 5))])
     with pytest.raises(UnknownNode):
-        instantaneous_dtb(obs, Position(5, 5), catalog)
+        calibrate([epoch], traj, catalog, "1")
 
 
 def test_aggregate_hand_computed():
-    samples = [DtbSample(float(i), "2", "1", v)
-               for i, v in enumerate([-7.0, -8.0, -8.1, -7.9])]
-    table = aggregate_dtb(samples)
+    samples = [(float(i), "2", v) for i, v in enumerate([-7.0, -8.0, -8.1, -7.9])]
+    table = aggregate_dtb(samples, "1")
     entry = table.entries["2"]
     assert entry.mean == pytest.approx(-7.75, abs=1e-12)
     # sample std (n-1 divisor), frozen from direct evaluation
@@ -98,21 +100,15 @@ def test_aggregate_hand_computed():
 
 
 def test_aggregate_single_sample():
-    table = aggregate_dtb([DtbSample(0.0, "2", "1", 3.0)])
+    table = aggregate_dtb([(0.0, "2", 3.0)], "1")
     assert table.entries["2"] == DtbEntry(3.0, 0.0, 1)
-
-
-def test_aggregate_mixed_reference():
-    samples = [DtbSample(0.0, "2", "1", 1.0), DtbSample(0.0, "3", "4", 1.0)]
-    with pytest.raises(MixedReference):
-        aggregate_dtb(samples)
 
 
 def test_aggregate_trim_sigma():
     values = [0.0] * 50 + [100.0]
-    samples = [DtbSample(float(i), "2", "1", v) for i, v in enumerate(values)]
-    trimmed = aggregate_dtb(samples, trim_sigma=3.0)
-    untrimmed = aggregate_dtb(samples)
+    samples = [(float(i), "2", v) for i, v in enumerate(values)]
+    trimmed = aggregate_dtb(samples, "1", trim_sigma=3.0)
+    untrimmed = aggregate_dtb(samples, "1")
     assert trimmed.entries["2"].mean == pytest.approx(0.0, abs=1e-12)
     assert untrimmed.entries["2"].mean > 1.0
 
@@ -120,7 +116,7 @@ def test_aggregate_trim_sigma():
 def test_zero_noise_oracle(basic_scenario):
     """Aggregated means equal -b^n + b^m exactly for every node."""
     _, samples = calibrate_synthetic(basic_scenario, ref="1")
-    table = aggregate_dtb(samples)
+    table = aggregate_dtb(samples, "1")
     biases = basic_scenario.node_biases
     for node_id, entry in table.entries.items():
         assert entry.mean == pytest.approx(-biases[node_id] + biases["1"], abs=1e-9)
@@ -133,7 +129,7 @@ def test_noisy_oracle(basic_scenario):
     basic_scenario.duration = 250.0
     basic_scenario.speed = 0.1
     _, samples = calibrate_synthetic(basic_scenario, ref="1")
-    table = aggregate_dtb(samples)
+    table = aggregate_dtb(samples, "1")
     biases = basic_scenario.node_biases
     for node_id, entry in table.entries.items():
         bound = 4.0 * sigma * math.sqrt(2.0) / math.sqrt(entry.n_samples)
@@ -182,8 +178,8 @@ def test_rereference_matches_direct_build(basic_scenario):
     """Table built against ref 1 then re-referenced to 3 equals the direct table."""
     _, samples1 = calibrate_synthetic(basic_scenario, ref="1")
     _, samples3 = calibrate_synthetic(basic_scenario, ref="3")
-    via_rereference = rereference_dtb(aggregate_dtb(samples1), "3")
-    direct = aggregate_dtb(samples3)
+    via_rereference = rereference_dtb(aggregate_dtb(samples1, "1"), "3")
+    direct = aggregate_dtb(samples3, "3")
     assert via_rereference.ref_node_id == direct.ref_node_id
     for node_id in direct.entries:
         assert via_rereference.entries[node_id].mean == pytest.approx(

@@ -6,7 +6,7 @@ from tdoa_dtb.dtb import DtbEntry, DtbTable
 from tdoa_dtb.ekf import (PSD_TOL, EkfConfig, EkfState, init_apriori, measurement_model,
                           predict, read_residuals_csv, read_track_csv, run_filter,
                           update, write_residuals_csv, write_track_csv)
-from tdoa_dtb.errors import MixedReference, NegativeDt, SingularGeometry, TooFewNodes
+from tdoa_dtb.errors import NegativeDt, SingularGeometry, TooFewNodes
 from tdoa_dtb.geometry import NodeCatalog, Position, sd_range
 from tdoa_dtb.metrics import true_error
 from tdoa_dtb.noise import NoiseModel, sigma_for
@@ -108,7 +108,8 @@ def test_state_rejects_non_finite_covariance():
 @pytest.mark.parametrize("field,value", [
     ("sigma_x", np.nan), ("sigma_y", np.nan), ("innovation_gate", np.nan),
     ("default_sigma", np.nan), ("innovation_gate", 0.0), ("default_sigma", -1.0),
-    ("min_obs_per_update", 0), ("min_obs_per_update", -1)])
+    ("min_obs_per_update", 0), ("min_obs_per_update", -1),
+    ("sigma_x", 1e200), ("sigma_y", 1e200), ("sigma_x", np.inf)])
 def test_config_rejects_out_of_range(field, value):
     with pytest.raises(ValueError):
         EkfConfig(**{field: value})
@@ -170,7 +171,7 @@ def test_predict_negative_dt():
 def test_measurement_model_collinear():
     catalog = NodeCatalog({"n": Position(10, 0), "m": Position(-10, 0)})
     dtb = empty_dtb(catalog, "m")
-    obs = TdoaObservation(0.0, "n", "m", 0.0)
+    obs = TdoaObservation("n", 0.0)
     predicted, (hx, hy) = measurement_model(0.0, 0.0, obs, dtb, catalog)
     assert predicted == 0.0
     assert hx == pytest.approx(-2.0, abs=1e-12)
@@ -181,23 +182,15 @@ def test_measurement_model_singular():
     catalog = NodeCatalog({"n": Position(10, 0), "m": Position(-10, 0)})
     dtb = empty_dtb(catalog, "m")
     with pytest.raises(SingularGeometry):
-        measurement_model(10.0, 0.0, TdoaObservation(0.0, "n", "m", 0.0), dtb, catalog)
+        measurement_model(10.0, 0.0, TdoaObservation("n", 0.0), dtb, catalog)
 
 
 def test_measurement_model_applies_dtb():
     catalog = NodeCatalog({"n": Position(10, 0), "m": Position(-10, 0)})
     dtb = DtbTable("m", {"n": DtbEntry(-3.0, 0.0, 1)})
     predicted, _ = measurement_model(
-        0.0, 0.0, TdoaObservation(0.0, "n", "m", 0.0), dtb, catalog)
+        0.0, 0.0, TdoaObservation("n", 0.0), dtb, catalog)
     assert predicted == -3.0
-
-
-def test_measurement_model_rejects_mismatched_reference():
-    catalog = NodeCatalog({"a": Position(10, 0), "b": Position(-10, 0),
-                           "c": Position(0, 10)})
-    dtb = DtbTable("b", {"a": DtbEntry(4.0, 0.0, 1), "c": DtbEntry(1.0, 0.0, 1)})
-    with pytest.raises(MixedReference):
-        measurement_model(0.0, 0.0, TdoaObservation(0.0, "a", "c", 0.0), dtb, catalog)
 
 
 def test_jacobian_matches_finite_differences():
@@ -218,7 +211,7 @@ def test_jacobian_matches_finite_differences():
             continue
         trials += 1
         dtb = empty_dtb(catalog, "m")
-        obs = TdoaObservation(0.0, "n", "m", 0.0)
+        obs = TdoaObservation("n", 0.0)
 
         def predicted_at(pos):
             return measurement_model(*pos, obs, dtb, catalog)[0]
@@ -235,7 +228,7 @@ def test_update_all_gated_leaves_prediction():
     dtb = empty_dtb(catalog, "1")
     state = EkfState(np.array([10.0, 10.0]), np.eye(2) * 0.01)
     # absurd measurement far outside the gate
-    obs = [TdoaObservation(0.0, "2", "1", 500.0)]
+    obs = [TdoaObservation("2", 500.0)]
     new_state, postfits, n_rejected = update(state, obs, dtb, catalog, WIDE_NOISE, EkfConfig())
     assert len(postfits) == 0
     assert n_rejected == 1
@@ -317,7 +310,7 @@ def random_epoch(rng, n_nodes, rover_at_node=False):
         if rng.random() < 0.1:
             sd += rng.uniform(200.0, 500.0)   # blunder well outside the gate
         rsrp = None if rng.random() < 0.1 else float(rng.uniform(-105, -50))
-        obs.append(TdoaObservation(0.0, node_id, "1", sd, rsrp, rsrp_ref))
+        obs.append(TdoaObservation(node_id, sd, rsrp, rsrp_ref))
     return state, obs, dtb, catalog
 
 
@@ -463,7 +456,7 @@ def test_run_filter_skips_reference_missing_epochs():
     from tdoa_dtb.ingestion import Epoch
     # strip the reference node from one epoch
     e = epochs[5]
-    epochs[5] = Epoch(e.time, tuple(o for o in e.observations if o.node_id != "1"))
+    epochs[5] = Epoch(e.time, {n: o for n, o in e.obs.items() if n != "1"})
     track, residuals = run_filter(epochs, session.truth_dtb("1"), session.catalog, WIDE_NOISE)
     assert track[5].n_obs == 0
     assert [r for r in residuals if r[0] == track[5].time] == []

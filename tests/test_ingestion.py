@@ -1,11 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from tdoa_dtb.errors import OutOfRange, ParseError, UnitError, UnknownNode
-from tdoa_dtb.geometry import Position
-from tdoa_dtb.ingestion import (SPEED_OF_LIGHT, Epoch, ReferenceTrajectory,
-                                ToaObservation, group_epochs, load_session,
-                                load_toa_rows, write_toa_csv,
+from tdoa_dtb.geometry import Position, node_sort_key
+from tdoa_dtb.ingestion import (SPEED_OF_LIGHT, ReferenceTrajectory, group_epochs,
+                                load_session, load_toa_rows, write_toa_csv,
                                 write_trajectory_csv, load_trajectory)
 
 
@@ -32,17 +33,18 @@ def test_grouping_same_timestamp(tmp_path):
     toa, nodes, traj = session_files(tmp_path)
     epochs, catalog, _ = load_session(toa, nodes, traj)
     assert len(epochs) == 2
-    assert len(epochs[0].observations) == 3
+    assert len(epochs[0].obs) == 3
     assert epochs[0].time == 10.0
     # missing rsrp flagged as None
-    assert epochs[0].by_node()["3"].rsrp is None
+    assert epochs[0].obs["3"] == (70.0, None)
 
 
 def test_seconds_unit_conversion(tmp_path):
     toa = _write(tmp_path / "toa.csv", "time,node_id,toa,rsrp\n0.0,1,2.0e-7,\n")
     rows = load_toa_rows(toa, unit_mode="seconds")
-    assert rows[0].pseudorange == pytest.approx(2.0e-7 * SPEED_OF_LIGHT, abs=1e-9)
-    assert rows[0].pseudorange == pytest.approx(59.9584916, abs=1e-6)
+    (_, _, pseudorange, _), = rows
+    assert pseudorange == pytest.approx(2.0e-7 * SPEED_OF_LIGHT, abs=1e-9)
+    assert pseudorange == pytest.approx(59.9584916, abs=1e-6)
 
 
 def test_seconds_unit_implausible(tmp_path):
@@ -68,18 +70,46 @@ def test_parse_error_carries_line(tmp_path):
 
 
 def test_grouping_is_a_partition():
-    rows = [ToaObservation(t + dt, str(n + (2 if dt else 0)), 10.0)
-            for t in range(5) for n in (1, 2) for dt in (0.0, 0.0004)]
-    epochs = group_epochs(rows, epoch_tol=1e-3)
-    grouped = [o for e in epochs for o in e.observations]
-    assert sorted(grouped, key=lambda o: (o.epoch, o.node_id)) == \
-        sorted(rows, key=lambda o: (o.epoch, o.node_id))
-    assert len(epochs) == 5
+    """On random rows and tolerances, group_epochs either names a duplicate node
+    or puts every row in the one epoch whose [time, time + tol] holds it."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    finite = st.floats(-1e3, 1e3, allow_nan=False)
+    row = st.tuples(st.sampled_from([0.0, 0.0004, 0.0009, 0.0015, 0.5, 1.0, 1.0007, 2.0]),
+                    st.sampled_from(["1", "2", "3", "10", "a", "b"]),
+                    finite, st.none() | finite)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.lists(row, max_size=30),
+                      st.sampled_from([0.0, 1e-3, 2e-3, 0.6, 1.5]))
+    def check(rows, tol):
+        try:
+            epochs = group_epochs(rows, epoch_tol=tol)
+        except ValueError as exc:
+            node = str(exc).split("'")[1]
+            assert str(exc).startswith(f"duplicate node {node!r} in epoch at t=")
+            assert sum(1 for r in rows if r[1] == node) > 1
+            return
+        times = [e.time for e in epochs]
+        assert all(t1 - t0 > tol for t0, t1 in zip(times, times[1:]))
+        assert Counter((n, *o) for e in epochs for n, o in e.obs.items()) == \
+            Counter((n, p, r) for _, n, p, r in rows)
+        members = {id(e): [] for e in epochs}
+        for t, n, p, r in rows:
+            (home,) = [e for e in epochs if e.time <= t <= e.time + tol]
+            assert home.obs[n] == (p, r)
+            members[id(home)].append((t, node_sort_key(n), n))
+        for e in epochs:
+            assert e.time == min(members[id(e)])[0]
+            assert list(e.obs) == [n for *_, n in sorted(members[id(e)])]
+
+    check()
 
 
 def test_epoch_rejects_duplicate_node():
-    with pytest.raises(ValueError):
-        Epoch(0.0, (ToaObservation(0.0, "1", 1.0), ToaObservation(0.0, "1", 2.0)))
+    with pytest.raises(ValueError, match=r"duplicate node '1' in epoch at t=0.0"):
+        group_epochs([(0.0, "1", 1.0, None), (0.0005, "2", 1.0, None),
+                      (0.0008, "1", 2.0, None)])
 
 
 def test_interpolate_midpoint():
@@ -149,7 +179,7 @@ def test_session_round_trip(tmp_path):
     assert len(epochs2) == len(epochs)
     for e1, e2 in zip(epochs, epochs2):
         assert e1.time == e2.time
-        assert e1.observations == e2.observations
+        assert list(e1.obs.items()) == list(e2.obs.items())
     assert trajectory2.samples() == trajectory.samples()
 
     # a second write of what was read gives the same bytes

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tdoa_dtb.errors import FitError, NoRsrp, WindowTooSmall
-from tdoa_dtb.ingestion import Epoch, ToaObservation
+from tdoa_dtb.ingestion import Epoch
 from tdoa_dtb.noise import (NoiseModel, NoisePoint, detrend_toa,
                             estimate_noise_points, fit_noise_model,
                             read_noise_model, sigma_for, write_noise_model)
@@ -153,10 +153,8 @@ def make_epochs(rsrp_by_node, sigma_by_node, n=3000, rate=10.0, seed=0):
     epochs = []
     for i in range(n):
         t = i / rate
-        obs = tuple(
-            ToaObservation(t, node, 50.0 + rng.normal(0, sigma_by_node[node]),
-                           rsrp_by_node[node])
-            for node in rsrp_by_node)
+        obs = {node: (50.0 + rng.normal(0, sigma_by_node[node]), rsrp_by_node[node])
+               for node in rsrp_by_node}
         epochs.append(Epoch(t, obs))
     return epochs
 
@@ -169,9 +167,7 @@ def test_noise_points_single_bin():
 
 def test_noise_points_no_rsrp():
     epochs = make_epochs({"1": -80.0}, {"1": 1.0}, n=50)
-    stripped = [Epoch(e.time, tuple(
-        ToaObservation(o.epoch, o.node_id, o.pseudorange, None)
-        for o in e.observations)) for e in epochs]
+    stripped = [Epoch(e.time, {n: (p, None) for n, (p, _) in e.obs.items()}) for e in epochs]
     with pytest.raises(NoRsrp):
         estimate_noise_points(stripped)
 
@@ -182,14 +178,12 @@ def test_noise_points_match_numpy_std():
     rsrps = {str(i): float(r) for i, r in enumerate(np.linspace(-100.0, -55.0, 12))}
     sigmas = {n: 60.0 / (r + 110.0) for n, r in rsrps.items()}
     epochs = make_epochs(rsrps, sigmas, n=600, seed=4)
-    epochs = [Epoch(e.time, tuple(ToaObservation(o.epoch, o.node_id, o.pseudorange,
-                                                 None if (i + j) % 7 == 0 else o.rsrp)
-                                  for j, o in enumerate(e.observations)))
+    epochs = [Epoch(e.time, {n: (p, None if (i + j) % 7 == 0 else r)
+                             for j, (n, (p, r)) in enumerate(e.obs.items())})
               for i, e in enumerate(epochs)]
     bins = {}
     for node in rsrps:
-        rows = [(e.time, o.pseudorange, o.rsrp) for e in epochs for o in e.observations
-                if o.node_id == node]
+        rows = [(e.time, *e.obs[node]) for e in epochs if node in e.obs]
         for (_, resid), (_, _, rsrp) in zip(reference_detrend([(t, v) for t, v, _ in rows], 2.0),
                                             rows):
             if rsrp is not None:

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tdoa_dtb.differencing import form_tdoa
-from tdoa_dtb.dtb import aggregate_dtb, instantaneous_dtb
+from tdoa_dtb.dtb import calibrate
 from tdoa_dtb.errors import InvalidScenario
 from tdoa_dtb.geometry import range_between
 from tdoa_dtb.ingestion import write_toa_csv
@@ -19,9 +18,9 @@ def test_degenerate_scenario_exact_geometry(basic_scenario):
     session = generate(basic_scenario)
     for epoch in session.epochs:
         rover = session.trajectory.interpolate(epoch.time)
-        for obs in epoch.observations:
-            rho = range_between(rover, session.catalog[obs.node_id])
-            assert obs.pseudorange == pytest.approx(rho, abs=1e-9)
+        for node_id, (pseudorange, _) in epoch.obs.items():
+            rho = range_between(rover, session.catalog[node_id])
+            assert pseudorange == pytest.approx(rho, abs=1e-9)
 
 
 def test_truth_dtb_matches_bias_differences():
@@ -50,11 +49,11 @@ def test_sawtooth_jumps_on_all_nodes():
                         waypoints=[(10.0, 10.0)], speed=0.0, epoch_rate=1.0,
                         duration=12.0)
     session = generate(scenario)
-    by_epoch = {e.time: e.by_node() for e in session.epochs}
+    by_epoch = {e.time: {n: p for n, (p, _) in e.obs.items()} for e in session.epochs}
     # static rover: consecutive ToA differences are pure clock drift / resets
     for node_id in session.catalog.ids():
-        step_4_5 = by_epoch[5.0][node_id].pseudorange - by_epoch[4.0][node_id].pseudorange
-        step_2_3 = by_epoch[3.0][node_id].pseudorange - by_epoch[2.0][node_id].pseudorange
+        step_4_5 = by_epoch[5.0][node_id] - by_epoch[4.0][node_id]
+        step_2_3 = by_epoch[3.0][node_id] - by_epoch[2.0][node_id]
         assert step_2_3 == pytest.approx(10.0, abs=1e-9)
         assert step_4_5 == pytest.approx(10.0 - 50.0, abs=1e-9)
 
@@ -68,12 +67,7 @@ def test_clock_model_invariance_of_dtb(basic_scenario):
                              reset_magnitude=16.0)):
         basic_scenario.rover_clock = clock
         session = generate(basic_scenario)
-        samples = []
-        for epoch in session.epochs:
-            rover = session.trajectory.interpolate(epoch.time)
-            samples.extend(instantaneous_dtb(o, rover, session.catalog)
-                           for o in form_tdoa(epoch, "1"))
-        tables.append(aggregate_dtb(samples))
+        tables.append(calibrate(session.epochs, session.trajectory, session.catalog, "1")[0])
     assert tables[0] == tables[1] == tables[2]
 
 
@@ -102,7 +96,7 @@ def test_noise_stream_independent_of_generation_order(basic_scenario):
     full = generate(basic_scenario)
     short = generate(Scenario(**{**basic_scenario.__dict__, "duration": 5.0}))
     for e_full, e_short in zip(full.epochs, short.epochs):
-        assert e_full.observations == e_short.observations
+        assert list(e_full.obs.items()) == list(e_short.obs.items())
 
 
 def test_end_to_end_calibration_recovery():
@@ -116,12 +110,7 @@ def test_end_to_end_calibration_recovery():
     )
     session = generate(scenario)
     assert len(session.epochs) >= 500
-    samples = []
-    for epoch in session.epochs:
-        rover = session.trajectory.interpolate(epoch.time)
-        samples.extend(instantaneous_dtb(o, rover, catalog)
-                       for o in form_tdoa(epoch, "1"))
-    table = aggregate_dtb(samples)
+    table, _ = calibrate(session.epochs, session.trajectory, catalog, "1")
     truth = session.truth_dtb("1")
     bound = 4.0 * math.sqrt(2.0) / math.sqrt(500)
     for node_id, entry in table.entries.items():
@@ -133,9 +122,9 @@ def test_rsrp_follows_path_loss(basic_scenario):
     model = basic_scenario.path_loss
     epoch = session.epochs[0]
     rover = session.trajectory.interpolate(epoch.time)
-    for obs in epoch.observations:
-        rho = range_between(rover, session.catalog[obs.node_id])
-        assert obs.rsrp == pytest.approx(model.rsrp(rho), abs=1e-9)
+    for node_id, (_, rsrp) in epoch.obs.items():
+        rho = range_between(rover, session.catalog[node_id])
+        assert rsrp == pytest.approx(model.rsrp(rho), abs=1e-9)
 
 
 def test_invalid_scenarios():

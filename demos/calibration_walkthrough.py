@@ -9,6 +9,7 @@ table this demo builds and checks against the generator's ground truth.
 """
 
 from tdoa_dtb import NodeCatalog, Position, Scenario, calibrate, generate
+from tdoa_dtb.synthetic import truth_dtb
 
 catalog = NodeCatalog({
     "1": Position(0.0, 0.0),
@@ -33,7 +34,7 @@ print(f"generated {len(session.epochs)} epochs over "
 
 # one bias-difference sample per (epoch, non-reference node), averaged per node
 table, _ = calibrate(session.epochs, session.trajectory, session.catalog, "1")
-truth = session.truth_dtb("1")
+truth = truth_dtb(scenario, "1")
 
 print(f"\ncalibrated against reference node {table.ref_node_id}:")
 print(f"{'node':>6} {'mean [m]':>10} {'std [m]':>9} {'truth [m]':>10} {'err [m]':>9}")

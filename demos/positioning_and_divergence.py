@@ -9,6 +9,7 @@ meter of it.
 
 from tdoa_dtb import (DtbEntry, DtbTable, NodeCatalog, NoiseModel, Position,
                       Scenario, generate, run_filter, session_metrics)
+from tdoa_dtb.synthetic import truth_dtb
 
 catalog = NodeCatalog({
     "1": Position(0.0, 0.0),
@@ -35,14 +36,14 @@ session = generate(scenario)
 # effectively constant at that level
 noise = NoiseModel(1.0, -200.0, sigma_floor=1.4, sigma_cap=1.6)
 
-truth = session.truth_dtb("1")
+truth = truth_dtb(scenario, "1")
 zeros = DtbTable("1", {n: DtbEntry(0.0, 0.0, 1) for n in truth.entries})
 
 for label, table in (("calibrated", truth), ("uncalibrated", zeros)):
     track, residuals = run_filter(session.epochs, table, session.catalog, noise)
     m = session_metrics(track, session.trajectory, [v for _, _, v in residuals])
     print(f"{label}:")
-    print(f"  true error   mean {m.true_error_mean:6.2f} m, "
-          f"rms {m.true_error_rms:6.2f} m")
-    print(f"  sigma_formal      {m.sigma_formal:6.2f} m   "
-          f"sigma_postfits {m.sigma_postfits:6.2f} m")
+    print(f"  true error   mean {m['true_error_mean_m']:6.2f} m, "
+          f"rms {m['true_error_rms_m']:6.2f} m")
+    print(f"  sigma_formal      {m['sigma_formal_m']:6.2f} m   "
+          f"sigma_postfits {m['sigma_postfits_m']:6.2f} m")

@@ -4,27 +4,26 @@ __version__ = "0.1.0"
 
 from .geometry import NodeCatalog, Position, range_between, sd_range
 from .ingestion import Epoch, ReferenceTrajectory, load_session
-from .differencing import TdoaObservation, form_tdoa, select_reference
+from .differencing import form_tdoa, select_reference
 from .dtb import (DtbEntry, DtbTable, aggregate_dtb, calibrate, read_dtb, rereference_dtb,
                   write_dtb)
 from .noise import (NoiseModel, NoisePoint, detrend_toa, estimate_noise_points,
                     fit_noise_model, sigma_for)
 from .ekf import (EkfConfig, EkfState, TrackPoint, init_apriori, measurement_model,
                   predict, run_filter, update)
-from .metrics import SessionMetrics, session_metrics, sigma_formal, sigma_postfits, true_error
+from .metrics import session_metrics, sigma_formal, sigma_postfits, true_error
 
 __all__ = [
     "NodeCatalog", "Position", "range_between", "sd_range",
     "Epoch", "ReferenceTrajectory", "load_session",
-    "TdoaObservation", "form_tdoa", "select_reference",
+    "form_tdoa", "select_reference",
     "DtbEntry", "DtbTable", "aggregate_dtb", "calibrate", "read_dtb",
     "rereference_dtb", "write_dtb",
     "NoiseModel", "NoisePoint", "detrend_toa", "estimate_noise_points",
     "fit_noise_model", "sigma_for",
     "EkfConfig", "EkfState", "TrackPoint", "init_apriori", "measurement_model",
     "predict", "run_filter", "update",
-    "SessionMetrics", "session_metrics", "sigma_formal", "sigma_postfits",
-    "true_error",
+    "session_metrics", "sigma_formal", "sigma_postfits", "true_error",
     "ClockModel", "PathLossModel", "Scenario", "generate", "load_scenario",
 ]
 

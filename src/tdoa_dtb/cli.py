@@ -6,8 +6,8 @@ Subcommands wire the pipeline end to end:
 
 plus ``rereference`` for switching a correction table to another reference
 node. Exit codes: 0 success, 1 usage error, 2 data error. Diagnostics go to
-stderr; data only ever goes to files. Every output directory receives a
-``run_manifest.json`` describing the invocation.
+stderr; data only ever goes to files. Every successful run writes a
+``run_manifest.json`` describing the invocation beside its output.
 """
 
 from __future__ import annotations
@@ -70,12 +70,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _write_manifest(out_path, subcommand: str, args: argparse.Namespace,
-                    is_dir: bool = False) -> None:
-    out_dir = os.path.abspath(out_path) if is_dir else os.path.dirname(os.path.abspath(out_path))
+def _write_manifest(args: argparse.Namespace) -> None:
+    """Describe a successful run in run_manifest.json beside its output."""
+    if args.subcommand == "simulate":
+        out_dir = os.path.abspath(args.out_dir)
+    else:
+        out_dir = os.path.dirname(os.path.abspath(args.out))
     params = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     manifest = {
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "parameters": params,
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -93,10 +96,10 @@ def _add_session_flags(p: argparse.ArgumentParser) -> None:
                    help="timestamps within this many seconds share an epoch")
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> None:
     # imported here, not at the top: the simulator's array and YAML libraries
     # are the slowest part of start-up, and no other command needs them
-    from .synthetic import generate, load_scenario
+    from .synthetic import generate, load_scenario, truth_dtb
 
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
@@ -107,12 +110,10 @@ def _cmd_simulate(args) -> int:
     session.catalog.to_csv(os.path.join(args.out_dir, "nodes.csv"))
     write_trajectory_csv(session.trajectory, os.path.join(args.out_dir, "trajectory.csv"))
     truth_ref = args.truth_ref or session.catalog.ids()[0]
-    write_dtb(session.truth_dtb(truth_ref), os.path.join(args.out_dir, "truth_dtb.csv"))
-    _write_manifest(args.out_dir, "simulate", args, is_dir=True)
-    return 0
+    write_dtb(truth_dtb(scenario, truth_ref), os.path.join(args.out_dir, "truth_dtb.csv"))
 
 
-def _cmd_fit_noise(args) -> int:
+def _cmd_fit_noise(args) -> None:
     epochs = load_toa_epochs(args.toa, args.unit, args.epoch_tol)
     points = estimate_noise_points(epochs, window=args.window,
                                    rsrp_bin_width=args.bin)
@@ -120,29 +121,25 @@ def _cmd_fit_noise(args) -> int:
     write_noise_model(model, args.out)
     if args.points:
         write_noise_points(points, args.points)
-    _write_manifest(args.out, "fit-noise", args)
     print(f"fitted noise model k={model.k:.3f} rsrp0={model.rsrp0:.2f} "
           f"from {len(points)} points", file=sys.stderr)
-    return 0
 
 
-def _cmd_calibrate(args) -> int:
+def _cmd_calibrate(args) -> None:
     epochs, catalog, traj = load_session(args.toa, args.nodes, args.traj,
                                          args.unit, args.epoch_tol)
-    ref = select_reference(epochs, args.ref_node)
+    ref = select_reference(epochs) if args.ref_node == "auto" else args.ref_node
     table, samples = calibrate(epochs, traj, catalog, ref,
                                trim_sigma=args.trim_sigma, session=args.session)
     write_dtb(table, args.out)
     if args.samples:
         write_csv(args.samples, ["time", "node_id", "ref_node", "dtb_m"],
                   ((t, node_id, ref, value) for t, node_id, value in samples))
-    _write_manifest(args.out, "calibrate", args)
     print(f"calibrated {len(table.entries)} nodes against reference {ref!r} "
           f"from {len(samples)} samples", file=sys.stderr)
-    return 0
 
 
-def _cmd_position(args) -> int:
+def _cmd_position(args) -> None:
     epochs = load_toa_epochs(args.toa, args.unit, args.epoch_tol)
     catalog = NodeCatalog.from_csv(args.nodes)
     dtb = read_dtb(args.dtb)
@@ -154,13 +151,11 @@ def _cmd_position(args) -> int:
     track, residuals = run_filter(epochs, dtb, catalog, noise, cfg)
     write_track_csv(track, args.out)
     write_residuals_csv(residuals, args.residuals)
-    _write_manifest(args.out, "position", args)
     n_upd = sum(1 for p in track if p.n_obs > 0)
     print(f"filtered {len(track)} epochs ({n_upd} with updates)", file=sys.stderr)
-    return 0
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(args) -> None:
     track = read_track_csv(args.track)
     traj = load_trajectory(args.traj)
     residuals = [v for _, _, v in read_residuals_csv(args.residuals)]
@@ -168,11 +163,9 @@ def _cmd_evaluate(args) -> int:
     write_metrics_json(metrics, args.out)
     if args.residual_hist:
         _write_residual_hist(residuals, args.residual_hist)
-    _write_manifest(args.out, "evaluate", args)
-    print(f"true error mean {metrics.true_error_mean:.3f} m, "
-          f"formal {metrics.sigma_formal:.3f} m, "
-          f"postfits {metrics.sigma_postfits:.3f} m", file=sys.stderr)
-    return 0
+    print(f"true error mean {metrics['true_error_mean_m']:.3f} m, "
+          f"formal {metrics['sigma_formal_m']:.3f} m, "
+          f"postfits {metrics['sigma_postfits_m']:.3f} m", file=sys.stderr)
 
 
 def _write_residual_hist(residuals: list[float], path) -> None:
@@ -183,11 +176,9 @@ def _write_residual_hist(residuals: list[float], path) -> None:
                for idx in sorted(counts)))
 
 
-def _cmd_rereference(args) -> int:
+def _cmd_rereference(args) -> None:
     table = rereference_dtb(read_dtb(args.dtb), args.new_ref)
     write_dtb(table, args.out)
-    _write_manifest(args.out, "rereference", args)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,7 +260,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:
-        return args.func(args)
+        args.func(args)
+        _write_manifest(args)
+        return 0
     except TdoaDtbError as exc:
         print(f"tdoa-dtb {args.subcommand}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

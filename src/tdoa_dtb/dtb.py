@@ -42,9 +42,6 @@ class DtbTable:
         self.entries = dict(entries)
         self.session = session
 
-    def __contains__(self, node_id: str) -> bool:
-        return node_id == self.ref_node_id or node_id in self.entries
-
     def mean(self, node_id: str) -> float:
         """Mean DTB of a node against the table's reference (0 for the reference)."""
         if node_id == self.ref_node_id:
@@ -141,16 +138,16 @@ def calibrate(epochs: list[Epoch], traj: ReferenceTrajectory, catalog: NodeCatal
         if not traj.covers(epoch.time):
             continue
         try:
-            tdoa = form_tdoa(epoch, ref)
+            _, diffs = form_tdoa(epoch, ref)
         except ReferenceMissing:
             continue
         rover, ref_pos = traj.interpolate(epoch.time), catalog[ref]
-        for o in tdoa:
-            value = o.sd_pseudorange - sd_range(rover, catalog[o.node_id], ref_pos)
+        for node_id, sd, _ in diffs:
+            value = sd - sd_range(rover, catalog[node_id], ref_pos)
             if not math.isfinite(value):
-                raise TdoaDtbError(f"non-finite DTB sample {value} of node {o.node_id!r} "
+                raise TdoaDtbError(f"non-finite DTB sample {value} of node {node_id!r} "
                                    f"at t={epoch.time}")
-            samples.append((epoch.time, o.node_id, value))
+            samples.append((epoch.time, node_id, value))
     if not samples:
         raise ReferenceMissing(
             f"reference node {ref!r} never observed within the trajectory span")

@@ -17,7 +17,7 @@ import math
 import statistics
 from dataclasses import dataclass
 
-from .differencing import TdoaObservation, form_tdoa
+from .differencing import form_tdoa
 from .dtb import DtbTable
 from .errors import NegativeDt, ReferenceMissing, SingularGeometry, TdoaDtbError, TooFewNodes
 from .geometry import NodeCatalog
@@ -127,35 +127,37 @@ def predict(state: EkfState, dt: float, cfg: EkfConfig) -> EkfState:
                     epoch=state.epoch + dt)
 
 
-def measurement_model(x: float, y: float, obs: TdoaObservation, dtb: DtbTable,
+def measurement_model(x: float, y: float, node_id: str, dtb: DtbTable,
                       catalog: NodeCatalog) -> tuple[float, tuple[float, float]]:
-    """Predicted single difference and its position partials at the rover (x, y).
+    """Predicted single difference of node_id and its position partials at the rover (x, y).
 
     predicted = (range to node) - (range to reference) + DTB(node)
     d(predicted)/dx = (x_r - x_n)/rho_n - (x_r - x_m)/rho_m, likewise for y.
     Ranges are 3D: the rover sits at z = 0, a node at its catalog z. The
     reference is the DTB table's reference node.
     """
-    node = catalog[obs.node_id]
+    node = catalog[node_id]
     ref = catalog[dtb.ref_node_id]
     dx_n, dy_n = x - node.x, y - node.y
     dx_m, dy_m = x - ref.x, y - ref.y
     rho_n = math.sqrt(dx_n * dx_n + dy_n * dy_n + node.z * node.z)
     rho_m = math.sqrt(dx_m * dx_m + dy_m * dy_m + ref.z * ref.z)
     if rho_n < MIN_RANGE_M or rho_m < MIN_RANGE_M:
-        culprit = obs.node_id if rho_n < MIN_RANGE_M else dtb.ref_node_id
+        culprit = node_id if rho_n < MIN_RANGE_M else dtb.ref_node_id
         raise SingularGeometry(f"rover coincides with node {culprit!r}")
-    predicted = rho_n - rho_m + dtb.mean(obs.node_id)
+    predicted = rho_n - rho_m + dtb.mean(node_id)
     return predicted, (dx_n / rho_n - dx_m / rho_m, dy_n / rho_n - dy_m / rho_m)
 
 
-def update(state: EkfState, epoch_obs: list[TdoaObservation], dtb: DtbTable,
-           catalog: NodeCatalog, noise: NoiseModel, cfg: EkfConfig
+def update(state: EkfState, epoch: Epoch, dtb: DtbTable, catalog: NodeCatalog,
+           noise: NoiseModel, cfg: EkfConfig
            ) -> tuple[EkfState, list[tuple[str, float]], int]:
-    """Joint update with all accepted observations of one epoch, in information form.
+    """Joint update with all accepted single differences of one epoch, in information form.
 
-    Per-observation variance combines both ends of the difference:
-    R_i = sigma(rsrp_node)^2 + sigma(rsrp_ref)^2. Innovations beyond
+    The epoch is differenced against the DTB table's reference node, raising
+    ReferenceMissing when that node is absent. Per-difference variance combines
+    both ends of the difference: R_i = sigma(rsrp_node)^2 + sigma(rsrp_ref)^2,
+    the reference term shared by the whole epoch. Innovations beyond
     gate * sqrt(h P h' + R_i) are counted as rejected and never applied. With
     fewer than cfg.min_obs_per_update accepted observations the predicted state
     is returned unchanged. Otherwise, with M = H'R^-1 H and g = H'R^-1 nu over
@@ -163,25 +165,26 @@ def update(state: EkfState, epoch_obs: list[TdoaObservation], dtb: DtbTable,
     Kalman gain form without inverting P or the n-by-n H P H' + R.
     Returns (state, [(node_id, postfit_m) per applied observation], n_rejected).
     """
+    ref_rsrp, diffs = form_tdoa(epoch, dtb.ref_node_id)
+    ref_var = sigma_for(noise, ref_rsrp, cfg.default_sigma) ** 2
     x, y = state.position
     (a, b), (_, d) = state.covariance
     applied = []
     rejected = 0
     m_xx = m_xy = m_yy = g_x = g_y = 0.0
-    for obs in epoch_obs:
+    for node_id, sd, rsrp in diffs:
         try:
-            predicted, (hx, hy) = measurement_model(x, y, obs, dtb, catalog)
+            predicted, (hx, hy) = measurement_model(x, y, node_id, dtb, catalog)
         except SingularGeometry:
             rejected += 1
             continue
-        r_var = (sigma_for(noise, obs.rsrp_node, cfg.default_sigma) ** 2
-                 + sigma_for(noise, obs.rsrp_ref, cfg.default_sigma) ** 2)
-        innovation = obs.sd_pseudorange - predicted
+        r_var = sigma_for(noise, rsrp, cfg.default_sigma) ** 2 + ref_var
+        innovation = sd - predicted
         s = a * hx * hx + 2.0 * b * hx * hy + d * hy * hy + r_var
         if abs(innovation) > cfg.innovation_gate * math.sqrt(s):
             rejected += 1
             continue
-        applied.append(obs)
+        applied.append((node_id, sd))
         w_hx, w_hy = hx / r_var, hy / r_var
         m_xx += w_hx * hx
         m_xy += w_hx * hy
@@ -205,8 +208,8 @@ def update(state: EkfState, epoch_obs: list[TdoaObservation], dtb: DtbTable,
     y += p_xy * g_x + p_yy * g_y
     new_state = EkfState(position=(x, y), covariance=((p_xx, p_xy), (p_xy, p_yy)),
                          epoch=state.epoch)
-    postfits = [(obs.node_id, obs.sd_pseudorange - measurement_model(x, y, obs, dtb, catalog)[0])
-                for obs in applied]
+    postfits = [(node_id, sd - measurement_model(x, y, node_id, dtb, catalog)[0])
+                for node_id, sd in applied]
     return new_state, postfits, rejected
 
 
@@ -230,8 +233,7 @@ def run_filter(epochs: list[Epoch], dtb: DtbTable, catalog: NodeCatalog,
                 state.epoch = epoch.time
             else:
                 state = predict(state, epoch.time - state.epoch, cfg)
-            tdoa = form_tdoa(epoch, dtb.ref_node_id)
-            state, postfits, rejected = update(state, tdoa, dtb, catalog, noise, cfg)
+            state, postfits, rejected = update(state, epoch, dtb, catalog, noise, cfg)
         except ReferenceMissing:
             postfits, rejected = [], 0   # prediction-only epoch
         except (ValueError, OverflowError) as exc:

@@ -64,9 +64,6 @@ class NodeCatalog:
     def __len__(self) -> int:
         return len(self._positions)
 
-    def __iter__(self):
-        return iter(self.ids())
-
     def ids(self) -> list[str]:
         return sorted(self._positions, key=node_sort_key)
 

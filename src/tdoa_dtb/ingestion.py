@@ -57,9 +57,6 @@ class ReferenceTrajectory:
     def t_end(self) -> float:
         return self.times[-1]
 
-    def __len__(self) -> int:
-        return len(self.times)
-
     def samples(self) -> list[tuple[float, Position]]:
         return [(t, Position(*row)) for t, row in zip(self.times, self.xyz)]
 

@@ -15,31 +15,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 from .ekf import TrackPoint
 from .errors import EmptyTrack, InsufficientResiduals, NoOverlap
 from .ingestion import ReferenceTrajectory
 
 N_PARAM_2D = 2  # estimated parameters: the two position components
-
-
-@dataclass(frozen=True)
-class SessionMetrics:
-    true_error_mean: float
-    true_error_rms: float
-    sigma_formal: float
-    sigma_postfits: float
-    n_epochs: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "true_error_mean_m": self.true_error_mean,
-            "true_error_rms_m": self.true_error_rms,
-            "sigma_formal_m": self.sigma_formal,
-            "sigma_postfits_m": self.sigma_postfits,
-            "n_epochs": self.n_epochs,
-        }
 
 
 def true_error(track: list[TrackPoint], traj: ReferenceTrajectory) -> tuple[float, float]:
@@ -64,27 +45,28 @@ def sigma_formal(track: list[TrackPoint]) -> float:
     return sum(math.sqrt(p.cov_xx + p.cov_yy) for p in track) / len(track)
 
 
-def sigma_postfits(residuals: list[float], n_param: int = N_PARAM_2D) -> float:
+def sigma_postfits(residuals: list[float]) -> float:
     """Degrees-of-freedom-corrected RMS of the postfit residuals."""
     n = len(residuals)
-    if n <= n_param:
-        raise InsufficientResiduals(f"{n} residuals with {n_param} parameters")
-    return math.sqrt(sum(e * e for e in residuals) / (n - n_param))
+    if n <= N_PARAM_2D:
+        raise InsufficientResiduals(f"{n} residuals with {N_PARAM_2D} parameters")
+    return math.sqrt(sum(e * e for e in residuals) / (n - N_PARAM_2D))
 
 
 def session_metrics(track: list[TrackPoint], traj: ReferenceTrajectory,
-                    residuals: list[float], n_param: int = N_PARAM_2D) -> SessionMetrics:
+                    residuals: list[float]) -> dict:
+    """The metrics JSON record of one filtered session."""
     mean, rms = true_error(track, traj)
-    return SessionMetrics(
-        true_error_mean=mean,
-        true_error_rms=rms,
-        sigma_formal=sigma_formal(track),
-        sigma_postfits=sigma_postfits(residuals, n_param),
-        n_epochs=len(track),
-    )
+    return {
+        "true_error_mean_m": mean,
+        "true_error_rms_m": rms,
+        "sigma_formal_m": sigma_formal(track),
+        "sigma_postfits_m": sigma_postfits(residuals),
+        "n_epochs": len(track),
+    }
 
 
-def write_metrics_json(metrics: SessionMetrics, path) -> None:
+def write_metrics_json(metrics: dict, path) -> None:
     with open(path, "w") as f:
-        json.dump(metrics.to_json_dict(), f, indent=2, sort_keys=True)
+        json.dump(metrics, f, indent=2, sort_keys=True)
         f.write("\n")

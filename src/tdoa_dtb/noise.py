@@ -82,12 +82,12 @@ def detrend_toa(series: list[tuple[float, float]], window: float = DEFAULT_WINDO
 
 
 def estimate_noise_points(epochs: list[Epoch], window: float = DEFAULT_WINDOW_S,
-                          rsrp_bin_width: float = DEFAULT_BIN_DB,
-                          min_bin_samples: int = MIN_BIN_SAMPLES) -> list[NoisePoint]:
+                          rsrp_bin_width: float = DEFAULT_BIN_DB) -> list[NoisePoint]:
     """Detrend each node's ToA series and bucket residual spread by received power.
 
-    Bins with fewer than min_bin_samples residuals are dropped. Raises NoRsrp
-    when no observation carries a power value.
+    Bins with fewer than MIN_BIN_SAMPLES residuals are dropped. Raises NoRsrp
+    when no observation carries a power value, and FitError when a bin's
+    spread is not finite (pseudoranges so large that their sums overflow).
     """
     per_node: dict[str, list[tuple[float, float, float | None]]] = {}
     for epoch in epochs:
@@ -111,18 +111,19 @@ def estimate_noise_points(epochs: list[Epoch], window: float = DEFAULT_WINDOW_S,
     points = []
     for idx in sorted(bins):
         resids = bins[idx]
-        if len(resids) < min_bin_samples:
+        if len(resids) < MIN_BIN_SAMPLES:
             continue
         center = (idx + 0.5) * rsrp_bin_width
         mean = sum(resids) / len(resids)   # two-pass sample std
         spread = math.sqrt(sum((r - mean) * (r - mean) for r in resids) / (len(resids) - 1))
+        if not math.isfinite(spread):
+            raise FitError(f"noise spread of the {center} dBm power bin is not finite "
+                           f"({spread}); pseudoranges too large to detrend")
         points.append(NoisePoint(center, spread))
     return points
 
 
-def fit_noise_model(points: list[NoisePoint],
-                    sigma_floor: float = DEFAULT_SIGMA_FLOOR,
-                    sigma_cap: float = DEFAULT_SIGMA_CAP) -> NoiseModel:
+def fit_noise_model(points: list[NoisePoint]) -> NoiseModel:
     """Fit (k, rsrp0) by least squares of 1/sigma on rsrp.
 
     Needs at least 3 points spanning at least 10 dB; the recovered asymptote
@@ -150,7 +151,7 @@ def fit_noise_model(points: list[NoisePoint],
             f"(min power {lo:.1f} dBm)"
         )
     try:
-        return NoiseModel(k, rsrp0, sigma_floor, sigma_cap)
+        return NoiseModel(k, rsrp0)
     except ValueError as exc:
         raise FitError(f"fitted model unusable: {exc}") from None
 

@@ -14,6 +14,7 @@ rover-clock cancellation bit-exact instead of merely exact-to-rounding.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -99,24 +100,17 @@ class Scenario:
             raise InvalidScenario("zero speed needs an explicit duration")
 
 
-def _polyline(waypoints: list[tuple[float, float]]):
-    pts = np.asarray(waypoints, dtype=float)
-    if pts.shape[0] == 1:
-        return pts, np.array([0.0])
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    return pts, np.concatenate([[0.0], np.cumsum(seg)])
-
-
-def _position_at(pts: np.ndarray, cumlen: np.ndarray, dist: float) -> tuple[float, float]:
-    total = cumlen[-1]
-    if total == 0.0 or dist <= 0.0:
-        return float(pts[0, 0]), float(pts[0, 1])
-    if dist >= total:
-        return float(pts[-1, 0]), float(pts[-1, 1])
-    i = int(np.searchsorted(cumlen, dist, side="right")) - 1
-    w = (dist - cumlen[i]) / (cumlen[i + 1] - cumlen[i])
-    p = (1.0 - w) * pts[i] + w * pts[i + 1]
-    return float(p[0]), float(p[1])
+def _path_samples(waypoints: list[tuple[float, float]]) -> list[tuple[float, Position]]:
+    """(distance travelled, position) at the waypoints of the rover's polyline,
+    without zero-length segments: of repeated waypoints only the first is kept."""
+    pts = [(float(x), float(y)) for x, y in waypoints]
+    lengths = [math.sqrt(dx * dx + dy * dy)
+               for dx, dy in ((x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(pts, pts[1:]))]
+    samples = [(0.0, Position(*pts[0]))]
+    for dist, point, length in zip(itertools.accumulate(lengths), pts[1:], lengths):
+        if length > 0:
+            samples.append((dist, Position(*point)))
+    return samples
 
 
 def _quantize(value: float, grid: float | None) -> float:
@@ -132,12 +126,9 @@ class SyntheticSession:
     trajectory: ReferenceTrajectory
     scenario: Scenario
 
-    def truth_dtb(self, ref_node_id: str, session: str = "truth") -> DtbTable:
-        """Analytic DTB table for any reference: bias differences plus NLOS differences."""
-        return truth_dtb(self.scenario, ref_node_id, session)
 
-
-def truth_dtb(scenario: Scenario, ref_node_id: str, session: str = "truth") -> DtbTable:
+def truth_dtb(scenario: Scenario, ref_node_id: str) -> DtbTable:
+    """Analytic DTB table for any reference: bias differences plus NLOS differences."""
     if ref_node_id not in scenario.catalog:
         raise InvalidScenario(f"reference {ref_node_id!r} not in catalog")
     nlos = scenario.nlos_offset or {}
@@ -148,15 +139,17 @@ def truth_dtb(scenario: Scenario, ref_node_id: str, session: str = "truth") -> D
             continue
         b_n = scenario.node_biases.get(node_id, 0.0) - nlos.get(node_id, 0.0)
         entries[node_id] = DtbEntry(mean=-b_n + b_ref, std=0.0, n_samples=1)
-    return DtbTable(ref_node_id, entries, session)
+    return DtbTable(ref_node_id, entries, "truth")
 
 
 def generate(scenario: Scenario) -> SyntheticSession:
     """Generate a full session: epoch-grouped observations plus the exact trajectory."""
-    pts, cumlen = _polyline(scenario.waypoints)
+    samples = _path_samples(scenario.waypoints)
+    total = samples[-1][0]
+    path = ReferenceTrajectory(samples) if len(samples) > 1 else None   # None: no length
     duration = scenario.duration
     if duration is None:
-        duration = cumlen[-1] / scenario.speed if scenario.speed > 0 else 1.0
+        duration = total / scenario.speed if scenario.speed > 0 else 1.0
     n_epochs = int(math.floor(duration * scenario.epoch_rate)) + 1
     if n_epochs < 2:
         raise InvalidScenario("scenario spans fewer than 2 epochs")
@@ -167,8 +160,8 @@ def generate(scenario: Scenario) -> SyntheticSession:
     traj_samples = []
     for k in range(n_epochs):
         t = k / scenario.epoch_rate
-        x, y = _position_at(pts, cumlen, scenario.speed * t)
-        rover = Position(x, y)
+        dist = min(max(scenario.speed * t, 0.0), total)
+        rover = path.interpolate(dist) if path else samples[0][1]
         traj_samples.append((t, rover))
         clock = scenario.rover_clock.bias_at(t)
         obs = {}

@@ -15,14 +15,13 @@ import numpy as np
 import pytest
 
 from tdoa_dtb.cli import main as cli_main
-from tdoa_dtb.differencing import TdoaObservation
 from tdoa_dtb.dtb import DtbEntry, DtbTable, rereference_dtb
 from tdoa_dtb.dtb import calibrate as calibrate_dtb
 from tdoa_dtb.ekf import EkfConfig, measurement_model, run_filter
 from tdoa_dtb.geometry import NodeCatalog, Position
 from tdoa_dtb.metrics import sigma_formal, sigma_postfits, true_error
 from tdoa_dtb.noise import NoiseModel, NoisePoint, fit_noise_model
-from tdoa_dtb.synthetic import ClockModel, Scenario, generate
+from tdoa_dtb.synthetic import ClockModel, Scenario, generate, truth_dtb
 
 from conftest import eight_node_catalog, loop_waypoints
 
@@ -79,7 +78,7 @@ def calibrated_run():
 def test_criterion_1_dtb_oracle_recovery(calibrated_run):
     session = calibrated_run["session"]
     table = calibrated_run["table"]
-    truth = session.truth_dtb("1")
+    truth = truth_dtb(session.scenario, "1")
     assert len(session.epochs) == 1000
     mean_errs = [abs(table.entries[n].mean - truth.entries[n].mean)
                  for n in table.entries]
@@ -138,7 +137,7 @@ def test_criterion_5_metric_ordering():
     for seed in range(n_runs):
         scenario = acceptance_scenario(seed=seed, duration=99.5, speed=0.8)
         session = generate(scenario)
-        track, residuals = run_filter(session.epochs, session.truth_dtb("1"),
+        track, residuals = run_filter(session.epochs, truth_dtb(scenario, "1"),
                                       session.catalog, FLAT_NOISE)
         _, rms = true_error(track, session.trajectory)
         formal = sigma_formal(track)
@@ -164,13 +163,12 @@ def test_criterion_6_jacobian_finite_differences():
         trials += 1
         catalog = NodeCatalog({"n": Position(nx, ny), "m": Position(mx, my)})
         dtb = DtbTable("m", {"n": DtbEntry(0.0, 0.0, 1)})
-        obs = TdoaObservation("n", 0.0)
 
         def h(pos):
-            return measurement_model(*pos, obs, dtb, catalog)[0]
+            return measurement_model(*pos, "n", dtb, catalog)[0]
 
         rover = np.array([rx, ry])
-        _, (hx, hy) = measurement_model(*rover, obs, dtb, catalog)
+        _, (hx, hy) = measurement_model(*rover, "n", dtb, catalog)
         fd_x = (h(rover + [step, 0]) - h(rover - [step, 0])) / (2 * step)
         fd_y = (h(rover + [0, step]) - h(rover - [0, step])) / (2 * step)
         worst = max(worst, abs(hx - fd_x), abs(hy - fd_y))
@@ -191,8 +189,8 @@ def test_criterion_7_rover_clock_immunity():
     samples_equal = (
         calibrate_dtb(clean.epochs, clean.trajectory, clean.catalog, "1")[1]
         == calibrate_dtb(clocked.epochs, clocked.trajectory, clocked.catalog, "1")[1])
-    r1, _ = run_filter(clean.epochs, clean.truth_dtb("1"), clean.catalog, FLAT_NOISE)
-    r2, _ = run_filter(clocked.epochs, clocked.truth_dtb("1"), clocked.catalog, FLAT_NOISE)
+    r1, _ = run_filter(clean.epochs, truth_dtb(clean_scn, "1"), clean.catalog, FLAT_NOISE)
+    r2, _ = run_filter(clocked.epochs, truth_dtb(clocked_scn, "1"), clocked.catalog, FLAT_NOISE)
     track_equal = all((a.x, a.y) == (b.x, b.y) for a, b in zip(r1, r2))
     report("7 rover-clock immunity", samples_equal and track_equal,
            "DTB samples and track bit-identical under sawtooth clock")

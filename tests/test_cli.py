@@ -92,6 +92,24 @@ def test_non_finite_dtb_sample_is_a_data_error(tmp_path, scenario_file, capsys):
     assert "Traceback" not in err and not out.exists()
 
 
+def test_non_finite_noise_spread_is_a_data_error(tmp_path, scenario_file, capsys):
+    """Pseudoranges near the float limit, whose noise-bin spread overflows, end
+    as exit 2 saying the spread is not finite, with no noise model file."""
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--scenario", str(scenario_file), "--out-dir", str(sim)]) == 0
+    header, *rows = (sim / "toa.csv").read_text().splitlines()
+    for i, toa in ((0, "-1.7e308"), (1, "1.7e308")):
+        t, node_id, _, rsrp = rows[i].split(",")
+        rows[i] = ",".join([t, node_id, toa, rsrp])
+    toa_file = tmp_path / "toa_probe.csv"
+    toa_file.write_text("\n".join([header, *rows]) + "\n")
+    out = tmp_path / "noise.csv"
+    assert main(["fit-noise", "--toa", str(toa_file), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "not finite" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_full_pipeline(tmp_path, scenario_file):
     sim = tmp_path / "sim"
     dtb = tmp_path / "dtb.csv"

@@ -20,9 +20,9 @@ def calibrate_synthetic(scenario, ref="1"):
     samples = []
     for epoch in session.epochs:
         rover = session.trajectory.interpolate(epoch.time)
-        for obs in form_tdoa(epoch, ref):
-            geom = sd_range(rover, session.catalog[obs.node_id], session.catalog[ref])
-            samples.append((epoch.time, obs.node_id, obs.sd_pseudorange - geom))
+        for node_id, sd, _ in form_tdoa(epoch, ref)[1]:
+            geom = sd_range(rover, session.catalog[node_id], session.catalog[ref])
+            samples.append((epoch.time, node_id, sd - geom))
     return session, samples
 
 

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from tdoa_dtb.differencing import TdoaObservation, form_tdoa
 from tdoa_dtb.dtb import DtbEntry, DtbTable
 from tdoa_dtb.ekf import (PSD_TOL, EkfConfig, EkfState, init_apriori, measurement_model,
                           predict, read_residuals_csv, read_track_csv, run_filter,
                           update, write_residuals_csv, write_track_csv)
-from tdoa_dtb.errors import NegativeDt, SingularGeometry, TooFewNodes
-from tdoa_dtb.geometry import NodeCatalog, Position, sd_range
+from tdoa_dtb.errors import NegativeDt, ReferenceMissing, SingularGeometry, TooFewNodes
+from tdoa_dtb.geometry import NodeCatalog, Position, node_sort_key, sd_range
+from tdoa_dtb.ingestion import Epoch
 from tdoa_dtb.metrics import true_error
 from tdoa_dtb.noise import NoiseModel, sigma_for
 from tdoa_dtb.synthetic import ClockModel, Scenario, generate, truth_dtb
@@ -38,7 +38,7 @@ def positioning_scenario(seed=0, noise=0.0, biases=None, **kwargs):
 
 def run_synthetic(scenario, dtb=None, cfg=None):
     session = generate(scenario)
-    dtb = dtb or session.truth_dtb("1")
+    dtb = dtb or truth_dtb(scenario, "1")
     track, residuals = run_filter(session.epochs, dtb, session.catalog, WIDE_NOISE, cfg)
     return session, track, residuals
 
@@ -171,8 +171,7 @@ def test_predict_negative_dt():
 def test_measurement_model_collinear():
     catalog = NodeCatalog({"n": Position(10, 0), "m": Position(-10, 0)})
     dtb = empty_dtb(catalog, "m")
-    obs = TdoaObservation("n", 0.0)
-    predicted, (hx, hy) = measurement_model(0.0, 0.0, obs, dtb, catalog)
+    predicted, (hx, hy) = measurement_model(0.0, 0.0, "n", dtb, catalog)
     assert predicted == 0.0
     assert hx == pytest.approx(-2.0, abs=1e-12)
     assert hy == pytest.approx(0.0, abs=1e-12)
@@ -182,14 +181,13 @@ def test_measurement_model_singular():
     catalog = NodeCatalog({"n": Position(10, 0), "m": Position(-10, 0)})
     dtb = empty_dtb(catalog, "m")
     with pytest.raises(SingularGeometry):
-        measurement_model(10.0, 0.0, TdoaObservation("n", 0.0), dtb, catalog)
+        measurement_model(10.0, 0.0, "n", dtb, catalog)
 
 
 def test_measurement_model_applies_dtb():
     catalog = NodeCatalog({"n": Position(10, 0), "m": Position(-10, 0)})
     dtb = DtbTable("m", {"n": DtbEntry(-3.0, 0.0, 1)})
-    predicted, _ = measurement_model(
-        0.0, 0.0, TdoaObservation("n", 0.0), dtb, catalog)
+    predicted, _ = measurement_model(0.0, 0.0, "n", dtb, catalog)
     assert predicted == -3.0
 
 
@@ -211,12 +209,11 @@ def test_jacobian_matches_finite_differences():
             continue
         trials += 1
         dtb = empty_dtb(catalog, "m")
-        obs = TdoaObservation("n", 0.0)
 
         def predicted_at(pos):
-            return measurement_model(*pos, obs, dtb, catalog)[0]
+            return measurement_model(*pos, "n", dtb, catalog)[0]
 
-        _, (hx, hy) = measurement_model(*rover, obs, dtb, catalog)
+        _, (hx, hy) = measurement_model(*rover, "n", dtb, catalog)
         fd_x = (predicted_at(rover + [step, 0]) - predicted_at(rover - [step, 0])) / (2 * step)
         fd_y = (predicted_at(rover + [0, step]) - predicted_at(rover - [0, step])) / (2 * step)
         worst = max(worst, abs(hx - fd_x), abs(hy - fd_y))
@@ -228,8 +225,8 @@ def test_update_all_gated_leaves_prediction():
     dtb = empty_dtb(catalog, "1")
     state = EkfState(np.array([10.0, 10.0]), np.eye(2) * 0.01)
     # absurd measurement far outside the gate
-    obs = [TdoaObservation("2", 500.0)]
-    new_state, postfits, n_rejected = update(state, obs, dtb, catalog, WIDE_NOISE, EkfConfig())
+    epoch = Epoch(0.0, {"1": (0.0, None), "2": (500.0, None)})
+    new_state, postfits, n_rejected = update(state, epoch, dtb, catalog, WIDE_NOISE, EkfConfig())
     assert len(postfits) == 0
     assert n_rejected == 1
     assert np.array_equal(new_state.position, state.position)
@@ -239,36 +236,45 @@ def test_update_all_gated_leaves_prediction():
 def test_update_reduces_covariance_trace():
     scenario = positioning_scenario()
     session = generate(scenario)
-    dtb = session.truth_dtb("1")
+    dtb = truth_dtb(scenario, "1")
     state = init_apriori(session.catalog)
     state.epoch = session.epochs[0].time
-    tdoa = form_tdoa(session.epochs[0], "1")
-    new_state, postfits, _ = update(state, tdoa, dtb, session.catalog, WIDE_NOISE, EkfConfig())
-    assert len(postfits) == len(tdoa)
+    epoch = session.epochs[0]
+    new_state, postfits, _ = update(state, epoch, dtb, session.catalog, WIDE_NOISE, EkfConfig())
+    assert len(postfits) == len(epoch.obs) - 1
     assert np.trace(new_state.covariance) < np.trace(state.covariance)
 
 
-def reference_update(state, epoch_obs, dtb, catalog, noise, cfg):
+def reference_update(state, epoch, dtb, catalog, noise, cfg):
     """The Kalman-gain form of update: n-by-n S, its inverse and the Joseph
-    covariance, kept as the oracle for the information-form update."""
+    covariance, kept as the oracle for the information-form update. It
+    differences the epoch itself and takes sigma_ref anew for every difference."""
+    ref = dtb.ref_node_id
+    if ref not in epoch.obs:
+        raise ReferenceMissing(ref)
+    ref_pseudorange, rsrp_ref = epoch.obs[ref]
     x, y = state.position
     rows = []
     rejected = 0
-    for obs in epoch_obs:
+    for node_id in sorted(epoch.obs, key=node_sort_key):
+        if node_id == ref:
+            continue
+        pseudorange, rsrp = epoch.obs[node_id]
+        sd = pseudorange - ref_pseudorange
         try:
-            predicted, h = measurement_model(x, y, obs, dtb, catalog)
+            predicted, h = measurement_model(x, y, node_id, dtb, catalog)
         except SingularGeometry:
             rejected += 1
             continue
-        r_var = (sigma_for(noise, obs.rsrp_node, cfg.default_sigma) ** 2
-                 + sigma_for(noise, obs.rsrp_ref, cfg.default_sigma) ** 2)
-        innovation = obs.sd_pseudorange - predicted
+        r_var = (sigma_for(noise, rsrp, cfg.default_sigma) ** 2
+                 + sigma_for(noise, rsrp_ref, cfg.default_sigma) ** 2)
+        innovation = sd - predicted
         hvec = np.array(h)
         s = float(hvec @ state.covariance @ hvec + r_var)
         if abs(innovation) > cfg.innovation_gate * np.sqrt(s):
             rejected += 1
             continue
-        rows.append((obs, innovation, hvec, r_var))
+        rows.append(((node_id, sd), innovation, hvec, r_var))
     if len(rows) < cfg.min_obs_per_update:
         return state, [], rejected
     h_mat = np.array([r[2] for r in rows])
@@ -282,16 +288,17 @@ def reference_update(state, epoch_obs, dtb, catalog, noise, cfg):
     new_cov = ikh @ p @ ikh.T + gain @ r_mat @ gain.T
     new_state = EkfState(position=new_pos, covariance=new_cov, epoch=state.epoch)
     x, y = new_pos.tolist()
-    postfits = [(obs.node_id, obs.sd_pseudorange - measurement_model(x, y, obs, dtb, catalog)[0])
-                for obs, _, _, _ in rows]
+    postfits = [(node_id, sd - measurement_model(x, y, node_id, dtb, catalog)[0])
+                for (node_id, sd), _, _, _ in rows]
     return new_state, postfits, rejected
 
 
 def random_epoch(rng, n_nodes, rover_at_node=False):
-    """One epoch of differences against node "1" with noise, blunders and blank rsrp.
+    """One epoch differenced against node "1" with noise, blunders and blank rsrp.
 
-    Returns (state, observations, dtb, catalog); the state sits near the true
-    rover, or exactly on node "2" when rover_at_node is set.
+    Returns (state, epoch, dtb, catalog); node "1" has pseudorange 0, so every
+    other node's pseudorange is its single difference. The state sits near the
+    true rover, or exactly on node "2" when rover_at_node is set.
     """
     ids = [str(i + 1) for i in range(n_nodes)]
     catalog = NodeCatalog({i: Position(*rng.uniform(0.0, 120.0, 2)) for i in ids})
@@ -303,15 +310,15 @@ def random_epoch(rng, n_nodes, rover_at_node=False):
     root = rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-1, 1.5)
     state = EkfState(np.array(guess), root @ root.T + 1e-3 * np.eye(2))
     rsrp_ref = None if rng.random() < 0.2 else float(rng.uniform(-105, -50))
-    obs = []
+    obs = {"1": (0.0, rsrp_ref)}
     for node_id in ids[1:]:
         sd = (sd_range(rover, catalog[node_id], catalog["1"]) + dtb.mean(node_id)
               + rng.normal(0.0, 1.0))
         if rng.random() < 0.1:
             sd += rng.uniform(200.0, 500.0)   # blunder well outside the gate
         rsrp = None if rng.random() < 0.1 else float(rng.uniform(-105, -50))
-        obs.append(TdoaObservation(node_id, sd, rsrp, rsrp_ref))
-    return state, obs, dtb, catalog
+        obs[node_id] = (sd, rsrp)
+    return state, Epoch(0.0, obs), dtb, catalog
 
 
 def assert_updates_agree(got, want):
@@ -333,20 +340,21 @@ def test_update_matches_kalman_gain_reference(n_nodes):
     cfg = EkfConfig()
     n_rejected = n_singular = n_blank = 0
     for trial in range(40):
-        state, obs, dtb, catalog = random_epoch(rng, n_nodes, rover_at_node=trial % 10 == 1)
+        state, epoch, dtb, catalog = random_epoch(rng, n_nodes, rover_at_node=trial % 10 == 1)
         if trial == 0:
             state = EkfState(state.position, np.diag([1e-12, 1.0]))
-        got = update(state, obs, dtb, catalog, WIDE_NOISE, cfg)
-        assert_updates_agree(got, reference_update(state, obs, dtb, catalog, WIDE_NOISE, cfg))
+        got = update(state, epoch, dtb, catalog, WIDE_NOISE, cfg)
+        assert_updates_agree(got, reference_update(state, epoch, dtb, catalog, WIDE_NOISE, cfg))
         n_rejected += got[2]
         n_singular += trial % 10 == 1
-        n_blank += sum(o.rsrp_node is None for o in obs)
+        n_blank += sum(rsrp is None for node_id, (_, rsrp) in epoch.obs.items() if node_id != "1")
     assert n_rejected > n_singular > 0 and n_blank > 0
 
 
 def test_run_filter_matches_kalman_gain_reference(monkeypatch):
-    session = generate(positioning_scenario(noise=1.0, seed=7, duration=60.0))
-    dtb = session.truth_dtb("1")
+    scenario = positioning_scenario(noise=1.0, seed=7, duration=60.0)
+    session = generate(scenario)
+    dtb = truth_dtb(scenario, "1")
     track, residuals = run_filter(session.epochs, dtb, session.catalog, WIDE_NOISE)
     monkeypatch.setattr("tdoa_dtb.ekf.update", reference_update)
     ref_track, ref_residuals = run_filter(session.epochs, dtb, session.catalog, WIDE_NOISE)
@@ -370,7 +378,7 @@ def test_zero_noise_convergence():
     scenario = positioning_scenario(noise=0.0, biases={"2": 5.0, "5": -4.0},
                                     speed=0.1, duration=25.0)
     session = generate(scenario)
-    track, _ = run_filter(session.epochs, session.truth_dtb("1"),
+    track, _ = run_filter(session.epochs, truth_dtb(scenario, "1"),
                           session.catalog, tight)
     for p in track[20:40]:
         ref = session.trajectory.interpolate(p.time)
@@ -443,7 +451,7 @@ def test_run_filter_empty():
 def test_run_filter_single_epoch():
     scenario = positioning_scenario()
     session = generate(scenario)
-    track, _ = run_filter(session.epochs[:1], session.truth_dtb("1"),
+    track, _ = run_filter(session.epochs[:1], truth_dtb(scenario, "1"),
                           session.catalog, WIDE_NOISE)
     assert len(track) == 1
     assert track[0].n_obs == 7
@@ -453,11 +461,10 @@ def test_run_filter_skips_reference_missing_epochs():
     scenario = positioning_scenario()
     session = generate(scenario)
     epochs = list(session.epochs)
-    from tdoa_dtb.ingestion import Epoch
     # strip the reference node from one epoch
     e = epochs[5]
     epochs[5] = Epoch(e.time, {n: o for n, o in e.obs.items() if n != "1"})
-    track, residuals = run_filter(epochs, session.truth_dtb("1"), session.catalog, WIDE_NOISE)
+    track, residuals = run_filter(epochs, truth_dtb(scenario, "1"), session.catalog, WIDE_NOISE)
     assert track[5].n_obs == 0
     assert [r for r in residuals if r[0] == track[5].time] == []
 

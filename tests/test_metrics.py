@@ -70,7 +70,7 @@ def test_sigma_formal_empty():
 
 
 def test_sigma_postfits_hand_computed():
-    assert sigma_postfits([1.0, -1.0, 1.0, -1.0], n_param=2) == pytest.approx(
+    assert sigma_postfits([1.0, -1.0, 1.0, -1.0]) == pytest.approx(
         math.sqrt(2.0), abs=1e-12)
 
 
@@ -80,7 +80,7 @@ def test_sigma_postfits_zero_residuals():
 
 def test_sigma_postfits_dof_guard():
     with pytest.raises(InsufficientResiduals):
-        sigma_postfits([1.0, 2.0], n_param=2)
+        sigma_postfits([1.0, 2.0])
 
 
 def test_sigma_postfits_scale_covariant():
@@ -93,8 +93,7 @@ def test_sigma_postfits_scale_covariant():
 
 def test_session_metrics_json_keys():
     track = [track_point(float(t), float(t), 1.0, 0.25, 0.24) for t in range(5)]
-    m = session_metrics(track, straight_traj(), [1.0, -1.0, 1.0, -1.0])
-    d = m.to_json_dict()
+    d = session_metrics(track, straight_traj(), [1.0, -1.0, 1.0, -1.0])
     assert set(d) == {"true_error_mean_m", "true_error_rms_m", "sigma_formal_m",
                       "sigma_postfits_m", "n_epochs"}
     assert d["n_epochs"] == 5

@@ -99,6 +99,66 @@ def test_noise_stream_independent_of_generation_order(basic_scenario):
         assert list(e_full.obs.items()) == list(e_short.obs.items())
 
 
+def _polyline(waypoints):
+    """Oracle: the waypoints and their cumulative path length, in numpy."""
+    pts = np.asarray(waypoints, dtype=float)
+    if pts.shape[0] == 1:
+        return pts, np.array([0.0])
+    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    return pts, np.concatenate([[0.0], np.cumsum(seg)])
+
+
+def _position_at(pts, cumlen, dist):
+    """Oracle: the point dist along the polyline, clamped to its ends."""
+    total = cumlen[-1]
+    if total == 0.0 or dist <= 0.0:
+        return float(pts[0, 0]), float(pts[0, 1])
+    if dist >= total:
+        return float(pts[-1, 0]), float(pts[-1, 1])
+    i = int(np.searchsorted(cumlen, dist, side="right")) - 1
+    w = (dist - cumlen[i]) / (cumlen[i + 1] - cumlen[i])
+    p = (1.0 - w) * pts[i] + w * pts[i + 1]
+    return float(p[0]), float(p[1])
+
+
+def _oracle_cases():
+    """(waypoints, speed, duration): seeded lists where each waypoint repeats
+    the previous one with probability 0.3, half of them run past the end of
+    the path, plus the degenerate paths."""
+    rng = np.random.default_rng(17)
+    for _ in range(150):
+        waypoints = [tuple(float(v) for v in rng.uniform(-50.0, 50.0, 2))]
+        for _ in range(int(rng.integers(0, 7))):
+            waypoints.append(waypoints[-1] if rng.random() < 0.3
+                             else tuple(float(v) for v in rng.uniform(-50.0, 50.0, 2)))
+        speed = float(rng.uniform(0.5, 20.0))
+        length = _polyline(waypoints)[1][-1]
+        duration = None
+        if length == 0.0 or rng.random() < 0.5:
+            duration = float(rng.uniform(1.0, 2.0)) * (length / speed) + 1.0   # past the end
+        yield waypoints, speed, duration
+    yield [(3.0, -4.0)], 1.0, 5.0                                   # a single waypoint
+    yield [(1.5, 2.5)] * 4, 2.0, 5.0                                # identical waypoints
+    yield [(0.0, 0.0), (10.0, 0.0), (10.0, 10.0)], 0.0, 5.0        # standing still
+    yield [(0.0, 0.0), (0.0, 0.0), (3.0, 4.0), (3.0, 4.0), (3.0, 4.0), (6.0, 0.0)], 1.0, 20.0
+
+
+def test_rover_path_matches_numpy_polyline():
+    """The simulated rover path, trajectory and epoch count agree exactly with
+    the numpy piecewise-linear interpolation it replaced."""
+    catalog = square_catalog()
+    for waypoints, speed, duration in _oracle_cases():
+        scenario = Scenario(catalog=catalog, waypoints=waypoints, speed=speed,
+                            epoch_rate=2.0, duration=duration)
+        pts, cumlen = _polyline(waypoints)
+        if duration is None:
+            duration = cumlen[-1] / speed
+        session = generate(scenario)
+        assert len(session.epochs) == int(math.floor(duration * 2.0)) + 1
+        for t, pos in session.trajectory.samples():
+            assert (pos.x, pos.y) == _position_at(pts, cumlen, speed * t)
+
+
 def test_end_to_end_calibration_recovery():
     """Calibration on noisy generated data recovers the truth DTB means."""
     catalog = square_catalog()
@@ -111,7 +171,7 @@ def test_end_to_end_calibration_recovery():
     session = generate(scenario)
     assert len(session.epochs) >= 500
     table, _ = calibrate(session.epochs, session.trajectory, catalog, "1")
-    truth = session.truth_dtb("1")
+    truth = truth_dtb(scenario, "1")
     bound = 4.0 * math.sqrt(2.0) / math.sqrt(500)
     for node_id, entry in table.entries.items():
         assert abs(entry.mean - truth.entries[node_id].mean) < bound

@@ -13,6 +13,7 @@ stderr; data only ever goes to files. Every successful run writes a
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -72,10 +73,7 @@ def _positive_int(text: str) -> int:
 
 def _write_manifest(args: argparse.Namespace) -> None:
     """Describe a successful run in run_manifest.json beside its output."""
-    if args.subcommand == "simulate":
-        out_dir = os.path.abspath(args.out_dir)
-    else:
-        out_dir = os.path.dirname(os.path.abspath(args.out))
+    out_dir = args.out_dir if args.subcommand == "simulate" else os.path.dirname(args.out)
     params = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     manifest = {
         "subcommand": args.subcommand,
@@ -84,8 +82,7 @@ def _write_manifest(args: argparse.Namespace) -> None:
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     with open(os.path.join(out_dir, "run_manifest.json"), "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _add_session_flags(p: argparse.ArgumentParser) -> None:
@@ -181,6 +178,7 @@ def _cmd_rereference(args) -> None:
     write_dtb(table, args.out)
 
 
+@functools.cache   # one parser per process, shared by every main call: parsing leaves it as built
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tdoa-dtb",
                      description="DTB calibration and TDoA Kalman positioning")

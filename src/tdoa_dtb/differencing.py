@@ -19,9 +19,10 @@ def form_tdoa(epoch: Epoch, ref_node_id: str
     """Difference every non-reference observation against the reference node.
 
     Returns the reference's rsrp, shared by every difference of the epoch, and
-    the (node_id, sd_pseudorange_m, rsrp) rows in node_sort_key order. Raises
-    ReferenceMissing when the epoch has no observation for the reference;
-    callers decide whether to drop the epoch or re-reference.
+    the (node_id, sd_pseudorange_m, rsrp) rows in the epoch's obs order, which
+    is node_sort_key order. Raises ReferenceMissing when the epoch has no
+    observation for the reference; callers decide whether to drop the epoch
+    or re-reference.
     """
     obs = epoch.obs
     if ref_node_id not in obs:
@@ -29,12 +30,8 @@ def form_tdoa(epoch: Epoch, ref_node_id: str
             f"epoch t={epoch.time} has no observation for reference node {ref_node_id!r}"
         )
     ref_pseudorange, ref_rsrp = obs[ref_node_id]
-    out = []
-    for node_id in sorted(obs, key=node_sort_key):
-        if node_id != ref_node_id:
-            pseudorange, rsrp = obs[node_id]
-            out.append((node_id, pseudorange - ref_pseudorange, rsrp))
-    return ref_rsrp, out
+    return ref_rsrp, [(node_id, pseudorange - ref_pseudorange, rsrp)
+                      for node_id, (pseudorange, rsrp) in obs.items() if node_id != ref_node_id]
 
 
 def select_reference(epochs: list[Epoch]) -> str:

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 from .differencing import form_tdoa
 from .errors import ParseError, ReferenceMissing, TdoaDtbError, UnknownNode
-from .geometry import NodeCatalog, node_sort_key, sd_range
+from .geometry import NodeCatalog, node_sort_key, range_between
 from .ingestion import Epoch, ReferenceTrajectory
-from .table import read_csv, write_csv
+from .table import read_csv, row_error, write_csv
 
 
 @dataclass(frozen=True)
@@ -141,9 +141,10 @@ def calibrate(epochs: list[Epoch], traj: ReferenceTrajectory, catalog: NodeCatal
             _, diffs = form_tdoa(epoch, ref)
         except ReferenceMissing:
             continue
-        rover, ref_pos = traj.interpolate(epoch.time), catalog[ref]
+        rover = traj.interpolate(epoch.time)
+        ref_range = range_between(rover, catalog[ref])
         for node_id, sd, _ in diffs:
-            value = sd - sd_range(rover, catalog[node_id], ref_pos)
+            value = sd - (range_between(rover, catalog[node_id]) - ref_range)
             if not math.isfinite(value):
                 raise TdoaDtbError(f"non-finite DTB sample {value} of node {node_id!r} "
                                    f"at t={epoch.time}")
@@ -167,18 +168,18 @@ def write_dtb(table: DtbTable, path) -> None:
 
 
 def read_dtb(path) -> DtbTable:
-    rows = read_csv(path, DTB_COLUMNS)
+    rows = list(zip(*read_csv(path, DTB_COLUMNS)))
     if not rows:
         raise ParseError(path, 1, "empty DTB file")
-    session, ref = rows[0][1][:2]
+    session, ref = rows[0][:2]
     entries: dict[str, DtbEntry] = {}
-    for line, (row_session, row_ref, node_id, mean, std, n_samples) in rows:
+    for index, (row_session, row_ref, node_id, mean, std, n_samples) in enumerate(rows):
         if (row_session, row_ref) != (session, ref):
-            raise ParseError(path, line, "mixed reference node or session in one file")
+            raise row_error(path, index, "mixed reference node or session in one file")
         if node_id in entries or node_id == ref:
-            raise ParseError(path, line, f"duplicate or reference node row {node_id!r}")
+            raise row_error(path, index, f"duplicate or reference node row {node_id!r}")
         try:
             entries[node_id] = DtbEntry(mean, std, n_samples)
         except ValueError as exc:
-            raise ParseError(path, line, f"bad DTB row: {exc}") from None
+            raise row_error(path, index, f"bad DTB row: {exc}") from None
     return DtbTable(ref, entries, session)

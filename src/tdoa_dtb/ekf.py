@@ -259,7 +259,7 @@ def write_track_csv(track: list[TrackPoint], path) -> None:
 
 
 def read_track_csv(path) -> list[TrackPoint]:
-    return [TrackPoint(*values) for _, values in read_csv(path, TRACK_COLUMNS)]
+    return list(map(TrackPoint, *read_csv(path, TRACK_COLUMNS)))
 
 
 def write_residuals_csv(residuals: list[tuple[float, str, float]], path) -> None:
@@ -267,4 +267,4 @@ def write_residuals_csv(residuals: list[tuple[float, str, float]], path) -> None
 
 
 def read_residuals_csv(path) -> list[tuple[float, str, float]]:
-    return [values for _, values in read_csv(path, RESIDUAL_COLUMNS)]
+    return list(zip(*read_csv(path, RESIDUAL_COLUMNS)))

@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ParseError, TooFewNodes, UnknownNode
-from .table import read_csv, write_csv
+from .errors import TooFewNodes, UnknownNode
+from .table import read_csv, row_error, write_csv
 
 
 @dataclass(frozen=True)
@@ -75,13 +75,13 @@ class NodeCatalog:
         """Load a catalog from a CSV with header node_id,x,y[,z]."""
         positions: dict[str, Position] = {}
         owners: dict[Position, str] = {}
-        for line, (node_id, x, y, z) in read_csv(
-                path, {"node_id": str, "x": float, "y": float}, {"z": float}):
+        columns = read_csv(path, {"node_id": str, "x": float, "y": float}, {"z": float})
+        for index, (node_id, x, y, z) in enumerate(zip(*columns)):
             pos = Position(x, y, 0.0 if z is None else z)
             if node_id in positions:
-                raise ParseError(path, line, f"duplicate node id {node_id!r}")
+                raise row_error(path, index, f"duplicate node id {node_id!r}")
             if pos in owners:
-                raise ParseError(path, line, f"node {node_id!r} shares the position "
+                raise row_error(path, index, f"node {node_id!r} shares the position "
                                              f"of node {owners[pos]!r}")
             positions[node_id] = pos
             owners[pos] = node_id

@@ -2,6 +2,8 @@
 
 ToA files carry ``time,node_id,toa[,rsrp]``: toa in meters (or seconds under
 the seconds unit mode), rsrp in dBm. Trajectories carry ``time,x,y[,z]``.
+A ToA file is read once, as columns, and its epochs are built straight from
+them: one sort of the rows, with node_sort_key taken once per distinct node.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from .errors import (EmptySession, OutOfRange, ParseError, TdoaDtbError, UnitError,
                      UnknownNode)
 from .geometry import NodeCatalog, Position, node_sort_key
-from .table import read_csv, write_csv
+from .table import read_csv, row_error, write_csv
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
@@ -30,7 +32,7 @@ class Epoch:
     """All observations sharing one measurement timestamp.
 
     obs maps node_id to (pseudorange in meters, rsrp in dBm or None), in
-    (time, node_sort_key) row order.
+    node_sort_key order; form_tdoa relies on that order.
     """
 
     time: float
@@ -82,64 +84,54 @@ class ReferenceTrajectory:
 
 
 def load_trajectory(path) -> ReferenceTrajectory:
-    rows = read_csv(path, {"time": float, "x": float, "y": float}, {"z": float})
-    if len(rows) < 2:
+    times, xs, ys, zs = read_csv(path, {"time": float, "x": float, "y": float}, {"z": float})
+    if len(times) < 2:
         raise ParseError(path, 1, "trajectory needs at least 2 samples")
-    for (_, (t0, *_)), (line, (t1, *_)) in zip(rows, rows[1:]):
-        if t1 <= t0:
-            raise ParseError(path, line, "trajectory times must be strictly increasing")
+    for index in range(1, len(times)):
+        if times[index] <= times[index - 1]:
+            raise row_error(path, index, "trajectory times must be strictly increasing")
     return ReferenceTrajectory([(t, Position(x, y, 0.0 if z is None else z))
-                                for _, (t, x, y, z) in rows])
-
-
-def load_toa_rows(path, unit_mode: str = "meters"
-                  ) -> list[tuple[float, str, float, float | None]]:
-    """Parse a ToA file into (time, node_id, pseudorange_m, rsrp) rows,
-    converting seconds to meters if asked."""
-    if unit_mode not in ("meters", "seconds"):
-        raise ValueError(f"unit_mode must be 'meters' or 'seconds', got {unit_mode!r}")
-    rows = read_csv(path, TOA_COLUMNS, {"rsrp": float})
-    if unit_mode == "meters":
-        return [values for _, values in rows]
-    for line, (_, _, toa, _) in rows:
-        if abs(toa) * SPEED_OF_LIGHT > MAX_PLAUSIBLE_RANGE_M:
-            raise UnitError(
-                f"{path}:{line}: converted pseudorange {toa * SPEED_OF_LIGHT:.3e} m "
-                f"exceeds plausible light-travel bounds; raw values are likely meters"
-            )
-    return [(t, node_id, toa * SPEED_OF_LIGHT, rsrp) for _, (t, node_id, toa, rsrp) in rows]
-
-
-def group_epochs(rows, epoch_tol: float = DEFAULT_EPOCH_TOL) -> list[Epoch]:
-    """Partition (time, node_id, pseudorange, rsrp) rows into epochs of equal
-    timestamp within a tolerance.
-
-    Each row lands in exactly one epoch; a row opens a new epoch when its time
-    differs from the current epoch's first row by more than the tolerance. A
-    node seen twice in one epoch is a ValueError.
-    """
-    epochs: list[Epoch] = []
-    obs: dict = {}
-    for t, node_id, pseudorange, rsrp in sorted(rows, key=lambda r: (r[0], node_sort_key(r[1]))):
-        if not epochs or t - epochs[-1].time > epoch_tol:
-            obs = {}
-            epochs.append(Epoch(t, obs))
-        elif node_id in obs:
-            raise ValueError(f"duplicate node {node_id!r} in epoch at t={epochs[-1].time}")
-        obs[node_id] = (pseudorange, rsrp)
-    return epochs
+                                for t, x, y, z in zip(times, xs, ys, zs)])
 
 
 def load_toa_epochs(path, unit_mode: str = "meters",
                     epoch_tol: float = DEFAULT_EPOCH_TOL) -> list[Epoch]:
-    """Load and epoch-group a ToA file without requiring a catalog."""
-    rows = load_toa_rows(path, unit_mode)
-    try:
-        epochs = group_epochs(rows, epoch_tol)
-    except ValueError as exc:
-        raise TdoaDtbError(f"{path}: {exc}") from None
-    if not epochs:
+    """Load a ToA file as epochs, converting seconds to meters if asked.
+
+    The rows are sorted by (time, node_sort_key); a row opens a new epoch when
+    its time differs from the current epoch's first row by more than the
+    tolerance, so each row lands in exactly one epoch. Each epoch's obs is in
+    node_sort_key order. A node seen twice in one epoch is a data error.
+    """
+    if unit_mode not in ("meters", "seconds"):
+        raise ValueError(f"unit_mode must be 'meters' or 'seconds', got {unit_mode!r}")
+    times, node_ids, toas, rsrps = read_csv(path, TOA_COLUMNS, {"rsrp": float})
+    if unit_mode == "seconds":
+        toas = [toa * SPEED_OF_LIGHT for toa in toas]
+        for index, pseudorange in enumerate(toas):
+            if abs(pseudorange) > MAX_PLAUSIBLE_RANGE_M:
+                raise UnitError(str(row_error(path, index, f"converted pseudorange "
+                                f"{pseudorange:.3e} m exceeds plausible light-travel bounds; "
+                                f"raw values are likely meters")))
+    if not times:
         raise EmptySession(f"{path}: no observations")
+    # one sort of the rows by (time, node rank, row index), node_sort_key once per node
+    rank = {n: r for r, n in enumerate(sorted(dict.fromkeys(node_ids), key=node_sort_key))}
+    times, _, _, node_ids, values = zip(*sorted(zip(
+        times, map(rank.__getitem__, node_ids), range(len(times)), node_ids, zip(toas, rsrps))))
+    epochs, start = [], 0
+    for end in range(1, len(times) + 1):
+        if end < len(times) and not times[end] - times[start] > epoch_tol:
+            continue
+        members = node_ids[start:end]
+        obs = dict(zip(members, values[start:end]))
+        if len(obs) < len(members):
+            node_id = next(n for i, n in enumerate(members) if n in members[:i])
+            raise TdoaDtbError(f"{path}: duplicate node {node_id!r} in epoch at t={times[start]}")
+        if times[start] != times[end - 1]:   # rows within the tolerance came in time order
+            obs = {node_id: obs[node_id] for node_id in sorted(obs, key=rank.__getitem__)}
+        epochs.append(Epoch(times[start], obs))
+        start = end
     return epochs
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import FitError, NoRsrp, ParseError, WindowTooSmall
 from .ingestion import Epoch
-from .table import read_csv, write_csv
+from .table import read_csv, row_error, write_csv
 
 DEFAULT_WINDOW_S = 2.0
 DEFAULT_BIN_DB = 2.0
@@ -175,14 +175,13 @@ def write_noise_model(model: NoiseModel, path) -> None:
 
 
 def read_noise_model(path) -> NoiseModel:
-    rows = read_csv(path, NOISE_COLUMNS)
+    rows = list(zip(*read_csv(path, NOISE_COLUMNS)))
     if len(rows) != 1:
         raise ParseError(path, 2, f"expected exactly one model row, got {len(rows)}")
-    line, values = rows[0]
     try:
-        return NoiseModel(*values)
+        return NoiseModel(*rows[0])
     except ValueError as exc:
-        raise ParseError(path, line, f"bad noise model: {exc}") from None
+        raise row_error(path, 0, f"bad noise model: {exc}") from None
 
 
 def write_noise_points(points: list[NoisePoint], path) -> None:

@@ -2,35 +2,30 @@
 
 Each format is a header row naming its columns, then one row per record; the
 rules all formats share are stated once in the README's "File formats".
+A table is read as columns, each converted in one pass; only a column that
+fails sends the reader back over the rows, in file order, for the first bad
+row and that row's first bad column.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 
 from .errors import ParseError
 
 
-def _float(cell: str) -> float:
-    value = float(cell)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite number {cell!r}")
-    return value
+def read_csv(path, required: dict, optional: dict | None = None) -> list[list]:
+    """Columns of a CSV table, required then optional, one value per row.
 
-
-_CONVERT = {float: _float, int: int, str: str.strip}
-
-
-def read_csv(path, required: dict, optional: dict | None = None
-             ) -> list[tuple[int, tuple]]:
-    """Rows of a CSV table as (line, values) pairs, lines counted from 1.
-
-    required and optional map column names to float, int or str; values come
-    in that order. Text is stripped, floats must be finite, and a blank or
-    absent optional cell is None. Any failure is a ParseError at its line.
+    required and optional map column names to float, int or str. Text is
+    stripped, floats must be finite, and a blank or absent optional cell is
+    None. Any failure is a ParseError at its line; row_error places a
+    caller's own failure of a row at that row's line.
     """
     optional = optional or {}
+    rows, failure, header = [], None, []
     with open(path, newline="") as f:
         reader = csv.reader(f)
         try:
@@ -40,39 +35,57 @@ def read_csv(path, required: dict, optional: dict | None = None
                 wanted = ",".join(required) + "".join(f"[,{n}]" for n in optional)
                 raise ParseError(path, 1, f"expected header {wanted}; "
                                           f"missing {','.join(missing)}")
-            # an absent optional column reads as the blank cell past the header
-            columns = [(name, header.index(name) if name in header else len(header),
-                        _CONVERT[kind], name in optional) for name, kind in
-                       [*required.items(), *optional.items()]]
-            width = max(index for _, index, _, _ in columns) + 1
-            rows = []
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) < width:
-                    row += [""] * (width - len(row))
-                try:
-                    values = tuple([None if blank_ok and row[i] == "" else convert(row[i])
-                                    for _, i, convert, blank_ok in columns])
-                except ValueError:
-                    raise _cell_error(path, reader.line_num, row, columns) from None
-                rows.append((reader.line_num, values))
+            rows.extend(filter(None, reader))   # keeps the rows before a malformed line
         except csv.Error as exc:
-            raise ParseError(path, reader.line_num, f"malformed CSV: {exc}") from None
+            failure = ParseError(path, reader.line_num, f"malformed CSV: {exc}")
         except UnicodeDecodeError as exc:
-            raise ParseError(path, reader.line_num + 1, f"not a text file: {exc}") from None
-    return rows
+            failure = ParseError(path, reader.line_num + 1, f"not a text file: {exc}")
+    # past a short row's end, and past the header for an absent column, cells read blank
+    cells = list(itertools.zip_longest(*rows, fillvalue=""))
+    cells += [("",) * len(rows)] * (len(header) + 1 - len(cells))
+    columns = [(name, header.index(name) if name in header else len(header), kind,
+                name in optional) for name, kind in [*required.items(), *optional.items()]]
+    try:
+        values = [_column(cells[index], kind, blank_ok) for _, index, kind, blank_ok in columns]
+    except ValueError:
+        raise _first_bad_cell(path, cells, columns) from None
+    if failure:   # a malformed line after the rows read, or in the header
+        raise failure
+    return values
 
 
-def _cell_error(path, line: int, row: list[str], columns) -> ParseError:
-    """ParseError naming the first cell of a row that does not convert."""
-    for name, index, convert, blank_ok in columns:
-        try:
-            if not (blank_ok and row[index] == ""):
-                convert(row[index])
-        except ValueError as exc:
-            return ParseError(path, line, f"bad {name}: {exc}")
-    return ParseError(path, line, "bad row")
+def _column(cells, kind, blank_ok: bool) -> list:
+    """One column converted in one pass; ValueError if any cell fails."""
+    if blank_ok and "" in cells:
+        converted = iter(_column(filter(None, cells), kind, False))
+        return [next(converted) if cell else None for cell in cells]
+    values = list(map(str.strip if kind is str else kind, cells))
+    if kind is float and not all(map(math.isfinite, values)):
+        raise ValueError("non-finite number")
+    return values
+
+
+def _first_bad_cell(path, cells, columns) -> ParseError:
+    """ParseError at the first row, in file order, with a cell that does not
+    convert, naming that row's first such column."""
+    for index in range(len(cells[0])):
+        for name, column, kind, blank_ok in columns:
+            cell = cells[column][index]
+            try:
+                value = None if blank_ok and cell == "" else kind(cell)
+                if kind is float and not math.isfinite(value or 0.0):
+                    raise ValueError(f"non-finite number {cell!r}")
+            except ValueError as exc:
+                return row_error(path, index, f"bad {name}: {exc}")
+
+
+def row_error(path, index: int, message: str) -> ParseError:
+    """ParseError at the line on which row index (from 0, past the header and
+    blank lines) of a CSV table ends."""
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        next(itertools.islice(filter(None, reader), index + 1, None))
+        return ParseError(path, reader.line_num, message)
 
 
 def write_csv(path, header: list[str], rows) -> None:

@@ -1,5 +1,8 @@
+import csv
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -217,6 +220,40 @@ def test_epoch_tol_zero_is_accepted(tmp_path, scenario_file):
     assert main(["fit-noise", "--toa", str(sim / "toa.csv"), "--epoch-tol", "0",
                  "--out", str(tmp_path / "noise.csv")]) == 0
 
+
+
+def test_row_order_within_an_epoch_does_not_change_outputs(tmp_path, scenario_file):
+    """Rows of one epoch written out of node order, their times spread within
+    the tolerance after the epoch's first row, give byte for byte the outputs
+    of the same rows all stamped with the epoch's time."""
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--scenario", str(scenario_file), "--out-dir", str(sim)]) == 0
+    with open(sim / "toa.csv", newline="") as f:
+        header, *rows = csv.reader(f)
+    rng, jittered = random.Random(1), []
+    for _, epoch in itertools.groupby(rows, key=lambda row: row[0]):
+        epoch = list(epoch)
+        rng.shuffle(epoch)
+        jittered += [[repr(float(t) + (i and rng.uniform(1e-5, 9e-4))), *cells]
+                     for i, (t, *cells) in enumerate(epoch)]
+    with open(tmp_path / "jittered.csv", "w", newline="") as f:
+        csv.writer(f).writerows([header, *jittered])
+    outputs = []
+    for toa in (sim / "toa.csv", tmp_path / "jittered.csv"):
+        d = tmp_path / toa.stem
+        d.mkdir()
+        assert main(["fit-noise", "--toa", str(toa), "--out", str(d / "noise.csv"),
+                     "--points", str(d / "points.csv")]) == 0
+        assert main(["calibrate", "--toa", str(toa), "--nodes", str(sim / "nodes.csv"),
+                     "--traj", str(sim / "trajectory.csv"), "--out", str(d / "dtb.csv"),
+                     "--samples", str(d / "samples.csv")]) == 0
+        assert main(["position", "--toa", str(toa), "--nodes", str(sim / "nodes.csv"),
+                     "--dtb", str(d / "dtb.csv"), "--noise", str(d / "noise.csv"),
+                     "--out", str(d / "track.csv"), "--residuals", str(d / "residuals.csv")]) == 0
+        outputs.append([(d / name).read_bytes() for name in
+                        ("noise.csv", "points.csv", "dtb.csv", "samples.csv", "track.csv",
+                         "residuals.csv")])
+    assert outputs[0] == outputs[1]
 
 EIGHT_NODE_YAML = """
 seed: 5

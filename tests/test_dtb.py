@@ -8,9 +8,10 @@ from tdoa_dtb.dtb import (DtbEntry, DtbTable, aggregate_dtb, calibrate, read_dtb
 from tdoa_dtb.errors import ParseError, ReferenceMissing, UnknownNode
 from tdoa_dtb.geometry import NodeCatalog, Position, sd_range
 from tdoa_dtb.ingestion import Epoch, ReferenceTrajectory
+from tdoa_dtb.noise import NoiseModel
 from tdoa_dtb.synthetic import ClockModel, Scenario, generate
 
-from conftest import square_catalog
+from conftest import eight_node_catalog, loop_waypoints, square_catalog
 
 
 def calibrate_synthetic(scenario, ref="1"):
@@ -27,12 +28,24 @@ def calibrate_synthetic(scenario, ref="1"):
 
 
 def test_calibrate_matches_straight_line_loop(basic_scenario):
+    """calibrate takes the rover-to-reference range once per epoch; its samples
+    still equal, bit for bit, sd_range taken per difference, on the square and
+    on eight nodes under a sawtooth clock against reference "6"."""
     basic_scenario.noise = 0.8
-    session, samples = calibrate_synthetic(basic_scenario, ref="1")
-    table, got = calibrate(session.epochs, session.trajectory, session.catalog, "1",
-                           trim_sigma=2.0, session="S")
-    assert got == samples
-    assert table == aggregate_dtb(samples, "1", session="S", trim_sigma=2.0)
+    eight_nodes = Scenario(
+        catalog=eight_node_catalog(),
+        node_biases={str(i): 3.5 * i - 14.0 for i in range(1, 9)},
+        rover_clock=ClockModel(kind="sawtooth", drift_rate=10.0, reset_period=5.0,
+                               reset_magnitude=50.0),
+        waypoints=loop_waypoints(), speed=1.0, epoch_rate=10.0,
+        noise=NoiseModel(60.0, -110.0), seed=23)
+    for scenario, ref in ((basic_scenario, "1"), (eight_nodes, "6")):
+        session, samples = calibrate_synthetic(scenario, ref=ref)
+        table, got = calibrate(session.epochs, session.trajectory, session.catalog, ref,
+                               trim_sigma=2.0, session="S")
+        assert len(got) == (len(session.catalog.ids()) - 1) * len(session.epochs)
+        assert got == samples
+        assert table == aggregate_dtb(samples, ref, session="S", trim_sigma=2.0)
 
 
 def test_calibrate_drops_epochs_outside_trajectory(basic_scenario):

@@ -1,17 +1,27 @@
+import random
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from tdoa_dtb.errors import OutOfRange, ParseError, UnitError, UnknownNode
-from tdoa_dtb.geometry import Position, node_sort_key
-from tdoa_dtb.ingestion import (SPEED_OF_LIGHT, ReferenceTrajectory, group_epochs,
-                                load_session, load_toa_rows, write_toa_csv,
-                                write_trajectory_csv, load_trajectory)
+from tdoa_dtb.differencing import form_tdoa
+from tdoa_dtb.errors import (EmptySession, OutOfRange, ParseError, TdoaDtbError, UnitError,
+                             UnknownNode)
+from tdoa_dtb.geometry import NodeCatalog, Position, node_sort_key
+from tdoa_dtb.ingestion import (SPEED_OF_LIGHT, ReferenceTrajectory, load_session,
+                                load_toa_epochs, write_toa_csv, write_trajectory_csv,
+                                load_trajectory)
+from tdoa_dtb.synthetic import Scenario, generate
+from tdoa_dtb.table import write_csv
 
 
 def _write(path, text):
     path.write_text(text)
+    return path
+
+
+def _toa_rows_file(path, rows):
+    write_csv(path, ["time", "node_id", "toa", "rsrp"], rows)
     return path
 
 
@@ -41,8 +51,8 @@ def test_grouping_same_timestamp(tmp_path):
 
 def test_seconds_unit_conversion(tmp_path):
     toa = _write(tmp_path / "toa.csv", "time,node_id,toa,rsrp\n0.0,1,2.0e-7,\n")
-    rows = load_toa_rows(toa, unit_mode="seconds")
-    (_, _, pseudorange, _), = rows
+    (epoch,) = load_toa_epochs(toa, unit_mode="seconds")
+    (pseudorange, _), = epoch.obs.values()
     assert pseudorange == pytest.approx(2.0e-7 * SPEED_OF_LIGHT, abs=1e-9)
     assert pseudorange == pytest.approx(59.9584916, abs=1e-6)
 
@@ -51,7 +61,7 @@ def test_seconds_unit_implausible(tmp_path):
     # values already in meters declared as seconds blow past light-travel bounds
     toa = _write(tmp_path / "toa.csv", "time,node_id,toa,rsrp\n0.0,1,65.0,\n")
     with pytest.raises(UnitError):
-        load_toa_rows(toa, unit_mode="seconds")
+        load_toa_epochs(toa, unit_mode="seconds")
 
 
 def test_unknown_node(tmp_path):
@@ -69,9 +79,10 @@ def test_parse_error_carries_line(tmp_path):
     assert exc.value.line == 3
 
 
-def test_grouping_is_a_partition():
-    """On random rows and tolerances, group_epochs either names a duplicate node
-    or puts every row in the one epoch whose [time, time + tol] holds it."""
+def test_grouping_is_a_partition(tmp_path):
+    """On random rows and tolerances, load_toa_epochs either names a duplicate
+    node or puts every row in the one epoch whose [time, time + tol] holds it,
+    each epoch's obs in node_sort_key order."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     finite = st.floats(-1e3, 1e3, allow_nan=False)
@@ -83,11 +94,16 @@ def test_grouping_is_a_partition():
     @hypothesis.given(st.lists(row, max_size=30),
                       st.sampled_from([0.0, 1e-3, 2e-3, 0.6, 1.5]))
     def check(rows, tol):
+        path = _toa_rows_file(tmp_path / "toa.csv", rows)
+        if not rows:
+            with pytest.raises(EmptySession):
+                load_toa_epochs(path, epoch_tol=tol)
+            return
         try:
-            epochs = group_epochs(rows, epoch_tol=tol)
-        except ValueError as exc:
+            epochs = load_toa_epochs(path, epoch_tol=tol)
+        except TdoaDtbError as exc:
             node = str(exc).split("'")[1]
-            assert str(exc).startswith(f"duplicate node {node!r} in epoch at t=")
+            assert str(exc).startswith(f"{path}: duplicate node {node!r} in epoch at t=")
             assert sum(1 for r in rows if r[1] == node) > 1
             return
         times = [e.time for e in epochs]
@@ -101,15 +117,40 @@ def test_grouping_is_a_partition():
             members[id(home)].append((t, node_sort_key(n), n))
         for e in epochs:
             assert e.time == min(members[id(e)])[0]
-            assert list(e.obs) == [n for *_, n in sorted(members[id(e)])]
+            assert list(e.obs) == sorted({n for *_, n in members[id(e)]}, key=node_sort_key)
 
     check()
 
 
-def test_epoch_rejects_duplicate_node():
-    with pytest.raises(ValueError, match=r"duplicate node '1' in epoch at t=0.0"):
-        group_epochs([(0.0, "1", 1.0, None), (0.0005, "2", 1.0, None),
-                      (0.0008, "1", 2.0, None)])
+def test_epoch_rejects_duplicate_node(tmp_path):
+    path = _toa_rows_file(tmp_path / "toa.csv", [(0.0, "1", 1.0, None), (0.0005, "2", 1.0, None),
+                                                 (0.0008, "1", 2.0, None)])
+    with pytest.raises(TdoaDtbError, match=r"duplicate node '1' in epoch at t=0.0"):
+        load_toa_epochs(path)
+
+
+def test_obs_is_in_node_sort_key_order(tmp_path):
+    """Loaded and generated epochs hold obs in node_sort_key order, whatever the
+    row order of the file, and form_tdoa returns its differences in that order."""
+    ids = ["10", "9", "2", "a", " b", "1.5", "B"]
+    rows = [(t, node_id, 100.0 * t + i, None if i % 3 else -70.0 - i)
+            for t in (0.0, 0.1, 0.2) for i, node_id in enumerate(ids)]
+    # an epoch whose rows differ in time within the tolerance
+    rows += [(0.3, "9", 1.0, None), (0.3002, "10", 2.0, None), (0.3004, "2", 3.0, None)]
+    random.Random(3).shuffle(rows)
+    epochs = load_toa_epochs(_toa_rows_file(tmp_path / "toa.csv", rows))
+    order = ["1.5", "2", "9", "10", "B", "a", "b"]
+    assert [list(e.obs) for e in epochs] == [order] * 3 + [["2", "9", "10"]]
+    for epoch in epochs:
+        for ref in epoch.obs:
+            _, diffs = form_tdoa(epoch, ref)
+            assert [node_id for node_id, _, _ in diffs] == [n for n in epoch.obs if n != ref]
+
+    catalog = NodeCatalog({node_id: Position(3.0 * i, i % 2) for i, node_id in enumerate(ids)})
+    session = generate(Scenario(catalog=catalog, waypoints=[(1.0, 1.0), (5.0, 1.0)],
+                                epoch_rate=2.0))
+    for epoch in session.epochs:
+        assert list(epoch.obs) == sorted(ids, key=node_sort_key)
 
 
 def test_interpolate_midpoint():

@@ -2,6 +2,7 @@
 CLI command that reads the file turns that into exit 2 with ``path:line``."""
 
 import csv
+import math
 import shutil
 
 import pytest
@@ -9,10 +10,11 @@ import pytest
 from tdoa_dtb.cli import main
 from tdoa_dtb.dtb import read_dtb
 from tdoa_dtb.ekf import read_residuals_csv, read_track_csv
-from tdoa_dtb.errors import ParseError
+from tdoa_dtb.errors import EmptySession, ParseError
 from tdoa_dtb.geometry import NodeCatalog
-from tdoa_dtb.ingestion import load_toa_rows, load_trajectory
+from tdoa_dtb.ingestion import load_toa_epochs, load_trajectory
 from tdoa_dtb.noise import NoiseModel, read_noise_model, write_noise_model
+from tdoa_dtb.table import read_csv
 
 SCENARIO_YAML = """
 seed: 5
@@ -27,7 +29,7 @@ noise: {k: 60.0, rsrp0: -110.0}
 
 # file -> (reader, CLI command that reads it, a required column, columns to spoil)
 FORMATS = {
-    "toa.csv": (load_toa_rows, "position", "toa", ["time", "toa", "rsrp"]),
+    "toa.csv": (load_toa_epochs, "position", "toa", ["time", "toa", "rsrp"]),
     "nodes.csv": (NodeCatalog.from_csv, "position", "x", ["x", "z"]),
     "trajectory.csv": (load_trajectory, "evaluate", "time", ["time", "y"]),
     "dtb.csv": (read_dtb, "position", "mean_m", ["mean_m", "std_m", "n_samples"]),
@@ -96,3 +98,124 @@ def test_malformed_file_is_a_parse_error_at_its_line(tmp_path, session_dir, caps
     assert "Traceback" not in err
     assert not any((tmp_path / out).exists()
                    for out in ("track_out.csv", "resid_out.csv", "metrics.json"))
+
+
+TOA_HEADER = "time,node_id,toa,rsrp\n"
+
+
+def toa_file(tmp_path, body):
+    path = tmp_path / "toa.csv"
+    path.write_text(TOA_HEADER + body)
+    return path
+
+
+def toa_parse_error(path):
+    with pytest.raises(ParseError) as exc:
+        load_toa_epochs(path)
+    return exc.value
+
+
+def test_short_row_is_a_parse_error_at_its_line(tmp_path):
+    error = toa_parse_error(toa_file(tmp_path, "0.0,1,5.0,-80\n0.0,2\n0.1,1,5.0,-80\n"))
+    assert error.line == 3
+    assert "bad toa" in str(error)
+
+
+def test_first_bad_row_then_its_first_bad_column(tmp_path):
+    # a later row is bad in an earlier column; the earlier row wins, and within
+    # it the first of its two bad columns
+    error = toa_parse_error(toa_file(tmp_path, "0.0,1,5.0,-80\n0.0,2,x1,nan\n"
+                                               "0.1,1,5.0,-80\nbad,2,5.0,-80\n"))
+    assert error.line == 3
+    assert "bad toa" in str(error)
+
+
+def test_bad_cell_is_reported_at_its_physical_line(tmp_path):
+    # blank lines are skipped and a quoted cell spans lines 4 and 5
+    error = toa_parse_error(toa_file(tmp_path, '0.0,1,5.0,-80\n\n0.0,"2\n",5.0,-80\n\n'
+                                               "0.1,1,oops,-80\n"))
+    assert error.line == 7
+    assert "bad toa" in str(error)
+
+
+def test_bad_cell_before_a_malformed_line_is_reported_first(tmp_path):
+    huge = "9" * (csv.field_size_limit() + 1)
+    error = toa_parse_error(toa_file(tmp_path, f"0.0,1,5.0,-80\n0.0,2,x1,-80\n0.1,1,{huge},-80\n"))
+    assert error.line == 3
+    assert "bad toa" in str(error)
+    error = toa_parse_error(toa_file(tmp_path, f"0.0,1,{huge},-80\n0.0,2,x1,-80\n"))
+    assert error.line == 2
+    assert "malformed CSV" in str(error)
+
+
+def test_blank_optional_cells_interleaved_read_as_none(tmp_path):
+    path = toa_file(tmp_path, "0.0,1,5.0,\n0.0,2,6.0,-81.5\n0.0,3,7.0,\n"
+                              "0.1,1,5.5,-80\n0.1,2,6.5,\n0.1,3,7.5,-82\n")
+    epochs = load_toa_epochs(path)
+    assert [e.obs for e in epochs] == [
+        {"1": (5.0, None), "2": (6.0, -81.5), "3": (7.0, None)},
+        {"1": (5.5, -80.0), "2": (6.5, None), "3": (7.5, -82.0)},
+    ]
+
+
+def test_header_only_toa_file_is_an_empty_session(tmp_path):
+    with pytest.raises(EmptySession):
+        load_toa_epochs(toa_file(tmp_path, ""))
+
+
+def row_by_row(path, required, optional):
+    """Reference reader: each row converted cell by cell, in file order. Returns
+    the columns, or (line, message) of the first bad cell."""
+    convert = {float: float, int: int, str: str.strip}
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader)
+        columns = [(name, header.index(name) if name in header else len(header), kind,
+                    name in optional) for name, kind in [*required.items(), *optional.items()]]
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            row += [""] * (len(header) + 1 - len(row))
+            values = []
+            for name, index, kind, blank_ok in columns:
+                if blank_ok and row[index] == "":
+                    values.append(None)
+                    continue
+                try:
+                    value = convert[kind](row[index])
+                    if kind is float and not math.isfinite(value):
+                        raise ValueError(f"non-finite number {row[index]!r}")
+                except ValueError as exc:
+                    return reader.line_num, f"bad {name}: {exc}"
+                values.append(value)
+            rows.append(values)
+    return [list(column) for column in zip(*rows)] if rows else [[] for _ in columns]
+
+
+def test_column_reader_matches_row_by_row_reader(tmp_path):
+    """On random tables with blank, bad, non-finite and multi-line cells, short
+    rows and blank lines, read_csv gives the values or the first error that a
+    row-by-row reader gives."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    cell = st.sampled_from(["1.5", "-2", " 3 ", "", "7", "x1", "nan", "inf", "1e400", "4.0",
+                            "a\nb", " c "])
+    row = st.lists(cell, min_size=0, max_size=5)
+    required = {"time": float, "node_id": str, "n": int}
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.permutations(["time", "node_id", "n", "rsrp"]), st.booleans(),
+                      st.lists(row, max_size=8))
+    def check(names, with_rsrp, rows):
+        path = tmp_path / "t.csv"
+        with open(path, "w", newline="") as f:
+            csv.writer(f).writerows([[n for n in names if with_rsrp or n != "rsrp"], *rows])
+        want = row_by_row(path, required, {"rsrp": float})
+        try:
+            got = read_csv(path, required, {"rsrp": float})
+        except ParseError as exc:
+            got = exc.line, str(exc).removeprefix(f"{path}:{exc.line}: ")
+        assert got == want
+
+    check()

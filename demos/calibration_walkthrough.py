@@ -29,11 +29,11 @@ scenario = Scenario(
 )
 
 session = generate(scenario)
-print(f"generated {len(session.epochs)} epochs over "
-      f"{session.epochs[-1].time:.0f} s")
+print(f"generated {len(session.toa.times)} epochs over "
+      f"{session.toa.times[-1]:.0f} s")
 
 # one bias-difference sample per (epoch, non-reference node), averaged per node
-table, _ = calibrate(session.epochs, session.trajectory, session.catalog, "1")
+table, _ = calibrate(session.toa, session.trajectory, session.catalog, "1")
 truth = truth_dtb(scenario, "1")
 
 print(f"\ncalibrated against reference node {table.ref_node_id}:")

@@ -40,7 +40,7 @@ truth = truth_dtb(scenario, "1")
 zeros = DtbTable("1", {n: DtbEntry(0.0, 0.0, 1) for n in truth.entries})
 
 for label, table in (("calibrated", truth), ("uncalibrated", zeros)):
-    track, residuals = run_filter(session.epochs, table, session.catalog, noise)
+    track, residuals = run_filter(session.toa, table, session.catalog, noise)
     m = session_metrics(track, session.trajectory, [v for _, _, v in residuals])
     print(f"{label}:")
     print(f"  true error   mean {m['true_error_mean_m']:6.2f} m, "

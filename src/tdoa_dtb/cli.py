@@ -28,7 +28,7 @@ from .ekf import (EkfConfig, read_residuals_csv, read_track_csv, run_filter,
                   write_residuals_csv, write_track_csv)
 from .errors import TdoaDtbError
 from .geometry import NodeCatalog
-from .ingestion import (DEFAULT_EPOCH_TOL, load_session, load_toa_epochs,
+from .ingestion import (DEFAULT_EPOCH_TOL, load_session, load_toa_session,
                         load_trajectory, write_toa_csv, write_trajectory_csv)
 from .metrics import session_metrics, write_metrics_json
 from .noise import (DEFAULT_BIN_DB, DEFAULT_WINDOW_S, estimate_noise_points,
@@ -101,18 +101,18 @@ def _cmd_simulate(args) -> None:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario.seed = args.seed
-    session = generate(scenario)
+    sim = generate(scenario)
     os.makedirs(args.out_dir, exist_ok=True)
-    write_toa_csv(session.epochs, os.path.join(args.out_dir, "toa.csv"))
-    session.catalog.to_csv(os.path.join(args.out_dir, "nodes.csv"))
-    write_trajectory_csv(session.trajectory, os.path.join(args.out_dir, "trajectory.csv"))
-    truth_ref = args.truth_ref or session.catalog.ids()[0]
+    write_toa_csv(sim.toa, os.path.join(args.out_dir, "toa.csv"))
+    sim.catalog.to_csv(os.path.join(args.out_dir, "nodes.csv"))
+    write_trajectory_csv(sim.trajectory, os.path.join(args.out_dir, "trajectory.csv"))
+    truth_ref = args.truth_ref or sim.catalog.ids()[0]
     write_dtb(truth_dtb(scenario, truth_ref), os.path.join(args.out_dir, "truth_dtb.csv"))
 
 
 def _cmd_fit_noise(args) -> None:
-    epochs = load_toa_epochs(args.toa, args.unit, args.epoch_tol)
-    points = estimate_noise_points(epochs, window=args.window,
+    session = load_toa_session(args.toa, args.unit, args.epoch_tol)
+    points = estimate_noise_points(session, window=args.window,
                                    rsrp_bin_width=args.bin)
     model = fit_noise_model(points)
     write_noise_model(model, args.out)
@@ -123,11 +123,11 @@ def _cmd_fit_noise(args) -> None:
 
 
 def _cmd_calibrate(args) -> None:
-    epochs, catalog, traj = load_session(args.toa, args.nodes, args.traj,
-                                         args.unit, args.epoch_tol)
-    ref = select_reference(epochs) if args.ref_node == "auto" else args.ref_node
-    table, samples = calibrate(epochs, traj, catalog, ref,
-                               trim_sigma=args.trim_sigma, session=args.session)
+    session, catalog, traj = load_session(args.toa, args.nodes, args.traj,
+                                          args.unit, args.epoch_tol)
+    ref = select_reference(session) if args.ref_node == "auto" else args.ref_node
+    table, samples = calibrate(session, traj, catalog, ref,
+                               trim_sigma=args.trim_sigma, label=args.session)
     write_dtb(table, args.out)
     if args.samples:
         write_csv(args.samples, ["time", "node_id", "ref_node", "dtb_m"],
@@ -137,7 +137,7 @@ def _cmd_calibrate(args) -> None:
 
 
 def _cmd_position(args) -> None:
-    epochs = load_toa_epochs(args.toa, args.unit, args.epoch_tol)
+    session = load_toa_session(args.toa, args.unit, args.epoch_tol)
     catalog = NodeCatalog.from_csv(args.nodes)
     dtb = read_dtb(args.dtb)
     noise = read_noise_model(args.noise)
@@ -145,7 +145,7 @@ def _cmd_position(args) -> None:
                     min_obs_per_update=args.min_obs,
                     innovation_gate=args.gate,
                     default_sigma=args.default_sigma)
-    track, residuals = run_filter(epochs, dtb, catalog, noise, cfg)
+    track, residuals = run_filter(session, dtb, catalog, noise, cfg)
     write_track_csv(track, args.out)
     write_residuals_csv(residuals, args.residuals)
     n_upd = sum(1 for p in track if p.n_obs > 0)

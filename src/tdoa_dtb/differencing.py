@@ -7,41 +7,39 @@ differential transmitter bias and noise.
 
 from __future__ import annotations
 
+import bisect
 from collections import Counter
 
 from .errors import EmptySession, ReferenceMissing
 from .geometry import node_sort_key
-from .ingestion import Epoch
+from .ingestion import Session
 
 
-def form_tdoa(epoch: Epoch, ref_node_id: str
-              ) -> tuple[float | None, list[tuple[str, float, float | None]]]:
-    """Difference every non-reference observation against the reference node.
+def form_tdoa(session: Session, epoch: int, ref: int) -> tuple[int, list[int], list[float]]:
+    """The reference node's row of an epoch, the epoch's other rows in node
+    order, and their single differences (pseudorange minus the reference's, m).
 
-    Returns the reference's rsrp, shared by every difference of the epoch, and
-    the (node_id, sd_pseudorange_m, rsrp) rows in the epoch's obs order, which
-    is node_sort_key order. Raises ReferenceMissing when the epoch has no
-    observation for the reference; callers decide whether to drop the epoch
-    or re-reference.
+    ref is an index into session.node_ids. Raises ReferenceMissing when the
+    epoch has no row for it; callers decide whether to drop the epoch or
+    re-reference.
     """
-    obs = epoch.obs
-    if ref_node_id not in obs:
-        raise ReferenceMissing(
-            f"epoch t={epoch.time} has no observation for reference node {ref_node_id!r}"
-        )
-    ref_pseudorange, ref_rsrp = obs[ref_node_id]
-    return ref_rsrp, [(node_id, pseudorange - ref_pseudorange, rsrp)
-                      for node_id, (pseudorange, rsrp) in obs.items() if node_id != ref_node_id]
+    start, end = session.starts[epoch], session.starts[epoch + 1]
+    node = session.node
+    ref_row = bisect.bisect_left(node, ref, start, end)
+    if ref_row == end or node[ref_row] != ref:
+        raise ReferenceMissing(f"epoch t={session.times[epoch]} has no observation for "
+                               f"the reference node (index {ref})")
+    pseudorange = session.pseudorange
+    ref_pseudorange = pseudorange[ref_row]
+    rows = [*range(start, ref_row), *range(ref_row + 1, end)]
+    return ref_row, rows, [pseudorange[row] - ref_pseudorange for row in rows]
 
 
-def select_reference(epochs: list[Epoch]) -> str:
+def select_reference(session: Session) -> str:
     """The node present in the largest number of epochs, ties broken by
     smallest node id."""
-    if not epochs:
+    if not session.times:
         raise EmptySession("cannot select a reference node from an empty session")
-    counts = Counter()
-    for epoch in epochs:
-        counts.update(epoch.obs.keys())
+    counts = Counter(session.node)   # a node has at most one row per epoch
     top = max(counts.values())
-    candidates = [n for n, c in counts.items() if c == top]
-    return min(candidates, key=node_sort_key)
+    return min((session.node_ids[n] for n, c in counts.items() if c == top), key=node_sort_key)

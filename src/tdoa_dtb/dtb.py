@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .differencing import form_tdoa
 from .errors import ParseError, ReferenceMissing, TdoaDtbError, UnknownNode
 from .geometry import NodeCatalog, node_sort_key, range_between
-from .ingestion import Epoch, ReferenceTrajectory
+from .ingestion import ReferenceTrajectory, Session
 from .table import read_csv, row_error, write_csv
 
 
@@ -123,36 +123,39 @@ def rereference_dtb(table: DtbTable, new_ref: str) -> DtbTable:
     return DtbTable(new_ref, entries, table.session)
 
 
-def calibrate(epochs: list[Epoch], traj: ReferenceTrajectory, catalog: NodeCatalog,
-              ref: str, trim_sigma: float | None = None, session: str = ""
+def calibrate(session: Session, traj: ReferenceTrajectory, catalog: NodeCatalog,
+              ref: str, trim_sigma: float | None = None, label: str = ""
               ) -> tuple[DtbTable, list[tuple[float, str, float]]]:
-    """DTB table of a session recorded along a surveyed trajectory, with its
-    (time, node_id, dtb_m) samples.
+    """DTB table of a session recorded along a surveyed trajectory, labelled
+    label, with its (time, node_id, dtb_m) samples.
 
     Drop policy: epochs outside the trajectory span, and epochs without the
     reference node, give no samples, which keeps the whole table tied to one
     reference. Raises ReferenceMissing when no sample is left.
     """
+    ids, node, ref_index = session.node_ids, session.node, session.node_index(ref)
+    # positions by node index; None for a node the catalog lacks, looked up (and raising) late
+    positions = [catalog[node_id] if node_id in catalog else None for node_id in ids]
     samples = []
-    for epoch in epochs:
-        if not traj.covers(epoch.time):
+    for epoch, t in enumerate(session.times):
+        if not traj.covers(t):
             continue
         try:
-            _, diffs = form_tdoa(epoch, ref)
+            _, rows, diffs = form_tdoa(session, epoch, ref_index)
         except ReferenceMissing:
             continue
-        rover = traj.interpolate(epoch.time)
-        ref_range = range_between(rover, catalog[ref])
-        for node_id, sd, _ in diffs:
-            value = sd - (range_between(rover, catalog[node_id]) - ref_range)
+        rover = traj.interpolate(t)
+        ref_range = range_between(rover, positions[ref_index] or catalog[ref])
+        for row, sd in zip(rows, diffs):
+            n = node[row]
+            value = sd - (range_between(rover, positions[n] or catalog[ids[n]]) - ref_range)
             if not math.isfinite(value):
-                raise TdoaDtbError(f"non-finite DTB sample {value} of node {node_id!r} "
-                                   f"at t={epoch.time}")
-            samples.append((epoch.time, node_id, value))
+                raise TdoaDtbError(f"non-finite DTB sample {value} of node {ids[n]!r} at t={t}")
+            samples.append((t, ids[n], value))
     if not samples:
         raise ReferenceMissing(
             f"reference node {ref!r} never observed within the trajectory span")
-    return aggregate_dtb(samples, ref, session=session, trim_sigma=trim_sigma), samples
+    return aggregate_dtb(samples, ref, session=label, trim_sigma=trim_sigma), samples
 
 
 DTB_COLUMNS = {"session": str, "ref_node": str, "node_id": str,

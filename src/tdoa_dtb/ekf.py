@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 from .differencing import form_tdoa
 from .dtb import DtbTable
-from .errors import NegativeDt, ReferenceMissing, SingularGeometry, TdoaDtbError, TooFewNodes
+from .errors import (NegativeDt, ReferenceMissing, SingularGeometry, TdoaDtbError, TooFewNodes,
+                     UnknownNode)
 from .geometry import NodeCatalog
-from .ingestion import Epoch
+from .ingestion import Session
 from .noise import DEFAULT_SIGMA_NO_RSRP, NoiseModel, sigma_for
 from .table import read_csv, write_csv
 
@@ -149,42 +150,68 @@ def measurement_model(x: float, y: float, node_id: str, dtb: DtbTable,
     return predicted, (dx_n / rho_n - dx_m / rho_m, dy_n / rho_n - dy_m / rho_m)
 
 
-def update(state: EkfState, epoch: Epoch, dtb: DtbTable, catalog: NodeCatalog,
-           noise: NoiseModel, cfg: EkfConfig
-           ) -> tuple[EkfState, list[tuple[str, float]], int]:
-    """Joint update with all accepted single differences of one epoch, in information form.
+def session_model(session: Session, dtb: DtbTable, catalog: NodeCatalog,
+                  noise: NoiseModel, cfg: EkfConfig) -> tuple[int, list, list[float]]:
+    """What update needs of a session besides the state, built once: the DTB
+    reference's index in session.node_ids; per node index, (x, y, z^2, DTB
+    mean), or the UnknownNode that update raises if it differences that node;
+    per row, sigma(rsrp)^2."""
+    nodes = []
+    for node_id in session.node_ids:
+        try:   # the lookups in measurement_model's order, so a failure names the same node
+            node, _ = catalog[node_id], catalog[dtb.ref_node_id]
+            nodes.append((node.x, node.y, node.z * node.z, dtb.mean(node_id)))
+        except UnknownNode as exc:
+            nodes.append(exc)
+    return (session.node_index(dtb.ref_node_id), nodes,
+            [sigma_for(noise, rsrp, cfg.default_sigma) ** 2 for rsrp in session.rsrp])
 
-    The epoch is differenced against the DTB table's reference node, raising
-    ReferenceMissing when that node is absent. Per-difference variance combines
-    both ends of the difference: R_i = sigma(rsrp_node)^2 + sigma(rsrp_ref)^2,
-    the reference term shared by the whole epoch. Innovations beyond
-    gate * sqrt(h P h' + R_i) are counted as rejected and never applied. With
-    fewer than cfg.min_obs_per_update accepted observations the predicted state
-    is returned unchanged. Otherwise, with M = H'R^-1 H and g = H'R^-1 nu over
-    the accepted ones, P+ = (I + P M)^-1 P and x+ = x + P+ g, which equals the
-    Kalman gain form without inverting P or the n-by-n H P H' + R.
-    Returns (state, [(node_id, postfit_m) per applied observation], n_rejected).
+
+def update(state: EkfState, session: Session, epoch: int, ref: int, nodes: list,
+           var: list[float], cfg: EkfConfig) -> tuple[EkfState, list[tuple[int, float]], int]:
+    """Joint update with all accepted single differences of an epoch, in information form.
+
+    ref, nodes and var come from session_model. The epoch is differenced
+    against the reference node (ReferenceMissing if absent), each difference
+    modelled as measurement_model does, with R_i = sigma(rsrp_node)^2 +
+    sigma(rsrp_ref)^2. Innovations beyond gate * sqrt(h P h' + R_i) are counted
+    as rejected and never applied. With fewer than cfg.min_obs_per_update
+    accepted the predicted state is returned unchanged. Otherwise, with M =
+    H'R^-1 H and g = H'R^-1 nu over the accepted ones, P+ = (I + P M)^-1 P and
+    x+ = x + P+ g. Returns (state, [(node index, postfit_m)], n_rejected).
     """
-    ref_rsrp, diffs = form_tdoa(epoch, dtb.ref_node_id)
-    ref_var = sigma_for(noise, ref_rsrp, cfg.default_sigma) ** 2
+    ref_row, rows, diffs = form_tdoa(session, epoch, ref)
+    node, ref_var = session.node, var[ref_row]
+    if isinstance(nodes[ref], UnknownNode):   # the catalog lacks the reference
+        if rows:
+            raise nodes[node[rows[0]]]
+        return state, [], 0
     x, y = state.position
     (a, b), (_, d) = state.covariance
+    ref_x, ref_y, ref_zz, _ = nodes[ref]
+    dx_m, dy_m = x - ref_x, y - ref_y
+    rho_m = math.sqrt(dx_m * dx_m + dy_m * dy_m + ref_zz)
     applied = []
     rejected = 0
     m_xx = m_xy = m_yy = g_x = g_y = 0.0
-    for node_id, sd, rsrp in diffs:
-        try:
-            predicted, (hx, hy) = measurement_model(x, y, node_id, dtb, catalog)
-        except SingularGeometry:
+    for row, sd in zip(rows, diffs):
+        terms = nodes[node[row]]
+        if isinstance(terms, UnknownNode):
+            raise terms
+        node_x, node_y, node_zz, mean = terms
+        dx_n, dy_n = x - node_x, y - node_y
+        rho_n = math.sqrt(dx_n * dx_n + dy_n * dy_n + node_zz)
+        if rho_n < MIN_RANGE_M or rho_m < MIN_RANGE_M:   # partials undefined
             rejected += 1
             continue
-        r_var = sigma_for(noise, rsrp, cfg.default_sigma) ** 2 + ref_var
-        innovation = sd - predicted
+        hx, hy = dx_n / rho_n - dx_m / rho_m, dy_n / rho_n - dy_m / rho_m
+        r_var = var[row] + ref_var
+        innovation = sd - (rho_n - rho_m + mean)
         s = a * hx * hx + 2.0 * b * hx * hy + d * hy * hy + r_var
         if abs(innovation) > cfg.innovation_gate * math.sqrt(s):
             rejected += 1
             continue
-        applied.append((node_id, sd))
+        applied.append((node[row], sd))
         w_hx, w_hy = hx / r_var, hy / r_var
         m_xx += w_hx * hx
         m_xy += w_hx * hy
@@ -208,12 +235,20 @@ def update(state: EkfState, epoch: Epoch, dtb: DtbTable, catalog: NodeCatalog,
     y += p_xy * g_x + p_yy * g_y
     new_state = EkfState(position=(x, y), covariance=((p_xx, p_xy), (p_xy, p_yy)),
                          epoch=state.epoch)
-    postfits = [(node_id, sd - measurement_model(x, y, node_id, dtb, catalog)[0])
-                for node_id, sd in applied]
+    dx_m, dy_m = x - ref_x, y - ref_y
+    rho_m = math.sqrt(dx_m * dx_m + dy_m * dy_m + ref_zz)
+    postfits = []
+    for n, sd in applied:
+        node_x, node_y, node_zz, mean = nodes[n]
+        rho_n = math.sqrt((x - node_x) * (x - node_x) + (y - node_y) * (y - node_y) + node_zz)
+        if rho_n < MIN_RANGE_M or rho_m < MIN_RANGE_M:
+            node_id = session.node_ids[n if rho_n < MIN_RANGE_M else ref]
+            raise SingularGeometry(f"rover coincides with node {node_id!r}")
+        postfits.append((n, sd - (rho_n - rho_m + mean)))
     return new_state, postfits, rejected
 
 
-def run_filter(epochs: list[Epoch], dtb: DtbTable, catalog: NodeCatalog,
+def run_filter(session: Session, dtb: DtbTable, catalog: NodeCatalog,
                noise: NoiseModel, cfg: EkfConfig | None = None
                ) -> tuple[list[TrackPoint], list[tuple[float, str, float]]]:
     """Filter a session: apriori from the node layout, then predict/update per epoch.
@@ -223,27 +258,28 @@ def run_filter(epochs: list[Epoch], dtb: DtbTable, catalog: NodeCatalog,
     reference node; epochs where that node is missing are prediction-only.
     """
     cfg = cfg or EkfConfig()
+    ref, nodes, var = session_model(session, dtb, catalog, noise, cfg)
     track: list[TrackPoint] = []
     residuals: list[tuple[float, str, float]] = []
     state: EkfState | None = None
-    for epoch in sorted(epochs, key=lambda e: e.time):
+    for epoch, t in enumerate(session.times):
         try:
             if state is None:
                 state = init_apriori(catalog)
-                state.epoch = epoch.time
+                state.epoch = t
             else:
-                state = predict(state, epoch.time - state.epoch, cfg)
-            state, postfits, rejected = update(state, epoch, dtb, catalog, noise, cfg)
+                state = predict(state, t - state.epoch, cfg)
+            state, postfits, rejected = update(state, session, epoch, ref, nodes, var, cfg)
         except ReferenceMissing:
             postfits, rejected = [], 0   # prediction-only epoch
         except (ValueError, OverflowError) as exc:
             # an EkfState check failed or a float overflowed: the epoch times,
             # the node layout or the settings drove the filter out of float range
-            raise TdoaDtbError(f"filter state at t={epoch.time}: {exc}") from None
+            raise TdoaDtbError(f"filter state at t={t}: {exc}") from None
         (cov_xx, cov_xy), (_, cov_yy) = state.covariance
         track.append(TrackPoint(state.epoch, *state.position, cov_xx, cov_xy,
                                 cov_yy, len(postfits), rejected))
-        residuals.extend((state.epoch, node_id, value) for node_id, value in postfits)
+        residuals.extend((state.epoch, session.node_ids[n], value) for n, value in postfits)
     return track, residuals
 
 

@@ -17,7 +17,7 @@ import statistics
 from dataclasses import dataclass
 
 from .errors import FitError, NoRsrp, ParseError, WindowTooSmall
-from .ingestion import Epoch
+from .ingestion import Session
 from .table import read_csv, row_error, write_csv
 
 DEFAULT_WINDOW_S = 2.0
@@ -57,13 +57,11 @@ class NoisePoint:
             raise ValueError("negative sigma_hat")
 
 
-def detrend_toa(series: list[tuple[float, float]], window: float = DEFAULT_WINDOW_S
-                ) -> list[tuple[float, float]]:
-    """Subtract a centered moving average (time window) from a sorted series."""
-    if len(series) < 2:
-        return [(t, 0.0) for t, _ in series]
-    times = [t for t, _ in series]
-    values = [v for _, v in series]
+def detrend_toa(times: list[float], values: list[float], window: float = DEFAULT_WINDOW_S
+                ) -> list[float]:
+    """Residuals of a time-sorted series about its centered moving average (time window)."""
+    if len(times) < 2:
+        return [0.0] * len(times)
     steps = [t1 - t0 for t0, t1 in zip(times, times[1:])]
     if any(step < 0 for step in steps):
         raise ValueError("series must be time-sorted")
@@ -78,36 +76,33 @@ def detrend_toa(series: list[tuple[float, float]], window: float = DEFAULT_WINDO
     lo = [bisect.bisect_left(times, t - half) for t in times]
     hi = [bisect.bisect_right(times, t + half) for t in times]
     csum = [0.0, *itertools.accumulate(values)]
-    return [(t, v - (csum[h] - csum[l]) / (h - l)) for t, v, l, h in zip(times, values, lo, hi)]
+    return [v - (csum[h] - csum[l]) / (h - l) for v, l, h in zip(values, lo, hi)]
 
 
-def estimate_noise_points(epochs: list[Epoch], window: float = DEFAULT_WINDOW_S,
+def estimate_noise_points(session: Session, window: float = DEFAULT_WINDOW_S,
                           rsrp_bin_width: float = DEFAULT_BIN_DB) -> list[NoisePoint]:
     """Detrend each node's ToA series and bucket residual spread by received power.
 
-    Bins with fewer than MIN_BIN_SAMPLES residuals are dropped. Raises NoRsrp
-    when no observation carries a power value, and FitError when a bin's
-    spread is not finite (pseudoranges so large that their sums overflow).
+    The nodes are taken in the order of their first rows, each series in time
+    order. Bins with fewer than MIN_BIN_SAMPLES residuals are dropped. Raises
+    NoRsrp when no observation carries a power value, and FitError when a
+    bin's spread is not finite (pseudoranges so large that their sums overflow).
     """
-    per_node: dict[str, list[tuple[float, float, float | None]]] = {}
-    for epoch in epochs:
-        for node_id, (pseudorange, rsrp) in epoch.obs.items():
-            per_node.setdefault(node_id, []).append((epoch.time, pseudorange, rsrp))
-    pairs: list[tuple[float, float]] = []  # (rsrp, residual)
-    for rows in per_node.values():
-        rows.sort(key=lambda r: r[0])
-        series = [(t, v) for t, v, _ in rows]
-        if len(series) < 2:
+    rows_of: dict[int, list[int]] = {}
+    for row, n in enumerate(session.node):
+        rows_of.setdefault(n, []).append(row)
+    times, pseudorange, rsrp = session.row_times(), session.pseudorange, session.rsrp
+    bins: dict[int, list[float]] = {}   # power bin -> residuals
+    for rows in rows_of.values():
+        if len(rows) < 2:
             continue
-        residuals = detrend_toa(series, window)
-        for (_, resid), (_, _, rsrp) in zip(residuals, rows):
-            if rsrp is not None:
-                pairs.append((rsrp, resid))
-    if not pairs:
+        residuals = detrend_toa([times[row] for row in rows],
+                                [pseudorange[row] for row in rows], window)
+        for resid, row in zip(residuals, rows):
+            if rsrp[row] is not None:
+                bins.setdefault(int(math.floor(rsrp[row] / rsrp_bin_width)), []).append(resid)
+    if not bins:
         raise NoRsrp("no observations carry received-power values")
-    bins: dict[int, list[float]] = {}
-    for rsrp, resid in pairs:
-        bins.setdefault(int(math.floor(rsrp / rsrp_bin_width)), []).append(resid)
     points = []
     for idx in sorted(bins):
         resids = bins[idx]

@@ -24,7 +24,7 @@ import yaml
 from .dtb import DtbEntry, DtbTable
 from .errors import InvalidScenario, TooFewNodes
 from .geometry import NodeCatalog, Position, range_between
-from .ingestion import Epoch, ReferenceTrajectory
+from .ingestion import ReferenceTrajectory, Session, group_epochs
 from .noise import NoiseModel, sigma_for
 
 
@@ -121,7 +121,7 @@ def _quantize(value: float, grid: float | None) -> float:
 
 @dataclass
 class SyntheticSession:
-    epochs: list[Epoch]
+    toa: Session
     catalog: NodeCatalog
     trajectory: ReferenceTrajectory
     scenario: Scenario
@@ -143,7 +143,7 @@ def truth_dtb(scenario: Scenario, ref_node_id: str) -> DtbTable:
 
 
 def generate(scenario: Scenario) -> SyntheticSession:
-    """Generate a full session: epoch-grouped observations plus the exact trajectory."""
+    """Generate a full session: one ToA epoch per time step, plus the exact trajectory."""
     samples = _path_samples(scenario.waypoints)
     total = samples[-1][0]
     path = ReferenceTrajectory(samples) if len(samples) > 1 else None   # None: no length
@@ -156,7 +156,7 @@ def generate(scenario: Scenario) -> SyntheticSession:
 
     node_ids = scenario.catalog.ids()
     nlos = scenario.nlos_offset or {}
-    epochs = []
+    rows = []   # (time, node_id, toa, rsrp)
     traj_samples = []
     for k in range(n_epochs):
         t = k / scenario.epoch_rate
@@ -164,7 +164,6 @@ def generate(scenario: Scenario) -> SyntheticSession:
         rover = path.interpolate(dist) if path else samples[0][1]
         traj_samples.append((t, rover))
         clock = scenario.rover_clock.bias_at(t)
-        obs = {}
         for node_index, node_id in enumerate(node_ids):
             rho = range_between(rover, scenario.catalog[node_id])
             rsrp = scenario.path_loss.rsrp(rho)
@@ -176,11 +175,9 @@ def generate(scenario: Scenario) -> SyntheticSession:
             eps = sigma * rng.standard_normal() if sigma > 0 else 0.0
             toa = (rho - scenario.node_biases.get(node_id, 0.0)
                    + nlos.get(node_id, 0.0) + eps)
-            toa = _quantize(toa, scenario.quantize) + clock
-            obs[node_id] = (toa, rsrp)
-        epochs.append(Epoch(t, obs))
-    return SyntheticSession(epochs, scenario.catalog,
-                            ReferenceTrajectory(traj_samples), scenario)
+            rows.append((t, node_id, _quantize(toa, scenario.quantize) + clock, rsrp))
+    toa = group_epochs(*map(list, zip(*rows)), epoch_tol=0.0)
+    return SyntheticSession(toa, scenario.catalog, ReferenceTrajectory(traj_samples), scenario)
 
 
 def load_scenario(path) -> Scenario:

@@ -20,9 +20,10 @@ def read_csv(path, required: dict, optional: dict | None = None) -> list[list]:
     """Columns of a CSV table, required then optional, one value per row.
 
     required and optional map column names to float, int or str. Text is
-    stripped, floats must be finite, and a blank or absent optional cell is
-    None. Any failure is a ParseError at its line; row_error places a
-    caller's own failure of a row at that row's line.
+    stripped, floats must be finite, and a blank optional cell, or every
+    cell of an absent optional column, is None. Any failure is a ParseError
+    at its line; row_error places a caller's own failure of a row at that
+    row's line.
     """
     optional = optional or {}
     rows, failure, header = [], None, []
@@ -40,18 +41,20 @@ def read_csv(path, required: dict, optional: dict | None = None) -> list[list]:
             failure = ParseError(path, reader.line_num, f"malformed CSV: {exc}")
         except UnicodeDecodeError as exc:
             failure = ParseError(path, reader.line_num + 1, f"not a text file: {exc}")
-    # past a short row's end, and past the header for an absent column, cells read blank
+    # past a short row's end cells read blank; cells past the header are never read
     cells = list(itertools.zip_longest(*rows, fillvalue=""))
-    cells += [("",) * len(rows)] * (len(header) + 1 - len(cells))
-    columns = [(name, header.index(name) if name in header else len(header), kind,
-                name in optional) for name, kind in [*required.items(), *optional.items()]]
+    cells += [("",) * len(rows)] * (len(header) - len(cells))
+    columns = [(name, header.index(name), kind, name in optional)
+               for name, kind in [*required.items(), *optional.items()] if name in header]
     try:
-        values = [_column(cells[index], kind, blank_ok) for _, index, kind, blank_ok in columns]
+        values = {name: _column(cells[index], kind, blank_ok)
+                  for name, index, kind, blank_ok in columns}
     except ValueError:
         raise _first_bad_cell(path, cells, columns) from None
     if failure:   # a malformed line after the rows read, or in the header
         raise failure
-    return values
+    return [values[name] if name in values else [None] * len(rows)
+            for name in [*required, *optional]]
 
 
 def _column(cells, kind, blank_ok: bool) -> list:

@@ -1,6 +1,7 @@
 import pytest
 
 from tdoa_dtb.geometry import NodeCatalog, Position
+from tdoa_dtb.ingestion import group_epochs
 from tdoa_dtb.synthetic import ClockModel, Scenario
 
 
@@ -45,3 +46,18 @@ def basic_scenario():
         noise=0.0,
         seed=7,
     )
+
+
+def session_of(epochs, epoch_tol=0.0):
+    """The Session of (time, {node_id: (pseudorange, rsrp)}) epochs, grouped
+    as a ToA file's rows are."""
+    rows = [(t, node_id, p, r) for t, obs in epochs for node_id, (p, r) in obs.items()]
+    return group_epochs(*map(list, zip(*rows)), epoch_tol=epoch_tol)
+
+
+def epochs_of(session):
+    """(time, {node_id: (pseudorange, rsrp)}) per epoch of a Session, in row order."""
+    ids, node = session.node_ids, session.node
+    return [(t, {ids[node[row]]: (session.pseudorange[row], session.rsrp[row])
+                 for row in range(start, end)})
+            for t, start, end in zip(session.times, session.starts, session.starts[1:])]

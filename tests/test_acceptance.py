@@ -57,7 +57,7 @@ def acceptance_scenario(seed=101, biases=BIASES, duration=499.5, speed=0.16,
 
 
 def calibrate(session, ref="1"):
-    table, _ = calibrate_dtb(session.epochs, session.trajectory, session.catalog, ref)
+    table, _ = calibrate_dtb(session.toa, session.trajectory, session.catalog, ref)
     return table
 
 
@@ -69,7 +69,7 @@ def calibrated_run():
     table = calibrate(session)
     calib_seconds = time.perf_counter() - t0
     t0 = time.perf_counter()
-    track, residuals = run_filter(session.epochs, table, session.catalog, FLAT_NOISE)
+    track, residuals = run_filter(session.toa, table, session.catalog, FLAT_NOISE)
     filter_seconds = time.perf_counter() - t0
     return dict(session=session, table=table, track=track, residuals=residuals,
                 calib_seconds=calib_seconds, filter_seconds=filter_seconds)
@@ -79,7 +79,7 @@ def test_criterion_1_dtb_oracle_recovery(calibrated_run):
     session = calibrated_run["session"]
     table = calibrated_run["table"]
     truth = truth_dtb(session.scenario, "1")
-    assert len(session.epochs) == 1000
+    assert len(session.toa.times) == 1000
     mean_errs = [abs(table.entries[n].mean - truth.entries[n].mean)
                  for n in table.entries]
     stds = [table.entries[n].std for n in table.entries]
@@ -121,7 +121,7 @@ def test_criterion_4_divergence_without_dtb(calibrated_run):
     t0 = time.perf_counter()
     zeros = DtbTable("1", {n: DtbEntry(0.0, 0.0, 1)
                            for n in calibrated_run["table"].entries})
-    uncal, _ = run_filter(session.epochs, zeros, session.catalog, FLAT_NOISE)
+    uncal, _ = run_filter(session.toa, zeros, session.catalog, FLAT_NOISE)
     elapsed = time.perf_counter() - t0
     cal_err, _ = true_error(calibrated_run["track"], session.trajectory)
     uncal_err, _ = true_error(uncal, session.trajectory)
@@ -137,7 +137,7 @@ def test_criterion_5_metric_ordering():
     for seed in range(n_runs):
         scenario = acceptance_scenario(seed=seed, duration=99.5, speed=0.8)
         session = generate(scenario)
-        track, residuals = run_filter(session.epochs, truth_dtb(scenario, "1"),
+        track, residuals = run_filter(session.toa, truth_dtb(scenario, "1"),
                                       session.catalog, FLAT_NOISE)
         _, rms = true_error(track, session.trajectory)
         formal = sigma_formal(track)
@@ -187,10 +187,10 @@ def test_criterion_7_rover_clock_immunity():
     clean = generate(clean_scn)
     clocked = generate(clocked_scn)
     samples_equal = (
-        calibrate_dtb(clean.epochs, clean.trajectory, clean.catalog, "1")[1]
-        == calibrate_dtb(clocked.epochs, clocked.trajectory, clocked.catalog, "1")[1])
-    r1, _ = run_filter(clean.epochs, truth_dtb(clean_scn, "1"), clean.catalog, FLAT_NOISE)
-    r2, _ = run_filter(clocked.epochs, truth_dtb(clocked_scn, "1"), clocked.catalog, FLAT_NOISE)
+        calibrate_dtb(clean.toa, clean.trajectory, clean.catalog, "1")[1]
+        == calibrate_dtb(clocked.toa, clocked.trajectory, clocked.catalog, "1")[1])
+    r1, _ = run_filter(clean.toa, truth_dtb(clean_scn, "1"), clean.catalog, FLAT_NOISE)
+    r2, _ = run_filter(clocked.toa, truth_dtb(clocked_scn, "1"), clocked.catalog, FLAT_NOISE)
     track_equal = all((a.x, a.y) == (b.x, b.y) for a, b in zip(r1, r2))
     report("7 rover-clock immunity", samples_equal and track_equal,
            "DTB samples and track bit-identical under sawtooth clock")

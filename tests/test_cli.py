@@ -327,6 +327,56 @@ def test_filter_overflow_is_a_data_error(tmp_path, capsys, eight_node_session, p
     assert not track.exists() and not residuals.exists()
 
 
+SQUARE = {"1": (0, 0), "2": (20, 0), "3": (20, 20), "4": (0, 20), "5": (10, 30), "9": (30, 10)}
+
+
+def _position(tmp_path, toa_rows, catalog_ids, dtb_ids):
+    """Run position on hand-written files: ToA rows (time, node_id) at 14.0 m
+    and -80 dBm, a catalog of SQUARE's catalog_ids and a DTB table against
+    node "1" holding dtb_ids. Returns (exit code, track rows or None)."""
+    files = {name: tmp_path / f"{name}.csv" for name in ("toa", "nodes", "dtb", "noise", "track")}
+    files["toa"].write_text("time,node_id,toa,rsrp\n"
+                            + "".join(f"{t},{n},14.0,-80\n" for t, n in toa_rows))
+    files["nodes"].write_text("node_id,x,y\n"
+                              + "".join(f"{n},{x},{y}\n" for n in catalog_ids
+                                        for x, y in [SQUARE[n]]))
+    files["dtb"].write_text("session,ref_node,node_id,mean_m,std_m,n_samples\n"
+                            + "".join(f"S,1,{n},0.0,0.0,1\n" for n in dtb_ids))
+    files["noise"].write_text("k,rsrp0,sigma_floor,sigma_cap\n60.0,-110.0,0.3,15.0\n")
+    code = main(["position", "--toa", str(files["toa"]), "--nodes", str(files["nodes"]),
+                 "--dtb", str(files["dtb"]), "--noise", str(files["noise"]),
+                 "--out", str(files["track"]), "--residuals", str(tmp_path / "res.csv")])
+    if code != 0:
+        return code, None
+    with open(files["track"]) as f:
+        return code, list(csv.DictReader(f))
+
+
+@pytest.mark.parametrize("missing_from,catalog_ids,dtb_ids", [
+    ("DTB table", "12345", "234"), ("catalog", "1234", "2349")])
+def test_position_names_a_node_missing_from_the_dtb_table_or_catalog(
+        tmp_path, capsys, missing_from, catalog_ids, dtb_ids):
+    """A node differenced against the reference but missing from the DTB table
+    or the catalog ends position with exit 2 and UnknownNode naming it."""
+    node = "5" if missing_from == "DTB table" else "9"
+    rows = [(t, n) for t in (0.0, 0.5, 1.0) for n in "1234"] + [(1.0, node)]
+    code, _ = _position(tmp_path, rows, catalog_ids, dtb_ids)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"UnknownNode: node {node!r} not in {missing_from}" in err and "Traceback" not in err
+
+
+def test_position_ignores_unknown_nodes_of_prediction_only_epochs(tmp_path):
+    """A node missing from both the catalog and the DTB table is no error when
+    it appears only in epochs without the reference: those epochs are
+    prediction-only and never difference it."""
+    rows = [(t, n) for t in (0.0, 0.5, 1.5) for n in "1234"] + [(1.0, "2"), (1.0, "9")]
+    code, track = _position(tmp_path, rows, "1234", "234")
+    assert code == 0
+    assert [(r["time"], r["n_obs"]) for r in track] == \
+        [("0.0", "3"), ("0.5", "3"), ("1.0", "0"), ("1.5", "3")]
+
+
 COMMAND_PATH_SCRIPT = """
 import json, sys
 

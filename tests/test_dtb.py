@@ -7,24 +7,27 @@ from tdoa_dtb.dtb import (DtbEntry, DtbTable, aggregate_dtb, calibrate, read_dtb
                           rereference_dtb, write_dtb)
 from tdoa_dtb.errors import ParseError, ReferenceMissing, UnknownNode
 from tdoa_dtb.geometry import NodeCatalog, Position, sd_range
-from tdoa_dtb.ingestion import Epoch, ReferenceTrajectory
+from tdoa_dtb.ingestion import ReferenceTrajectory
 from tdoa_dtb.noise import NoiseModel
 from tdoa_dtb.synthetic import ClockModel, Scenario, generate
 
-from conftest import eight_node_catalog, loop_waypoints, square_catalog
+from conftest import eight_node_catalog, epochs_of, loop_waypoints, session_of, square_catalog
 
 
 def calibrate_synthetic(scenario, ref="1"):
     """Straight-line calibration of a generated session against its trajectory:
     (time, node_id, measured minus true single difference) samples."""
-    session = generate(scenario)
+    sim = generate(scenario)
+    toa = sim.toa
     samples = []
-    for epoch in session.epochs:
-        rover = session.trajectory.interpolate(epoch.time)
-        for node_id, sd, _ in form_tdoa(epoch, ref)[1]:
-            geom = sd_range(rover, session.catalog[node_id], session.catalog[ref])
-            samples.append((epoch.time, node_id, sd - geom))
-    return session, samples
+    for epoch, t in enumerate(toa.times):
+        rover = sim.trajectory.interpolate(t)
+        _, rows, diffs = form_tdoa(toa, epoch, toa.node_index(ref))
+        for row, sd in zip(rows, diffs):
+            node_id = toa.node_ids[toa.node[row]]
+            geom = sd_range(rover, sim.catalog[node_id], sim.catalog[ref])
+            samples.append((t, node_id, sd - geom))
+    return sim, samples
 
 
 def test_calibrate_matches_straight_line_loop(basic_scenario):
@@ -40,18 +43,18 @@ def test_calibrate_matches_straight_line_loop(basic_scenario):
         waypoints=loop_waypoints(), speed=1.0, epoch_rate=10.0,
         noise=NoiseModel(60.0, -110.0), seed=23)
     for scenario, ref in ((basic_scenario, "1"), (eight_nodes, "6")):
-        session, samples = calibrate_synthetic(scenario, ref=ref)
-        table, got = calibrate(session.epochs, session.trajectory, session.catalog, ref,
-                               trim_sigma=2.0, session="S")
-        assert len(got) == (len(session.catalog.ids()) - 1) * len(session.epochs)
+        sim, samples = calibrate_synthetic(scenario, ref=ref)
+        table, got = calibrate(sim.toa, sim.trajectory, sim.catalog, ref,
+                               trim_sigma=2.0, label="S")
+        assert len(got) == (len(sim.catalog.ids()) - 1) * len(sim.toa.times)
         assert got == samples
         assert table == aggregate_dtb(samples, ref, session="S", trim_sigma=2.0)
 
 
 def test_calibrate_drops_epochs_outside_trajectory(basic_scenario):
-    session, samples = calibrate_synthetic(basic_scenario, ref="1")
-    part = ReferenceTrajectory(session.trajectory.samples()[10:40])
-    table, got = calibrate(session.epochs, part, session.catalog, "1")
+    sim, samples = calibrate_synthetic(basic_scenario, ref="1")
+    part = ReferenceTrajectory(sim.trajectory.samples()[10:40])
+    table, got = calibrate(sim.toa, part, sim.catalog, "1")
     expected = [s for s in samples if part.t_start <= s[0] <= part.t_end]
     assert len(expected) == 30 * 3
     assert got == expected
@@ -59,30 +62,30 @@ def test_calibrate_drops_epochs_outside_trajectory(basic_scenario):
 
 
 def test_calibrate_drops_epochs_without_reference(basic_scenario):
-    session, samples = calibrate_synthetic(basic_scenario, ref="1")
-    epochs = [Epoch(e.time, {n: o for n, o in e.obs.items() if n != "1"})
-              if i % 3 == 0 else e for i, e in enumerate(session.epochs)]
-    kept = {e.time for i, e in enumerate(session.epochs) if i % 3 != 0}
-    _, got = calibrate(epochs, session.trajectory, session.catalog, "1")
+    sim, samples = calibrate_synthetic(basic_scenario, ref="1")
+    epochs = [(t, {n: o for n, o in obs.items() if n != "1"}) if i % 3 == 0 else (t, obs)
+              for i, (t, obs) in enumerate(epochs_of(sim.toa))]
+    kept = {t for i, t in enumerate(sim.toa.times) if i % 3 != 0}
+    _, got = calibrate(session_of(epochs), sim.trajectory, sim.catalog, "1")
     assert got == [s for s in samples if s[0] in kept]
 
 
 def test_calibrate_without_usable_epoch(basic_scenario):
-    session = generate(basic_scenario)
+    sim = generate(basic_scenario)
     with pytest.raises(ReferenceMissing):
-        calibrate(session.epochs, session.trajectory, session.catalog, "99")
+        calibrate(sim.toa, sim.trajectory, sim.catalog, "99")
     late = ReferenceTrajectory([(1e6, Position(5, 5)), (1e6 + 1, Position(6, 5))])
     with pytest.raises(ReferenceMissing):
-        calibrate(session.epochs, late, session.catalog, "1")
+        calibrate(sim.toa, late, sim.catalog, "1")
 
 
 def test_instantaneous_bias_free():
     catalog = square_catalog()
     rover = Position(5.0, 5.0)
     geom = sd_range(rover, catalog["2"], catalog["1"])
-    epoch = Epoch(0.0, {"1": (0.0, None), "2": (geom, None)})
+    epoch = session_of([(0.0, {"1": (0.0, None), "2": (geom, None)})])
     traj = ReferenceTrajectory([(0.0, rover), (1.0, rover)])
-    _, samples = calibrate([epoch], traj, catalog, "1")
+    _, samples = calibrate(epoch, traj, catalog, "1")
     assert samples == [(0.0, "2", 0.0)]
 
 
@@ -96,10 +99,10 @@ def test_instantaneous_matches_injected_biases(basic_scenario):
 
 def test_instantaneous_unknown_node():
     catalog = square_catalog()
-    epoch = Epoch(0.0, {"1": (10.0, None), "99": (11.0, None)})
+    epoch = session_of([(0.0, {"1": (10.0, None), "99": (11.0, None)})])
     traj = ReferenceTrajectory([(0.0, Position(5, 5)), (1.0, Position(5, 5))])
-    with pytest.raises(UnknownNode):
-        calibrate([epoch], traj, catalog, "1")
+    with pytest.raises(UnknownNode, match="'99'"):
+        calibrate(epoch, traj, catalog, "1")
 
 
 def test_aggregate_hand_computed():

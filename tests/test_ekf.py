@@ -4,15 +4,15 @@ import pytest
 from tdoa_dtb.dtb import DtbEntry, DtbTable
 from tdoa_dtb.ekf import (PSD_TOL, EkfConfig, EkfState, init_apriori, measurement_model,
                           predict, read_residuals_csv, read_track_csv, run_filter,
-                          update, write_residuals_csv, write_track_csv)
+                          session_model, update, write_residuals_csv, write_track_csv)
 from tdoa_dtb.errors import NegativeDt, ReferenceMissing, SingularGeometry, TooFewNodes
 from tdoa_dtb.geometry import NodeCatalog, Position, node_sort_key, sd_range
-from tdoa_dtb.ingestion import Epoch
+from tdoa_dtb.ingestion import Session
 from tdoa_dtb.metrics import true_error
 from tdoa_dtb.noise import NoiseModel, sigma_for
 from tdoa_dtb.synthetic import ClockModel, Scenario, generate, truth_dtb
 
-from conftest import eight_node_catalog, loop_waypoints, square_catalog
+from conftest import eight_node_catalog, epochs_of, loop_waypoints, session_of, square_catalog
 
 WIDE_NOISE = NoiseModel(60.0, -110.0, sigma_floor=0.3, sigma_cap=15.0)
 
@@ -39,7 +39,7 @@ def positioning_scenario(seed=0, noise=0.0, biases=None, **kwargs):
 def run_synthetic(scenario, dtb=None, cfg=None):
     session = generate(scenario)
     dtb = dtb or truth_dtb(scenario, "1")
-    track, residuals = run_filter(session.epochs, dtb, session.catalog, WIDE_NOISE, cfg)
+    track, residuals = run_filter(session.toa, dtb, session.catalog, WIDE_NOISE, cfg)
     return session, track, residuals
 
 
@@ -225,8 +225,10 @@ def test_update_all_gated_leaves_prediction():
     dtb = empty_dtb(catalog, "1")
     state = EkfState(np.array([10.0, 10.0]), np.eye(2) * 0.01)
     # absurd measurement far outside the gate
-    epoch = Epoch(0.0, {"1": (0.0, None), "2": (500.0, None)})
-    new_state, postfits, n_rejected = update(state, epoch, dtb, catalog, WIDE_NOISE, EkfConfig())
+    epoch = session_of([(0.0, {"1": (0.0, None), "2": (500.0, None)})])
+    cfg = EkfConfig()
+    new_state, postfits, n_rejected = update(
+        state, epoch, 0, *session_model(epoch, dtb, catalog, WIDE_NOISE, cfg), cfg)
     assert len(postfits) == 0
     assert n_rejected == 1
     assert np.array_equal(new_state.position, state.position)
@@ -238,28 +240,34 @@ def test_update_reduces_covariance_trace():
     session = generate(scenario)
     dtb = truth_dtb(scenario, "1")
     state = init_apriori(session.catalog)
-    state.epoch = session.epochs[0].time
-    epoch = session.epochs[0]
-    new_state, postfits, _ = update(state, epoch, dtb, session.catalog, WIDE_NOISE, EkfConfig())
-    assert len(postfits) == len(epoch.obs) - 1
+    state.epoch = session.toa.times[0]
+    cfg = EkfConfig()
+    new_state, postfits, _ = update(
+        state, session.toa, 0, *session_model(session.toa, dtb, session.catalog, WIDE_NOISE, cfg),
+        cfg)
+    assert len(postfits) == session.toa.starts[1] - 1
     assert np.trace(new_state.covariance) < np.trace(state.covariance)
 
 
-def reference_update(state, epoch, dtb, catalog, noise, cfg):
+def reference_update(state, session, epoch, dtb, catalog, noise, cfg):
     """The Kalman-gain form of update: n-by-n S, its inverse and the Joseph
-    covariance, kept as the oracle for the information-form update. It
-    differences the epoch itself and takes sigma_ref anew for every difference."""
+    covariance, kept as the oracle for the information-form update. It reads
+    epoch k of the session by node id, differences it itself and takes
+    sigma_ref anew for every difference. Postfits are keyed by node index."""
+    ids = session.node_ids
+    obs = {ids[session.node[row]]: (session.pseudorange[row], session.rsrp[row])
+           for row in range(session.starts[epoch], session.starts[epoch + 1])}
     ref = dtb.ref_node_id
-    if ref not in epoch.obs:
+    if ref not in obs:
         raise ReferenceMissing(ref)
-    ref_pseudorange, rsrp_ref = epoch.obs[ref]
+    ref_pseudorange, rsrp_ref = obs[ref]
     x, y = state.position
     rows = []
     rejected = 0
-    for node_id in sorted(epoch.obs, key=node_sort_key):
+    for node_id in sorted(obs, key=node_sort_key):
         if node_id == ref:
             continue
-        pseudorange, rsrp = epoch.obs[node_id]
+        pseudorange, rsrp = obs[node_id]
         sd = pseudorange - ref_pseudorange
         try:
             predicted, h = measurement_model(x, y, node_id, dtb, catalog)
@@ -288,7 +296,7 @@ def reference_update(state, epoch, dtb, catalog, noise, cfg):
     new_cov = ikh @ p @ ikh.T + gain @ r_mat @ gain.T
     new_state = EkfState(position=new_pos, covariance=new_cov, epoch=state.epoch)
     x, y = new_pos.tolist()
-    postfits = [(node_id, sd - measurement_model(x, y, node_id, dtb, catalog)[0])
+    postfits = [(ids.index(node_id), sd - measurement_model(x, y, node_id, dtb, catalog)[0])
                 for (node_id, sd), _, _, _ in rows]
     return new_state, postfits, rejected
 
@@ -296,7 +304,8 @@ def reference_update(state, epoch, dtb, catalog, noise, cfg):
 def random_epoch(rng, n_nodes, rover_at_node=False):
     """One epoch differenced against node "1" with noise, blunders and blank rsrp.
 
-    Returns (state, epoch, dtb, catalog); node "1" has pseudorange 0, so every
+    Returns (state, session, dtb, catalog), the session holding the one epoch;
+    node "1" has pseudorange 0, so every
     other node's pseudorange is its single difference. The state sits near the
     true rover, or exactly on node "2" when rover_at_node is set.
     """
@@ -318,7 +327,7 @@ def random_epoch(rng, n_nodes, rover_at_node=False):
             sd += rng.uniform(200.0, 500.0)   # blunder well outside the gate
         rsrp = None if rng.random() < 0.1 else float(rng.uniform(-105, -50))
         obs[node_id] = (sd, rsrp)
-    return state, Epoch(0.0, obs), dtb, catalog
+    return state, session_of([(0.0, obs)]), dtb, catalog
 
 
 def assert_updates_agree(got, want):
@@ -343,11 +352,13 @@ def test_update_matches_kalman_gain_reference(n_nodes):
         state, epoch, dtb, catalog = random_epoch(rng, n_nodes, rover_at_node=trial % 10 == 1)
         if trial == 0:
             state = EkfState(state.position, np.diag([1e-12, 1.0]))
-        got = update(state, epoch, dtb, catalog, WIDE_NOISE, cfg)
-        assert_updates_agree(got, reference_update(state, epoch, dtb, catalog, WIDE_NOISE, cfg))
+        got = update(state, epoch, 0, *session_model(epoch, dtb, catalog, WIDE_NOISE, cfg), cfg)
+        assert_updates_agree(got, reference_update(state, epoch, 0, dtb, catalog, WIDE_NOISE,
+                                                   cfg))
         n_rejected += got[2]
         n_singular += trial % 10 == 1
-        n_blank += sum(rsrp is None for node_id, (_, rsrp) in epoch.obs.items() if node_id != "1")
+        n_blank += sum(rsrp is None for n, rsrp in zip(epoch.node, epoch.rsrp)
+                       if epoch.node_ids[n] != "1")
     assert n_rejected > n_singular > 0 and n_blank > 0
 
 
@@ -355,9 +366,16 @@ def test_run_filter_matches_kalman_gain_reference(monkeypatch):
     scenario = positioning_scenario(noise=1.0, seed=7, duration=60.0)
     session = generate(scenario)
     dtb = truth_dtb(scenario, "1")
-    track, residuals = run_filter(session.epochs, dtb, session.catalog, WIDE_NOISE)
-    monkeypatch.setattr("tdoa_dtb.ekf.update", reference_update)
-    ref_track, ref_residuals = run_filter(session.epochs, dtb, session.catalog, WIDE_NOISE)
+    track, residuals = run_filter(session.toa, dtb, session.catalog, WIDE_NOISE)
+    epochs = []
+
+    def oracle(state, toa, epoch, *_):
+        epochs.append(epoch)
+        return reference_update(state, toa, epoch, dtb, session.catalog, WIDE_NOISE, EkfConfig())
+
+    monkeypatch.setattr("tdoa_dtb.ekf.update", oracle)
+    ref_track, ref_residuals = run_filter(session.toa, dtb, session.catalog, WIDE_NOISE)
+    assert epochs == list(range(len(session.toa.times)))   # once per epoch
     assert [(p.time, p.n_obs, p.n_rejected) for p in track] == \
         [(p.time, p.n_obs, p.n_rejected) for p in ref_track]
     assert [r[:2] for r in residuals] == [r[:2] for r in ref_residuals]
@@ -378,7 +396,7 @@ def test_zero_noise_convergence():
     scenario = positioning_scenario(noise=0.0, biases={"2": 5.0, "5": -4.0},
                                     speed=0.1, duration=25.0)
     session = generate(scenario)
-    track, _ = run_filter(session.epochs, truth_dtb(scenario, "1"),
+    track, _ = run_filter(session.toa, truth_dtb(scenario, "1"),
                           session.catalog, tight)
     for p in track[20:40]:
         ref = session.trajectory.interpolate(p.time)
@@ -445,13 +463,14 @@ def test_postfit_residuals_centered():
 
 def test_run_filter_empty():
     catalog = square_catalog()
-    assert run_filter([], empty_dtb(catalog, "1"), catalog, WIDE_NOISE) == ([], [])
+    empty = Session([], [], [], [], [], [0])
+    assert run_filter(empty, empty_dtb(catalog, "1"), catalog, WIDE_NOISE) == ([], [])
 
 
 def test_run_filter_single_epoch():
     scenario = positioning_scenario()
     session = generate(scenario)
-    track, _ = run_filter(session.epochs[:1], truth_dtb(scenario, "1"),
+    track, _ = run_filter(session_of(epochs_of(session.toa)[:1]), truth_dtb(scenario, "1"),
                           session.catalog, WIDE_NOISE)
     assert len(track) == 1
     assert track[0].n_obs == 7
@@ -460,11 +479,12 @@ def test_run_filter_single_epoch():
 def test_run_filter_skips_reference_missing_epochs():
     scenario = positioning_scenario()
     session = generate(scenario)
-    epochs = list(session.epochs)
+    epochs = epochs_of(session.toa)
     # strip the reference node from one epoch
-    e = epochs[5]
-    epochs[5] = Epoch(e.time, {n: o for n, o in e.obs.items() if n != "1"})
-    track, residuals = run_filter(epochs, truth_dtb(scenario, "1"), session.catalog, WIDE_NOISE)
+    t, obs = epochs[5]
+    epochs[5] = (t, {n: o for n, o in obs.items() if n != "1"})
+    track, residuals = run_filter(session_of(epochs), truth_dtb(scenario, "1"), session.catalog,
+                                  WIDE_NOISE)
     assert track[5].n_obs == 0
     assert [r for r in residuals if r[0] == track[5].time] == []
 

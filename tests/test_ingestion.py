@@ -8,11 +8,14 @@ from tdoa_dtb.differencing import form_tdoa
 from tdoa_dtb.errors import (EmptySession, OutOfRange, ParseError, TdoaDtbError, UnitError,
                              UnknownNode)
 from tdoa_dtb.geometry import NodeCatalog, Position, node_sort_key
-from tdoa_dtb.ingestion import (SPEED_OF_LIGHT, ReferenceTrajectory, load_session,
-                                load_toa_epochs, write_toa_csv, write_trajectory_csv,
+from tdoa_dtb.ingestion import (SPEED_OF_LIGHT, ReferenceTrajectory, Session, load_session,
+                                load_toa_session, write_toa_csv, write_trajectory_csv,
                                 load_trajectory)
-from tdoa_dtb.synthetic import Scenario, generate
+from tdoa_dtb.noise import NoiseModel
+from tdoa_dtb.synthetic import ClockModel, Scenario, generate
 from tdoa_dtb.table import write_csv
+
+from conftest import epochs_of, loop_waypoints, eight_node_catalog
 
 
 def _write(path, text):
@@ -41,18 +44,17 @@ def session_files(tmp_path, toa_text=None):
 
 def test_grouping_same_timestamp(tmp_path):
     toa, nodes, traj = session_files(tmp_path)
-    epochs, catalog, _ = load_session(toa, nodes, traj)
-    assert len(epochs) == 2
-    assert len(epochs[0].obs) == 3
-    assert epochs[0].time == 10.0
+    session, catalog, _ = load_session(toa, nodes, traj)
+    assert session == Session(["1", "2", "3"], [0, 1, 2, 0], [65.0, 62.0, 70.0, 64.0],
+                              [-80.0, -85.0, None, -80.0], [10.0, 11.0], [0, 3, 4])
     # missing rsrp flagged as None
-    assert epochs[0].obs["3"] == (70.0, None)
+    assert epochs_of(session)[0] == (10.0, {"1": (65.0, -80.0), "2": (62.0, -85.0),
+                                           "3": (70.0, None)})
 
 
 def test_seconds_unit_conversion(tmp_path):
     toa = _write(tmp_path / "toa.csv", "time,node_id,toa,rsrp\n0.0,1,2.0e-7,\n")
-    (epoch,) = load_toa_epochs(toa, unit_mode="seconds")
-    (pseudorange, _), = epoch.obs.values()
+    (pseudorange,) = load_toa_session(toa, unit_mode="seconds").pseudorange
     assert pseudorange == pytest.approx(2.0e-7 * SPEED_OF_LIGHT, abs=1e-9)
     assert pseudorange == pytest.approx(59.9584916, abs=1e-6)
 
@@ -61,7 +63,7 @@ def test_seconds_unit_implausible(tmp_path):
     # values already in meters declared as seconds blow past light-travel bounds
     toa = _write(tmp_path / "toa.csv", "time,node_id,toa,rsrp\n0.0,1,65.0,\n")
     with pytest.raises(UnitError):
-        load_toa_epochs(toa, unit_mode="seconds")
+        load_toa_session(toa, unit_mode="seconds")
 
 
 def test_unknown_node(tmp_path):
@@ -80,9 +82,9 @@ def test_parse_error_carries_line(tmp_path):
 
 
 def test_grouping_is_a_partition(tmp_path):
-    """On random rows and tolerances, load_toa_epochs either names a duplicate
+    """On random rows and tolerances, load_toa_session either names a duplicate
     node or puts every row in the one epoch whose [time, time + tol] holds it,
-    each epoch's obs in node_sort_key order."""
+    each epoch's rows in node_sort_key order."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     finite = st.floats(-1e3, 1e3, allow_nan=False)
@@ -97,27 +99,36 @@ def test_grouping_is_a_partition(tmp_path):
         path = _toa_rows_file(tmp_path / "toa.csv", rows)
         if not rows:
             with pytest.raises(EmptySession):
-                load_toa_epochs(path, epoch_tol=tol)
+                load_toa_session(path, epoch_tol=tol)
             return
         try:
-            epochs = load_toa_epochs(path, epoch_tol=tol)
+            session = load_toa_session(path, epoch_tol=tol)
         except TdoaDtbError as exc:
             node = str(exc).split("'")[1]
             assert str(exc).startswith(f"{path}: duplicate node {node!r} in epoch at t=")
             assert sum(1 for r in rows if r[1] == node) > 1
             return
-        times = [e.time for e in epochs]
+        assert session.node_ids == sorted({r[1] for r in rows}, key=node_sort_key)
+        starts = session.starts
+        assert starts[0] == 0 and starts[-1] == len(rows) == len(session.node)
+        assert len(starts) == len(session.times) + 1
+        assert all(end > start for start, end in zip(starts, starts[1:]))
+        for start, end in zip(starts, starts[1:]):   # node order, no node twice
+            assert all(a < b for a, b in zip(session.node[start:end - 1],
+                                             session.node[start + 1:end]))
+        epochs = epochs_of(session)
+        times = [t for t, _ in epochs]
         assert all(t1 - t0 > tol for t0, t1 in zip(times, times[1:]))
-        assert Counter((n, *o) for e in epochs for n, o in e.obs.items()) == \
+        assert Counter((n, *o) for _, obs in epochs for n, o in obs.items()) == \
             Counter((n, p, r) for _, n, p, r in rows)
-        members = {id(e): [] for e in epochs}
+        members = {t: [] for t in times}
         for t, n, p, r in rows:
-            (home,) = [e for e in epochs if e.time <= t <= e.time + tol]
-            assert home.obs[n] == (p, r)
-            members[id(home)].append((t, node_sort_key(n), n))
-        for e in epochs:
-            assert e.time == min(members[id(e)])[0]
-            assert list(e.obs) == sorted({n for *_, n in members[id(e)]}, key=node_sort_key)
+            (home,) = [(time, obs) for time, obs in epochs if time <= t <= time + tol]
+            assert home[1][n] == (p, r)
+            members[home[0]].append((t, node_sort_key(n), n))
+        for time, obs in epochs:
+            assert time == min(members[time])[0]
+            assert list(obs) == sorted({n for *_, n in members[time]}, key=node_sort_key)
 
     check()
 
@@ -126,31 +137,50 @@ def test_epoch_rejects_duplicate_node(tmp_path):
     path = _toa_rows_file(tmp_path / "toa.csv", [(0.0, "1", 1.0, None), (0.0005, "2", 1.0, None),
                                                  (0.0008, "1", 2.0, None)])
     with pytest.raises(TdoaDtbError, match=r"duplicate node '1' in epoch at t=0.0"):
-        load_toa_epochs(path)
+        load_toa_session(path)
 
 
 def test_obs_is_in_node_sort_key_order(tmp_path):
-    """Loaded and generated epochs hold obs in node_sort_key order, whatever the
-    row order of the file, and form_tdoa returns its differences in that order."""
+    """Loaded and generated sessions hold each epoch's rows in node_sort_key
+    order, whatever the row order of the file, and form_tdoa returns its
+    differences in that order."""
     ids = ["10", "9", "2", "a", " b", "1.5", "B"]
     rows = [(t, node_id, 100.0 * t + i, None if i % 3 else -70.0 - i)
             for t in (0.0, 0.1, 0.2) for i, node_id in enumerate(ids)]
     # an epoch whose rows differ in time within the tolerance
     rows += [(0.3, "9", 1.0, None), (0.3002, "10", 2.0, None), (0.3004, "2", 3.0, None)]
     random.Random(3).shuffle(rows)
-    epochs = load_toa_epochs(_toa_rows_file(tmp_path / "toa.csv", rows))
+    session = load_toa_session(_toa_rows_file(tmp_path / "toa.csv", rows))
     order = ["1.5", "2", "9", "10", "B", "a", "b"]
-    assert [list(e.obs) for e in epochs] == [order] * 3 + [["2", "9", "10"]]
-    for epoch in epochs:
-        for ref in epoch.obs:
-            _, diffs = form_tdoa(epoch, ref)
-            assert [node_id for node_id, _, _ in diffs] == [n for n in epoch.obs if n != ref]
+    assert session.node_ids == order
+    epochs = epochs_of(session)
+    assert [list(obs) for _, obs in epochs] == [order] * 3 + [["2", "9", "10"]]
+    for epoch, (_, obs) in enumerate(epochs):
+        for ref in obs:
+            _, diff_rows, _ = form_tdoa(session, epoch, session.node_index(ref))
+            assert [session.node_ids[session.node[row]] for row in diff_rows] == \
+                [n for n in obs if n != ref]
 
     catalog = NodeCatalog({node_id: Position(3.0 * i, i % 2) for i, node_id in enumerate(ids)})
-    session = generate(Scenario(catalog=catalog, waypoints=[(1.0, 1.0), (5.0, 1.0)],
-                                epoch_rate=2.0))
-    for epoch in session.epochs:
-        assert list(epoch.obs) == sorted(ids, key=node_sort_key)
+    sim = generate(Scenario(catalog=catalog, waypoints=[(1.0, 1.0), (5.0, 1.0)],
+                            epoch_rate=2.0))
+    for _, obs in epochs_of(sim.toa):
+        assert list(obs) == sorted(ids, key=node_sort_key)
+
+
+def test_generated_session_round_trips_through_a_toa_file(tmp_path):
+    """generate, write_toa_csv and load_toa_session give back an equal Session:
+    the one grouping path serves the simulator and the loader alike."""
+    scenario = Scenario(
+        catalog=eight_node_catalog(), node_biases={"3": 4.0, "7": -9.5},
+        rover_clock=ClockModel(kind="sawtooth", drift_rate=10.0, reset_period=5.0,
+                               reset_magnitude=50.0),
+        waypoints=loop_waypoints(), speed=1.0, epoch_rate=10.0,
+        noise=NoiseModel(60.0, -110.0), seed=31, duration=30.0)
+    session = generate(scenario).toa
+    write_toa_csv(session, tmp_path / "toa.csv")
+    assert load_toa_session(tmp_path / "toa.csv") == session
+    assert len(session.times) == 301 and len(session.node) == 8 * 301
 
 
 def test_interpolate_midpoint():
@@ -209,24 +239,21 @@ def test_trajectory_needs_increasing_times():
 
 def test_session_round_trip(tmp_path):
     toa, nodes, traj = session_files(tmp_path)
-    epochs, catalog, trajectory = load_session(toa, nodes, traj)
+    session, catalog, trajectory = load_session(toa, nodes, traj)
 
     toa2 = tmp_path / "toa2.csv"
     traj2 = tmp_path / "traj2.csv"
-    write_toa_csv(epochs, toa2)
+    write_toa_csv(session, toa2)
     write_trajectory_csv(trajectory, traj2)
-    epochs2, _, trajectory2 = load_session(toa2, nodes, traj2)
+    session2, _, trajectory2 = load_session(toa2, nodes, traj2)
 
-    assert len(epochs2) == len(epochs)
-    for e1, e2 in zip(epochs, epochs2):
-        assert e1.time == e2.time
-        assert list(e1.obs.items()) == list(e2.obs.items())
+    assert session2 == session
     assert trajectory2.samples() == trajectory.samples()
 
     # a second write of what was read gives the same bytes
     toa3 = tmp_path / "toa3.csv"
     traj3 = tmp_path / "traj3.csv"
-    write_toa_csv(epochs2, toa3)
+    write_toa_csv(session2, toa3)
     write_trajectory_csv(trajectory2, traj3)
     assert toa3.read_bytes() == toa2.read_bytes()
     assert traj3.read_bytes() == traj2.read_bytes()

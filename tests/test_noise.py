@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from tdoa_dtb.errors import FitError, NoRsrp, WindowTooSmall
-from tdoa_dtb.ingestion import Epoch
 from tdoa_dtb.noise import (NoiseModel, NoisePoint, detrend_toa,
                             estimate_noise_points, fit_noise_model,
                             read_noise_model, sigma_for, write_noise_model)
+
+from conftest import session_of
 
 
 def grid_search_fit(points, k_range=(1.0, 300.0), rsrp0_range=(-160.0, -90.0), n=400):
@@ -29,15 +30,21 @@ def exact_points(k=60.0, rsrp0=-110.0, rsrps=(-95, -90, -85, -80, -75, -70)):
     return [NoisePoint(float(r), k / (r - rsrp0)) for r in rsrps]
 
 
+def detrend(series, window):
+    """detrend_toa on a series of (time, value) pairs, as (time, residual) pairs."""
+    times = [t for t, _ in series]
+    return list(zip(times, detrend_toa(times, [v for _, v in series], window)))
+
+
 def test_detrend_constant_series():
     series = [(float(t), 42.0) for t in np.arange(0, 20, 0.1)]
-    for _, resid in detrend_toa(series, window=2.0):
+    for _, resid in detrend(series, window=2.0):
         assert resid == pytest.approx(0.0, abs=1e-9)
 
 
 def test_detrend_linear_ramp_interior():
     series = [(float(t), 3.0 * t) for t in np.arange(0, 20, 0.1)]
-    out = detrend_toa(series, window=2.0)
+    out = detrend(series, window=2.0)
     for t, resid in out:
         if 1.5 < t < 18.5:   # away from the edges
             assert abs(resid) < 1e-6
@@ -48,7 +55,7 @@ def test_detrend_recovers_noise_std():
     times = np.arange(0, 300, 0.1)
     noise = rng.normal(0.0, 1.0, times.size)
     series = list(zip(times.tolist(), (5.0 + 0.3 * times + noise).tolist()))
-    residuals = np.array([r for _, r in detrend_toa(series, window=2.0)])
+    residuals = np.array(detrend_toa(times.tolist(), [v for _, v in series], window=2.0))
     assert 0.9 < residuals.std(ddof=1) < 1.1
 
 
@@ -103,7 +110,7 @@ def test_detrend_matches_numpy_reference():
     compared = 0
     for series in cases:
         for window in (0.1, 0.25, 2.0, 7.5):
-            got = detrend_outcome(detrend_toa, series, window)
+            got = detrend_outcome(detrend, series, window)
             want = detrend_outcome(reference_detrend, series, window)
             if isinstance(want, tuple):   # the same error, with the same message
                 assert got == want
@@ -120,7 +127,7 @@ def test_detrend_errors_match_numpy_reference():
     for series, window, error in ((unsorted, 2.0, ValueError), (sparse, 0.5, WindowTooSmall),
                                   (sparse, 1.0, WindowTooSmall)):
         with pytest.raises(error) as got:
-            detrend_toa(series, window)
+            detrend(series, window)
         with pytest.raises(error) as want:
             reference_detrend(series, window)
         assert str(got.value) == str(want.value)
@@ -129,7 +136,7 @@ def test_detrend_errors_match_numpy_reference():
 def test_detrend_window_too_small():
     series = [(float(t), 0.0) for t in range(10)]
     with pytest.raises(WindowTooSmall):
-        detrend_toa(series, window=0.5)
+        detrend(series, window=0.5)
 
 
 def test_detrend_idempotent():
@@ -139,8 +146,8 @@ def test_detrend_idempotent():
     times = np.arange(0, 40, 2e-4)
     series = list(zip(times.tolist(),
                       (0.3 * times + rng.normal(0, 1.0, times.size)).tolist()))
-    once = detrend_toa(series, window=4.0)
-    twice = detrend_toa(once, window=4.0)
+    once = detrend(series, window=4.0)
+    twice = detrend(once, window=4.0)
     interior = np.array([4.0 < t < 36.0 for t, _ in once])
     r1 = np.array([r for _, r in once])[interior]
     r2 = np.array([r for _, r in twice])[interior]
@@ -155,21 +162,21 @@ def make_epochs(rsrp_by_node, sigma_by_node, n=3000, rate=10.0, seed=0):
         t = i / rate
         obs = {node: (50.0 + rng.normal(0, sigma_by_node[node]), rsrp_by_node[node])
                for node in rsrp_by_node}
-        epochs.append(Epoch(t, obs))
+        epochs.append((t, obs))
     return epochs
 
 
 def test_noise_points_single_bin():
     epochs = make_epochs({"1": -80.5, "2": -81.0}, {"1": 1.0, "2": 1.0}, n=200)
-    points = estimate_noise_points(epochs, window=2.0, rsrp_bin_width=2.0)
+    points = estimate_noise_points(session_of(epochs), window=2.0, rsrp_bin_width=2.0)
     assert len(points) == 1
 
 
 def test_noise_points_no_rsrp():
     epochs = make_epochs({"1": -80.0}, {"1": 1.0}, n=50)
-    stripped = [Epoch(e.time, {n: (p, None) for n, (p, _) in e.obs.items()}) for e in epochs]
+    stripped = [(t, {n: (p, None) for n, (p, _) in obs.items()}) for t, obs in epochs]
     with pytest.raises(NoRsrp):
-        estimate_noise_points(stripped)
+        estimate_noise_points(session_of(stripped))
 
 
 def test_noise_points_match_numpy_std():
@@ -178,18 +185,18 @@ def test_noise_points_match_numpy_std():
     rsrps = {str(i): float(r) for i, r in enumerate(np.linspace(-100.0, -55.0, 12))}
     sigmas = {n: 60.0 / (r + 110.0) for n, r in rsrps.items()}
     epochs = make_epochs(rsrps, sigmas, n=600, seed=4)
-    epochs = [Epoch(e.time, {n: (p, None if (i + j) % 7 == 0 else r)
-                             for j, (n, (p, r)) in enumerate(e.obs.items())})
-              for i, e in enumerate(epochs)]
+    epochs = [(t, {n: (p, None if (i + j) % 7 == 0 else r)
+                   for j, (n, (p, r)) in enumerate(obs.items())})
+              for i, (t, obs) in enumerate(epochs)]
     bins = {}
     for node in rsrps:
-        rows = [(e.time, *e.obs[node]) for e in epochs if node in e.obs]
+        rows = [(t, *obs[node]) for t, obs in epochs if node in obs]
         for (_, resid), (_, _, rsrp) in zip(reference_detrend([(t, v) for t, v, _ in rows], 2.0),
                                             rows):
             if rsrp is not None:
                 bins.setdefault(math.floor(rsrp / 2.0), []).append(resid)
     want = [((idx + 0.5) * 2.0, float(np.std(bins[idx], ddof=1))) for idx in sorted(bins)]
-    points = estimate_noise_points(epochs, window=2.0, rsrp_bin_width=2.0)
+    points = estimate_noise_points(session_of(epochs), window=2.0, rsrp_bin_width=2.0)
     assert len(points) == len(want) >= 10
     for p, (center, std) in zip(points, want):
         assert p.rsrp == center
@@ -202,7 +209,7 @@ def test_noise_points_track_generating_model():
     rsrps = {str(i): float(r) for i, r in enumerate(range(-95, -65, 5))}
     sigmas = {n: k / (r - rsrp0) for n, r in rsrps.items()}
     epochs = make_epochs(rsrps, sigmas, n=4000, seed=11)
-    points = estimate_noise_points(epochs, window=2.0, rsrp_bin_width=2.0)
+    points = estimate_noise_points(session_of(epochs), window=2.0, rsrp_bin_width=2.0)
     assert len(points) >= 5
     for p in points:
         expected = k / (p.rsrp - rsrp0)

@@ -10,15 +10,15 @@ from tdoa_dtb.ingestion import write_toa_csv
 from tdoa_dtb.synthetic import (ClockModel, PathLossModel, Scenario, generate,
                                 load_scenario, truth_dtb)
 
-from conftest import square_catalog
+from conftest import epochs_of, square_catalog
 
 
 def test_degenerate_scenario_exact_geometry(basic_scenario):
     basic_scenario.node_biases = {}
     session = generate(basic_scenario)
-    for epoch in session.epochs:
-        rover = session.trajectory.interpolate(epoch.time)
-        for node_id, (pseudorange, _) in epoch.obs.items():
+    for t, obs in epochs_of(session.toa):
+        rover = session.trajectory.interpolate(t)
+        for node_id, (pseudorange, _) in obs.items():
             rho = range_between(rover, session.catalog[node_id])
             assert pseudorange == pytest.approx(rho, abs=1e-9)
 
@@ -49,7 +49,7 @@ def test_sawtooth_jumps_on_all_nodes():
                         waypoints=[(10.0, 10.0)], speed=0.0, epoch_rate=1.0,
                         duration=12.0)
     session = generate(scenario)
-    by_epoch = {e.time: {n: p for n, (p, _) in e.obs.items()} for e in session.epochs}
+    by_epoch = {t: {n: p for n, (p, _) in obs.items()} for t, obs in epochs_of(session.toa)}
     # static rover: consecutive ToA differences are pure clock drift / resets
     for node_id in session.catalog.ids():
         step_4_5 = by_epoch[5.0][node_id] - by_epoch[4.0][node_id]
@@ -67,7 +67,7 @@ def test_clock_model_invariance_of_dtb(basic_scenario):
                              reset_magnitude=16.0)):
         basic_scenario.rover_clock = clock
         session = generate(basic_scenario)
-        tables.append(calibrate(session.epochs, session.trajectory, session.catalog, "1")[0])
+        tables.append(calibrate(session.toa, session.trajectory, session.catalog, "1")[0])
     assert tables[0] == tables[1] == tables[2]
 
 
@@ -77,7 +77,7 @@ def test_determinism_byte_identical(tmp_path, basic_scenario):
     for name in ("a.csv", "b.csv"):
         session = generate(basic_scenario)
         path = tmp_path / name
-        write_toa_csv(session.epochs, path)
+        write_toa_csv(session.toa, path)
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
@@ -87,7 +87,7 @@ def test_seed_changes_output(basic_scenario):
     s1 = generate(basic_scenario)
     basic_scenario.seed += 1
     s2 = generate(basic_scenario)
-    assert s1.epochs != s2.epochs
+    assert s1.toa != s2.toa
 
 
 def test_noise_stream_independent_of_generation_order(basic_scenario):
@@ -95,8 +95,8 @@ def test_noise_stream_independent_of_generation_order(basic_scenario):
     basic_scenario.noise = 1.0
     full = generate(basic_scenario)
     short = generate(Scenario(**{**basic_scenario.__dict__, "duration": 5.0}))
-    for e_full, e_short in zip(full.epochs, short.epochs):
-        assert list(e_full.obs.items()) == list(e_short.obs.items())
+    for e_full, e_short in zip(epochs_of(full.toa), epochs_of(short.toa)):
+        assert list(e_full[1].items()) == list(e_short[1].items())
 
 
 def _polyline(waypoints):
@@ -154,7 +154,7 @@ def test_rover_path_matches_numpy_polyline():
         if duration is None:
             duration = cumlen[-1] / speed
         session = generate(scenario)
-        assert len(session.epochs) == int(math.floor(duration * 2.0)) + 1
+        assert len(session.toa.times) == int(math.floor(duration * 2.0)) + 1
         for t, pos in session.trajectory.samples():
             assert (pos.x, pos.y) == _position_at(pts, cumlen, speed * t)
 
@@ -169,8 +169,8 @@ def test_end_to_end_calibration_recovery():
         speed=0.08, epoch_rate=1.0, noise=1.0, seed=21,
     )
     session = generate(scenario)
-    assert len(session.epochs) >= 500
-    table, _ = calibrate(session.epochs, session.trajectory, catalog, "1")
+    assert len(session.toa.times) >= 500
+    table, _ = calibrate(session.toa, session.trajectory, catalog, "1")
     truth = truth_dtb(scenario, "1")
     bound = 4.0 * math.sqrt(2.0) / math.sqrt(500)
     for node_id, entry in table.entries.items():
@@ -180,9 +180,9 @@ def test_end_to_end_calibration_recovery():
 def test_rsrp_follows_path_loss(basic_scenario):
     session = generate(basic_scenario)
     model = basic_scenario.path_loss
-    epoch = session.epochs[0]
-    rover = session.trajectory.interpolate(epoch.time)
-    for node_id, (_, rsrp) in epoch.obs.items():
+    t, obs = epochs_of(session.toa)[0]
+    rover = session.trajectory.interpolate(t)
+    for node_id, (_, rsrp) in obs.items():
         rho = range_between(rover, session.catalog[node_id])
         assert rsrp == pytest.approx(model.rsrp(rho), abs=1e-9)
 

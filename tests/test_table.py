@@ -12,7 +12,7 @@ from tdoa_dtb.dtb import read_dtb
 from tdoa_dtb.ekf import read_residuals_csv, read_track_csv
 from tdoa_dtb.errors import EmptySession, ParseError
 from tdoa_dtb.geometry import NodeCatalog
-from tdoa_dtb.ingestion import load_toa_epochs, load_trajectory
+from tdoa_dtb.ingestion import load_toa_session, load_trajectory
 from tdoa_dtb.noise import NoiseModel, read_noise_model, write_noise_model
 from tdoa_dtb.table import read_csv
 
@@ -29,7 +29,7 @@ noise: {k: 60.0, rsrp0: -110.0}
 
 # file -> (reader, CLI command that reads it, a required column, columns to spoil)
 FORMATS = {
-    "toa.csv": (load_toa_epochs, "position", "toa", ["time", "toa", "rsrp"]),
+    "toa.csv": (load_toa_session, "position", "toa", ["time", "toa", "rsrp"]),
     "nodes.csv": (NodeCatalog.from_csv, "position", "x", ["x", "z"]),
     "trajectory.csv": (load_trajectory, "evaluate", "time", ["time", "y"]),
     "dtb.csv": (read_dtb, "position", "mean_m", ["mean_m", "std_m", "n_samples"]),
@@ -111,7 +111,7 @@ def toa_file(tmp_path, body):
 
 def toa_parse_error(path):
     with pytest.raises(ParseError) as exc:
-        load_toa_epochs(path)
+        load_toa_session(path)
     return exc.value
 
 
@@ -151,16 +151,29 @@ def test_bad_cell_before_a_malformed_line_is_reported_first(tmp_path):
 def test_blank_optional_cells_interleaved_read_as_none(tmp_path):
     path = toa_file(tmp_path, "0.0,1,5.0,\n0.0,2,6.0,-81.5\n0.0,3,7.0,\n"
                               "0.1,1,5.5,-80\n0.1,2,6.5,\n0.1,3,7.5,-82\n")
-    epochs = load_toa_epochs(path)
-    assert [e.obs for e in epochs] == [
-        {"1": (5.0, None), "2": (6.0, -81.5), "3": (7.0, None)},
-        {"1": (5.5, -80.0), "2": (6.5, None), "3": (7.5, -82.0)},
-    ]
+    session = load_toa_session(path)
+    assert session.pseudorange == [5.0, 6.0, 7.0, 5.5, 6.5, 7.5]
+    assert session.rsrp == [None, -81.5, None, -80.0, None, -82.0]
+
+
+def test_cells_past_the_header_are_ignored(tmp_path):
+    """An absent optional column reads None on every row, even on a row with
+    more cells than the header."""
+    toa = tmp_path / "toa.csv"
+    toa.write_text("time,node_id,toa\n0,1,2,-80\n0,2,3\n")
+    session = load_toa_session(toa)
+    assert session.pseudorange == [2.0, 3.0] and session.rsrp == [None, None]
+    traj = tmp_path / "traj.csv"
+    traj.write_text("time,x,y\n0,0,0,5\n1,1,0,x1\n")
+    assert [(p.x, p.y, p.z) for _, p in load_trajectory(traj).samples()] == \
+        [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)]
+    assert read_csv(traj, {"time": float}, {"z": float, "w": int}) == \
+        [[0.0, 1.0], [None, None], [None, None]]
 
 
 def test_header_only_toa_file_is_an_empty_session(tmp_path):
     with pytest.raises(EmptySession):
-        load_toa_epochs(toa_file(tmp_path, ""))
+        load_toa_session(toa_file(tmp_path, ""))
 
 
 def row_by_row(path, required, optional):
@@ -170,16 +183,16 @@ def row_by_row(path, required, optional):
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader)
-        columns = [(name, header.index(name) if name in header else len(header), kind,
+        columns = [(name, header.index(name) if name in header else None, kind,
                     name in optional) for name, kind in [*required.items(), *optional.items()]]
         rows = []
         for row in reader:
             if not row:
                 continue
-            row += [""] * (len(header) + 1 - len(row))
+            row += [""] * (len(header) - len(row))
             values = []
             for name, index, kind, blank_ok in columns:
-                if blank_ok and row[index] == "":
+                if index is None or blank_ok and row[index] == "":
                     values.append(None)
                     continue
                 try:

@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .geometry import NodeCatalog, Position, range_between, sd_range
+from .geometry import NodeCatalog, Position, range_between, read_nodes, sd_range, write_nodes
 from .ingestion import ReferenceTrajectory, Session, group_epochs, load_session
 from .differencing import form_tdoa, select_reference
 from .dtb import (DtbEntry, DtbTable, aggregate_dtb, calibrate, read_dtb, rereference_dtb,
@@ -14,7 +14,7 @@ from .ekf import (EkfConfig, EkfState, TrackPoint, init_apriori, measurement_mod
 from .metrics import session_metrics, sigma_formal, sigma_postfits, true_error
 
 __all__ = [
-    "NodeCatalog", "Position", "range_between", "sd_range",
+    "NodeCatalog", "Position", "range_between", "read_nodes", "sd_range", "write_nodes",
     "ReferenceTrajectory", "Session", "group_epochs", "load_session",
     "form_tdoa", "select_reference",
     "DtbEntry", "DtbTable", "aggregate_dtb", "calibrate", "read_dtb",

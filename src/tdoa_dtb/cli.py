@@ -27,7 +27,7 @@ from .dtb import calibrate, read_dtb, rereference_dtb, write_dtb
 from .ekf import (EkfConfig, read_residuals_csv, read_track_csv, run_filter,
                   write_residuals_csv, write_track_csv)
 from .errors import TdoaDtbError
-from .geometry import NodeCatalog
+from .geometry import read_nodes, write_nodes
 from .ingestion import (DEFAULT_EPOCH_TOL, load_session, load_toa_session,
                         load_trajectory, write_toa_csv, write_trajectory_csv)
 from .metrics import session_metrics, write_metrics_json
@@ -104,7 +104,7 @@ def _cmd_simulate(args) -> None:
     sim = generate(scenario)
     os.makedirs(args.out_dir, exist_ok=True)
     write_toa_csv(sim.toa, os.path.join(args.out_dir, "toa.csv"))
-    sim.catalog.to_csv(os.path.join(args.out_dir, "nodes.csv"))
+    write_nodes(sim.catalog, os.path.join(args.out_dir, "nodes.csv"))
     write_trajectory_csv(sim.trajectory, os.path.join(args.out_dir, "trajectory.csv"))
     truth_ref = args.truth_ref or sim.catalog.ids()[0]
     write_dtb(truth_dtb(scenario, truth_ref), os.path.join(args.out_dir, "truth_dtb.csv"))
@@ -138,7 +138,7 @@ def _cmd_calibrate(args) -> None:
 
 def _cmd_position(args) -> None:
     session = load_toa_session(args.toa, args.unit, args.epoch_tol)
-    catalog = NodeCatalog.from_csv(args.nodes)
+    catalog = read_nodes(args.nodes)
     dtb = read_dtb(args.dtb)
     noise = read_noise_model(args.noise)
     cfg = EkfConfig(sigma_x=args.sigma_x, sigma_y=args.sigma_y,

@@ -51,9 +51,6 @@ class DtbTable:
         except KeyError:
             raise UnknownNode(f"node {node_id!r} not in DTB table") from None
 
-    def node_ids(self) -> list[str]:
-        return sorted(self.entries, key=node_sort_key)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, DtbTable)
                 and self.ref_node_id == other.ref_node_id
@@ -131,11 +128,11 @@ def calibrate(session: Session, traj: ReferenceTrajectory, catalog: NodeCatalog,
 
     Drop policy: epochs outside the trajectory span, and epochs without the
     reference node, give no samples, which keeps the whole table tied to one
-    reference. Raises ReferenceMissing when no sample is left.
+    reference. Raises UnknownNode when a session node is not in the catalog,
+    and ReferenceMissing when no sample is left.
     """
     ids, node, ref_index = session.node_ids, session.node, session.node_index(ref)
-    # positions by node index; None for a node the catalog lacks, looked up (and raising) late
-    positions = [catalog[node_id] if node_id in catalog else None for node_id in ids]
+    positions = [catalog[node_id] for node_id in ids]   # by node index
     samples = []
     for epoch, t in enumerate(session.times):
         if not traj.covers(t):
@@ -145,10 +142,10 @@ def calibrate(session: Session, traj: ReferenceTrajectory, catalog: NodeCatalog,
         except ReferenceMissing:
             continue
         rover = traj.interpolate(t)
-        ref_range = range_between(rover, positions[ref_index] or catalog[ref])
+        ref_range = range_between(rover, positions[ref_index])
         for row, sd in zip(rows, diffs):
             n = node[row]
-            value = sd - (range_between(rover, positions[n] or catalog[ids[n]]) - ref_range)
+            value = sd - (range_between(rover, positions[n]) - ref_range)
             if not math.isfinite(value):
                 raise TdoaDtbError(f"non-finite DTB sample {value} of node {ids[n]!r} at t={t}")
             samples.append((t, ids[n], value))
@@ -164,7 +161,7 @@ DTB_COLUMNS = {"session": str, "ref_node": str, "node_id": str,
 
 def write_dtb(table: DtbTable, path) -> None:
     rows = []
-    for node_id in table.node_ids():
+    for node_id in sorted(table.entries, key=node_sort_key):
         e = table.entries[node_id]
         rows.append((table.session, table.ref_node_id, node_id, e.mean, e.std, e.n_samples))
     write_csv(path, list(DTB_COLUMNS), rows)

@@ -16,15 +16,15 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .differencing import form_tdoa
 from .dtb import DtbTable
-from .errors import (NegativeDt, ReferenceMissing, SingularGeometry, TdoaDtbError, TooFewNodes,
-                     UnknownNode)
+from .errors import NegativeDt, ReferenceMissing, SingularGeometry, TdoaDtbError, UnknownNode
 from .geometry import NodeCatalog
 from .ingestion import Session
 from .noise import DEFAULT_SIGMA_NO_RSRP, NoiseModel, sigma_for
-from .table import read_csv, write_csv
+from .table import read_csv, row_error, write_csv
 
 MIN_RANGE_M = 1.0e-6   # below this the range partials are undefined
 PSD_TOL = -1.0e-9
@@ -60,6 +60,11 @@ class EkfConfig:
             raise ValueError("min_obs_per_update must be at least 1")
 
 
+def _min_eig(a: float, b: float, d: float) -> float:
+    """Smaller eigenvalue of the symmetric 2x2 matrix ((a, b), (b, d)), in closed form."""
+    return 0.5 * (a + d) - math.hypot(0.5 * (a - d), b)
+
+
 @dataclass
 class EkfState:
     """Planar filter state in plain floats.
@@ -79,7 +84,7 @@ class EkfState:
         a, b, d = float(a), 0.5 * (float(b) + float(c)), float(d)
         if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(d)):
             raise ValueError("non-finite filter covariance")
-        min_eig = 0.5 * (a + d) - math.hypot(0.5 * (a - d), b)   # closed form for 2x2
+        min_eig = _min_eig(a, b, d)
         if not min_eig >= PSD_TOL:
             raise ValueError(f"covariance not PSD, min eigenvalue {min_eig:.3e}")
         if not (math.isfinite(x) and math.isfinite(y)):
@@ -88,9 +93,8 @@ class EkfState:
         self.covariance = ((a, b), (b, d))
 
 
-@dataclass(frozen=True)
-class TrackPoint:
-    """One filtered epoch, as written to the track CSV; covariance flattened."""
+class TrackPoint(NamedTuple):
+    """One filtered epoch: a row of the track CSV, covariance flattened."""
 
     time: float
     x: float
@@ -108,8 +112,6 @@ def init_apriori(catalog: NodeCatalog) -> EkfState:
     Per-axis variance is the sample variance of the node coordinates, floored
     at 1 m^2 so degenerate layouts still give a usable prior.
     """
-    if len(catalog) < 2:
-        raise TooFewNodes("apriori needs at least 2 nodes")
     xs = [p.x for _, p in catalog.items()]
     ys = [p.y for _, p in catalog.items()]
     var_x = max(statistics.variance(xs), 1.0)
@@ -289,13 +291,17 @@ RESIDUAL_COLUMNS = {"time": float, "node_id": str, "postfit_m": float}
 
 
 def write_track_csv(track: list[TrackPoint], path) -> None:
-    write_csv(path, list(TRACK_COLUMNS),
-              ((p.time, p.x, p.y, p.cov_xx, p.cov_xy, p.cov_yy, p.n_obs, p.n_rejected)
-               for p in track))
+    write_csv(path, list(TRACK_COLUMNS), track)
 
 
 def read_track_csv(path) -> list[TrackPoint]:
-    return list(map(TrackPoint, *read_csv(path, TRACK_COLUMNS)))
+    """The track of a track CSV; a row whose covariance is not PSD, as EkfState
+    checks it, is a ParseError at its line."""
+    columns = read_csv(path, TRACK_COLUMNS)
+    for index, min_eig in enumerate(map(_min_eig, *columns[3:6])):
+        if not min_eig >= PSD_TOL:
+            raise row_error(path, index, f"covariance not PSD, min eigenvalue {min_eig:.3e}")
+    return list(map(TrackPoint, *columns))
 
 
 def write_residuals_csv(residuals: list[tuple[float, str, float]], path) -> None:

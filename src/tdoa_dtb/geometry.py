@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import TooFewNodes, UnknownNode
+from .errors import ParseError, TooFewNodes, UnknownNode
 from .table import read_csv, row_error, write_csv
 
 
@@ -61,35 +61,35 @@ class NodeCatalog:
         except KeyError:
             raise UnknownNode(f"node {node_id!r} not in catalog") from None
 
-    def __len__(self) -> int:
-        return len(self._positions)
-
     def ids(self) -> list[str]:
         return sorted(self._positions, key=node_sort_key)
 
     def items(self):
         return [(i, self._positions[i]) for i in self.ids()]
 
-    @classmethod
-    def from_csv(cls, path) -> "NodeCatalog":
-        """Load a catalog from a CSV with header node_id,x,y[,z]."""
-        positions: dict[str, Position] = {}
-        owners: dict[Position, str] = {}
-        columns = read_csv(path, {"node_id": str, "x": float, "y": float}, {"z": float})
-        for index, (node_id, x, y, z) in enumerate(zip(*columns)):
-            pos = Position(x, y, 0.0 if z is None else z)
-            if node_id in positions:
-                raise row_error(path, index, f"duplicate node id {node_id!r}")
-            if pos in owners:
-                raise row_error(path, index, f"node {node_id!r} shares the position "
-                                             f"of node {owners[pos]!r}")
-            positions[node_id] = pos
-            owners[pos] = node_id
-        return cls(positions)
 
-    def to_csv(self, path) -> None:
-        write_csv(path, ["node_id", "x", "y", "z"],
-                  ((node_id, p.x, p.y, p.z) for node_id, p in self.items()))
+def read_nodes(path) -> NodeCatalog:
+    """Load a catalog from a CSV with header node_id,x,y[,z]."""
+    positions: dict[str, Position] = {}
+    owners: dict[Position, str] = {}
+    columns = read_csv(path, {"node_id": str, "x": float, "y": float}, {"z": float})
+    if len(columns[0]) < 2:
+        raise ParseError(path, 1, f"catalog needs at least 2 nodes, got {len(columns[0])}")
+    for index, (node_id, x, y, z) in enumerate(zip(*columns)):
+        pos = Position(x, y, 0.0 if z is None else z)
+        if node_id in positions:
+            raise row_error(path, index, f"duplicate node id {node_id!r}")
+        if pos in owners:
+            raise row_error(path, index, f"node {node_id!r} shares the position "
+                                         f"of node {owners[pos]!r}")
+        positions[node_id] = pos
+        owners[pos] = node_id
+    return NodeCatalog(positions)
+
+
+def write_nodes(catalog: NodeCatalog, path) -> None:
+    write_csv(path, ["node_id", "x", "y", "z"],
+              ((node_id, p.x, p.y, p.z) for node_id, p in catalog.items()))
 
 
 def range_between(a: Position, b: Position) -> float:

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .errors import (EmptySession, OutOfRange, ParseError, TdoaDtbError, UnitError,
                      UnknownNode)
-from .geometry import NodeCatalog, Position, node_sort_key
+from .geometry import Position, node_sort_key, read_nodes
 from .table import read_csv, row_error, write_csv
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
@@ -58,10 +58,11 @@ def group_epochs(times: list[float], node_ids: list[str], pseudoranges: list[flo
                  source: str = "session") -> Session:
     """The Session of ToA rows given as columns, in any order.
 
-    The rows are sorted by (time, node_sort_key); a row opens a new epoch when
-    its time differs from the current epoch's first row by more than the
-    tolerance, so each row lands in exactly one epoch, which takes its first
-    row's time. A node seen twice in one epoch is a data error naming source.
+    The rows are sorted by time; a row opens a new epoch when its time
+    differs from the current epoch's first row by more than the tolerance, so
+    each row lands in exactly one epoch, which takes its first row's time.
+    Each epoch's rows are then sorted by node_sort_key. A node seen twice in
+    one epoch is a data error naming source and the first such node.
     """
     if not times:
         raise EmptySession(f"{source}: no observations")
@@ -70,22 +71,18 @@ def group_epochs(times: list[float], node_ids: list[str], pseudoranges: list[flo
     ids = sorted(dict.fromkeys(node_ids), key=node_sort_key)
     rank = dict(zip(ids, range(len(ids))))
     node = list(map(rank.__getitem__, node_ids))
-    order = sorted(range(len(node)), key=node.__getitem__)
-    order.sort(key=times.__getitem__)   # stable: (time, node, row) order
+    order = sorted(range(len(node)), key=times.__getitem__)
     times, starts = list(map(times.__getitem__, order)), [0]
     for row, t in enumerate(times):
         if t - times[starts[-1]] > epoch_tol:
             starts.append(row)
     starts.append(len(times))
     for start, end in zip(starts, starts[1:]):
-        rows = order[start:end]
-        if len(set(map(node.__getitem__, rows))) < end - start:
-            members = [node[i] for i in rows]
-            dup = next(n for k, n in enumerate(members) if n in members[:k])
-            raise TdoaDtbError(f"{source}: duplicate node {ids[dup]!r} in epoch "
-                               f"at t={times[start]}")
-        if times[start] != times[end - 1]:   # rows at several times: back to node order
-            order[start:end] = sorted(rows, key=node.__getitem__)
+        rows = order[start:end] = sorted(order[start:end], key=node.__getitem__)
+        for a, b in zip(rows, rows[1:]):   # a duplicate node is two adjacent rows
+            if node[a] == node[b]:
+                raise TdoaDtbError(f"{source}: duplicate node {ids[node[a]]!r} in epoch "
+                                   f"at t={times[start]}")
     return Session(ids, *(list(map(column.__getitem__, order))
                           for column in (node, pseudoranges, rsrps)),
                    [times[start] for start in starts[:-1]], starts)
@@ -103,24 +100,13 @@ class ReferenceTrajectory:
         self.times = [float(t) for t in times]
         self.xyz = [(float(p.x), float(p.y), float(p.z)) for _, p in samples]
 
-    @property
-    def t_start(self) -> float:
-        return self.times[0]
-
-    @property
-    def t_end(self) -> float:
-        return self.times[-1]
-
-    def samples(self) -> list[tuple[float, Position]]:
-        return [(t, Position(*row)) for t, row in zip(self.times, self.xyz)]
-
     def covers(self, t: float) -> bool:
-        return self.t_start <= t <= self.t_end
+        return self.times[0] <= t <= self.times[-1]
 
     def interpolate(self, t: float) -> Position:
         if not self.covers(t):
             raise OutOfRange(
-                f"t={t} outside trajectory span [{self.t_start}, {self.t_end}]"
+                f"t={t} outside trajectory span [{self.times[0]}, {self.times[-1]}]"
             )
         i = bisect.bisect_right(self.times, t)
         if i == len(self.times):
@@ -170,7 +156,7 @@ def load_session(toa_file, node_file, trajectory_file, unit_mode: str = "meters"
     the catalog; epochs outside the trajectory span are retained (calibration
     skips them, positioning does not need the trajectory).
     """
-    catalog = NodeCatalog.from_csv(node_file)
+    catalog = read_nodes(node_file)
     session = load_toa_session(toa_file, unit_mode, epoch_tol)
     unknown = [n for n, node_id in enumerate(session.node_ids) if node_id not in catalog]
     if unknown:
@@ -190,4 +176,4 @@ def write_toa_csv(session: Session, path) -> None:
 
 def write_trajectory_csv(traj: ReferenceTrajectory, path) -> None:
     write_csv(path, ["time", "x", "y", "z"],
-              ((t, p.x, p.y, p.z) for t, p in traj.samples()))
+              ((t, *xyz) for t, xyz in zip(traj.times, traj.xyz)))

@@ -17,7 +17,7 @@ import json
 import math
 
 from .ekf import TrackPoint
-from .errors import EmptyTrack, InsufficientResiduals, NoOverlap
+from .errors import EmptyTrack, InsufficientResiduals, NoOverlap, TdoaDtbError
 from .ingestion import ReferenceTrajectory
 
 N_PARAM_2D = 2  # estimated parameters: the two position components
@@ -42,7 +42,8 @@ def sigma_formal(track: list[TrackPoint]) -> float:
     """Mean over epochs of the root trace of the position covariance."""
     if not track:
         raise EmptyTrack("no epochs in track")
-    return sum(math.sqrt(p.cov_xx + p.cov_yy) for p in track) / len(track)
+    # a trace within PSD tolerance below 0 is 0
+    return sum(math.sqrt(max(p.cov_xx + p.cov_yy, 0.0)) for p in track) / len(track)
 
 
 def sigma_postfits(residuals: list[float]) -> float:
@@ -55,18 +56,24 @@ def sigma_postfits(residuals: list[float]) -> float:
 
 def session_metrics(track: list[TrackPoint], traj: ReferenceTrajectory,
                     residuals: list[float]) -> dict:
-    """The metrics JSON record of one filtered session."""
+    """The metrics JSON record of one filtered session. A metric that is not
+    finite, because the track or residuals hold values near float range, is a
+    data error."""
     mean, rms = true_error(track, traj)
-    return {
+    metrics = {
         "true_error_mean_m": mean,
         "true_error_rms_m": rms,
         "sigma_formal_m": sigma_formal(track),
         "sigma_postfits_m": sigma_postfits(residuals),
         "n_epochs": len(track),
     }
+    for name, value in metrics.items():
+        if not math.isfinite(value):
+            raise TdoaDtbError(f"metric {name} is {value}: the inputs are out of float range")
+    return metrics
 
 
 def write_metrics_json(metrics: dict, path) -> None:
     with open(path, "w") as f:
-        json.dump(metrics, f, indent=2, sort_keys=True)
+        json.dump(metrics, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")

@@ -45,7 +45,7 @@ class ClockModel:
     def __post_init__(self):
         if self.kind not in ("zero", "constant", "sawtooth"):
             raise InvalidScenario(f"unknown clock kind {self.kind!r}")
-        if self.kind == "sawtooth" and self.reset_period <= 0:
+        if self.kind == "sawtooth" and not self.reset_period > 0:
             raise InvalidScenario("sawtooth clock needs reset_period > 0")
 
     def bias_at(self, t: float) -> float:
@@ -78,26 +78,29 @@ class Scenario:
     epoch_rate: float = 1.0       # Hz
     noise: NoiseModel | float = 0.0   # model, or constant per-ToA sigma in m
     path_loss: PathLossModel = field(default_factory=PathLossModel)
-    nlos_offset: dict[str, float] | None = None
+    nlos_offset: dict[str, float] = field(default_factory=dict)
     seed: int = 0
     duration: float | None = None     # s; default: time to traverse the polyline
     quantize: float | None = None     # m; round pseudo-ranges to this grid
 
     def __post_init__(self):
-        if self.epoch_rate <= 0:
+        # written as not (x > 0) or not (x >= 0), so that NaN fails too
+        if not self.epoch_rate > 0:
             raise InvalidScenario("epoch_rate must be positive")
-        if self.speed < 0:
+        if not self.speed >= 0:
             raise InvalidScenario("speed must be non-negative")
         if not self.waypoints:
             raise InvalidScenario("scenario needs at least one waypoint")
-        for mapping, what in ((self.node_biases, "bias"), (self.nlos_offset or {}, "nlos")):
+        for mapping, what in ((self.node_biases, "bias"), (self.nlos_offset, "nlos")):
             for node_id in mapping:
                 if node_id not in self.catalog:
                     raise InvalidScenario(f"{what} for unknown node {node_id!r}")
-        if isinstance(self.noise, (int, float)) and self.noise < 0:
+        if isinstance(self.noise, (int, float)) and not self.noise >= 0:
             raise InvalidScenario("constant noise sigma must be non-negative")
         if self.duration is None and self.speed == 0 and len(self.waypoints) > 1:
             raise InvalidScenario("zero speed needs an explicit duration")
+        if self.quantize is not None and not self.quantize > 0:
+            raise InvalidScenario("quantize grid must be positive")
 
 
 def _path_samples(waypoints: list[tuple[float, float]]) -> list[tuple[float, Position]]:
@@ -113,12 +116,6 @@ def _path_samples(waypoints: list[tuple[float, float]]) -> list[tuple[float, Pos
     return samples
 
 
-def _quantize(value: float, grid: float | None) -> float:
-    if grid is None:
-        return value
-    return round(value / grid) * grid
-
-
 @dataclass
 class SyntheticSession:
     toa: Session
@@ -131,7 +128,7 @@ def truth_dtb(scenario: Scenario, ref_node_id: str) -> DtbTable:
     """Analytic DTB table for any reference: bias differences plus NLOS differences."""
     if ref_node_id not in scenario.catalog:
         raise InvalidScenario(f"reference {ref_node_id!r} not in catalog")
-    nlos = scenario.nlos_offset or {}
+    nlos = scenario.nlos_offset
     b_ref = scenario.node_biases.get(ref_node_id, 0.0) - nlos.get(ref_node_id, 0.0)
     entries = {}
     for node_id in scenario.catalog.ids():
@@ -153,9 +150,11 @@ def generate(scenario: Scenario) -> SyntheticSession:
     n_epochs = int(math.floor(duration * scenario.epoch_rate)) + 1
     if n_epochs < 2:
         raise InvalidScenario("scenario spans fewer than 2 epochs")
+    if scenario.seed < 0:   # checked here: simulate --seed replaces the scenario's seed
+        raise InvalidScenario(f"seed must be non-negative, got {scenario.seed}")
 
     node_ids = scenario.catalog.ids()
-    nlos = scenario.nlos_offset or {}
+    nlos, grid = scenario.nlos_offset, scenario.quantize
     rows = []   # (time, node_id, toa, rsrp)
     traj_samples = []
     for k in range(n_epochs):
@@ -175,49 +174,63 @@ def generate(scenario: Scenario) -> SyntheticSession:
             eps = sigma * rng.standard_normal() if sigma > 0 else 0.0
             toa = (rho - scenario.node_biases.get(node_id, 0.0)
                    + nlos.get(node_id, 0.0) + eps)
-            rows.append((t, node_id, _quantize(toa, scenario.quantize) + clock, rsrp))
+            if grid is not None:
+                toa = round(toa / grid) * grid
+            rows.append((t, node_id, toa + clock, rsrp))
     toa = group_epochs(*map(list, zip(*rows)), epoch_tol=0.0)
     return SyntheticSession(toa, scenario.catalog, ReferenceTrajectory(traj_samples), scenario)
 
 
+def _float(value) -> float:
+    """A finite float, the rule the CSV layer applies to every number."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"non-finite number {value!r}")
+    return number
+
+
+def _floats(mapping) -> dict[str, float]:
+    return {str(key): _float(value) for key, value in mapping.items()}
+
+
 def load_scenario(path) -> Scenario:
     """Build a scenario from its YAML description (see README for the schema)."""
-    with open(path) as f:
-        raw = yaml.safe_load(f)
+    try:
+        with open(path) as f:
+            raw = yaml.safe_load(f)
+    except yaml.YAMLError as exc:
+        raise InvalidScenario(f"{path}: {exc}") from None
     if not isinstance(raw, dict):
         raise InvalidScenario(f"{path}: scenario file must be a mapping")
     try:
         nodes = {
-            str(node_id): Position(*[float(c) for c in coords])
+            str(node_id): Position(*map(_float, coords))
             for node_id, coords in raw["nodes"].items()
         }
         catalog = NodeCatalog(nodes)
         clock_raw = dict(raw.get("clock", {"kind": "zero"}))
-        clock = ClockModel(**clock_raw)
+        clock = ClockModel(clock_raw.pop("kind", "zero"), **_floats(clock_raw))
         noise_raw = raw.get("noise", 0.0)
         if isinstance(noise_raw, dict):
             if "sigma" in noise_raw:
-                noise = float(noise_raw["sigma"])
+                noise = _float(noise_raw["sigma"])
             else:
-                noise = NoiseModel(**{k: float(v) for k, v in noise_raw.items()})
+                noise = NoiseModel(**_floats(noise_raw))
         else:
-            noise = float(noise_raw)
-        pl_raw = raw.get("path_loss", {})
-        path_loss = PathLossModel(**{k: float(v) for k, v in pl_raw.items()})
+            noise = _float(noise_raw)
         return Scenario(
             catalog=catalog,
-            node_biases={str(k): float(v) for k, v in raw.get("biases", {}).items()},
+            node_biases=_floats(raw.get("biases", {})),
             rover_clock=clock,
-            waypoints=[(float(x), float(y)) for x, y in raw["waypoints"]],
-            speed=float(raw.get("speed", 1.0)),
-            epoch_rate=float(raw.get("epoch_rate", 1.0)),
+            waypoints=[(_float(x), _float(y)) for x, y in raw["waypoints"]],
+            speed=_float(raw.get("speed", 1.0)),
+            epoch_rate=_float(raw.get("epoch_rate", 1.0)),
             noise=noise,
-            path_loss=path_loss,
-            nlos_offset={str(k): float(v) for k, v in raw["nlos"].items()}
-            if raw.get("nlos") else None,
+            path_loss=PathLossModel(**_floats(raw.get("path_loss", {}))),
+            nlos_offset=_floats(raw.get("nlos") or {}),
             seed=int(raw.get("seed", 0)),
-            duration=float(raw["duration"]) if raw.get("duration") is not None else None,
-            quantize=float(raw["quantize"]) if raw.get("quantize") is not None else None,
+            duration=_float(raw["duration"]) if raw.get("duration") is not None else None,
+            quantize=_float(raw["quantize"]) if raw.get("quantize") is not None else None,
         )
-    except (KeyError, TypeError, ValueError, TooFewNodes) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError, TooFewNodes) as exc:
         raise InvalidScenario(f"{path}: {exc}") from None

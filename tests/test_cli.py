@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -425,3 +426,112 @@ def test_command_path_loads_neither_numpy_nor_yaml(tmp_path, scenario_file):
     assert result.returncode == 0, result.stderr
     assert (d / "sim2" / "toa.csv").read_bytes() == (sim / "toa.csv").read_bytes()
     assert json.loads((d / "metrics.json").read_text())["n_epochs"] == 601
+
+
+def _position_track(tmp_path, sim, *flags):
+    """Track rows of position on a simulated session with its truth DTB table."""
+    track = tmp_path / "track.csv"
+    assert main(["position", "--toa", str(sim / "toa.csv"), "--nodes", str(sim / "nodes.csv"),
+                 "--dtb", str(sim / "truth_dtb.csv"), "--noise", str(tmp_path / "noise.csv"),
+                 "--out", str(track), "--residuals", str(tmp_path / "residuals.csv"),
+                 *flags]) == 0
+    with open(track) as f:
+        return list(csv.DictReader(f))
+
+
+def test_position_min_obs_above_the_differences_of_an_epoch_never_updates(
+        tmp_path, eight_node_session):
+    """Eight nodes give at most 7 differences an epoch: --min-obs 8 leaves
+    every epoch at its prediction."""
+    assert {row["n_obs"] for row in _position_track(tmp_path, eight_node_session)} == {"7"}
+    track = _position_track(tmp_path, eight_node_session, "--min-obs", "8")
+    assert len(track) == 61 and {row["n_obs"] for row in track} == {"0"}
+
+
+def test_position_tiny_gate_rejects_every_difference(tmp_path, eight_node_session):
+    with open(eight_node_session / "toa.csv") as f:
+        rows_per_epoch = Counter(row["time"] for row in csv.DictReader(f))
+    track = _position_track(tmp_path, eight_node_session, "--gate", "1e-6")
+    assert [(row["n_obs"], int(row["n_rejected"])) for row in track] == \
+        [("0", rows - 1) for rows in rows_per_epoch.values()]
+
+
+@pytest.mark.parametrize("command", ["calibrate", "position"])
+def test_one_node_catalog_is_a_data_error_at_its_header(tmp_path, capsys, eight_node_session,
+                                                        command):
+    sim, nodes, out = eight_node_session, tmp_path / "nodes.csv", tmp_path / "out.csv"
+    nodes.write_text("node_id,x,y\n1,0,0\n")
+    argv = [command, "--toa", str(sim / "toa.csv"), "--nodes", str(nodes), "--out", str(out)]
+    if command == "calibrate":
+        argv += ["--traj", str(sim / "trajectory.csv")]
+    else:
+        argv += ["--dtb", str(sim / "truth_dtb.csv"), "--noise", str(tmp_path / "noise.csv"),
+                 "--residuals", str(tmp_path / "residuals.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{nodes}:1: catalog needs at least 2 nodes, got 1" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("row,message", [
+    ("1,1,0,-5,0,1,3,0", "track.csv:2: covariance not PSD"),
+    ("1,1e200,0,1,0,1,3,0", "metric true_error_rms_m is inf"),
+    ("1,1,0,1e308,0,1e308,3,0", "metric sigma_formal_m is inf")],
+    ids=["negative-cov_xx", "x-1e200", "cov-1e308"])
+def test_evaluate_on_a_bad_track_is_a_data_error(tmp_path, capsys, row, message):
+    """A track row whose covariance is not PSD, or whose values take a metric
+    out of float range, ends evaluate with exit 2 and no metrics file."""
+    (tmp_path / "track.csv").write_text("time,x,y,cov_xx,cov_xy,cov_yy,n_obs,n_rejected\n"
+                                        + row + "\n")
+    (tmp_path / "trajectory.csv").write_text("time,x,y\n0,0,0\n10,10,0\n")
+    (tmp_path / "residuals.csv").write_text("time,node_id,postfit_m\n1,2,0.1\n1,3,-0.2\n"
+                                            "1,4,0.3\n")
+    assert main(["evaluate", "--track", str(tmp_path / "track.csv"),
+                 "--traj", str(tmp_path / "trajectory.csv"),
+                 "--residuals", str(tmp_path / "residuals.csv"),
+                 "--out", str(tmp_path / "metrics.json")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "metrics.json").exists()
+
+
+def _scenario_with(key, value):
+    """SCENARIO_YAML with the entry of key replaced by key: value."""
+    lines = SCENARIO_YAML.strip().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(f"{key}:"))
+    end = start + 1
+    while end < len(lines) and lines[end].startswith(" "):
+        end += 1
+    return "\n".join(lines[:start] + lines[end:] + [f"{key}: {value}"]) + "\n"
+
+
+SCENARIO_PROBES = {
+    "nodes-list": _scenario_with("nodes", "[1, 2]"),
+    "biases-list": _scenario_with("biases", "[1, 2]"),
+    "yaml-syntax-error": SCENARIO_YAML + "waypoints: [[5.0, 5.0]\n",
+    "duration-inf": _scenario_with("duration", ".inf"),
+    "epoch-rate-nan": _scenario_with("epoch_rate", ".nan"),
+    "noise-sigma-nan": _scenario_with("noise", "{sigma: .nan}"),
+    "clock-reset-period-nan": _scenario_with("clock", "{kind: sawtooth, reset_period: .nan}"),
+    "seed-inf": _scenario_with("seed", ".inf"),
+    "quantize-0": SCENARIO_YAML + "quantize: 0\n",
+}
+
+
+@pytest.mark.parametrize("probe", SCENARIO_PROBES)
+def test_malformed_scenario_is_a_data_error(tmp_path, capsys, probe):
+    scenario, out = tmp_path / "scenario.yaml", tmp_path / "sim"
+    scenario.write_text(SCENARIO_PROBES[probe])
+    assert main(["simulate", "--scenario", str(scenario), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "InvalidScenario" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_simulate_negative_seed_is_a_data_error(tmp_path, capsys, scenario_file):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--scenario", str(scenario_file), "--out-dir", str(out),
+                 "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "seed must be non-negative" in err and "Traceback" not in err
+    assert not out.exists()

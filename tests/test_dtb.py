@@ -53,9 +53,10 @@ def test_calibrate_matches_straight_line_loop(basic_scenario):
 
 def test_calibrate_drops_epochs_outside_trajectory(basic_scenario):
     sim, samples = calibrate_synthetic(basic_scenario, ref="1")
-    part = ReferenceTrajectory(sim.trajectory.samples()[10:40])
+    part = ReferenceTrajectory([(t, Position(*xyz)) for t, xyz in
+                                zip(sim.trajectory.times[10:40], sim.trajectory.xyz[10:40])])
     table, got = calibrate(sim.toa, part, sim.catalog, "1")
-    expected = [s for s in samples if part.t_start <= s[0] <= part.t_end]
+    expected = [s for s in samples if part.covers(s[0])]
     assert len(expected) == 30 * 3
     assert got == expected
     assert table == aggregate_dtb(expected, "1")
@@ -103,6 +104,16 @@ def test_instantaneous_unknown_node():
     traj = ReferenceTrajectory([(0.0, Position(5, 5)), (1.0, Position(5, 5))])
     with pytest.raises(UnknownNode, match="'99'"):
         calibrate(epoch, traj, catalog, "1")
+
+
+def test_calibrate_names_an_unknown_node_of_a_skipped_epoch():
+    # node 99 is observed only at t=5, outside the trajectory span
+    catalog = square_catalog()
+    epochs = session_of([(0.0, {"1": (10.0, None), "2": (11.0, None)}),
+                         (5.0, {"1": (10.0, None), "99": (11.0, None)})])
+    traj = ReferenceTrajectory([(0.0, Position(5, 5)), (1.0, Position(5, 5))])
+    with pytest.raises(UnknownNode, match="'99'"):
+        calibrate(epochs, traj, catalog, "1")
 
 
 def test_aggregate_hand_computed():

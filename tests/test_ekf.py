@@ -5,7 +5,7 @@ from tdoa_dtb.dtb import DtbEntry, DtbTable
 from tdoa_dtb.ekf import (PSD_TOL, EkfConfig, EkfState, init_apriori, measurement_model,
                           predict, read_residuals_csv, read_track_csv, run_filter,
                           session_model, update, write_residuals_csv, write_track_csv)
-from tdoa_dtb.errors import NegativeDt, ReferenceMissing, SingularGeometry, TooFewNodes
+from tdoa_dtb.errors import NegativeDt, ReferenceMissing, SingularGeometry
 from tdoa_dtb.geometry import NodeCatalog, Position, node_sort_key, sd_range
 from tdoa_dtb.ingestion import Session
 from tdoa_dtb.metrics import true_error
@@ -56,16 +56,6 @@ def test_init_apriori_square():
 def test_init_apriori_variance_floor():
     state = init_apriori(NodeCatalog({"1": Position(0, 0), "2": Position(0, 100)}))
     assert state.covariance[0][0] == 1.0   # coincident x floored to 1 m^2
-
-
-def test_init_apriori_too_few():
-    # NodeCatalog itself enforces >= 2 nodes; exercise the guard via a stub
-    class OneNode:
-        def __len__(self):
-            return 1
-
-    with pytest.raises(TooFewNodes):
-        init_apriori(OneNode())
 
 
 def test_init_apriori_matches_numpy_reference():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from tdoa_dtb.errors import ParseError, TooFewNodes, UnknownNode
-from tdoa_dtb.geometry import NodeCatalog, Position, range_between, sd_range
+from tdoa_dtb.geometry import (NodeCatalog, Position, range_between, read_nodes, sd_range,
+                              write_nodes)
 
 
 def test_range_pythagorean_triple():
@@ -91,13 +92,13 @@ def test_catalog_csv_round_trip(tmp_path):
     cat = NodeCatalog({"1": Position(0.5, -2.25, 1.0), "2": Position(3.0, 4.0),
                        "x": Position(0.1 + 0.2, 1.0 / 3.0)})
     path = tmp_path / "nodes.csv"
-    cat.to_csv(path)
-    loaded = NodeCatalog.from_csv(path)
+    write_nodes(cat, path)
+    loaded = read_nodes(path)
     assert loaded.items() == cat.items()
     # z is optional and node ids lose surrounding spaces
     path.write_text("node_id,x,y\n 1 ,0.5,-2.25\n2,3,4\n")
-    assert NodeCatalog.from_csv(path).items() == [("1", Position(0.5, -2.25)),
-                                                  ("2", Position(3.0, 4.0))]
+    assert read_nodes(path).items() == [("1", Position(0.5, -2.25)),
+                                        ("2", Position(3.0, 4.0))]
 
 
 @pytest.mark.parametrize("rows", ["1,0,0\n1,5,5\n", "1,0,0\n2,0,0\n"])
@@ -105,5 +106,5 @@ def test_catalog_csv_rejects_duplicates_at_their_line(tmp_path, rows):
     path = tmp_path / "nodes.csv"
     path.write_text("node_id,x,y\n3,9,9\n" + rows)
     with pytest.raises(ParseError) as exc:
-        NodeCatalog.from_csv(path)
+        read_nodes(path)
     assert exc.value.line == 4

@@ -140,6 +140,15 @@ def test_epoch_rejects_duplicate_node(tmp_path):
         load_toa_session(path)
 
 
+@pytest.mark.parametrize("nodes", ["3232", "2323"])
+def test_duplicate_error_names_the_first_duplicated_node_in_node_order(tmp_path, nodes):
+    """An epoch holding two duplicated nodes, its rows at four times within the
+    tolerance, names the first of them in node order, whatever the times."""
+    rows = [(t, node_id, 1.0, None) for t, node_id in zip((0.0, 0.0002, 0.0004, 0.0006), nodes)]
+    with pytest.raises(TdoaDtbError, match=r"duplicate node '2' in epoch at t=0.0"):
+        load_toa_session(_toa_rows_file(tmp_path / "toa.csv", rows))
+
+
 def test_obs_is_in_node_sort_key_order(tmp_path):
     """Loaded and generated sessions hold each epoch's rows in node_sort_key
     order, whatever the row order of the file, and form_tdoa returns its
@@ -248,7 +257,7 @@ def test_session_round_trip(tmp_path):
     session2, _, trajectory2 = load_session(toa2, nodes, traj2)
 
     assert session2 == session
-    assert trajectory2.samples() == trajectory.samples()
+    assert (trajectory2.times, trajectory2.xyz) == (trajectory.times, trajectory.xyz)
 
     # a second write of what was read gives the same bytes
     toa3 = tmp_path / "toa3.csv"

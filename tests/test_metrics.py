@@ -97,3 +97,7 @@ def test_session_metrics_json_keys():
     assert set(d) == {"true_error_mean_m", "true_error_rms_m", "sigma_formal_m",
                       "sigma_postfits_m", "n_epochs"}
     assert d["n_epochs"] == 5
+
+
+def test_sigma_formal_reads_a_trace_within_psd_tolerance_below_zero_as_zero():
+    assert sigma_formal([track_point(0.0, 0.0, 0.0, -1e-10, -1e-10)]) == 0.0

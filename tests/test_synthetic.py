@@ -155,8 +155,8 @@ def test_rover_path_matches_numpy_polyline():
             duration = cumlen[-1] / speed
         session = generate(scenario)
         assert len(session.toa.times) == int(math.floor(duration * 2.0)) + 1
-        for t, pos in session.trajectory.samples():
-            assert (pos.x, pos.y) == _position_at(pts, cumlen, speed * t)
+        for t, (x, y, _) in zip(session.trajectory.times, session.trajectory.xyz):
+            assert (x, y) == _position_at(pts, cumlen, speed * t)
 
 
 def test_end_to_end_calibration_recovery():

@@ -11,7 +11,7 @@ from tdoa_dtb.cli import main
 from tdoa_dtb.dtb import read_dtb
 from tdoa_dtb.ekf import read_residuals_csv, read_track_csv
 from tdoa_dtb.errors import EmptySession, ParseError
-from tdoa_dtb.geometry import NodeCatalog
+from tdoa_dtb.geometry import read_nodes
 from tdoa_dtb.ingestion import load_toa_session, load_trajectory
 from tdoa_dtb.noise import NoiseModel, read_noise_model, write_noise_model
 from tdoa_dtb.table import read_csv
@@ -30,7 +30,7 @@ noise: {k: 60.0, rsrp0: -110.0}
 # file -> (reader, CLI command that reads it, a required column, columns to spoil)
 FORMATS = {
     "toa.csv": (load_toa_session, "position", "toa", ["time", "toa", "rsrp"]),
-    "nodes.csv": (NodeCatalog.from_csv, "position", "x", ["x", "z"]),
+    "nodes.csv": (read_nodes, "position", "x", ["x", "z"]),
     "trajectory.csv": (load_trajectory, "evaluate", "time", ["time", "y"]),
     "dtb.csv": (read_dtb, "position", "mean_m", ["mean_m", "std_m", "n_samples"]),
     "noise.csv": (read_noise_model, "position", "k", ["k", "rsrp0"]),
@@ -165,8 +165,7 @@ def test_cells_past_the_header_are_ignored(tmp_path):
     assert session.pseudorange == [2.0, 3.0] and session.rsrp == [None, None]
     traj = tmp_path / "traj.csv"
     traj.write_text("time,x,y\n0,0,0,5\n1,1,0,x1\n")
-    assert [(p.x, p.y, p.z) for _, p in load_trajectory(traj).samples()] == \
-        [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)]
+    assert load_trajectory(traj).xyz == [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)]
     assert read_csv(traj, {"time": float}, {"z": float, "w": int}) == \
         [[0.0, 1.0], [None, None], [None, None]]
 

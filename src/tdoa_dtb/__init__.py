@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .geometry import NodeCatalog, Position, range_between, read_nodes, sd_range, write_nodes
-from .ingestion import ReferenceTrajectory, Session, group_epochs, load_session
+from .ingestion import ReferenceTrajectory, Session, group_epochs
 from .differencing import form_tdoa, select_reference
 from .dtb import (DtbEntry, DtbTable, aggregate_dtb, calibrate, read_dtb, rereference_dtb,
                   write_dtb)
@@ -15,7 +15,7 @@ from .metrics import session_metrics, sigma_formal, sigma_postfits, true_error
 
 __all__ = [
     "NodeCatalog", "Position", "range_between", "read_nodes", "sd_range", "write_nodes",
-    "ReferenceTrajectory", "Session", "group_epochs", "load_session",
+    "ReferenceTrajectory", "Session", "group_epochs",
     "form_tdoa", "select_reference",
     "DtbEntry", "DtbTable", "aggregate_dtb", "calibrate", "read_dtb",
     "rereference_dtb", "write_dtb",

@@ -28,8 +28,8 @@ from .ekf import (EkfConfig, read_residuals_csv, read_track_csv, run_filter,
                   write_residuals_csv, write_track_csv)
 from .errors import TdoaDtbError
 from .geometry import read_nodes, write_nodes
-from .ingestion import (DEFAULT_EPOCH_TOL, load_session, load_toa_session,
-                        load_trajectory, write_toa_csv, write_trajectory_csv)
+from .ingestion import (DEFAULT_EPOCH_TOL, load_toa_session, load_trajectory,
+                        write_toa_csv, write_trajectory_csv)
 from .metrics import session_metrics, write_metrics_json
 from .noise import (DEFAULT_BIN_DB, DEFAULT_WINDOW_S, estimate_noise_points,
                     fit_noise_model, read_noise_model, write_noise_model,
@@ -102,12 +102,12 @@ def _cmd_simulate(args) -> None:
     if args.seed is not None:
         scenario.seed = args.seed
     sim = generate(scenario)
+    truth = truth_dtb(scenario, args.truth_ref or sim.catalog.ids()[0])
     os.makedirs(args.out_dir, exist_ok=True)
     write_toa_csv(sim.toa, os.path.join(args.out_dir, "toa.csv"))
     write_nodes(sim.catalog, os.path.join(args.out_dir, "nodes.csv"))
     write_trajectory_csv(sim.trajectory, os.path.join(args.out_dir, "trajectory.csv"))
-    truth_ref = args.truth_ref or sim.catalog.ids()[0]
-    write_dtb(truth_dtb(scenario, truth_ref), os.path.join(args.out_dir, "truth_dtb.csv"))
+    write_dtb(truth, os.path.join(args.out_dir, "truth_dtb.csv"))
 
 
 def _cmd_fit_noise(args) -> None:
@@ -123,8 +123,9 @@ def _cmd_fit_noise(args) -> None:
 
 
 def _cmd_calibrate(args) -> None:
-    session, catalog, traj = load_session(args.toa, args.nodes, args.traj,
-                                          args.unit, args.epoch_tol)
+    catalog = read_nodes(args.nodes)
+    session = load_toa_session(args.toa, args.unit, args.epoch_tol)
+    traj = load_trajectory(args.traj)
     ref = select_reference(session) if args.ref_node == "auto" else args.ref_node
     table, samples = calibrate(session, traj, catalog, ref,
                                trim_sigma=args.trim_sigma, label=args.session)

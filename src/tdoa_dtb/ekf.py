@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .differencing import form_tdoa
 from .dtb import DtbTable
-from .errors import NegativeDt, ReferenceMissing, SingularGeometry, TdoaDtbError, UnknownNode
+from .errors import NegativeDt, ReferenceMissing, SingularGeometry, TdoaDtbError
 from .geometry import NodeCatalog
 from .ingestion import Session
 from .noise import DEFAULT_SIGMA_NO_RSRP, NoiseModel, sigma_for
@@ -156,15 +156,12 @@ def session_model(session: Session, dtb: DtbTable, catalog: NodeCatalog,
                   noise: NoiseModel, cfg: EkfConfig) -> tuple[int, list, list[float]]:
     """What update needs of a session besides the state, built once: the DTB
     reference's index in session.node_ids; per node index, (x, y, z^2, DTB
-    mean), or the UnknownNode that update raises if it differences that node;
-    per row, sigma(rsrp)^2."""
+    mean); per row, sigma(rsrp)^2. Raises UnknownNode for the first node, in
+    node order, that the catalog or the DTB table lacks."""
     nodes = []
     for node_id in session.node_ids:
-        try:   # the lookups in measurement_model's order, so a failure names the same node
-            node, _ = catalog[node_id], catalog[dtb.ref_node_id]
-            nodes.append((node.x, node.y, node.z * node.z, dtb.mean(node_id)))
-        except UnknownNode as exc:
-            nodes.append(exc)
+        node = catalog[node_id]
+        nodes.append((node.x, node.y, node.z * node.z, dtb.mean(node_id)))
     return (session.node_index(dtb.ref_node_id), nodes,
             [sigma_for(noise, rsrp, cfg.default_sigma) ** 2 for rsrp in session.rsrp])
 
@@ -184,10 +181,6 @@ def update(state: EkfState, session: Session, epoch: int, ref: int, nodes: list,
     """
     ref_row, rows, diffs = form_tdoa(session, epoch, ref)
     node, ref_var = session.node, var[ref_row]
-    if isinstance(nodes[ref], UnknownNode):   # the catalog lacks the reference
-        if rows:
-            raise nodes[node[rows[0]]]
-        return state, [], 0
     x, y = state.position
     (a, b), (_, d) = state.covariance
     ref_x, ref_y, ref_zz, _ = nodes[ref]
@@ -197,10 +190,7 @@ def update(state: EkfState, session: Session, epoch: int, ref: int, nodes: list,
     rejected = 0
     m_xx = m_xy = m_yy = g_x = g_y = 0.0
     for row, sd in zip(rows, diffs):
-        terms = nodes[node[row]]
-        if isinstance(terms, UnknownNode):
-            raise terms
-        node_x, node_y, node_zz, mean = terms
+        node_x, node_y, node_zz, mean = nodes[node[row]]
         dx_n, dy_n = x - node_x, y - node_y
         rho_n = math.sqrt(dx_n * dx_n + dy_n * dy_n + node_zz)
         if rho_n < MIN_RANGE_M or rho_m < MIN_RANGE_M:   # partials undefined
@@ -258,6 +248,8 @@ def run_filter(session: Session, dtb: DtbTable, catalog: NodeCatalog,
     Returns the track, one point per epoch, and the (time, node_id, postfit_m)
     residual rows. Single differences are formed against the DTB table's
     reference node; epochs where that node is missing are prediction-only.
+    A session node missing from the catalog or the DTB table raises
+    UnknownNode before the first epoch.
     """
     cfg = cfg or EkfConfig()
     ref, nodes, var = session_model(session, dtb, catalog, noise, cfg)

@@ -1,4 +1,4 @@
-"""Session loading: ToA observation files, node catalogs, reference trajectories.
+"""Session loading: ToA observation files and reference trajectories.
 
 ToA files carry ``time,node_id,toa[,rsrp]``: toa in meters (or seconds under
 the seconds unit mode), rsrp in dBm. Trajectories carry ``time,x,y[,z]``.
@@ -13,9 +13,8 @@ import itertools
 import operator
 from typing import NamedTuple
 
-from .errors import (EmptySession, OutOfRange, ParseError, TdoaDtbError, UnitError,
-                     UnknownNode)
-from .geometry import Position, node_sort_key, read_nodes
+from .errors import EmptySession, OutOfRange, ParseError, TdoaDtbError, UnitError
+from .geometry import Position, node_sort_key
 from .table import read_csv, row_error, write_csv
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
@@ -146,25 +145,6 @@ def load_toa_session(path, unit_mode: str = "meters",
                                 f"{pseudorange:.3e} m exceeds plausible light-travel bounds; "
                                 f"raw values are likely meters")))
     return group_epochs(times, node_ids, toas, rsrps, epoch_tol, source=str(path))
-
-
-def load_session(toa_file, node_file, trajectory_file, unit_mode: str = "meters",
-                 epoch_tol: float = DEFAULT_EPOCH_TOL):
-    """Load a full measurement session.
-
-    Returns (session, catalog, trajectory). Every observed node must appear in
-    the catalog; epochs outside the trajectory span are retained (calibration
-    skips them, positioning does not need the trajectory).
-    """
-    catalog = read_nodes(node_file)
-    session = load_toa_session(toa_file, unit_mode, epoch_tol)
-    unknown = [n for n, node_id in enumerate(session.node_ids) if node_id not in catalog]
-    if unknown:
-        row = min(map(session.node.index, unknown))
-        raise UnknownNode(f"{toa_file}: observation at t={session.row_times()[row]} references "
-                          f"unknown node {session.node_ids[session.node[row]]!r}")
-    traj = load_trajectory(trajectory_file)
-    return session, catalog, traj
 
 
 def write_toa_csv(session: Session, path) -> None:

@@ -64,6 +64,10 @@ class PathLossModel:
     gamma: float = 2.5
     min_range: float = 0.1  # m, guards the log at zero range
 
+    def __post_init__(self):
+        if not self.min_range > 0:
+            raise InvalidScenario("path_loss min_range must be positive")
+
     def rsrp(self, rho: float) -> float:
         return self.p0 - 10.0 * self.gamma * math.log10(max(rho, self.min_range))
 
@@ -147,9 +151,12 @@ def generate(scenario: Scenario) -> SyntheticSession:
     duration = scenario.duration
     if duration is None:
         duration = total / scenario.speed if scenario.speed > 0 else 1.0
-    n_epochs = int(math.floor(duration * scenario.epoch_rate)) + 1
-    if n_epochs < 2:
+    span = duration * scenario.epoch_rate   # epoch steps after the first
+    if not span >= 1:
         raise InvalidScenario("scenario spans fewer than 2 epochs")
+    if span == math.inf:
+        raise InvalidScenario("scenario spans more epochs than a float can count")
+    n_epochs = math.floor(span) + 1
     if scenario.seed < 0:   # checked here: simulate --seed replaces the scenario's seed
         raise InvalidScenario(f"seed must be non-negative, got {scenario.seed}")
 
@@ -175,7 +182,11 @@ def generate(scenario: Scenario) -> SyntheticSession:
             toa = (rho - scenario.node_biases.get(node_id, 0.0)
                    + nlos.get(node_id, 0.0) + eps)
             if grid is not None:
-                toa = round(toa / grid) * grid
+                try:
+                    toa = round(toa / grid) * grid
+                except OverflowError:   # toa / grid is infinite
+                    raise InvalidScenario(f"quantize grid {grid} is too fine for "
+                                          f"pseudorange {toa}") from None
             rows.append((t, node_id, toa + clock, rsrp))
     toa = group_epochs(*map(list, zip(*rows)), epoch_tol=0.0)
     return SyntheticSession(toa, scenario.catalog, ReferenceTrajectory(traj_samples), scenario)

@@ -13,6 +13,7 @@ import pytest
 import tdoa_dtb
 from tdoa_dtb.cli import main
 from tdoa_dtb.dtb import read_dtb
+from tdoa_dtb.ingestion import SPEED_OF_LIGHT
 
 SCENARIO_YAML = """
 seed: 11
@@ -74,6 +75,38 @@ def test_calibrate_reference_never_present(tmp_path, scenario_file, capsys):
                  "--ref-node", "99", "--out", str(tmp_path / "dtb.csv")])
     assert code == 2
     assert "ReferenceMissing" in capsys.readouterr().err
+
+
+def test_calibrate_reads_toa_in_seconds(tmp_path, scenario_file, capsys):
+    """calibrate --unit seconds on the simulated toa column divided by c gives
+    the DTB means of the meters run; on the meters file it is a UnitError at
+    the first data line."""
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--scenario", str(scenario_file), "--out-dir", str(sim)]) == 0
+    header, *rows = (sim / "toa.csv").read_text().splitlines()
+    seconds = tmp_path / "toa_seconds.csv"
+    with open(seconds, "w") as f:
+        f.write(header + "\n")
+        for row in rows:
+            t, node_id, toa, rsrp = row.split(",")
+            f.write(f"{t},{node_id},{float(toa) / SPEED_OF_LIGHT!r},{rsrp}\n")
+
+    def calibrate(toa, out, unit):
+        return main(["calibrate", "--toa", str(toa), "--nodes", str(sim / "nodes.csv"),
+                     "--traj", str(sim / "trajectory.csv"), "--out", str(out), "--unit", unit])
+
+    assert calibrate(sim / "toa.csv", tmp_path / "dtb_m.csv", "meters") == 0
+    assert calibrate(seconds, tmp_path / "dtb_s.csv", "seconds") == 0
+    meters, from_seconds = read_dtb(tmp_path / "dtb_m.csv"), read_dtb(tmp_path / "dtb_s.csv")
+    assert from_seconds.ref_node_id == meters.ref_node_id
+    assert from_seconds.entries.keys() == meters.entries.keys()
+    for node_id, entry in meters.entries.items():
+        assert from_seconds.entries[node_id].mean == pytest.approx(entry.mean, abs=1e-9)
+    capsys.readouterr()
+    assert calibrate(sim / "toa.csv", tmp_path / "dtb_bad.csv", "seconds") == 2
+    err = capsys.readouterr().err
+    assert f"UnitError: {sim / 'toa.csv'}:2:" in err and "Traceback" not in err
+    assert not (tmp_path / "dtb_bad.csv").exists()
 
 
 def test_non_finite_dtb_sample_is_a_data_error(tmp_path, scenario_file, capsys):
@@ -334,7 +367,7 @@ SQUARE = {"1": (0, 0), "2": (20, 0), "3": (20, 20), "4": (0, 20), "5": (10, 30),
 def _position(tmp_path, toa_rows, catalog_ids, dtb_ids):
     """Run position on hand-written files: ToA rows (time, node_id) at 14.0 m
     and -80 dBm, a catalog of SQUARE's catalog_ids and a DTB table against
-    node "1" holding dtb_ids. Returns (exit code, track rows or None)."""
+    node "1" holding dtb_ids. Returns the exit code."""
     files = {name: tmp_path / f"{name}.csv" for name in ("toa", "nodes", "dtb", "noise", "track")}
     files["toa"].write_text("time,node_id,toa,rsrp\n"
                             + "".join(f"{t},{n},14.0,-80\n" for t, n in toa_rows))
@@ -344,38 +377,31 @@ def _position(tmp_path, toa_rows, catalog_ids, dtb_ids):
     files["dtb"].write_text("session,ref_node,node_id,mean_m,std_m,n_samples\n"
                             + "".join(f"S,1,{n},0.0,0.0,1\n" for n in dtb_ids))
     files["noise"].write_text("k,rsrp0,sigma_floor,sigma_cap\n60.0,-110.0,0.3,15.0\n")
-    code = main(["position", "--toa", str(files["toa"]), "--nodes", str(files["nodes"]),
+    return main(["position", "--toa", str(files["toa"]), "--nodes", str(files["nodes"]),
                  "--dtb", str(files["dtb"]), "--noise", str(files["noise"]),
                  "--out", str(files["track"]), "--residuals", str(tmp_path / "res.csv")])
-    if code != 0:
-        return code, None
-    with open(files["track"]) as f:
-        return code, list(csv.DictReader(f))
 
 
-@pytest.mark.parametrize("missing_from,catalog_ids,dtb_ids", [
-    ("DTB table", "12345", "234"), ("catalog", "1234", "2349")])
+DIFFERENCED = [(t, n) for t in (0.0, 0.5, 1.0) for n in "1234"]
+PREDICTION_ONLY = [(t, n) for t in (0.0, 0.5, 1.5) for n in "1234"] + [(1.0, "2")]
+
+
+@pytest.mark.parametrize("missing_from,catalog_ids,dtb_ids,rows", [
+    pytest.param("DTB table", "12345", "234", DIFFERENCED + [(1.0, "5")],
+                 id="DTB table-12345-234"),
+    pytest.param("catalog", "1234", "2349", DIFFERENCED + [(1.0, "9")],
+                 id="catalog-1234-2349"),
+    pytest.param("catalog", "1234", "234", PREDICTION_ONLY + [(1.0, "9")],
+                 id="catalog-prediction-only")])
 def test_position_names_a_node_missing_from_the_dtb_table_or_catalog(
-        tmp_path, capsys, missing_from, catalog_ids, dtb_ids):
-    """A node differenced against the reference but missing from the DTB table
-    or the catalog ends position with exit 2 and UnknownNode naming it."""
-    node = "5" if missing_from == "DTB table" else "9"
-    rows = [(t, n) for t in (0.0, 0.5, 1.0) for n in "1234"] + [(1.0, node)]
-    code, _ = _position(tmp_path, rows, catalog_ids, dtb_ids)
-    assert code == 2
+        tmp_path, capsys, missing_from, catalog_ids, dtb_ids, rows):
+    """A session node missing from the DTB table or the catalog ends position
+    with exit 2 and UnknownNode naming it, also when it appears only in an
+    epoch without the reference, which is never differenced."""
+    node = rows[-1][1]
+    assert _position(tmp_path, rows, catalog_ids, dtb_ids) == 2
     err = capsys.readouterr().err
     assert f"UnknownNode: node {node!r} not in {missing_from}" in err and "Traceback" not in err
-
-
-def test_position_ignores_unknown_nodes_of_prediction_only_epochs(tmp_path):
-    """A node missing from both the catalog and the DTB table is no error when
-    it appears only in epochs without the reference: those epochs are
-    prediction-only and never difference it."""
-    rows = [(t, n) for t in (0.0, 0.5, 1.5) for n in "1234"] + [(1.0, "2"), (1.0, "9")]
-    code, track = _position(tmp_path, rows, "1234", "234")
-    assert code == 0
-    assert [(r["time"], r["n_obs"]) for r in track] == \
-        [("0.0", "3"), ("0.5", "3"), ("1.0", "0"), ("1.5", "3")]
 
 
 COMMAND_PATH_SCRIPT = """
@@ -515,6 +541,10 @@ SCENARIO_PROBES = {
     "clock-reset-period-nan": _scenario_with("clock", "{kind: sawtooth, reset_period: .nan}"),
     "seed-inf": _scenario_with("seed", ".inf"),
     "quantize-0": SCENARIO_YAML + "quantize: 0\n",
+    "path-loss-min-range-0": _scenario_with("path_loss", "{min_range: 0}"),
+    "duration-overflows": _scenario_with("duration", "1.0e308"),
+    "epoch-rate-overflows": _scenario_with("epoch_rate", "1.0e308"),
+    "quantize-overflows": SCENARIO_YAML + "quantize: 1.0e-310\n",
 }
 
 
@@ -534,4 +564,13 @@ def test_simulate_negative_seed_is_a_data_error(tmp_path, capsys, scenario_file)
                  "--seed", "-1"]) == 2
     err = capsys.readouterr().err
     assert "seed must be non-negative" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_simulate_unknown_truth_ref_writes_nothing(tmp_path, capsys, scenario_file):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--scenario", str(scenario_file), "--out-dir", str(out),
+                 "--truth-ref", "99"]) == 2
+    err = capsys.readouterr().err
+    assert "InvalidScenario: reference '99' not in catalog" in err and "Traceback" not in err
     assert not out.exists()

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from tdoa_dtb.differencing import form_tdoa
-from tdoa_dtb.errors import (EmptySession, OutOfRange, ParseError, TdoaDtbError, UnitError,
-                             UnknownNode)
+from tdoa_dtb.cli import main
+from tdoa_dtb.errors import EmptySession, OutOfRange, ParseError, TdoaDtbError, UnitError
 from tdoa_dtb.geometry import NodeCatalog, Position, node_sort_key
-from tdoa_dtb.ingestion import (SPEED_OF_LIGHT, ReferenceTrajectory, Session, load_session,
+from tdoa_dtb.ingestion import (SPEED_OF_LIGHT, ReferenceTrajectory, Session,
                                 load_toa_session, write_toa_csv, write_trajectory_csv,
                                 load_trajectory)
 from tdoa_dtb.noise import NoiseModel
@@ -43,8 +43,8 @@ def session_files(tmp_path, toa_text=None):
 
 
 def test_grouping_same_timestamp(tmp_path):
-    toa, nodes, traj = session_files(tmp_path)
-    session, catalog, _ = load_session(toa, nodes, traj)
+    toa, _, _ = session_files(tmp_path)
+    session = load_toa_session(toa)
     assert session == Session(["1", "2", "3"], [0, 1, 2, 0], [65.0, 62.0, 70.0, 64.0],
                               [-80.0, -85.0, None, -80.0], [10.0, 11.0], [0, 3, 4])
     # missing rsrp flagged as None
@@ -66,18 +66,24 @@ def test_seconds_unit_implausible(tmp_path):
         load_toa_session(toa, unit_mode="seconds")
 
 
-def test_unknown_node(tmp_path):
+def test_unknown_node(tmp_path, capsys):
+    """calibrate on a ToA file observing a node the nodes file lacks exits 2
+    with UnknownNode naming it, and writes no table."""
     toa, nodes, traj = session_files(
         tmp_path, "time,node_id,toa,rsrp\n10.0,99,65.0,\n")
-    with pytest.raises(UnknownNode):
-        load_session(toa, nodes, traj)
+    out = tmp_path / "dtb.csv"
+    assert main(["calibrate", "--toa", str(toa), "--nodes", str(nodes), "--traj", str(traj),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "UnknownNode: node '99' not in catalog" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_parse_error_carries_line(tmp_path):
-    toa, nodes, traj = session_files(
+    toa, _, _ = session_files(
         tmp_path, "time,node_id,toa,rsrp\n10.0,1,65.0,\nbad,1,1.0,\n")
     with pytest.raises(ParseError) as exc:
-        load_session(toa, nodes, traj)
+        load_toa_session(toa)
     assert exc.value.line == 3
 
 
@@ -247,14 +253,14 @@ def test_trajectory_needs_increasing_times():
 
 
 def test_session_round_trip(tmp_path):
-    toa, nodes, traj = session_files(tmp_path)
-    session, catalog, trajectory = load_session(toa, nodes, traj)
+    toa, _, traj = session_files(tmp_path)
+    session, trajectory = load_toa_session(toa), load_trajectory(traj)
 
     toa2 = tmp_path / "toa2.csv"
     traj2 = tmp_path / "traj2.csv"
     write_toa_csv(session, toa2)
     write_trajectory_csv(trajectory, traj2)
-    session2, _, trajectory2 = load_session(toa2, nodes, traj2)
+    session2, trajectory2 = load_toa_session(toa2), load_trajectory(traj2)
 
     assert session2 == session
     assert (trajectory2.times, trajectory2.xyz) == (trajectory.times, trajectory.xyz)

@@ -58,13 +58,22 @@ class DtbTable:
                 and self.entries == other.entries)
 
 
-def _mean_std(values: list[float]) -> tuple[float, float]:
+def mean_std(values: list[float]) -> tuple[float, float]:
+    """Mean and sample std (n-1 divisor) from correctly rounded sums; nan, nan past float range."""
     n = len(values)
-    mean = sum(values) / n
-    if n == 1:
-        return mean, 0.0
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
+    try:
+        mean = math.fsum(values) / n
+        var = math.fsum((v - mean) * (v - mean) for v in values) / (n - 1) if n > 1 else 0.0
+    except (OverflowError, ValueError):   # fsum's errors for a sum past float range, inf - inf
+        return math.nan, math.nan
     return mean, math.sqrt(var)
+
+
+def _entry(node_id: str, mean: float, std: float, n_samples: int) -> DtbEntry:
+    """The DtbEntry of node_id; a mean or std out of float range is a data error."""
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        raise TdoaDtbError(f"non-finite DTB mean {mean} or std {std} of node {node_id!r}")
+    return DtbEntry(mean, std, n_samples)
 
 
 def aggregate_dtb(samples: list[tuple[float, str, float]], ref: str, session: str = "",
@@ -83,13 +92,12 @@ def aggregate_dtb(samples: list[tuple[float, str, float]], ref: str, session: st
     entries = {}
     for node_id, values in per_node.items():
         if trim_sigma is not None and len(values) > 1:
-            mean, std = _mean_std(values)
+            mean, std = mean_std(values)
             if std > 0:
                 kept = [v for v in values if abs(v - mean) <= trim_sigma * std]
                 if kept:
                     values = kept
-        mean, std = _mean_std(values)
-        entries[node_id] = DtbEntry(mean, std, len(values))
+        entries[node_id] = _entry(node_id, *mean_std(values), len(values))
     return DtbTable(ref, entries, session)
 
 
@@ -109,11 +117,9 @@ def rereference_dtb(table: DtbTable, new_ref: str) -> DtbTable:
     for node_id, entry in table.entries.items():
         if node_id == new_ref:
             continue
-        entries[node_id] = DtbEntry(
-            mean=entry.mean - pivot.mean,
-            std=math.sqrt(entry.std ** 2 + pivot.std ** 2),
-            n_samples=min(entry.n_samples, pivot.n_samples),
-        )
+        entries[node_id] = _entry(node_id, entry.mean - pivot.mean,
+                                  math.sqrt(entry.std * entry.std + pivot.std * pivot.std),
+                                  min(entry.n_samples, pivot.n_samples))
     entries[table.ref_node_id] = DtbEntry(
         mean=-pivot.mean, std=pivot.std, n_samples=pivot.n_samples,
     )

@@ -126,7 +126,8 @@ def predict(state: EkfState, dt: float, cfg: EkfConfig) -> EkfState:
         raise NegativeDt(f"dt={dt}")
     (a, b), (_, d) = state.covariance
     return EkfState(position=state.position,
-                    covariance=((a + cfg.sigma_x ** 2 * dt, b), (b, d + cfg.sigma_y ** 2 * dt)),
+                    covariance=((a + cfg.sigma_x * cfg.sigma_x * dt, b),
+                                (b, d + cfg.sigma_y * cfg.sigma_y * dt)),
                     epoch=state.epoch + dt)
 
 
@@ -163,7 +164,7 @@ def session_model(session: Session, dtb: DtbTable, catalog: NodeCatalog,
         node = catalog[node_id]
         nodes.append((node.x, node.y, node.z * node.z, dtb.mean(node_id)))
     return (session.node_index(dtb.ref_node_id), nodes,
-            [sigma_for(noise, rsrp, cfg.default_sigma) ** 2 for rsrp in session.rsrp])
+            [s * s for s in (sigma_for(noise, rsrp, cfg.default_sigma) for rsrp in session.rsrp)])
 
 
 def update(state: EkfState, session: Session, epoch: int, ref: int, nodes: list,

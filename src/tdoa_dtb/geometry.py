@@ -94,7 +94,8 @@ def write_nodes(catalog: NodeCatalog, path) -> None:
 
 def range_between(a: Position, b: Position) -> float:
     """Geometric Euclidean distance between two positions, in meters."""
-    return math.sqrt((a.x - b.x) ** 2 + (a.y - b.y) ** 2 + (a.z - b.z) ** 2)
+    dx, dy, dz = a.x - b.x, a.y - b.y, a.z - b.z
+    return math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
 def sd_range(rover: Position, node: Position, ref_node: Position) -> float:

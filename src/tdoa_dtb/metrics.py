@@ -23,6 +23,14 @@ from .ingestion import ReferenceTrajectory
 N_PARAM_2D = 2  # estimated parameters: the two position components
 
 
+def _fsum(terms) -> float:
+    """Correctly rounded sum of non-negative terms; inf where it leaves the float range."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:   # finite terms whose sum is past the float range
+        return math.inf
+
+
 def true_error(track: list[TrackPoint], traj: ReferenceTrajectory) -> tuple[float, float]:
     """Mean and RMS planar distance to the interpolated reference trajectory."""
     errors = []
@@ -33,8 +41,8 @@ def true_error(track: list[TrackPoint], traj: ReferenceTrajectory) -> tuple[floa
         errors.append(math.hypot(p.x - ref.x, p.y - ref.y))
     if not errors:
         raise NoOverlap("track and reference trajectory have no common time span")
-    mean = sum(errors) / len(errors)
-    rms = math.sqrt(sum(e * e for e in errors) / len(errors))
+    mean = _fsum(errors) / len(errors)
+    rms = math.sqrt(_fsum(e * e for e in errors) / len(errors))
     return mean, rms
 
 
@@ -43,7 +51,7 @@ def sigma_formal(track: list[TrackPoint]) -> float:
     if not track:
         raise EmptyTrack("no epochs in track")
     # a trace within PSD tolerance below 0 is 0
-    return sum(math.sqrt(max(p.cov_xx + p.cov_yy, 0.0)) for p in track) / len(track)
+    return _fsum(math.sqrt(max(p.cov_xx + p.cov_yy, 0.0)) for p in track) / len(track)
 
 
 def sigma_postfits(residuals: list[float]) -> float:
@@ -51,7 +59,7 @@ def sigma_postfits(residuals: list[float]) -> float:
     n = len(residuals)
     if n <= N_PARAM_2D:
         raise InsufficientResiduals(f"{n} residuals with {N_PARAM_2D} parameters")
-    return math.sqrt(sum(e * e for e in residuals) / (n - N_PARAM_2D))
+    return math.sqrt(_fsum(e * e for e in residuals) / (n - N_PARAM_2D))
 
 
 def session_metrics(track: list[TrackPoint], traj: ReferenceTrajectory,

@@ -16,6 +16,7 @@ import math
 import statistics
 from dataclasses import dataclass
 
+from .dtb import mean_std
 from .errors import FitError, NoRsrp, ParseError, WindowTooSmall
 from .ingestion import Session
 from .table import read_csv, row_error, write_csv
@@ -109,8 +110,7 @@ def estimate_noise_points(session: Session, window: float = DEFAULT_WINDOW_S,
         if len(resids) < MIN_BIN_SAMPLES:
             continue
         center = (idx + 0.5) * rsrp_bin_width
-        mean = sum(resids) / len(resids)   # two-pass sample std
-        spread = math.sqrt(sum((r - mean) * (r - mean) for r in resids) / (len(resids) - 1))
+        _, spread = mean_std(resids)
         if not math.isfinite(spread):
             raise FitError(f"noise spread of the {center} dBm power bin is not finite "
                            f"({spread}); pseudoranges too large to detrend")
@@ -128,18 +128,20 @@ def fit_noise_model(points: list[NoisePoint]) -> NoiseModel:
     usable = [p for p in points if p.sigma_hat > 0]
     if len(usable) < 3:
         raise FitError(f"need at least 3 points with positive sigma, got {len(usable)}")
-    rsrp = [p.rsrp for p in usable]
+    rsrp, inv = [p.rsrp for p in usable], [1.0 / p.sigma_hat for p in usable]
     lo, hi = min(rsrp), max(rsrp)
     if hi - lo < 10.0:
         raise FitError(f"points span only {hi - lo:.1f} dB, need >= 10")
-    try:
-        slope, intercept = statistics.linear_regression(rsrp, [1.0 / p.sigma_hat for p in usable])
+    try:   # least squares as in Python 3.11's statistics module; 3.10 and 3.12+ round differently
+        x_bar, y_bar = math.fsum(rsrp) / len(rsrp), math.fsum(inv) / len(inv)
+        sxy = math.fsum((x - x_bar) * (y - y_bar) for x, y in zip(rsrp, inv))
+        slope = sxy / math.fsum((x - x_bar) * (x - x_bar) for x in rsrp)
     except (ValueError, OverflowError) as exc:   # its sums left the float range
         raise FitError(f"least-squares line failed: {exc}") from None
     if not slope > 0:
         raise FitError("noise does not decrease with power; reciprocal model invalid")
     k = 1.0 / slope
-    rsrp0 = -intercept * k
+    rsrp0 = -(y_bar - slope * x_bar) * k
     if not rsrp0 <= lo - 1.0:
         raise FitError(
             f"fitted asymptote {rsrp0:.1f} dBm lies inside the data range "

@@ -139,7 +139,10 @@ def truth_dtb(scenario: Scenario, ref_node_id: str) -> DtbTable:
         if node_id == ref_node_id:
             continue
         b_n = scenario.node_biases.get(node_id, 0.0) - nlos.get(node_id, 0.0)
-        entries[node_id] = DtbEntry(mean=-b_n + b_ref, std=0.0, n_samples=1)
+        mean = -b_n + b_ref
+        if not math.isfinite(mean):
+            raise InvalidScenario(f"non-finite truth DTB {mean} of node {node_id!r}")
+        entries[node_id] = DtbEntry(mean=mean, std=0.0, n_samples=1)
     return DtbTable(ref_node_id, entries, "truth")
 
 
@@ -181,13 +184,17 @@ def generate(scenario: Scenario) -> SyntheticSession:
             eps = sigma * rng.standard_normal() if sigma > 0 else 0.0
             toa = (rho - scenario.node_biases.get(node_id, 0.0)
                    + nlos.get(node_id, 0.0) + eps)
-            if grid is not None:
+            if grid is not None and math.isfinite(toa):   # else rejected below
                 try:
                     toa = round(toa / grid) * grid
                 except OverflowError:   # toa / grid is infinite
                     raise InvalidScenario(f"quantize grid {grid} is too fine for "
                                           f"pseudorange {toa}") from None
-            rows.append((t, node_id, toa + clock, rsrp))
+            pseudorange = toa + clock
+            if not (math.isfinite(pseudorange) and math.isfinite(rsrp)):
+                raise InvalidScenario(f"non-finite pseudorange {pseudorange} or rsrp {rsrp} "
+                                      f"of node {node_id!r} at t={t}")
+            rows.append((t, node_id, pseudorange, rsrp))
     toa = group_epochs(*map(list, zip(*rows)), epoch_tol=0.0)
     return SyntheticSession(toa, scenario.catalog, ReferenceTrajectory(traj_samples), scenario)
 

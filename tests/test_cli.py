@@ -147,6 +147,64 @@ def test_non_finite_noise_spread_is_a_data_error(tmp_path, scenario_file, capsys
     assert "Traceback" not in err and not out.exists()
 
 
+@pytest.mark.parametrize("probe", ["node-at-1e200", "trajectory-at-1e200"])
+def test_out_of_range_geometry_is_a_data_error(tmp_path, scenario_file, capsys, probe):
+    """A node or a trajectory sample so far out that its ranges overflow ends
+    calibrate as exit 2 naming a node and the epoch time, with no DTB file."""
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--scenario", str(scenario_file), "--out-dir", str(sim)]) == 0
+    nodes, traj = sim / "nodes.csv", sim / "trajectory.csv"
+    if probe == "node-at-1e200":
+        nodes, culprit = tmp_path / "nodes_far.csv", "node '3'"
+        text = (sim / "nodes.csv").read_text()
+        nodes.write_text(text.replace("\n3,20.0,20.0,0.0\n", "\n3,1e200,0.0,0.0\n"))
+    else:
+        traj, culprit = tmp_path / "trajectory_far.csv", "node '2'"
+        header, first, *rows = (sim / "trajectory.csv").read_text().splitlines()
+        t, _, y, z = first.split(",")
+        traj.write_text("\n".join([header, f"{t},1e200,{y},{z}", *rows]) + "\n")
+    out = tmp_path / "dtb.csv"
+    assert main(["calibrate", "--toa", str(sim / "toa.csv"), "--nodes", str(nodes),
+                 "--traj", str(traj), "--ref-node", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "TdoaDtbError: non-finite DTB sample" in err and f"of {culprit} at t=0.0" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_non_finite_dtb_mean_is_a_data_error(tmp_path, scenario_file, capsys):
+    """Finite DTB samples whose sum leaves the float range end calibrate as
+    exit 2 naming the node, instead of an inf in the table."""
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--scenario", str(scenario_file), "--out-dir", str(sim)]) == 0
+    header, *rows = (sim / "toa.csv").read_text().splitlines()
+    for i in [i for i, row in enumerate(rows) if row.split(",")[1] == "2"][:2]:
+        t, node_id, _, rsrp = rows[i].split(",")
+        rows[i] = ",".join([t, node_id, "1.7e308", rsrp])
+    toa_file = tmp_path / "toa_probe.csv"
+    toa_file.write_text("\n".join([header, *rows]) + "\n")
+    out = tmp_path / "dtb.csv"
+    assert main(["calibrate", "--toa", str(toa_file), "--nodes", str(sim / "nodes.csv"),
+                 "--traj", str(sim / "trajectory.csv"), "--ref-node", "1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite DTB mean" in err and "of node '2'" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("row2,row3", [("1.5e308,0.1", "-1.5e308,0.1"), ("0.5,1e200", "1.0,0.1")],
+                         ids=["mean-difference-overflows", "std-square-overflows"])
+def test_rereference_out_of_float_range_is_a_data_error(tmp_path, capsys, row2, row3):
+    """A re-referenced mean or std that leaves the float range ends rereference
+    as exit 2 naming the node, with no table written."""
+    dtb, out = tmp_path / "dtb.csv", tmp_path / "dtb_ref3.csv"
+    dtb.write_text("session,ref_node,node_id,mean_m,std_m,n_samples\n"
+                   f",1,2,{row2},10\n,1,3,{row3},10\n")
+    assert main(["rereference", "--dtb", str(dtb), "--new-ref", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite DTB mean" in err and "of node '2'" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_full_pipeline(tmp_path, scenario_file):
     sim = tmp_path / "sim"
     dtb = tmp_path / "dtb.csv"
@@ -502,8 +560,9 @@ def test_one_node_catalog_is_a_data_error_at_its_header(tmp_path, capsys, eight_
 @pytest.mark.parametrize("row,message", [
     ("1,1,0,-5,0,1,3,0", "track.csv:2: covariance not PSD"),
     ("1,1e200,0,1,0,1,3,0", "metric true_error_rms_m is inf"),
-    ("1,1,0,1e308,0,1e308,3,0", "metric sigma_formal_m is inf")],
-    ids=["negative-cov_xx", "x-1e200", "cov-1e308"])
+    ("1,1,0,1e308,0,1e308,3,0", "metric sigma_formal_m is inf"),
+    ("1,1e308,0,1,0,1,3,0\n2,1e308,0,1,0,1,3,0", "metric true_error_mean_m is inf")],
+    ids=["negative-cov_xx", "x-1e200", "cov-1e308", "x-1e308-every-row"])
 def test_evaluate_on_a_bad_track_is_a_data_error(tmp_path, capsys, row, message):
     """A track row whose covariance is not PSD, or whose values take a metric
     out of float range, ends evaluate with exit 2 and no metrics file."""
@@ -545,6 +604,13 @@ SCENARIO_PROBES = {
     "duration-overflows": _scenario_with("duration", "1.0e308"),
     "epoch-rate-overflows": _scenario_with("epoch_rate", "1.0e308"),
     "quantize-overflows": SCENARIO_YAML + "quantize: 1.0e-310\n",
+    "clock-drift-overflows": _scenario_with(
+        "clock", "{kind: sawtooth, drift_rate: 1.0e308, reset_period: 100.0}"),
+    "bias-and-nlos-overflow": _scenario_with("biases", '{"1": 1.0e308}')
+    + 'nlos: {"1": -1.0e308}\n',
+    "truth-dtb-overflows": _scenario_with("biases", '{"1": 1.0e308, "2": -1.0e308}'),
+    "node-at-1e200": _scenario_with(
+        "nodes", '{"1": [0.0, 0.0], "2": [20.0, 0.0], "3": [20.0, 20.0], "4": [1.0e200, 20.0]}'),
 }
 
 

@@ -179,6 +179,16 @@ def test_noise_points_no_rsrp():
         estimate_noise_points(session_of(stripped))
 
 
+def test_noise_spread_whose_sum_overflows_is_fit_error():
+    """A power bin whose residuals are finite but sum past the float range is
+    a FitError: +-1.7e308 alternate, each sign in its own bin, so one bin holds
+    thirty residuals of 8/9 * 1.7e308."""
+    epochs = [(i / 4.0, {"1": (1.7e308, -50.0) if i % 2 else (-1.7e308, -60.0)})
+              for i in range(60)]
+    with pytest.raises(FitError, match="power bin is not finite"):
+        estimate_noise_points(session_of(epochs), window=2.0, rsrp_bin_width=2.0)
+
+
 def test_noise_points_match_numpy_std():
     """Each bin's two-pass sample std against np.std(ddof=1) of the same
     residuals, on nodes spread over many bins with blank rsrp rows."""

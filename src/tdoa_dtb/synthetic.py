@@ -5,7 +5,9 @@ clock, minus the node bias, plus an optional non-line-of-sight offset and
 Gaussian noise whose sigma follows the received-power model (or a constant).
 Received power comes from a log-distance path loss. The noise stream is keyed
 by (seed, node index, epoch index), so output is byte-stable regardless of
-generation order.
+generation order: each row's draw is NumPy's PCG64 stream
+``default_rng([seed, node, epoch]).standard_normal()``, computed for a whole
+session at once by `noise_draws`.
 
 An optional quantization step rounds pseudo-ranges to a fixed grid, mimicking
 receiver timestamp granularity; with a grid-aligned clock model this makes
@@ -26,6 +28,12 @@ from .errors import InvalidScenario, TooFewNodes
 from .geometry import NodeCatalog, Position, range_between
 from .ingestion import ReferenceTrajectory, Session, group_epochs
 from .noise import NoiseModel, sigma_for
+
+# NumPy's SeedSequence hash and mix constants, and PCG64's LCG multiplier.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 
 
 @dataclass(frozen=True)
@@ -146,6 +154,53 @@ def truth_dtb(scenario: Scenario, ref_node_id: str) -> DtbTable:
     return DtbTable(ref_node_id, entries, "truth")
 
 
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix over a uint32 column, advancing its running constant."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> 16
+    return hashmix
+
+
+def _mix(x, y):
+    value = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return value ^ value >> 16
+
+
+def noise_draws(seed: int, n_nodes: int, n_epochs: int) -> list[float]:
+    """Row k * n_nodes + node is np.random.default_rng([seed, node, k]).standard_normal(),
+    bit for bit: SeedSequence hashes the key words (the seed's 32-bit words, node, k)
+    for all rows at once, and each row's PCG64 state is set on one generator."""
+    size = n_nodes * n_epochs
+    key = [np.full(size, seed >> shift & _MASK32, dtype=np.uint32)
+           for shift in range(0, max(seed.bit_length(), 1), 32)]
+    key += [np.tile(np.arange(n_nodes, dtype=np.uint32), n_epochs),
+            np.repeat(np.arange(n_epochs, dtype=np.uint32), n_nodes)]
+    key += [np.zeros(size, dtype=np.uint32)] * (4 - len(key))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in key[:4]]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word, dst in itertools.product(key[4:], range(4)):   # key words past the pool
+        pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    words = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    state_hi, state_lo, inc_hi, inc_lo = (map(int, words[i] | words[i + 1] << 32)
+                                          for i in range(0, 8, 2))
+    generator = np.random.Generator(np.random.PCG64())
+    full_state, draws = generator.bit_generator.state, []
+    for s_hi, s_lo, i_hi, i_lo in zip(state_hi, state_lo, inc_hi, inc_lo):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128   # pcg_setseq_128_srandom_r
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        full_state["state"] = {"state": state, "inc": inc}
+        generator.bit_generator.state = full_state
+        draws.append(generator.standard_normal())
+    return draws
+
+
 def generate(scenario: Scenario) -> SyntheticSession:
     """Generate a full session: one ToA epoch per time step, plus the exact trajectory."""
     samples = _path_samples(scenario.waypoints)
@@ -157,14 +212,15 @@ def generate(scenario: Scenario) -> SyntheticSession:
     span = duration * scenario.epoch_rate   # epoch steps after the first
     if not span >= 1:
         raise InvalidScenario("scenario spans fewer than 2 epochs")
-    if span == math.inf:
-        raise InvalidScenario("scenario spans more epochs than a float can count")
+    if not span < 2**32 - 1:   # inf too; the epoch index is one 32-bit word of the noise key
+        raise InvalidScenario("scenario spans 2**32 epochs or more, past a 32-bit epoch index")
     n_epochs = math.floor(span) + 1
     if scenario.seed < 0:   # checked here: simulate --seed replaces the scenario's seed
         raise InvalidScenario(f"seed must be non-negative, got {scenario.seed}")
 
     node_ids = scenario.catalog.ids()
     nlos, grid = scenario.nlos_offset, scenario.quantize
+    draws = noise_draws(scenario.seed, len(node_ids), n_epochs)
     rows = []   # (time, node_id, toa, rsrp)
     traj_samples = []
     for k in range(n_epochs):
@@ -180,8 +236,7 @@ def generate(scenario: Scenario) -> SyntheticSession:
                 sigma = sigma_for(scenario.noise, rsrp)
             else:
                 sigma = float(scenario.noise)
-            rng = np.random.default_rng([scenario.seed, node_index, k])
-            eps = sigma * rng.standard_normal() if sigma > 0 else 0.0
+            eps = sigma * draws[k * len(node_ids) + node_index] if sigma > 0 else 0.0
             toa = (rho - scenario.node_biases.get(node_id, 0.0)
                    + nlos.get(node_id, 0.0) + eps)
             if grid is not None and math.isfinite(toa):   # else rejected below

@@ -611,6 +611,9 @@ SCENARIO_PROBES = {
     "truth-dtb-overflows": _scenario_with("biases", '{"1": 1.0e308, "2": -1.0e308}'),
     "node-at-1e200": _scenario_with(
         "nodes", '{"1": [0.0, 0.0], "2": [20.0, 0.0], "3": [20.0, 20.0], "4": [1.0e200, 20.0]}'),
+    # 4e301 s at 2 Hz: finite, but far more epochs than the noise key holds
+    "speed-1e-300": _scenario_with("speed", "1.0e-300").replace("duration: 300.0\n", ""),
+    "epoch-count-2**32": _scenario_with("duration", "2147483647.5"),   # 2**32 epochs at 2 Hz
 }
 
 

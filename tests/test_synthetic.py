@@ -1,16 +1,20 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tdoa_dtb.cli import main
 from tdoa_dtb.dtb import calibrate
 from tdoa_dtb.errors import InvalidScenario
 from tdoa_dtb.geometry import range_between
 from tdoa_dtb.ingestion import write_toa_csv
 from tdoa_dtb.synthetic import (ClockModel, PathLossModel, Scenario, generate,
-                                load_scenario, truth_dtb)
+                                load_scenario, noise_draws, truth_dtb)
 
 from conftest import epochs_of, square_catalog
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
 
 def test_degenerate_scenario_exact_geometry(basic_scenario):
@@ -97,6 +101,42 @@ def test_noise_stream_independent_of_generation_order(basic_scenario):
     short = generate(Scenario(**{**basic_scenario.__dict__, "duration": 5.0}))
     for e_full, e_short in zip(epochs_of(full.toa), epochs_of(short.toa)):
         assert list(e_full[1].items()) == list(e_short[1].items())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3])
+def test_noise_draws_match_per_row_default_rng(seed):
+    """One vectorised pass gives every row's default_rng([seed, node, epoch])
+    draw, bit for bit; 2**32 needs two seed words, 2**64 + 3 more than the
+    four words of SeedSequence's pool."""
+    for n_nodes in (1, 8, 64):
+        expected = [np.random.default_rng([seed, node, k]).standard_normal()
+                    for k in range(100) for node in range(n_nodes)]
+        assert noise_draws(seed, n_nodes, 100) == expected
+
+
+def test_noiseless_pseudoranges_are_exact():
+    """With sigma 0 the draws add nothing: every pseudorange is the forward
+    model to the last bit."""
+    scenario = Scenario(catalog=square_catalog(),
+                        node_biases={"1": 2.0, "2": 5.0, "3": 0.1, "4": -3.0},
+                        rover_clock=ClockModel(kind="constant", value=37.3),
+                        waypoints=[(5.0, 5.0), (15.0, 5.0), (15.0, 15.0)],
+                        nlos_offset={"3": 0.7}, noise=0.0, seed=2**64 + 3)
+    session = generate(scenario)
+    for t, obs in epochs_of(session.toa):
+        rover = session.trajectory.interpolate(t)
+        for node_id, (pseudorange, _) in obs.items():
+            toa = (range_between(rover, scenario.catalog[node_id])
+                   - scenario.node_biases[node_id] + scenario.nlos_offset.get(node_id, 0.0))
+            assert pseudorange == toa + 37.3
+
+
+def test_simulate_reproduces_the_golden_session(tmp_path):
+    """simulate on the golden scenario writes the committed session files byte for byte."""
+    assert main(["simulate", "--scenario", str(GOLDEN / "scenario.yaml"),
+                 "--out-dir", str(tmp_path)]) == 0
+    for name in ("toa.csv", "nodes.csv", "trajectory.csv"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 def _polyline(waypoints):

@@ -148,9 +148,12 @@ def load_toa_session(path, unit_mode: str = "meters",
 
 
 def write_toa_csv(session: Session, path) -> None:
-    """Write a session back to the canonical ToA format (meters), each row at its epoch's time."""
+    """Write a session back to the canonical ToA format (meters), each row at
+    its epoch's time, formatted once per epoch as the CSV writer would (repr)."""
+    counts = map(operator.sub, session.starts[1:], session.starts)
+    texts = itertools.chain.from_iterable(map(itertools.repeat, map(repr, session.times), counts))
     write_csv(path, list(TOA_COLUMNS) + ["rsrp"],
-              zip(session.row_times(), map(session.node_ids.__getitem__, session.node),
+              zip(texts, map(session.node_ids.__getitem__, session.node),
                   session.pseudorange, session.rsrp))
 
 

@@ -9,6 +9,11 @@ generation order: each row's draw is NumPy's PCG64 stream
 ``default_rng([seed, node, epoch]).standard_normal()``, computed for a whole
 session at once by `noise_draws`.
 
+`generate` builds a session in array passes over the epoch x node grid, in
+the per-row forward model's order of operations, so every value is the one a
+loop over rows gives. The path loss's log is math.log10 per element, because
+np.log10 is not the C library's function and may round differently.
+
 An optional quantization step rounds pseudo-ranges to a fixed grid, mimicking
 receiver timestamp granularity; with a grid-aligned clock model this makes
 rover-clock cancellation bit-exact instead of merely exact-to-rounding.
@@ -25,7 +30,7 @@ import yaml
 
 from .dtb import DtbEntry, DtbTable
 from .errors import InvalidScenario, TooFewNodes
-from .geometry import NodeCatalog, Position, range_between
+from .geometry import NodeCatalog, Position
 from .ingestion import ReferenceTrajectory, Session, group_epochs
 from .noise import NoiseModel, sigma_for
 
@@ -56,12 +61,12 @@ class ClockModel:
         if self.kind == "sawtooth" and not self.reset_period > 0:
             raise InvalidScenario("sawtooth clock needs reset_period > 0")
 
-    def bias_at(self, t: float) -> float:
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "constant":
-            return self.value
-        return self.drift_rate * t - self.reset_magnitude * math.floor(t / self.reset_period)
+    def bias_at(self, t: np.ndarray) -> np.ndarray:
+        """The bias at each time of an array; a reset count past the float
+        range makes it non-finite."""
+        if self.kind == "sawtooth":
+            return self.drift_rate * t - self.reset_magnitude * np.floor(t / self.reset_period)
+        return np.full_like(t, self.value if self.kind == "constant" else 0.0)
 
 
 @dataclass(frozen=True)
@@ -76,8 +81,10 @@ class PathLossModel:
         if not self.min_range > 0:
             raise InvalidScenario("path_loss min_range must be positive")
 
-    def rsrp(self, rho: float) -> float:
-        return self.p0 - 10.0 * self.gamma * math.log10(max(rho, self.min_range))
+    def rsrp(self, rho: np.ndarray) -> np.ndarray:
+        """The power at each range of an array, through math.log10."""
+        logs = map(math.log10, np.maximum(rho, self.min_range).ravel().tolist())
+        return self.p0 - 10.0 * self.gamma * np.reshape(list(logs), np.shape(rho))
 
 
 @dataclass
@@ -188,14 +195,14 @@ def noise_draws(seed: int, n_nodes: int, n_epochs: int) -> list[float]:
         pool[dst] = _mix(pool[dst], hashmix(word))
     hashmix = _hasher(_INIT_B, _MULT_B)
     words = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
-    state_hi, state_lo, inc_hi, inc_lo = (map(int, words[i] | words[i + 1] << 32)
+    state_hi, state_lo, inc_hi, inc_lo = ((words[i] | words[i + 1] << 32).tolist()
                                           for i in range(0, 8, 2))
     generator = np.random.Generator(np.random.PCG64())
     full_state, draws = generator.bit_generator.state, []
+    pcg = full_state["state"]
     for s_hi, s_lo, i_hi, i_lo in zip(state_hi, state_lo, inc_hi, inc_lo):
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128   # pcg_setseq_128_srandom_r
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        full_state["state"] = {"state": state, "inc": inc}
+        pcg["inc"] = inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128   # pcg_setseq_128_srandom_r
+        pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
         generator.bit_generator.state = full_state
         draws.append(generator.standard_normal())
     return draws
@@ -219,39 +226,46 @@ def generate(scenario: Scenario) -> SyntheticSession:
         raise InvalidScenario(f"seed must be non-negative, got {scenario.seed}")
 
     node_ids = scenario.catalog.ids()
-    nlos, grid = scenario.nlos_offset, scenario.quantize
-    draws = noise_draws(scenario.seed, len(node_ids), n_epochs)
-    rows = []   # (time, node_id, toa, rsrp)
-    traj_samples = []
-    for k in range(n_epochs):
-        t = k / scenario.epoch_rate
-        dist = min(max(scenario.speed * t, 0.0), total)
-        rover = path.interpolate(dist) if path else samples[0][1]
-        traj_samples.append((t, rover))
-        clock = scenario.rover_clock.bias_at(t)
-        for node_index, node_id in enumerate(node_ids):
-            rho = range_between(rover, scenario.catalog[node_id])
-            rsrp = scenario.path_loss.rsrp(rho)
-            if isinstance(scenario.noise, NoiseModel):
-                sigma = sigma_for(scenario.noise, rsrp)
-            else:
-                sigma = float(scenario.noise)
-            eps = sigma * draws[k * len(node_ids) + node_index] if sigma > 0 else 0.0
-            toa = (rho - scenario.node_biases.get(node_id, 0.0)
-                   + nlos.get(node_id, 0.0) + eps)
-            if grid is not None and math.isfinite(toa):   # else rejected below
-                try:
-                    toa = round(toa / grid) * grid
-                except OverflowError:   # toa / grid is infinite
-                    raise InvalidScenario(f"quantize grid {grid} is too fine for "
-                                          f"pseudorange {toa}") from None
-            pseudorange = toa + clock
-            if not (math.isfinite(pseudorange) and math.isfinite(rsrp)):
-                raise InvalidScenario(f"non-finite pseudorange {pseudorange} or rsrp {rsrp} "
-                                      f"of node {node_id!r} at t={t}")
-            rows.append((t, node_id, pseudorange, rsrp))
-    toa = group_epochs(*map(list, zip(*rows)), epoch_tol=0.0)
-    return SyntheticSession(toa, scenario.catalog, ReferenceTrajectory(traj_samples), scenario)
+    epoch_times = np.arange(n_epochs) / scenario.epoch_rate
+    times = epoch_times.tolist()
+    rovers = ([path.interpolate(min(max(scenario.speed * t, 0.0), total)) for t in times]
+              if path else [samples[0][1]] * n_epochs)
+    trajectory = ReferenceTrajectory(list(zip(times, rovers)))
+    nodes = np.array([(p.x, p.y, p.z) for _, p in scenario.catalog.items()])
+    noise, grid = scenario.noise, scenario.quantize
+    # epoch x node arrays; an overflow leaves a non-finite value, rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.array(trajectory.xyz)[:, None, :] - nodes
+        d = d * d
+        rho = np.sqrt(d[..., 0] + d[..., 1] + d[..., 2])
+        rsrp = scenario.path_loss.rsrp(rho)
+        if isinstance(noise, NoiseModel):
+            sigma = np.reshape([sigma_for(noise, r) for r in rsrp.ravel().tolist()], rho.shape)
+        else:
+            sigma = float(noise)
+        draws = np.reshape(noise_draws(scenario.seed, len(node_ids), n_epochs), rho.shape)
+        toa = (rho - [scenario.node_biases.get(node_id, 0.0) for node_id in node_ids]
+               + [scenario.nlos_offset.get(node_id, 0.0) for node_id in node_ids]
+               + np.where(sigma > 0, sigma * draws, 0.0))
+        too_fine = np.zeros(rho.shape, dtype=bool)
+        quantized = toa
+        if grid is not None:
+            steps = toa / grid
+            too_fine = np.isfinite(toa) & np.isinf(steps)
+            # + 0.0: rint gives -0.0 where round() gives the int 0, which is +0.0
+            quantized = (np.rint(steps) + 0.0) * grid
+        pseudorange = quantized + scenario.rover_clock.bias_at(epoch_times)[:, None]
+        bad = too_fine | ~(np.isfinite(pseudorange) & np.isfinite(rsrp))
+    if bad.any():   # the first bad row, in row order
+        k, i = divmod(int(bad.argmax()), len(node_ids))
+        if too_fine[k, i]:
+            raise InvalidScenario(f"quantize grid {grid} is too fine for "
+                                  f"pseudorange {toa[k, i].item()}")
+        raise InvalidScenario(f"non-finite pseudorange {pseudorange[k, i].item()} or rsrp "
+                              f"{rsrp[k, i].item()} of node {node_ids[i]!r} at t={times[k]}")
+    session = group_epochs(np.repeat(epoch_times, len(node_ids)).tolist(), node_ids * n_epochs,
+                           pseudorange.ravel().tolist(), rsrp.ravel().tolist(), epoch_tol=0.0)
+    return SyntheticSession(session, scenario.catalog, trajectory, scenario)
 
 
 def _float(value) -> float:

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -606,6 +607,9 @@ SCENARIO_PROBES = {
     "quantize-overflows": SCENARIO_YAML + "quantize: 1.0e-310\n",
     "clock-drift-overflows": _scenario_with(
         "clock", "{kind: sawtooth, drift_rate: 1.0e308, reset_period: 100.0}"),
+    "clock-reset-period-tiny": _scenario_with(   # the reset count overflows at t = 0.5
+        "clock", "{kind: sawtooth, drift_rate: 10.0, reset_period: 1.0e-310, "
+                 "reset_magnitude: 50.0}"),
     "bias-and-nlos-overflow": _scenario_with("biases", '{"1": 1.0e308}')
     + 'nlos: {"1": -1.0e308}\n',
     "truth-dtb-overflows": _scenario_with("biases", '{"1": 1.0e308, "2": -1.0e308}'),
@@ -619,11 +623,18 @@ SCENARIO_PROBES = {
 
 @pytest.mark.parametrize("probe", SCENARIO_PROBES)
 def test_malformed_scenario_is_a_data_error(tmp_path, capsys, probe):
+    """simulate exits 2 with one InvalidScenario line on stderr, raises no
+    warning (numpy's overflow warnings among them) and writes nothing."""
     scenario, out = tmp_path / "scenario.yaml", tmp_path / "sim"
     scenario.write_text(SCENARIO_PROBES[probe])
-    assert main(["simulate", "--scenario", str(scenario), "--out-dir", str(out)]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--scenario", str(scenario), "--out-dir", str(out)]) == 2
+    assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
-    assert "InvalidScenario" in err and "Traceback" not in err
+    assert err.startswith("tdoa-dtb simulate: InvalidScenario: ") and "Traceback" not in err
+    # one line, but for the YAML parser's message, which shows the bad line below it
+    assert err.count("\n") == 1 or probe == "yaml-syntax-error"
     assert not out.exists()
 
 

@@ -195,6 +195,36 @@ def test_rereference_std_combination():
     assert out.entries["m"].std == pytest.approx(0.4, abs=1e-12)
 
 
+def test_rereference_round_trip():
+    """A -> B -> A gives back reference A, B's mean exactly (negated twice) and
+    every other mean to within the rounding of one subtraction and one
+    addition. std and n_samples do not round-trip: by the independence rule
+    another node's std widens to sqrt(std_n**2 + 2 * std_B**2), and its count
+    is capped at B's."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entry = st.builds(DtbEntry, st.floats(-1e6, 1e6), st.floats(0.0, 1e3),
+                      st.integers(1, 10_000))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.lists(entry, min_size=2, max_size=8), st.data())
+    def check(entries, data):
+        table = DtbTable("0", {str(i + 1): e for i, e in enumerate(entries)})
+        b = data.draw(st.sampled_from(sorted(table.entries)))
+        back = rereference_dtb(rereference_dtb(table, b), "0")
+        assert back.ref_node_id == "0" and back.entries.keys() == table.entries.keys()
+        pivot = table.entries[b]
+        assert back.entries[b] == pivot
+        for node_id, e in table.entries.items():
+            if node_id != b:
+                got = back.entries[node_id]
+                assert abs(got.mean - e.mean) <= 2**-51 * (abs(e.mean) + abs(pivot.mean))
+                assert got.std == pytest.approx(math.sqrt(e.std**2 + 2 * pivot.std**2))
+                assert got.n_samples == min(e.n_samples, pivot.n_samples)
+
+    check()
+
+
 def test_rereference_unknown_node():
     table = DtbTable("1", {"2": DtbEntry(-3.0, 0.1, 5)})
     with pytest.raises(UnknownNode):

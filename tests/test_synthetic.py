@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -7,9 +9,10 @@ import pytest
 from tdoa_dtb.cli import main
 from tdoa_dtb.dtb import calibrate
 from tdoa_dtb.errors import InvalidScenario
-from tdoa_dtb.geometry import range_between
-from tdoa_dtb.ingestion import write_toa_csv
-from tdoa_dtb.synthetic import (ClockModel, PathLossModel, Scenario, generate,
+from tdoa_dtb.geometry import NodeCatalog, Position, range_between
+from tdoa_dtb.ingestion import ReferenceTrajectory, write_toa_csv
+from tdoa_dtb.noise import NoiseModel, sigma_for
+from tdoa_dtb.synthetic import (ClockModel, PathLossModel, Scenario, _path_samples, generate,
                                 load_scenario, noise_draws, truth_dtb)
 
 from conftest import epochs_of, square_catalog
@@ -129,6 +132,144 @@ def test_noiseless_pseudoranges_are_exact():
             toa = (range_between(rover, scenario.catalog[node_id])
                    - scenario.node_biases[node_id] + scenario.nlos_offset.get(node_id, 0.0))
             assert pseudorange == toa + 37.3
+
+
+def _per_row(scenario):
+    """Oracle: generate as one loop over rows, each drawn from its own
+    default_rng([seed, node, epoch]). Returns the rows (time, node_id,
+    pseudorange, rsrp) and the trajectory (time, x, y, z), or raises the
+    InvalidScenario of the first bad row."""
+    samples = _path_samples(scenario.waypoints)
+    total = samples[-1][0]
+    path = ReferenceTrajectory(samples) if len(samples) > 1 else None
+    duration = scenario.duration
+    if duration is None:
+        duration = total / scenario.speed if scenario.speed > 0 else 1.0
+    clock, loss, grid = scenario.rover_clock, scenario.path_loss, scenario.quantize
+    rows, trajectory = [], []
+    for k in range(math.floor(duration * scenario.epoch_rate) + 1):
+        t = k / scenario.epoch_rate
+        dist = min(max(scenario.speed * t, 0.0), total)
+        rover = path.interpolate(dist) if path else samples[0][1]
+        trajectory.append((t, rover.x, rover.y, rover.z))
+        if clock.kind == "sawtooth":
+            bias = clock.drift_rate * t - clock.reset_magnitude * math.floor(t / clock.reset_period)
+        else:
+            bias = clock.value if clock.kind == "constant" else 0.0
+        for node_index, node_id in enumerate(scenario.catalog.ids()):
+            rho = range_between(rover, scenario.catalog[node_id])
+            rsrp = loss.p0 - 10.0 * loss.gamma * math.log10(max(rho, loss.min_range))
+            if isinstance(scenario.noise, NoiseModel):
+                sigma = sigma_for(scenario.noise, rsrp)
+            else:
+                sigma = float(scenario.noise)
+            eps = 0.0
+            if sigma > 0:
+                eps = sigma * np.random.default_rng([scenario.seed, node_index, k]).standard_normal()
+            toa = (rho - scenario.node_biases.get(node_id, 0.0)
+                   + scenario.nlos_offset.get(node_id, 0.0) + eps)
+            if grid is not None and math.isfinite(toa):
+                try:
+                    toa = round(toa / grid) * grid
+                except OverflowError:
+                    raise InvalidScenario(f"quantize grid {grid} is too fine for "
+                                          f"pseudorange {toa}") from None
+            pseudorange = toa + bias
+            if not (math.isfinite(pseudorange) and math.isfinite(rsrp)):
+                raise InvalidScenario(f"non-finite pseudorange {pseudorange} or rsrp {rsrp} "
+                                      f"of node {node_id!r} at t={t}")
+            rows.append((t, node_id, pseudorange, rsrp))
+    return rows, trajectory
+
+
+def _oracle_scenarios():
+    """Seeded scenarios over every clock kind, noise form (constant sigma 0 and
+    0.8, two noise models) and quantize grid, with nodes off the z = 0 plane,
+    NLOS offsets, single waypoints, a rover on a node, durations past the
+    path's end and seeds of 2**64 and more among them; then a quantized zero."""
+    rng = random.Random(20)
+    clocks = (ClockModel(), ClockModel(kind="constant", value=-37.3),
+              ClockModel(kind="sawtooth", drift_rate=10.0, reset_period=1.5,
+                         reset_magnitude=50.0))
+    noises = (0.0, 0.8, NoiseModel(60.0, -110.0),
+              NoiseModel(5.0, -60.0, sigma_floor=0.1, sigma_cap=2.0))
+    combos = itertools.product(clocks, noises, (None, 2.0 ** -20, 0.25))
+    for index, (clock, noise, grid) in enumerate(combos):
+        catalog = NodeCatalog({str(i + 1): Position(rng.uniform(-30.0, 30.0),
+                                                    rng.uniform(-30.0, 30.0),
+                                                    rng.choice((0.0, rng.uniform(-3.0, 3.0))))
+                               for i in range(rng.randint(2, 6))})
+        waypoints = [(rng.uniform(-25.0, 25.0), rng.uniform(-25.0, 25.0))
+                     for _ in range((1, 2, 3, 5)[index % 4])]
+        if index % 7 == 0:
+            waypoints[0] = (catalog["1"].x, catalog["1"].y)
+        length = sum(math.dist(a, b) for a, b in zip(waypoints, waypoints[1:]))
+        speed = length / rng.uniform(3.0, 8.0) if length else 1.0
+        duration = None if length and index % 3 else 1.5 * length / speed + 1.0
+        yield Scenario(catalog=catalog,
+                       node_biases={n: rng.uniform(-30.0, 30.0) for n in catalog.ids()
+                                    if rng.random() < 0.7},
+                       rover_clock=clock, waypoints=waypoints, speed=speed,
+                       epoch_rate=rng.choice((1.0, 2.0, 3.3)), noise=noise,
+                       path_loss=PathLossModel(p0=rng.choice((-40.0, -31.5)),
+                                               gamma=rng.choice((2.0, 2.5, 3.1)),
+                                               min_range=rng.choice((0.1, 2.0))),
+                       nlos_offset={n: rng.uniform(0.0, 3.0) for n in catalog.ids()
+                                    if rng.random() < 0.3},
+                       seed=rng.randrange(2**32) + (2**64 if index % 5 in (1, 3) else 0),
+                       duration=duration, quantize=grid)
+    # the rover on node 1: its toa -0.1 rounds to +0.0 (round() gives the int
+    # 0), so that the clock's -0.0 at t = 0 (a negative drift) adds to +0.0
+    yield Scenario(catalog=square_catalog(), node_biases={"1": 0.1}, waypoints=[(0.0, 0.0)],
+                   rover_clock=ClockModel(kind="sawtooth", drift_rate=-1.0, reset_period=5.0),
+                   duration=2.0, quantize=0.25)
+
+
+def _bits(values):
+    return [value.hex() for value in values]
+
+
+def test_generate_matches_the_per_row_oracle():
+    """generate's array passes give the oracle's pseudoranges, rsrp, times and
+    trajectory bit for bit, all as Python floats."""
+    for scenario in _oracle_scenarios():
+        rows, trajectory = _per_row(scenario)
+        times, node_ids, pseudoranges, rsrps = map(list, zip(*rows))
+        session = generate(scenario)
+        toa, traj = session.toa, session.trajectory
+        assert all(type(v) is float for v in [*toa.times, *toa.pseudorange, *toa.rsrp])
+        assert [toa.node_ids[i] for i in toa.node] == node_ids
+        assert _bits(toa.row_times()) == _bits(times)
+        assert _bits(toa.pseudorange) == _bits(pseudoranges)
+        assert _bits(toa.rsrp) == _bits(rsrps)
+        assert _bits(toa.times) == _bits(traj.times) == _bits(t for t, *_ in trajectory)
+        assert [_bits(xyz) for xyz in traj.xyz] == [_bits(xyz) for _, *xyz in trajectory]
+
+
+@pytest.mark.parametrize("changes", [
+    {"rover_clock": ClockModel(kind="sawtooth", drift_rate=1.0e308, reset_period=100.0)},
+    {"catalog": NodeCatalog({"1": Position(0.0, 0.0), "2": Position(20.0, 0.0),
+                             "3": Position(1.0e200, 20.0)})},
+    {"node_biases": {"2": 1.0e308}, "nlos_offset": {"2": -1.0e308}},
+    {"quantize": 1.0e-310},
+    {"quantize": 1.0e-310, "noise": 0.0,   # the rover on node 1: its row 0 quantizes to 0
+     "waypoints": [(0.0, 0.0), (20.0, 0.0)]},
+    {"quantize": 1.0e-310, "path_loss": PathLossModel(gamma=1.0e308)},
+    {"path_loss": PathLossModel(gamma=1.0e308)}],
+    ids=["clock-drift", "node-at-1e200", "bias-and-nlos", "quantize", "quantize-second-row",
+         "quantize-before-rsrp", "rsrp"])
+def test_bad_row_matches_the_per_row_oracle(changes):
+    """A scenario that overflows names the oracle's first bad row: its node,
+    time and values, and a quantize overflow before a non-finite value of the
+    same row."""
+    scenario = Scenario(**{"catalog": square_catalog(), "waypoints": [(5.0, 5.0), (15.0, 5.0)],
+                           "speed": 2.0, "epoch_rate": 2.0, "noise": 0.5, "seed": 3,
+                           **changes})
+    with pytest.raises(InvalidScenario) as oracle:
+        _per_row(scenario)
+    with pytest.raises(InvalidScenario) as array:
+        generate(scenario)
+    assert str(array.value) == str(oracle.value)
 
 
 def test_simulate_reproduces_the_golden_session(tmp_path):

@@ -10,22 +10,21 @@ reference node and one session label.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .differencing import form_tdoa
 from .errors import ParseError, ReferenceMissing, TdoaDtbError, UnknownNode
 from .geometry import NodeCatalog, node_sort_key, range_between
 from .ingestion import ReferenceTrajectory, Session
-from .table import read_csv, row_error, write_csv
+from .table import Record, read_csv, row_error, write_csv
 
 
-@dataclass(frozen=True)
-class DtbEntry:
-    mean: float       # meters
-    std: float        # meters, sample std (n-1 divisor), 0 for n == 1
-    n_samples: int
+class DtbEntry(Record):
+    """A node's DTB: mean and sample std (n-1 divisor, 0 for n == 1) in meters."""
 
-    def __post_init__(self):
+    __slots__ = _fields = ("mean", "std", "n_samples")
+
+    def __init__(self, mean: float, std: float, n_samples: int):
+        self.mean, self.std, self.n_samples = mean, std, n_samples
         if self.n_samples < 1:
             raise ValueError("DTB entry with no samples")
         if self.std < 0:

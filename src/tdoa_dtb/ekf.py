@@ -14,8 +14,6 @@ counts rejections; rejected observations are never applied.
 from __future__ import annotations
 
 import math
-import statistics
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .differencing import form_tdoa
@@ -24,14 +22,13 @@ from .errors import NegativeDt, ReferenceMissing, SingularGeometry, TdoaDtbError
 from .geometry import NodeCatalog
 from .ingestion import Session
 from .noise import DEFAULT_SIGMA_NO_RSRP, NoiseModel, sigma_for
-from .table import read_csv, row_error, write_csv
+from .table import Record, read_csv, row_error, write_csv
 
 MIN_RANGE_M = 1.0e-6   # below this the range partials are undefined
 PSD_TOL = -1.0e-9
 
 
-@dataclass
-class EkfConfig:
+class EkfConfig(Record):
     """Filter tuning knobs.
 
     sigma_x / sigma_y are process-noise densities in m/sqrt(s): the position
@@ -39,13 +36,17 @@ class EkfConfig:
     independent of the epoch raster.
     """
 
+    _fields = ("sigma_x", "sigma_y", "min_obs_per_update", "innovation_gate", "default_sigma")
     sigma_x: float = 0.5
     sigma_y: float = 0.5
     min_obs_per_update: int = 1
     innovation_gate: float = 5.0
     default_sigma: float = DEFAULT_SIGMA_NO_RSRP   # m, per-ToA sigma when rsrp is absent
 
-    def __post_init__(self):
+    def __init__(self, sigma_x=sigma_x, sigma_y=sigma_y, min_obs_per_update=min_obs_per_update,
+                 innovation_gate=innovation_gate, default_sigma=default_sigma):
+        self.sigma_x, self.sigma_y, self.min_obs_per_update = sigma_x, sigma_y, min_obs_per_update
+        self.innovation_gate, self.default_sigma = innovation_gate, default_sigma
         # written as not (x > 0) so that NaN fails too; a square that overflows
         # would drive the covariance out of float range at the first prediction
         if not (self.sigma_x > 0 and self.sigma_y > 0):
@@ -65,22 +66,20 @@ def _min_eig(a: float, b: float, d: float) -> float:
     return 0.5 * (a + d) - math.hypot(0.5 * (a - d), b)
 
 
-@dataclass
-class EkfState:
+class EkfState(Record):
     """Planar filter state in plain floats.
 
-    Any two numbers are accepted as the position and any 2x2 nested sequence
-    as the covariance; both are stored as tuples of floats, the covariance
-    symmetrised.
+    Any two numbers are accepted as the position (x, y), m, and any 2x2 nested
+    sequence as the covariance, m^2; both are stored as tuples of floats, the
+    covariance symmetrised. The epoch is in s; run_filter sets it, so no hash.
     """
 
-    position: tuple[float, float]   # (x, y), m
-    covariance: tuple[tuple[float, float], tuple[float, float]]   # ((xx, xy), (xy, yy)), m^2, PSD
-    epoch: float = 0.0              # s
+    __slots__ = _fields = ("position", "covariance", "epoch")
+    __hash__ = None
 
-    def __post_init__(self):
-        x, y = map(float, self.position)
-        (a, b), (c, d) = self.covariance
+    def __init__(self, position, covariance, epoch: float = 0.0):
+        x, y = map(float, position)
+        (a, b), (c, d) = covariance
         a, b, d = float(a), 0.5 * (float(b) + float(c)), float(d)
         if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(d)):
             raise ValueError("non-finite filter covariance")
@@ -89,8 +88,7 @@ class EkfState:
             raise ValueError(f"covariance not PSD, min eigenvalue {min_eig:.3e}")
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError("non-finite filter position")
-        self.position = (x, y)
-        self.covariance = ((a, b), (b, d))
+        self.position, self.covariance, self.epoch = (x, y), ((a, b), (b, d)), epoch
 
 
 class TrackPoint(NamedTuple):
@@ -114,10 +112,20 @@ def init_apriori(catalog: NodeCatalog) -> EkfState:
     """
     xs = [p.x for _, p in catalog.items()]
     ys = [p.y for _, p in catalog.items()]
-    var_x = max(statistics.variance(xs), 1.0)
-    var_y = max(statistics.variance(ys), 1.0)
-    return EkfState(position=(statistics.fmean(xs), statistics.fmean(ys)),
+    var_x = max(_variance(xs), 1.0)
+    var_y = max(_variance(ys), 1.0)
+    return EkfState(position=(math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)),
                     covariance=((var_x, 0.0), (0.0, var_y)))
+
+
+def _variance(values: list[float]) -> float:
+    """Sample variance (n-1 divisor), as statistics.variance: exact over the integer
+    ratios' largest denominator, a power of two, then rounded once (OverflowError)."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max(d for _, d in ratios)
+    nums = [n * (den // d) for n, d in ratios]
+    n, total = len(nums), sum(nums)
+    return (n * sum(m * m for m in nums) - total * total) / (n * (n - 1) * den * den)
 
 
 def predict(state: EkfState, dt: float, cfg: EkfConfig) -> EkfState:

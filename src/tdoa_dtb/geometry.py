@@ -8,21 +8,18 @@ two dimensional.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ParseError, TooFewNodes, UnknownNode
-from .table import read_csv, row_error, write_csv
+from .table import Record, read_csv, row_error, write_csv
 
 
-@dataclass(frozen=True)
-class Position:
+class Position(Record):
     """A point in local Cartesian meters. z defaults to 0 for 2D use."""
 
-    x: float
-    y: float
-    z: float = 0.0
+    __slots__ = _fields = ("x", "y", "z")
 
-    def __post_init__(self):
+    def __init__(self, x: float, y: float, z: float = 0.0):
+        self.x, self.y, self.z = x, y, z
         if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
             raise ValueError(f"non-finite coordinate in {self!r}")
 

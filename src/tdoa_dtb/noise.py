@@ -13,13 +13,11 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import statistics
-from dataclasses import dataclass
 
 from .dtb import mean_std
 from .errors import FitError, NoRsrp, ParseError, WindowTooSmall
 from .ingestion import Session
-from .table import read_csv, row_error, write_csv
+from .table import Record, read_csv, row_error, write_csv
 
 DEFAULT_WINDOW_S = 2.0
 DEFAULT_BIN_DB = 2.0
@@ -29,16 +27,15 @@ DEFAULT_SIGMA_CAP = 15.0    # m
 DEFAULT_SIGMA_NO_RSRP = 3.0  # m, used when an observation carries no power value
 
 
-@dataclass(frozen=True)
-class NoiseModel:
+class NoiseModel(Record):
     """Reciprocal received-power noise model with clamps around its pole."""
 
-    k: float          # m * dB
-    rsrp0: float      # dBm asymptote, must lie below the data
-    sigma_floor: float = DEFAULT_SIGMA_FLOOR
-    sigma_cap: float = DEFAULT_SIGMA_CAP
+    __slots__ = _fields = ("k", "rsrp0", "sigma_floor", "sigma_cap")
 
-    def __post_init__(self):
+    def __init__(self, k: float, rsrp0: float, sigma_floor: float = DEFAULT_SIGMA_FLOOR,
+                 sigma_cap: float = DEFAULT_SIGMA_CAP):
+        self.k, self.rsrp0 = k, rsrp0   # m * dB; dBm asymptote, must lie below the data
+        self.sigma_floor, self.sigma_cap = sigma_floor, sigma_cap
         # each check written as not (...) so that NaN fails too
         if not self.k > 0:
             raise ValueError(f"noise model scale must be positive, got {self.k}")
@@ -48,12 +45,11 @@ class NoiseModel:
             raise ValueError("need 0 < sigma_floor < sigma_cap < inf")
 
 
-@dataclass(frozen=True)
-class NoisePoint:
-    rsrp: float        # dBm
-    sigma_hat: float   # m
+class NoisePoint(Record):
+    __slots__ = _fields = ("rsrp", "sigma_hat")
 
-    def __post_init__(self):
+    def __init__(self, rsrp: float, sigma_hat: float):
+        self.rsrp, self.sigma_hat = rsrp, sigma_hat   # dBm, m
         if self.sigma_hat < 0:
             raise ValueError("negative sigma_hat")
 
@@ -63,10 +59,11 @@ def detrend_toa(times: list[float], values: list[float], window: float = DEFAULT
     """Residuals of a time-sorted series about its centered moving average (time window)."""
     if len(times) < 2:
         return [0.0] * len(times)
-    steps = [t1 - t0 for t0, t1 in zip(times, times[1:])]
-    if any(step < 0 for step in steps):
+    steps = sorted(t1 - t0 for t0, t1 in zip(times, times[1:]))
+    if steps[0] < 0:
         raise ValueError("series must be time-sorted")
-    spacing = statistics.median(steps)
+    mid = len(steps) // 2
+    spacing = steps[mid] if len(steps) % 2 else (steps[mid - 1] + steps[mid]) / 2   # median
     if window <= spacing:
         raise WindowTooSmall(
             f"window {window}s must exceed the median sample spacing {spacing}s"

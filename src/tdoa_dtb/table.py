@@ -16,6 +16,25 @@ import math
 from .errors import ParseError
 
 
+class Record:
+    """A record: equality, hash and repr over the fields named in _fields."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
 def read_csv(path, required: dict, optional: dict | None = None) -> list[list]:
     """Columns of a CSV table, required then optional, one value per row.
 

@@ -469,7 +469,7 @@ import json, sys
 import tdoa_dtb.cli
 
 def heavy():
-    return sorted(m for m in ("numpy", "yaml") if m in sys.modules)
+    return sorted(m for m in ("numpy", "yaml", "dataclasses", "statistics") if m in sys.modules)
 
 assert heavy() == [], ("import tdoa_dtb.cli", heavy())
 steps = json.loads(sys.argv[1])
@@ -488,8 +488,9 @@ assert missing == [], missing
 
 
 def test_command_path_loads_neither_numpy_nor_yaml(tmp_path, scenario_file):
-    """Every command but simulate runs in a fresh interpreter without numpy or
-    yaml; simulate and the package's simulator exports still work there."""
+    """Every command but simulate runs in a fresh interpreter without numpy,
+    yaml, dataclasses or statistics; simulate and the package's simulator
+    exports still work there."""
     sim, d = tmp_path / "sim", tmp_path
     assert main(["simulate", "--scenario", str(scenario_file), "--out-dir", str(sim)]) == 0
     steps = [

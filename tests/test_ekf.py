@@ -1,10 +1,14 @@
+import random
+import statistics
+
 import numpy as np
 import pytest
 
 from tdoa_dtb.dtb import DtbEntry, DtbTable
-from tdoa_dtb.ekf import (PSD_TOL, EkfConfig, EkfState, init_apriori, measurement_model,
-                          predict, read_residuals_csv, read_track_csv, run_filter,
-                          session_model, update, write_residuals_csv, write_track_csv)
+from tdoa_dtb.ekf import (PSD_TOL, EkfConfig, EkfState, _variance, init_apriori,
+                          measurement_model, predict, read_residuals_csv, read_track_csv,
+                          run_filter, session_model, update, write_residuals_csv,
+                          write_track_csv)
 from tdoa_dtb.errors import NegativeDt, ReferenceMissing, SingularGeometry
 from tdoa_dtb.geometry import NodeCatalog, Position, node_sort_key, sd_range
 from tdoa_dtb.ingestion import Session
@@ -78,6 +82,31 @@ def test_init_apriori_matches_numpy_reference():
         assert [a, d] == pytest.approx(want_var.tolist(), rel=1e-12, abs=1e-12)
         assert b == 0.0
     assert floored > 0
+
+
+def test_init_apriori_equals_the_statistics_module_bit_for_bit():
+    """The fsum mean and the exact integer-sum variance are statistics.fmean and
+    statistics.variance, bit for bit, on seeded samples of 2 to 64 values,
+    scales from 1e-3 to 1e6 and offsets up to 1e6; past the float range both
+    raise OverflowError."""
+    rng = random.Random(21)
+    for _ in range(3000):
+        n = rng.randint(2, 64)
+        scale, offset = 10.0 ** rng.uniform(-3.0, 6.0), rng.uniform(-1e6, 1e6)
+        xs = [offset + scale * rng.gauss(0.0, 1.0) for _ in range(n)]
+        assert _variance(xs) == statistics.variance(xs)
+    xs = [rng.uniform(-1e6, 1e6) for _ in range(40)]
+    ys = [rng.uniform(-1e3, 1e3) for _ in range(40)]
+    state = init_apriori(NodeCatalog({str(i): Position(x, y)
+                                      for i, (x, y) in enumerate(zip(xs, ys))}))
+    assert state.position == (statistics.fmean(xs), statistics.fmean(ys))
+    assert state.covariance == ((statistics.variance(xs), 0.0), (0.0, statistics.variance(ys)))
+    assert _variance([3, 5, 10]) == statistics.variance([3, 5, 10]) == 13.0
+    for xs in ([1e308, -1e308], [1.7e308, 1.7e308, -1.7e308], [0.0, 2e154, -2e154]):
+        with pytest.raises(OverflowError):
+            statistics.variance(xs)
+        with pytest.raises(OverflowError):
+            _variance(xs)
 
 
 def test_state_rejects_indefinite_covariance():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -131,6 +132,19 @@ def test_detrend_errors_match_numpy_reference():
         with pytest.raises(error) as want:
             reference_detrend(series, window)
         assert str(got.value) == str(want.value)
+
+
+def test_detrend_window_bound_is_the_median_spacing():
+    """A window of exactly the median sample spacing, as statistics.median
+    gives it for odd and even step counts, is too small, and the next float
+    above it is not."""
+    rng = np.random.default_rng(8)
+    for n in (2, 3, 4, 5, 30, 31):
+        times = np.cumsum(rng.uniform(0.05, 0.5, n)).tolist()
+        spacing = statistics.median(b - a for a, b in zip(times, times[1:]))
+        with pytest.raises(WindowTooSmall, match=f"spacing {spacing}s"):
+            detrend_toa(times, [0.0] * n, window=spacing)
+        detrend_toa(times, [0.0] * n, window=math.nextafter(spacing, math.inf))
 
 
 def test_detrend_window_too_small():

@@ -181,8 +181,9 @@ def update(state: EkfState, session: Session, epoch: int, ref: int, nodes: list,
 
     ref, nodes and var come from session_model. The epoch is differenced
     against the reference node (ReferenceMissing if absent), each difference
-    modelled as measurement_model does, with R_i = sigma(rsrp_node)^2 +
-    sigma(rsrp_ref)^2. Innovations beyond gate * sqrt(h P h' + R_i) are counted
+    modelled as measurement_model does. Every difference carries the
+    reference's noise, so their covariance is R = diag(sigma_n^2) +
+    sigma_ref^2 11'. Innovations beyond gate * sqrt(h P h' + R_ii) are counted
     as rejected and never applied. With fewer than cfg.min_obs_per_update
     accepted the predicted state is returned unchanged. Otherwise, with M =
     H'R^-1 H and g = H'R^-1 nu over the accepted ones, P+ = (I + P M)^-1 P and
@@ -198,6 +199,7 @@ def update(state: EkfState, session: Session, epoch: int, ref: int, nodes: list,
     applied = []
     rejected = 0
     m_xx = m_xy = m_yy = g_x = g_y = 0.0
+    w_sum = wh_x = wh_y = w_nu = 0.0   # sums of w, w h and w nu, w = 1 / sigma_n^2
     for row, sd in zip(rows, diffs):
         node_x, node_y, node_zz, mean = nodes[node[row]]
         dx_n, dy_n = x - node_x, y - node_y
@@ -213,16 +215,28 @@ def update(state: EkfState, session: Session, epoch: int, ref: int, nodes: list,
             rejected += 1
             continue
         applied.append((node[row], sd))
-        w_hx, w_hy = hx / r_var, hy / r_var
+        w = 1.0 / var[row]
+        w_hx, w_hy = w * hx, w * hy
         m_xx += w_hx * hx
         m_xy += w_hx * hy
         m_yy += w_hy * hy
         g_x += w_hx * innovation
         g_y += w_hy * innovation
+        w_sum += w
+        wh_x += w_hx
+        wh_y += w_hy
+        w_nu += w * innovation
 
     if len(applied) < cfg.min_obs_per_update:
         # too few usable observations: state stays at the prediction
         return state, [], rejected
+    # Sherman-Morrison: R^-1 = W - (W 1)(W 1)' / (1 / sigma_ref^2 + 1'W 1), W = diag(w)
+    den = 1.0 / ref_var + w_sum
+    m_xx -= wh_x * wh_x / den
+    m_xy -= wh_x * wh_y / den
+    m_yy -= wh_y * wh_y / den
+    g_x -= wh_x * w_nu / den
+    g_y -= wh_y * w_nu / den
 
     # P+ = C^-1 P with C = I + P M; det(C) >= 1 because P and M are both PSD.
     # C^-1 P is symmetric in exact arithmetic: average its two off-diagonal terms.
@@ -275,9 +289,10 @@ def run_filter(session: Session, dtb: DtbTable, catalog: NodeCatalog,
             state, postfits, rejected = update(state, session, epoch, ref, nodes, var, cfg)
         except ReferenceMissing:
             postfits, rejected = [], 0   # prediction-only epoch
-        except (ValueError, OverflowError) as exc:
-            # an EkfState check failed or a float overflowed: the epoch times,
-            # the node layout or the settings drove the filter out of float range
+        except (ValueError, OverflowError, ZeroDivisionError) as exc:
+            # an EkfState check failed, a float overflowed or a sigma squared to 0:
+            # the epoch times, the node layout or the settings drove the filter
+            # out of float range
             raise TdoaDtbError(f"filter state at t={t}: {exc}") from None
         (cov_xx, cov_xy), (_, cov_yy) = state.covariance
         track.append(TrackPoint(state.epoch, *state.position, cov_xx, cov_xy,

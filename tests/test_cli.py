@@ -392,6 +392,10 @@ def _overflow_probe(tmp_path, sim, probe):
         # its prediction adds Q = 4 * 1e308 = inf
         rows = rows + [f"1e308,{rows[0].split(',', 1)[1]}"]
         flags, failing = ["--sigma-x", "2"], 1e308
+    elif probe == "default-sigma-1e-200":
+        # no row carries rsrp, and the default sigma squares to 0: a zero variance
+        rows = [row.rsplit(",", 1)[0] + "," for row in rows]
+        flags, failing = ["--default-sigma", "1e-200"], float(rows[0].split(",")[0])
     else:
         # the prior's variance of the node x coordinates overflows
         node_header, *node_rows = nodes.read_text().splitlines()
@@ -405,10 +409,11 @@ def _overflow_probe(tmp_path, sim, probe):
 
 
 @pytest.mark.parametrize("probe", ["first-epoch-at-minus-1.7e308", "one-row-at-1e308",
-                                   "node-at-1e200"])
+                                   "node-at-1e200", "default-sigma-1e-200"])
 def test_filter_overflow_is_a_data_error(tmp_path, capsys, eight_node_session, probe):
-    """Times or a node layout that drive the filter state beyond the float range
-    end as exit 2 naming the epoch time, with no track or residual file."""
+    """Times, a node layout or a sigma that drive the filter state beyond the
+    float range end as exit 2 naming the epoch time, with no track or residual
+    file."""
     toa, nodes, flags, failing = _overflow_probe(tmp_path, eight_node_session, probe)
     track, residuals = tmp_path / "track.csv", tmp_path / "residuals.csv"
     assert main(["position", "--toa", str(toa), "--nodes", str(nodes),

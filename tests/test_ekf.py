@@ -280,6 +280,7 @@ def reference_update(state, session, epoch, dtb, catalog, noise, cfg):
     if ref not in obs:
         raise ReferenceMissing(ref)
     ref_pseudorange, rsrp_ref = obs[ref]
+    r_ref = sigma_for(noise, rsrp_ref, cfg.default_sigma) ** 2
     x, y = state.position
     rows = []
     rejected = 0
@@ -306,7 +307,7 @@ def reference_update(state, session, epoch, dtb, catalog, noise, cfg):
         return state, [], rejected
     h_mat = np.array([r[2] for r in rows])
     innovations = np.array([r[1] for r in rows])
-    r_mat = np.diag([r[3] for r in rows])
+    r_mat = np.diag([r[3] - r_ref for r in rows]) + r_ref   # diag(sigma_n^2) + sigma_ref^2 11'
     p = state.covariance
     s_mat = h_mat @ p @ h_mat.T + r_mat
     gain = p @ h_mat.T @ np.linalg.inv(s_mat)

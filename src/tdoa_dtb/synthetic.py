@@ -243,7 +243,9 @@ def generate(scenario: Scenario) -> SyntheticSession:
             sigma = np.reshape([sigma_for(noise, r) for r in rsrp.ravel().tolist()], rho.shape)
         else:
             sigma = float(noise)
-        draws = np.reshape(noise_draws(scenario.seed, len(node_ids), n_epochs), rho.shape)
+        # a constant sigma of 0 uses no draw, so none is made
+        draws = (np.reshape(noise_draws(scenario.seed, len(node_ids), n_epochs), rho.shape)
+                 if np.any(sigma > 0) else 0.0)
         toa = (rho - [scenario.node_biases.get(node_id, 0.0) for node_id in node_ids]
                + [scenario.nlos_offset.get(node_id, 0.0) for node_id in node_ids]
                + np.where(sigma > 0, sigma * draws, 0.0))
@@ -283,10 +285,12 @@ def _floats(mapping) -> dict[str, float]:
 def load_scenario(path) -> Scenario:
     """Build a scenario from its YAML description (see README for the schema)."""
     try:
-        with open(path) as f:
+        with open(path, "rb") as f:   # yaml decodes, so a byte that is not text is a YAMLError
             raw = yaml.safe_load(f)
-    except yaml.YAMLError as exc:
-        raise InvalidScenario(f"{path}: {exc}") from None
+    except yaml.YAMLError as exc:   # one line: the problem, at the line the parser marks
+        mark, problem = getattr(exc, "problem_mark", None), getattr(exc, "problem", None)
+        where = f"{path}:{mark.line + 1}" if mark else path
+        raise InvalidScenario(f"{where}: {problem or str(exc).splitlines()[0]}") from None
     if not isinstance(raw, dict):
         raise InvalidScenario(f"{path}: scenario file must be a mapping")
     try:

@@ -601,6 +601,8 @@ SCENARIO_PROBES = {
     "nodes-list": _scenario_with("nodes", "[1, 2]"),
     "biases-list": _scenario_with("biases", "[1, 2]"),
     "yaml-syntax-error": SCENARIO_YAML + "waypoints: [[5.0, 5.0]\n",
+    "yaml-control-character": SCENARIO_YAML + "seed: 1\x01\n",
+    "not-utf-8": SCENARIO_YAML.encode() + b"# \xff\n",
     "duration-inf": _scenario_with("duration", ".inf"),
     "epoch-rate-nan": _scenario_with("epoch_rate", ".nan"),
     "noise-sigma-nan": _scenario_with("noise", "{sigma: .nan}"),
@@ -632,16 +634,24 @@ def test_malformed_scenario_is_a_data_error(tmp_path, capsys, probe):
     """simulate exits 2 with one InvalidScenario line on stderr, raises no
     warning (numpy's overflow warnings among them) and writes nothing."""
     scenario, out = tmp_path / "scenario.yaml", tmp_path / "sim"
-    scenario.write_text(SCENARIO_PROBES[probe])
+    text = SCENARIO_PROBES[probe]
+    scenario.write_bytes(text if isinstance(text, bytes) else text.encode())
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["simulate", "--scenario", str(scenario), "--out-dir", str(out)]) == 2
     assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
     assert err.startswith("tdoa-dtb simulate: InvalidScenario: ") and "Traceback" not in err
-    # one line, but for the YAML parser's message, which shows the bad line below it
-    assert err.count("\n") == 1 or probe == "yaml-syntax-error"
+    assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_yaml_syntax_error_names_its_line(tmp_path, capsys):
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(SCENARIO_YAML + "waypoints: [[5.0, 5.0]\n")
+    assert main(["simulate", "--scenario", str(scenario), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (f"tdoa-dtb simulate: InvalidScenario: {scenario}:17: "
+                                       "expected ',' or ']', but got '<stream end>'\n")
 
 
 def test_simulate_negative_seed_is_a_data_error(tmp_path, capsys, scenario_file):

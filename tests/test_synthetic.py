@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tdoa_dtb import synthetic
 from tdoa_dtb.cli import main
 from tdoa_dtb.dtb import calibrate
 from tdoa_dtb.errors import InvalidScenario
@@ -117,9 +118,13 @@ def test_noise_draws_match_per_row_default_rng(seed):
         assert noise_draws(seed, n_nodes, 100) == expected
 
 
-def test_noiseless_pseudoranges_are_exact():
-    """With sigma 0 the draws add nothing: every pseudorange is the forward
-    model to the last bit."""
+def test_noiseless_pseudoranges_are_exact(monkeypatch):
+    """With sigma 0 no noise is drawn: every pseudorange is the forward model
+    to the last bit."""
+    def no_draws(*args):
+        raise AssertionError("noise_draws called for a noiseless scenario")
+
+    monkeypatch.setattr(synthetic, "noise_draws", no_draws)
     scenario = Scenario(catalog=square_catalog(),
                         node_biases={"1": 2.0, "2": 5.0, "3": 0.1, "4": -3.0},
                         rover_clock=ClockModel(kind="constant", value=37.3),

@@ -33,7 +33,7 @@ class EkfConfig(Record):
 
     sigma_x / sigma_y are process-noise densities in m/sqrt(s): the position
     uncertainty grows by sigma^2 * dt per prediction, which keeps behavior
-    independent of the epoch raster.
+    independent of the epoch raster. The CLI reads the defaults off the class.
     """
 
     _fields = ("sigma_x", "sigma_y", "min_obs_per_update", "innovation_gate", "default_sigma")
@@ -119,8 +119,8 @@ def init_apriori(catalog: NodeCatalog) -> EkfState:
 
 
 def _variance(values: list[float]) -> float:
-    """Sample variance (n-1 divisor), as statistics.variance: exact over the integer
-    ratios' largest denominator, a power of two, then rounded once (OverflowError)."""
+    """Sample variance (n-1 divisor) as statistics.variance: exact integer sums over the
+    largest, power-of-two denominator, rounded once; OverflowError past the float range."""
     ratios = [v.as_integer_ratio() for v in values]
     den = max(d for _, d in ratios)
     nums = [n * (den // d) for n, d in ratios]

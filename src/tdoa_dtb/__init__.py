@@ -2,27 +2,25 @@
 
 __version__ = "0.1.0"
 
-from .geometry import NodeCatalog, Position, range_between, read_nodes, sd_range, write_nodes
+from .geometry import NodeCatalog, Position, range_between, read_nodes, write_nodes
 from .ingestion import ReferenceTrajectory, Session, group_epochs
 from .differencing import form_tdoa, select_reference
 from .dtb import (DtbEntry, DtbTable, aggregate_dtb, calibrate, read_dtb, rereference_dtb,
                   write_dtb)
 from .noise import (NoiseModel, NoisePoint, detrend_toa, estimate_noise_points,
                     fit_noise_model, sigma_for)
-from .ekf import (EkfConfig, EkfState, TrackPoint, init_apriori, measurement_model,
-                  predict, run_filter, update)
+from .ekf import EkfConfig, EkfState, TrackPoint, init_apriori, predict, run_filter, update
 from .metrics import session_metrics, sigma_formal, sigma_postfits, true_error
 
 __all__ = [
-    "NodeCatalog", "Position", "range_between", "read_nodes", "sd_range", "write_nodes",
+    "NodeCatalog", "Position", "range_between", "read_nodes", "write_nodes",
     "ReferenceTrajectory", "Session", "group_epochs",
     "form_tdoa", "select_reference",
     "DtbEntry", "DtbTable", "aggregate_dtb", "calibrate", "read_dtb",
     "rereference_dtb", "write_dtb",
     "NoiseModel", "NoisePoint", "detrend_toa", "estimate_noise_points",
     "fit_noise_model", "sigma_for",
-    "EkfConfig", "EkfState", "TrackPoint", "init_apriori", "measurement_model",
-    "predict", "run_filter", "update",
+    "EkfConfig", "EkfState", "TrackPoint", "init_apriori", "predict", "run_filter", "update",
     "session_metrics", "sigma_formal", "sigma_postfits", "true_error",
     "ClockModel", "PathLossModel", "Scenario", "generate", "load_scenario",
 ]

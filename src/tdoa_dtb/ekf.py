@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .differencing import form_tdoa
 from .dtb import DtbTable
-from .errors import NegativeDt, ReferenceMissing, SingularGeometry, TdoaDtbError
+from .errors import ReferenceMissing, SingularGeometry, TdoaDtbError
 from .geometry import NodeCatalog
 from .ingestion import Session
 from .noise import DEFAULT_SIGMA_NO_RSRP, NoiseModel, sigma_for
@@ -71,13 +71,12 @@ class EkfState(Record):
 
     Any two numbers are accepted as the position (x, y), m, and any 2x2 nested
     sequence as the covariance, m^2; both are stored as tuples of floats, the
-    covariance symmetrised. The epoch is in s; run_filter sets it, so no hash.
+    covariance symmetrised.
     """
 
-    __slots__ = _fields = ("position", "covariance", "epoch")
-    __hash__ = None
+    __slots__ = _fields = ("position", "covariance")
 
-    def __init__(self, position, covariance, epoch: float = 0.0):
+    def __init__(self, position, covariance):
         x, y = map(float, position)
         (a, b), (c, d) = covariance
         a, b, d = float(a), 0.5 * (float(b) + float(c)), float(d)
@@ -88,7 +87,7 @@ class EkfState(Record):
             raise ValueError(f"covariance not PSD, min eigenvalue {min_eig:.3e}")
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError("non-finite filter position")
-        self.position, self.covariance, self.epoch = (x, y), ((a, b), (b, d)), epoch
+        self.position, self.covariance = (x, y), ((a, b), (b, d))
 
 
 class TrackPoint(NamedTuple):
@@ -131,34 +130,11 @@ def _variance(values: list[float]) -> float:
 def predict(state: EkfState, dt: float, cfg: EkfConfig) -> EkfState:
     """Identity propagation: position carried over, covariance inflated by Q*dt."""
     if dt < 0:
-        raise NegativeDt(f"dt={dt}")
+        raise ValueError(f"dt={dt}")
     (a, b), (_, d) = state.covariance
     return EkfState(position=state.position,
                     covariance=((a + cfg.sigma_x * cfg.sigma_x * dt, b),
-                                (b, d + cfg.sigma_y * cfg.sigma_y * dt)),
-                    epoch=state.epoch + dt)
-
-
-def measurement_model(x: float, y: float, node_id: str, dtb: DtbTable,
-                      catalog: NodeCatalog) -> tuple[float, tuple[float, float]]:
-    """Predicted single difference of node_id and its position partials at the rover (x, y).
-
-    predicted = (range to node) - (range to reference) + DTB(node)
-    d(predicted)/dx = (x_r - x_n)/rho_n - (x_r - x_m)/rho_m, likewise for y.
-    Ranges are 3D: the rover sits at z = 0, a node at its catalog z. The
-    reference is the DTB table's reference node.
-    """
-    node = catalog[node_id]
-    ref = catalog[dtb.ref_node_id]
-    dx_n, dy_n = x - node.x, y - node.y
-    dx_m, dy_m = x - ref.x, y - ref.y
-    rho_n = math.sqrt(dx_n * dx_n + dy_n * dy_n + node.z * node.z)
-    rho_m = math.sqrt(dx_m * dx_m + dy_m * dy_m + ref.z * ref.z)
-    if rho_n < MIN_RANGE_M or rho_m < MIN_RANGE_M:
-        culprit = node_id if rho_n < MIN_RANGE_M else dtb.ref_node_id
-        raise SingularGeometry(f"rover coincides with node {culprit!r}")
-    predicted = rho_n - rho_m + dtb.mean(node_id)
-    return predicted, (dx_n / rho_n - dx_m / rho_m, dy_n / rho_n - dy_m / rho_m)
+                                (b, d + cfg.sigma_y * cfg.sigma_y * dt)))
 
 
 def session_model(session: Session, dtb: DtbTable, catalog: NodeCatalog,
@@ -180,11 +156,13 @@ def update(state: EkfState, session: Session, epoch: int, ref: int, nodes: list,
     """Joint update with all accepted single differences of an epoch, in information form.
 
     ref, nodes and var come from session_model. The epoch is differenced
-    against the reference node (ReferenceMissing if absent), each difference
-    modelled as measurement_model does. Every difference carries the
-    reference's noise, so their covariance is R = diag(sigma_n^2) +
-    sigma_ref^2 11'. Innovations beyond gate * sqrt(h P h' + R_ii) are counted
-    as rejected and never applied. With fewer than cfg.min_obs_per_update
+    against the reference node (ReferenceMissing if absent). Difference n is
+    modelled as rho_n - rho_ref + DTB_n, 3D ranges from the rover at z = 0,
+    with partials h = (x - x_n)/rho_n - (x - x_ref)/rho_ref, likewise for y.
+    Every difference carries the reference's noise, so their covariance is
+    R = diag(sigma_n^2) + sigma_ref^2 11'. A difference is rejected, never
+    applied, where a range below MIN_RANGE_M leaves h undefined or where its
+    innovation exceeds gate * sqrt(h P h' + R_ii). With fewer than cfg.min_obs_per_update
     accepted the predicted state is returned unchanged. Otherwise, with M =
     H'R^-1 H and g = H'R^-1 nu over the accepted ones, P+ = (I + P M)^-1 P and
     x+ = x + P+ g. Returns (state, [(node index, postfit_m)], n_rejected).
@@ -248,8 +226,7 @@ def update(state: EkfState, session: Session, epoch: int, ref: int, nodes: list,
     p_yy = (c_xx * d - c_yx * b) / det
     x += p_xx * g_x + p_xy * g_y
     y += p_xy * g_x + p_yy * g_y
-    new_state = EkfState(position=(x, y), covariance=((p_xx, p_xy), (p_xy, p_yy)),
-                         epoch=state.epoch)
+    new_state = EkfState(position=(x, y), covariance=((p_xx, p_xy), (p_xy, p_yy)))
     dx_m, dy_m = x - ref_x, y - ref_y
     rho_m = math.sqrt(dx_m * dx_m + dy_m * dy_m + ref_zz)
     postfits = []
@@ -278,14 +255,10 @@ def run_filter(session: Session, dtb: DtbTable, catalog: NodeCatalog,
     ref, nodes, var = session_model(session, dtb, catalog, noise, cfg)
     track: list[TrackPoint] = []
     residuals: list[tuple[float, str, float]] = []
-    state: EkfState | None = None
     for epoch, t in enumerate(session.times):
         try:
-            if state is None:
-                state = init_apriori(catalog)
-                state.epoch = t
-            else:
-                state = predict(state, t - state.epoch, cfg)
+            state = (predict(state, t - session.times[epoch - 1], cfg) if epoch
+                     else init_apriori(catalog))
             state, postfits, rejected = update(state, session, epoch, ref, nodes, var, cfg)
         except ReferenceMissing:
             postfits, rejected = [], 0   # prediction-only epoch
@@ -295,9 +268,9 @@ def run_filter(session: Session, dtb: DtbTable, catalog: NodeCatalog,
             # out of float range
             raise TdoaDtbError(f"filter state at t={t}: {exc}") from None
         (cov_xx, cov_xy), (_, cov_yy) = state.covariance
-        track.append(TrackPoint(state.epoch, *state.position, cov_xx, cov_xy,
-                                cov_yy, len(postfits), rejected))
-        residuals.extend((state.epoch, session.node_ids[n], value) for n, value in postfits)
+        track.append(TrackPoint(t, *state.position, cov_xx, cov_xy, cov_yy, len(postfits),
+                                rejected))
+        residuals.extend((t, session.node_ids[n], value) for n, value in postfits)
     return track, residuals
 
 

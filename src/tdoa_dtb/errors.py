@@ -1,8 +1,9 @@
 """Exception hierarchy shared by all modules.
 
-Usage errors (bad arguments, missing flags) are handled by the CLI layer;
-everything below signals a problem with the *data* being processed and maps
-to exit code 2 in batch mode.
+A TdoaDtbError is a problem with data a command read, and maps to exit code 2
+in batch mode; each class below is one a command can end with. A bad argument
+from a library caller is a ValueError instead, and a bad command-line flag is
+a usage error that the CLI layer reports itself.
 """
 
 
@@ -27,10 +28,6 @@ class UnitError(TdoaDtbError):
     """Values are implausible for the declared unit mode."""
 
 
-class OutOfRange(TdoaDtbError):
-    """Requested time lies outside the reference trajectory span."""
-
-
 class ReferenceMissing(TdoaDtbError):
     """An epoch lacks the reference node needed to form single differences."""
 
@@ -51,24 +48,12 @@ class FitError(TdoaDtbError):
     """Noise-model fit is degenerate or violates model constraints."""
 
 
-class TooFewNodes(TdoaDtbError):
-    """Fewer nodes than the operation requires."""
-
-
-class NegativeDt(TdoaDtbError):
-    """Filter propagation was asked to step backwards in time."""
-
-
 class SingularGeometry(TdoaDtbError):
     """Rover coincides with a node; range partials are undefined."""
 
 
 class NoOverlap(TdoaDtbError):
     """Track and reference trajectory share no common time span."""
-
-
-class EmptyTrack(TdoaDtbError):
-    """Metric requested on a track with no epochs."""
 
 
 class InsufficientResiduals(TdoaDtbError):

@@ -1,4 +1,4 @@
-"""Euclidean ranges and single-differenced ranges in a local Cartesian frame.
+"""Node catalogs and Euclidean ranges in a local Cartesian frame.
 
 Coordinates are local-frame meters. The z coordinate is accepted everywhere
 and participates in range computation, but the positioning state itself is
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ParseError, TooFewNodes, UnknownNode
+from .errors import ParseError, UnknownNode
 from .table import Record, read_csv, row_error, write_csv
 
 
@@ -40,7 +40,7 @@ class NodeCatalog:
 
     def __init__(self, positions: dict[str, Position]):
         if len(positions) < 2:
-            raise TooFewNodes(f"catalog needs at least 2 nodes, got {len(positions)}")
+            raise ValueError(f"catalog needs at least 2 nodes, got {len(positions)}")
         seen = {}
         for node_id, pos in positions.items():
             key = (pos.x, pos.y, pos.z)
@@ -94,10 +94,3 @@ def range_between(a: Position, b: Position) -> float:
     dx, dy, dz = a.x - b.x, a.y - b.y, a.z - b.z
     return math.sqrt(dx * dx + dy * dy + dz * dz)
 
-
-def sd_range(rover: Position, node: Position, ref_node: Position) -> float:
-    """Single-differenced range: range to node minus range to the reference node.
-
-    May be negative; bounded in magnitude by the node-to-reference distance.
-    """
-    return range_between(rover, node) - range_between(rover, ref_node)

@@ -13,7 +13,7 @@ import itertools
 import operator
 from typing import NamedTuple
 
-from .errors import EmptySession, OutOfRange, ParseError, TdoaDtbError, UnitError
+from .errors import EmptySession, ParseError, TdoaDtbError, UnitError
 from .geometry import Position, node_sort_key
 from .table import read_csv, row_error, write_csv
 
@@ -104,9 +104,7 @@ class ReferenceTrajectory:
 
     def interpolate(self, t: float) -> Position:
         if not self.covers(t):
-            raise OutOfRange(
-                f"t={t} outside trajectory span [{self.times[0]}, {self.times[-1]}]"
-            )
+            raise ValueError(f"t={t} outside trajectory span [{self.times[0]}, {self.times[-1]}]")
         i = bisect.bisect_right(self.times, t)
         if i == len(self.times):
             return Position(*self.xyz[-1])

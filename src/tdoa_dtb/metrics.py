@@ -17,7 +17,7 @@ import json
 import math
 
 from .ekf import TrackPoint
-from .errors import EmptyTrack, InsufficientResiduals, NoOverlap, TdoaDtbError
+from .errors import InsufficientResiduals, NoOverlap, TdoaDtbError
 from .ingestion import ReferenceTrajectory
 
 N_PARAM_2D = 2  # estimated parameters: the two position components
@@ -49,7 +49,7 @@ def true_error(track: list[TrackPoint], traj: ReferenceTrajectory) -> tuple[floa
 def sigma_formal(track: list[TrackPoint]) -> float:
     """Mean over epochs of the root trace of the position covariance."""
     if not track:
-        raise EmptyTrack("no epochs in track")
+        raise ValueError("no epochs in track")
     # a trace within PSD tolerance below 0 is 0
     return _fsum(math.sqrt(max(p.cov_xx + p.cov_yy, 0.0)) for p in track) / len(track)
 

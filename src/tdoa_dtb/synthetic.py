@@ -29,7 +29,7 @@ import numpy as np
 import yaml
 
 from .dtb import DtbEntry, DtbTable
-from .errors import InvalidScenario, TooFewNodes
+from .errors import InvalidScenario
 from .geometry import NodeCatalog, Position
 from .ingestion import ReferenceTrajectory, Session, group_epochs
 from .noise import NoiseModel, sigma_for
@@ -323,5 +323,5 @@ def load_scenario(path) -> Scenario:
             duration=_float(raw["duration"]) if raw.get("duration") is not None else None,
             quantize=_float(raw["quantize"]) if raw.get("quantize") is not None else None,
         )
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError, TooFewNodes) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InvalidScenario(f"{path}: {exc}") from None

@@ -1,6 +1,11 @@
+import math
+
 import pytest
 
-from tdoa_dtb.geometry import NodeCatalog, Position
+from tdoa_dtb.dtb import DtbTable
+from tdoa_dtb.ekf import MIN_RANGE_M
+from tdoa_dtb.errors import SingularGeometry
+from tdoa_dtb.geometry import NodeCatalog, Position, range_between
 from tdoa_dtb.ingestion import group_epochs
 from tdoa_dtb.synthetic import ClockModel, Scenario
 
@@ -61,3 +66,33 @@ def epochs_of(session):
     return [(t, {ids[node[row]]: (session.pseudorange[row], session.rsrp[row])
                  for row in range(start, end)})
             for t, start, end in zip(session.times, session.starts, session.starts[1:])]
+
+
+def sd_range(rover: Position, node: Position, ref_node: Position) -> float:
+    """Single-differenced range: range to node minus range to the reference node.
+
+    May be negative; bounded in magnitude by the node-to-reference distance.
+    """
+    return range_between(rover, node) - range_between(rover, ref_node)
+
+
+def measurement_model(x: float, y: float, node_id: str, dtb: DtbTable,
+                      catalog: NodeCatalog) -> tuple[float, tuple[float, float]]:
+    """Predicted single difference of node_id and its position partials at the rover (x, y).
+
+    predicted = (range to node) - (range to reference) + DTB(node)
+    d(predicted)/dx = (x_r - x_n)/rho_n - (x_r - x_m)/rho_m, likewise for y.
+    Ranges are 3D: the rover sits at z = 0, a node at its catalog z. The
+    reference is the DTB table's reference node.
+    """
+    node = catalog[node_id]
+    ref = catalog[dtb.ref_node_id]
+    dx_n, dy_n = x - node.x, y - node.y
+    dx_m, dy_m = x - ref.x, y - ref.y
+    rho_n = math.sqrt(dx_n * dx_n + dy_n * dy_n + node.z * node.z)
+    rho_m = math.sqrt(dx_m * dx_m + dy_m * dy_m + ref.z * ref.z)
+    if rho_n < MIN_RANGE_M or rho_m < MIN_RANGE_M:
+        culprit = node_id if rho_n < MIN_RANGE_M else dtb.ref_node_id
+        raise SingularGeometry(f"rover coincides with node {culprit!r}")
+    predicted = rho_n - rho_m + dtb.mean(node_id)
+    return predicted, (dx_n / rho_n - dx_m / rho_m, dy_n / rho_n - dy_m / rho_m)

@@ -17,13 +17,13 @@ import pytest
 from tdoa_dtb.cli import main as cli_main
 from tdoa_dtb.dtb import DtbEntry, DtbTable, rereference_dtb
 from tdoa_dtb.dtb import calibrate as calibrate_dtb
-from tdoa_dtb.ekf import EkfConfig, measurement_model, run_filter
+from tdoa_dtb.ekf import EkfConfig, run_filter
 from tdoa_dtb.geometry import NodeCatalog, Position
 from tdoa_dtb.metrics import sigma_formal, sigma_postfits, true_error
 from tdoa_dtb.noise import NoiseModel, NoisePoint, fit_noise_model
 from tdoa_dtb.synthetic import ClockModel, Scenario, generate, truth_dtb
 
-from conftest import eight_node_catalog, loop_waypoints
+from conftest import eight_node_catalog, loop_waypoints, measurement_model
 
 TOA_SIGMA = 1.5
 BIASES = {"1": -25.0, "2": 18.0, "3": -10.0, "4": 25.0,

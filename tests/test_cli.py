@@ -14,6 +14,7 @@ import pytest
 import tdoa_dtb
 from tdoa_dtb.cli import main
 from tdoa_dtb.dtb import read_dtb
+from tdoa_dtb.ekf import read_residuals_csv, read_track_csv
 from tdoa_dtb.ingestion import SPEED_OF_LIGHT
 
 SCENARIO_YAML = """
@@ -466,6 +467,16 @@ def test_position_names_a_node_missing_from_the_dtb_table_or_catalog(
     assert _position(tmp_path, rows, catalog_ids, dtb_ids) == 2
     err = capsys.readouterr().err
     assert f"UnknownNode: node {node!r} not in {missing_from}" in err and "Traceback" not in err
+
+
+def test_position_writes_each_epochs_own_time(tmp_path):
+    """Track and residual rows carry their epoch's time as read, even after an
+    epoch so far back that a clock advanced by each step would round: the
+    time of the epoch at 1.5 s is not rebuilt as -1e16 + (1.5 + 1e16) = 2.0."""
+    times = (-1e16, 1.5, 1.75)
+    assert _position(tmp_path, [(t, n) for t in times for n in "1234"], "1234", "234") == 0
+    assert [p.time for p in read_track_csv(tmp_path / "track.csv")] == list(times)
+    assert sorted({t for t, *_ in read_residuals_csv(tmp_path / "res.csv")}) == list(times)
 
 
 COMMAND_PATH_SCRIPT = """

@@ -6,12 +6,13 @@ from tdoa_dtb.differencing import form_tdoa
 from tdoa_dtb.dtb import (DtbEntry, DtbTable, aggregate_dtb, calibrate, read_dtb,
                           rereference_dtb, write_dtb)
 from tdoa_dtb.errors import ParseError, ReferenceMissing, UnknownNode
-from tdoa_dtb.geometry import NodeCatalog, Position, sd_range
+from tdoa_dtb.geometry import NodeCatalog, Position
 from tdoa_dtb.ingestion import ReferenceTrajectory
 from tdoa_dtb.noise import NoiseModel
 from tdoa_dtb.synthetic import ClockModel, Scenario, generate
 
-from conftest import eight_node_catalog, epochs_of, loop_waypoints, session_of, square_catalog
+from conftest import (eight_node_catalog, epochs_of, loop_waypoints, sd_range, session_of,
+                      square_catalog)
 
 
 def calibrate_synthetic(scenario, ref="1"):

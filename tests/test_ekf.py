@@ -5,18 +5,18 @@ import numpy as np
 import pytest
 
 from tdoa_dtb.dtb import DtbEntry, DtbTable
-from tdoa_dtb.ekf import (PSD_TOL, EkfConfig, EkfState, _variance, init_apriori,
-                          measurement_model, predict, read_residuals_csv, read_track_csv,
-                          run_filter, session_model, update, write_residuals_csv,
-                          write_track_csv)
-from tdoa_dtb.errors import NegativeDt, ReferenceMissing, SingularGeometry
-from tdoa_dtb.geometry import NodeCatalog, Position, node_sort_key, sd_range
+from tdoa_dtb.ekf import (PSD_TOL, EkfConfig, EkfState, _variance, init_apriori, predict,
+                          read_residuals_csv, read_track_csv, run_filter, session_model,
+                          update, write_residuals_csv, write_track_csv)
+from tdoa_dtb.errors import ReferenceMissing, SingularGeometry
+from tdoa_dtb.geometry import NodeCatalog, Position, node_sort_key
 from tdoa_dtb.ingestion import Session
 from tdoa_dtb.metrics import true_error
 from tdoa_dtb.noise import NoiseModel, sigma_for
 from tdoa_dtb.synthetic import ClockModel, Scenario, generate, truth_dtb
 
-from conftest import eight_node_catalog, epochs_of, loop_waypoints, session_of, square_catalog
+from conftest import (eight_node_catalog, epochs_of, loop_waypoints, measurement_model, sd_range,
+                      session_of, square_catalog)
 
 WIDE_NOISE = NoiseModel(60.0, -110.0, sigma_floor=0.3, sigma_cap=15.0)
 
@@ -156,7 +156,7 @@ def test_psd_check_agrees_with_eigvalsh():
 
 
 def test_predict_identity_at_zero_dt():
-    state = EkfState(np.array([1.0, 2.0]), np.eye(2), epoch=5.0)
+    state = EkfState(np.array([1.0, 2.0]), np.eye(2))
     out = predict(state, 0.0, EkfConfig())
     assert np.array_equal(out.position, state.position)
     assert np.array_equal(out.covariance, state.covariance)
@@ -169,10 +169,10 @@ def test_predict_growth():
 
 
 def test_predict_adds_noise_per_axis():
-    state = EkfState((1.0, 2.0), ((1.0, 0.3), (0.3, 2.0)), epoch=1.0)
+    state = EkfState((1.0, 2.0), ((1.0, 0.3), (0.3, 2.0)))
     out = predict(state, 4.0, EkfConfig(sigma_x=0.5, sigma_y=1.0))
     assert out.covariance == ((2.0, 0.3), (0.3, 6.0))
-    assert out.position == (1.0, 2.0) and out.epoch == 5.0
+    assert out.position == (1.0, 2.0)
 
 
 def test_state_holds_floats_and_symmetrises():
@@ -183,7 +183,7 @@ def test_state_holds_floats_and_symmetrises():
 
 
 def test_predict_negative_dt():
-    with pytest.raises(NegativeDt):
+    with pytest.raises(ValueError, match="dt=-1.0"):
         predict(EkfState(np.zeros(2), np.eye(2)), -1.0, EkfConfig())
 
 
@@ -259,7 +259,6 @@ def test_update_reduces_covariance_trace():
     session = generate(scenario)
     dtb = truth_dtb(scenario, "1")
     state = init_apriori(session.catalog)
-    state.epoch = session.toa.times[0]
     cfg = EkfConfig()
     new_state, postfits, _ = update(
         state, session.toa, 0, *session_model(session.toa, dtb, session.catalog, WIDE_NOISE, cfg),
@@ -314,7 +313,7 @@ def reference_update(state, session, epoch, dtb, catalog, noise, cfg):
     new_pos = state.position + gain @ innovations
     ikh = np.eye(2) - gain @ h_mat
     new_cov = ikh @ p @ ikh.T + gain @ r_mat @ gain.T
-    new_state = EkfState(position=new_pos, covariance=new_cov, epoch=state.epoch)
+    new_state = EkfState(position=new_pos, covariance=new_cov)
     x, y = new_pos.tolist()
     postfits = [(ids.index(node_id), sd - measurement_model(x, y, node_id, dtb, catalog)[0])
                 for (node_id, sd), _, _, _ in rows]

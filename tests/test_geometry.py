@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from tdoa_dtb.errors import ParseError, TooFewNodes, UnknownNode
-from tdoa_dtb.geometry import (NodeCatalog, Position, range_between, read_nodes, sd_range,
-                              write_nodes)
+from tdoa_dtb.errors import ParseError, UnknownNode
+from tdoa_dtb.geometry import NodeCatalog, Position, range_between, read_nodes, write_nodes
+
+from conftest import sd_range
 
 
 def test_range_pythagorean_triple():
@@ -71,7 +72,7 @@ def test_sd_range_bounded_by_baseline():
 
 
 def test_catalog_requires_two_nodes():
-    with pytest.raises(TooFewNodes):
+    with pytest.raises(ValueError, match="catalog needs at least 2 nodes, got 1"):
         NodeCatalog({"1": Position(0, 0)})
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from tdoa_dtb.differencing import form_tdoa
 from tdoa_dtb.cli import main
-from tdoa_dtb.errors import EmptySession, OutOfRange, ParseError, TdoaDtbError, UnitError
+from tdoa_dtb.errors import EmptySession, ParseError, TdoaDtbError, UnitError
 from tdoa_dtb.geometry import NodeCatalog, Position, node_sort_key
 from tdoa_dtb.ingestion import (SPEED_OF_LIGHT, ReferenceTrajectory, Session,
                                 load_toa_session, write_toa_csv, write_trajectory_csv,
@@ -241,9 +241,9 @@ def test_interpolate_matches_numpy_reference():
 
 def test_interpolate_out_of_range():
     traj = ReferenceTrajectory([(0.0, Position(0, 0)), (10.0, Position(10, 0))])
-    with pytest.raises(OutOfRange):
+    with pytest.raises(ValueError, match=r"t=10\.5 outside trajectory span \[0\.0, 10\.0\]"):
         traj.interpolate(10.5)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(ValueError, match=r"t=-0\.1 outside trajectory span \[0\.0, 10\.0\]"):
         traj.interpolate(-0.1)
 
 

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from tdoa_dtb.ekf import TrackPoint
-from tdoa_dtb.errors import EmptyTrack, InsufficientResiduals, NoOverlap
+from tdoa_dtb.errors import InsufficientResiduals, NoOverlap
 from tdoa_dtb.geometry import Position
 from tdoa_dtb.ingestion import ReferenceTrajectory
 from tdoa_dtb.metrics import (session_metrics, sigma_formal, sigma_postfits,
@@ -65,7 +65,7 @@ def test_sigma_formal_single_epoch():
 
 
 def test_sigma_formal_empty():
-    with pytest.raises(EmptyTrack):
+    with pytest.raises(ValueError, match="no epochs in track"):
         sigma_formal([])
 
 

@@ -84,17 +84,13 @@ def test_checks_raise_their_messages_in_order(build, message):
     assert str(exc.value) == message
 
 
-def test_ekf_state_normalises_and_stays_mutable():
-    state = EkfState([1, 2], [[2, 1], [0, 2]], epoch=7)
+def test_ekf_state_normalises_and_hashes_like_the_other_records():
+    state = EkfState([1, 2], [[2, 1], [0, 2]])
     assert state.position == (1.0, 2.0) and state.covariance == ((2.0, 0.5), (0.5, 2.0))
-    assert state.epoch == 7
-    assert state == EkfState((1.0, 2.0), ((2.0, 0.5), (0.5, 2.0)), 7.0)
-    assert repr(state) == ("EkfState(position=(1.0, 2.0), "
-                           "covariance=((2.0, 0.5), (0.5, 2.0)), epoch=7)")
-    state.epoch = 9.5
-    assert state.epoch == 9.5 and EkfState((0.0, 0.0), ((1.0, 0.0), (0.0, 1.0))).epoch == 0.0
-    with pytest.raises(TypeError):
-        hash(state)
+    same = EkfState((1.0, 2.0), ((2.0, 0.5), (0.5, 2.0)))
+    assert state == same and hash(state) == hash(same) and {state: "s"}[same] == "s"
+    assert repr(state) == "EkfState(position=(1.0, 2.0), covariance=((2.0, 0.5), (0.5, 2.0)))"
+    assert not hasattr(state, "epoch")
 
 
 def test_ekf_config_defaults_are_class_attributes():

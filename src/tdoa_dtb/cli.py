@@ -49,14 +49,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _finite_float(text: str, zero_ok: bool = False) -> float:
-    """argparse type: a number > 0, or >= 0 with zero_ok, whose square is finite."""
+    """argparse type: a number > 0 whose square is finite and > 0, or 0 with zero_ok."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not (0 < value and value * value < math.inf or (zero_ok and value == 0)):
-        raise argparse.ArgumentTypeError(f"expected a number {'>=' if zero_ok else '>'} 0 "
-                                         f"with a finite square, got {text!r}")
+    if not (0 < value and 0 < value * value < math.inf or (zero_ok and value == 0)):
+        raise argparse.ArgumentTypeError(f"expected {'0 or ' if zero_ok else ''}a number > 0 "
+                                         f"with a finite, nonzero square, got {text!r}")
     return value
 
 

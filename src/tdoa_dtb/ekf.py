@@ -57,6 +57,8 @@ class EkfConfig(Record):
             raise ValueError("innovation gate must be positive")
         if not self.default_sigma > 0:
             raise ValueError("default sigma must be positive")
+        if not self.default_sigma * self.default_sigma > 0:   # else a weight of 1/0
+            raise ValueError(f"default sigma {self.default_sigma} squares to 0")
         if self.min_obs_per_update < 1:
             raise ValueError("min_obs_per_update must be at least 1")
 
@@ -263,9 +265,9 @@ def run_filter(session: Session, dtb: DtbTable, catalog: NodeCatalog,
         except ReferenceMissing:
             postfits, rejected = [], 0   # prediction-only epoch
         except (ValueError, OverflowError, ZeroDivisionError) as exc:
-            # an EkfState check failed, a float overflowed or a sigma squared to 0:
-            # the epoch times, the node layout or the settings drove the filter
-            # out of float range
+            # an EkfState check failed, a float overflowed or the weights of
+            # sigmas whose squares overflow summed to 0: the epoch times, the node
+            # layout or the settings drove the filter out of float range
             raise TdoaDtbError(f"filter state at t={t}: {exc}") from None
         (cov_xx, cov_xy), (_, cov_yy) = state.covariance
         track.append(TrackPoint(t, *state.position, cov_xx, cov_xy, cov_yy, len(postfits),

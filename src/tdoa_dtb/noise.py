@@ -43,6 +43,8 @@ class NoiseModel(Record):
             raise ValueError(f"noise model asymptote must be finite, got {self.rsrp0}")
         if not 0 < self.sigma_floor < self.sigma_cap < math.inf:
             raise ValueError("need 0 < sigma_floor < sigma_cap < inf")
+        if not self.sigma_floor * self.sigma_floor > 0:   # else a weight of 1/0
+            raise ValueError(f"sigma_floor {self.sigma_floor} squares to 0")
 
 
 class NoisePoint(Record):

@@ -284,12 +284,18 @@ def _floats(mapping) -> dict[str, float]:
 
 def load_scenario(path) -> Scenario:
     """Build a scenario from its YAML description (see README for the schema)."""
+    with open(path, "rb") as f:   # yaml decodes, so a byte that is not text is a YAMLError
+        data = f.read()
     try:
-        with open(path, "rb") as f:   # yaml decodes, so a byte that is not text is a YAMLError
-            raw = yaml.safe_load(f)
+        raw = yaml.safe_load(data)
     except yaml.YAMLError as exc:   # one line: the problem, at the line the parser marks
         mark, problem = getattr(exc, "problem_mark", None), getattr(exc, "problem", None)
-        where = f"{path}:{mark.line + 1}" if mark else path
+        line = mark and mark.line + 1
+        if isinstance(exc, yaml.reader.ReaderError):   # no mark: its position's line, in
+            # bytes for a byte that is not UTF-8, else in the decoded characters
+            text = data if exc.encoding == "utf-8" else data.decode(errors="replace")
+            line = text[:exc.position].count(b"\n" if text is data else "\n") + 1
+        where = f"{path}:{line}" if line else path
         raise InvalidScenario(f"{where}: {problem or str(exc).splitlines()[0]}") from None
     if not isinstance(raw, dict):
         raise InvalidScenario(f"{path}: scenario file must be a mapping")

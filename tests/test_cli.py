@@ -293,7 +293,7 @@ BAD_FLAG_COMMANDS = {
     "--default-sigma": _POSITION, "--min-obs": _POSITION,
 }
 BAD_FLAG_CASES = [(flag, value) for flag in BAD_FLAG_COMMANDS
-                  for value in ("0", "-1", "nan", "inf", "1e200")
+                  for value in ("0", "-1", "nan", "inf", "1e200", "1e-200")
                   if (flag, value) != ("--epoch-tol", "0")]
 
 
@@ -393,10 +393,6 @@ def _overflow_probe(tmp_path, sim, probe):
         # its prediction adds Q = 4 * 1e308 = inf
         rows = rows + [f"1e308,{rows[0].split(',', 1)[1]}"]
         flags, failing = ["--sigma-x", "2"], 1e308
-    elif probe == "default-sigma-1e-200":
-        # no row carries rsrp, and the default sigma squares to 0: a zero variance
-        rows = [row.rsplit(",", 1)[0] + "," for row in rows]
-        flags, failing = ["--default-sigma", "1e-200"], float(rows[0].split(",")[0])
     else:
         # the prior's variance of the node x coordinates overflows
         node_header, *node_rows = nodes.read_text().splitlines()
@@ -410,11 +406,10 @@ def _overflow_probe(tmp_path, sim, probe):
 
 
 @pytest.mark.parametrize("probe", ["first-epoch-at-minus-1.7e308", "one-row-at-1e308",
-                                   "node-at-1e200", "default-sigma-1e-200"])
+                                   "node-at-1e200"])
 def test_filter_overflow_is_a_data_error(tmp_path, capsys, eight_node_session, probe):
-    """Times, a node layout or a sigma that drive the filter state beyond the
-    float range end as exit 2 naming the epoch time, with no track or residual
-    file."""
+    """Times or a node layout that drive the filter state beyond the float
+    range end as exit 2 naming the epoch time, with no track or residual file."""
     toa, nodes, flags, failing = _overflow_probe(tmp_path, eight_node_session, probe)
     track, residuals = tmp_path / "track.csv", tmp_path / "residuals.csv"
     assert main(["position", "--toa", str(toa), "--nodes", str(nodes),
@@ -424,6 +419,20 @@ def test_filter_overflow_is_a_data_error(tmp_path, capsys, eight_node_session, p
     err = capsys.readouterr().err
     assert f"filter state at t={failing!r}:" in err and "Traceback" not in err
     assert not track.exists() and not residuals.exists()
+
+
+def test_sigma_floor_that_squares_to_0_is_a_noise_file_error(tmp_path, capsys, eight_node_session):
+    """A noise model whose sigma floor squares to 0, a weight of 1/0, is a data
+    error at its line of noise.csv before the filter runs."""
+    noise, track = tmp_path / "noise.csv", tmp_path / "track.csv"
+    noise.write_text("k,rsrp0,sigma_floor,sigma_cap\n60.0,-110.0,1e-200,15.0\n")
+    assert main(["position", "--toa", str(eight_node_session / "toa.csv"),
+                 "--nodes", str(eight_node_session / "nodes.csv"),
+                 "--dtb", str(eight_node_session / "truth_dtb.csv"), "--noise", str(noise),
+                 "--out", str(track), "--residuals", str(tmp_path / "residuals.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"{noise}:2: bad noise model: sigma_floor 1e-200 squares to 0" in err
+    assert "Traceback" not in err and not track.exists()
 
 
 SQUARE = {"1": (0, 0), "2": (20, 0), "3": (20, 20), "4": (0, 20), "5": (10, 30), "9": (30, 10)}
@@ -664,6 +673,24 @@ def test_yaml_syntax_error_names_its_line(tmp_path, capsys):
     assert capsys.readouterr().err == (f"tdoa-dtb simulate: InvalidScenario: {scenario}:17: "
                                        "expected ',' or ']', but got '<stream end>'\n")
 
+
+
+@pytest.mark.parametrize("text,line,problem", [
+    (SCENARIO_PROBES["yaml-control-character"], 16,
+     "unacceptable character #x0001: special characters are not allowed"),
+    (SCENARIO_PROBES["not-utf-8"], 16, "unacceptable character #x00ff: invalid start byte"),
+    # two-byte characters before it: the line counts characters, not bytes
+    (("# \u00e9\u00e9\n" * 3 + "\n" + SCENARIO_YAML + "seed: 1\x01\n").encode(), 20,
+     "unacceptable character #x0001: special characters are not allowed")],
+    ids=["yaml-control-character", "not-utf-8", "control-character-after-utf-8"])
+def test_unreadable_yaml_names_its_line(tmp_path, capsys, text, line, problem):
+    """A byte that is not UTF-8 or a character YAML does not allow ends as
+    InvalidScenario at its line, as a parser error does."""
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_bytes(text if isinstance(text, bytes) else text.encode())
+    assert main(["simulate", "--scenario", str(scenario), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (f"tdoa-dtb simulate: InvalidScenario: {scenario}:{line}: "
+                                       f"{problem}\n")
 
 def test_simulate_negative_seed_is_a_data_error(tmp_path, capsys, scenario_file):
     out = tmp_path / "sim"

@@ -58,6 +58,7 @@ CHECKS = [
     (lambda: NoiseModel(60.0, math.inf, 1.0, 0.5), "noise model asymptote must be finite, got inf"),
     (lambda: NoiseModel(60.0, -110.0, 1.0, 0.5), "need 0 < sigma_floor < sigma_cap < inf"),
     (lambda: NoiseModel(60.0, -110.0, 0.3, math.inf), "need 0 < sigma_floor < sigma_cap < inf"),
+    (lambda: NoiseModel(60.0, -110.0, 1e-200, 15.0), "sigma_floor 1e-200 squares to 0"),
     (lambda: NoisePoint(-80.0, -1.0), "negative sigma_hat"),
     (lambda: EkfConfig(sigma_y=0.0, innovation_gate=0.0),
      "process noise densities must be positive"),
@@ -66,6 +67,8 @@ CHECKS = [
     (lambda: EkfConfig(innovation_gate=math.nan, default_sigma=0.0),
      "innovation gate must be positive"),
     (lambda: EkfConfig(default_sigma=-1.0, min_obs_per_update=0), "default sigma must be positive"),
+    (lambda: EkfConfig(default_sigma=1e-200, min_obs_per_update=0),
+     "default sigma 1e-200 squares to 0"),
     (lambda: EkfConfig(min_obs_per_update=0), "min_obs_per_update must be at least 1"),
     (lambda: EkfState((math.nan, 0.0), ((math.inf, 0.0), (0.0, 1.0))),
      "non-finite filter covariance"),

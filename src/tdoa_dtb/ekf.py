@@ -157,10 +157,11 @@ def update(state: EkfState, session: Session, epoch: int, ref: int, nodes: list,
            var: list[float], cfg: EkfConfig) -> tuple[EkfState, list[tuple[int, float]], int]:
     """Joint update with all accepted single differences of an epoch, in information form.
 
-    ref, nodes and var come from session_model. The epoch is differenced
-    against the reference node (ReferenceMissing if absent). Difference n is
-    modelled as rho_n - rho_ref + DTB_n, 3D ranges from the rover at z = 0,
-    with partials h = (x - x_n)/rho_n - (x - x_ref)/rho_ref, likewise for y.
+    nodes and var come from session_model. The epoch is differenced against
+    node index ref (ReferenceMissing if absent), the DTB table's reference or
+    any other. Difference n is modelled as rho_n - rho_ref + (DTB_n - DTB_ref),
+    3D ranges from the rover at z = 0, with partials h = (x - x_n)/rho_n -
+    (x - x_ref)/rho_ref, likewise for y.
     Every difference carries the reference's noise, so their covariance is
     R = diag(sigma_n^2) + sigma_ref^2 11'. A difference is rejected, never
     applied, where a range below MIN_RANGE_M leaves h undefined or where its
@@ -173,7 +174,7 @@ def update(state: EkfState, session: Session, epoch: int, ref: int, nodes: list,
     node, ref_var = session.node, var[ref_row]
     x, y = state.position
     (a, b), (_, d) = state.covariance
-    ref_x, ref_y, ref_zz, _ = nodes[ref]
+    ref_x, ref_y, ref_zz, ref_mean = nodes[ref]
     dx_m, dy_m = x - ref_x, y - ref_y
     rho_m = math.sqrt(dx_m * dx_m + dy_m * dy_m + ref_zz)
     applied = []
@@ -189,7 +190,7 @@ def update(state: EkfState, session: Session, epoch: int, ref: int, nodes: list,
             continue
         hx, hy = dx_n / rho_n - dx_m / rho_m, dy_n / rho_n - dy_m / rho_m
         r_var = var[row] + ref_var
-        innovation = sd - (rho_n - rho_m + mean)
+        innovation = sd - (rho_n - rho_m + (mean - ref_mean))
         s = a * hx * hx + 2.0 * b * hx * hy + d * hy * hy + r_var
         if abs(innovation) > cfg.innovation_gate * math.sqrt(s):
             rejected += 1
@@ -238,7 +239,7 @@ def update(state: EkfState, session: Session, epoch: int, ref: int, nodes: list,
         if rho_n < MIN_RANGE_M or rho_m < MIN_RANGE_M:
             node_id = session.node_ids[n if rho_n < MIN_RANGE_M else ref]
             raise SingularGeometry(f"rover coincides with node {node_id!r}")
-        postfits.append((n, sd - (rho_n - rho_m + mean)))
+        postfits.append((n, sd - (rho_n - rho_m + (mean - ref_mean))))
     return new_state, postfits, rejected
 
 
@@ -249,29 +250,32 @@ def run_filter(session: Session, dtb: DtbTable, catalog: NodeCatalog,
 
     Returns the track, one point per epoch, and the (time, node_id, postfit_m)
     residual rows. Single differences are formed against the DTB table's
-    reference node; epochs where that node is missing are prediction-only.
-    A session node missing from the catalog or the DTB table raises
+    reference node; an epoch that lacks it is differenced against its
+    strongest node by rsrp, where a blank rsrp loses and a tie goes to node
+    order. A session node missing from the catalog or the DTB table raises
     UnknownNode before the first epoch.
     """
     cfg = cfg or EkfConfig()
     ref, nodes, var = session_model(session, dtb, catalog, noise, cfg)
-    track: list[TrackPoint] = []
-    residuals: list[tuple[float, str, float]] = []
+    rsrp, track, residuals = session.rsrp, [], []
     for epoch, t in enumerate(session.times):
         try:
             state = (predict(state, t - session.times[epoch - 1], cfg) if epoch
                      else init_apriori(catalog))
-            state, postfits, rejected = update(state, session, epoch, ref, nodes, var, cfg)
-        except ReferenceMissing:
-            postfits, rejected = [], 0   # prediction-only epoch
+            try:
+                state, postfits, rejected = update(state, session, epoch, ref, nodes, var, cfg)
+            except ReferenceMissing:
+                rows = range(session.starts[epoch], session.starts[epoch + 1])
+                best = max(rows, key=lambda row: -math.inf if rsrp[row] is None else rsrp[row])
+                state, postfits, rejected = update(state, session, epoch, session.node[best],
+                                                   nodes, var, cfg)
         except (ValueError, OverflowError, ZeroDivisionError) as exc:
             # an EkfState check failed, a float overflowed or the weights of
             # sigmas whose squares overflow summed to 0: the epoch times, the node
             # layout or the settings drove the filter out of float range
             raise TdoaDtbError(f"filter state at t={t}: {exc}") from None
-        (cov_xx, cov_xy), (_, cov_yy) = state.covariance
-        track.append(TrackPoint(t, *state.position, cov_xx, cov_xy, cov_yy, len(postfits),
-                                rejected))
+        (a, b), (_, d) = state.covariance
+        track.append(TrackPoint(t, *state.position, a, b, d, len(postfits), rejected))
         residuals.extend((t, session.node_ids[n], value) for n, value in postfits)
     return track, residuals
 

@@ -1,9 +1,8 @@
 """Exception hierarchy shared by all modules.
 
-A TdoaDtbError is a problem with data a command read, and maps to exit code 2
-in batch mode; each class below is one a command can end with. A bad argument
-from a library caller is a ValueError instead, and a bad command-line flag is
-a usage error that the CLI layer reports itself.
+A TdoaDtbError is a problem with data a command read, and maps to exit code 2;
+each class below is one that a command can end with. A bad argument from a
+library caller is a ValueError instead, and the CLI reports a bad flag itself.
 """
 
 

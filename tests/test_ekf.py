@@ -4,7 +4,7 @@ import statistics
 import numpy as np
 import pytest
 
-from tdoa_dtb.dtb import DtbEntry, DtbTable
+from tdoa_dtb.dtb import DtbEntry, DtbTable, rereference_dtb
 from tdoa_dtb.ekf import (PSD_TOL, EkfConfig, EkfState, _variance, init_apriori, predict,
                           read_residuals_csv, read_track_csv, run_filter, session_model,
                           update, write_residuals_csv, write_track_csv)
@@ -393,8 +393,13 @@ def test_run_filter_matches_kalman_gain_reference(monkeypatch):
         return reference_update(state, toa, epoch, dtb, session.catalog, WIDE_NOISE, EkfConfig())
 
     monkeypatch.setattr("tdoa_dtb.ekf.update", oracle)
-    ref_track, ref_residuals = run_filter(session.toa, dtb, session.catalog, WIDE_NOISE)
+    want = run_filter(session.toa, dtb, session.catalog, WIDE_NOISE)
     assert epochs == list(range(len(session.toa.times)))   # once per epoch
+    assert_runs_agree((track, residuals), want)
+
+
+def assert_runs_agree(got, want):
+    (track, residuals), (ref_track, ref_residuals) = got, want
     assert [(p.time, p.n_obs, p.n_rejected) for p in track] == \
         [(p.time, p.n_obs, p.n_rejected) for p in ref_track]
     assert [r[:2] for r in residuals] == [r[:2] for r in ref_residuals]
@@ -402,6 +407,8 @@ def test_run_filter_matches_kalman_gain_reference(monkeypatch):
         assert abs(p.x - q.x) <= 1e-9 and abs(p.y - q.y) <= 1e-9
         cov, ref_cov = (np.array([r.cov_xx, r.cov_xy, r.cov_yy]) for r in (p, q))
         assert np.abs(cov - ref_cov).max() <= 1e-12 * np.abs(ref_cov).max()
+    assert np.allclose([r[2] for r in residuals], [r[2] for r in ref_residuals],
+                       rtol=0.0, atol=1e-9)
 
 
 def test_zero_noise_convergence():
@@ -495,17 +502,43 @@ def test_run_filter_single_epoch():
     assert track[0].n_obs == 7
 
 
-def test_run_filter_skips_reference_missing_epochs():
-    scenario = positioning_scenario()
+def test_run_filter_falls_back_to_the_strongest_node(monkeypatch):
+    """An epoch without the table's reference is differenced against its
+    strongest node by rsrp, and updates as the Kalman-gain oracle does with
+    the table re-referenced to that node."""
+    scenario = positioning_scenario(noise=1.0, seed=7, duration=20.0)
     session = generate(scenario)
+    dtb = truth_dtb(scenario, "1")
     epochs = epochs_of(session.toa)
     # strip the reference node from one epoch
     t, obs = epochs[5]
-    epochs[5] = (t, {n: o for n, o in obs.items() if n != "1"})
-    track, residuals = run_filter(session_of(epochs), truth_dtb(scenario, "1"), session.catalog,
-                                  WIDE_NOISE)
-    assert track[5].n_obs == 0
-    assert [r for r in residuals if r[0] == track[5].time] == []
+    del obs["1"]
+    strongest = max(obs, key=lambda n: obs[n][1])
+    toa = session_of(epochs)
+    got = run_filter(toa, dtb, session.catalog, WIDE_NOISE)
+    assert got[0][5].n_obs == len(obs) - 1
+    assert sorted(n for time, n, _ in got[1] if time == t) == sorted(set(obs) - {strongest})
+
+    def oracle(state, toa, epoch, ref, *_):
+        node_id = toa.node_ids[ref]
+        table = dtb if node_id == "1" else rereference_dtb(dtb, node_id)
+        return reference_update(state, toa, epoch, table, session.catalog, WIDE_NOISE,
+                                EkfConfig())
+
+    monkeypatch.setattr("tdoa_dtb.ekf.update", oracle)
+    assert_runs_agree(got, run_filter(toa, dtb, session.catalog, WIDE_NOISE))
+
+
+@pytest.mark.parametrize("rsrp,fallback", [
+    ({"2": None, "3": -70.0, "4": -70.0}, "3"),   # a blank rsrp loses, a tie goes to node order
+    ({"2": None, "3": None, "4": None}, "2"),
+    ({"2": -90.0, "3": -80.0, "4": None}, "3")])
+def test_fallback_reference_is_the_strongest_node(rsrp, fallback):
+    catalog = square_catalog()
+    full = {n: (0.0, -80.0) for n in "1234"}   # equal ranges from the prior at the centre
+    session = session_of([(0.0, full), (0.5, {n: (0.0, r) for n, r in rsrp.items()})])
+    _, residuals = run_filter(session, empty_dtb(catalog, "1"), catalog, WIDE_NOISE)
+    assert sorted(n for t, n, _ in residuals if t == 0.5) == sorted(set(rsrp) - {fallback})
 
 
 def test_track_and_residuals_round_trip(tmp_path):

@@ -161,12 +161,12 @@ def update(state: EkfState, session: Session, epoch: int, ref: int, nodes: list,
     node index ref (ReferenceMissing if absent), the DTB table's reference or
     any other. Difference n is modelled as rho_n - rho_ref + (DTB_n - DTB_ref),
     3D ranges from the rover at z = 0, with partials h = (x - x_n)/rho_n -
-    (x - x_ref)/rho_ref, likewise for y.
-    Every difference carries the reference's noise, so their covariance is
-    R = diag(sigma_n^2) + sigma_ref^2 11'. A difference is rejected, never
-    applied, where a range below MIN_RANGE_M leaves h undefined or where its
-    innovation exceeds gate * sqrt(h P h' + R_ii). With fewer than cfg.min_obs_per_update
-    accepted the predicted state is returned unchanged. Otherwise, with M =
+    (x - x_ref)/rho_ref, likewise for y. Every difference carries the
+    reference's noise, so their covariance is R = diag(sigma_n^2) +
+    sigma_ref^2 11'. A difference is rejected, never applied, where a range
+    below MIN_RANGE_M leaves h undefined or its innovation exceeds gate *
+    sqrt(h P h' + R_ii). With fewer than cfg.min_obs_per_update accepted the
+    predicted state is returned unchanged. Otherwise, with M =
     H'R^-1 H and g = H'R^-1 nu over the accepted ones, P+ = (I + P M)^-1 P and
     x+ = x + P+ g. Returns (state, [(node index, postfit_m)], n_rejected).
     """

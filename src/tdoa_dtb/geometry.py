@@ -93,4 +93,3 @@ def range_between(a: Position, b: Position) -> float:
     """Geometric Euclidean distance between two positions, in meters."""
     dx, dy, dz = a.x - b.x, a.y - b.y, a.z - b.z
     return math.sqrt(dx * dx + dy * dy + dz * dz)
-

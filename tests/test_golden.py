@@ -5,6 +5,11 @@ is spelled so that these bytes are the same on every supported Python version
 and C library; simulate, which needs numpy's random stream and the C
 library's log10, and run_manifest.json, which holds a timestamp, stay out.
 
+toa_gaps.csv is toa.csv without node "1"'s row in every epoch k with
+k % 4 == 3, and with node "3"'s rsrp blank where k % 5 == 0. Calibrated against
+node "1", its 20 epochs without that node give no samples; positioned with
+that table, they are differenced against their strongest node instead.
+
 Imports neither pytest nor numpy, so that it also runs on a bare interpreter:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -22,8 +27,9 @@ from tdoa_dtb.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 SUMS = GOLDEN / "SHA256SUMS"
-SESSION = ("toa.csv", "nodes.csv", "trajectory.csv")
-COMMANDS = ("fit-noise", "calibrate", "position", "evaluate", "rereference")
+SESSION = ("toa.csv", "toa_gaps.csv", "nodes.csv", "trajectory.csv")
+COMMANDS = ("fit-noise", "calibrate", "position", "evaluate", "rereference",
+            "calibrate-gaps", "position-gaps")
 
 
 def command(name: str, inputs: Path, out: Path) -> list[str]:
@@ -44,6 +50,14 @@ def command(name: str, inputs: Path, out: Path) -> list[str]:
                      "--residual-hist", f"{out}/residual_hist.csv"],
         "rereference": ["rereference", "--dtb", f"{i}/dtb.csv", "--new-ref", "5",
                         "--out", f"{out}/dtb_ref5.csv"],
+        "calibrate-gaps": ["calibrate", "--toa", f"{i}/toa_gaps.csv", "--nodes", f"{i}/nodes.csv",
+                           "--traj", f"{i}/trajectory.csv", "--ref-node", "1",
+                           "--out", f"{out}/dtb_gaps.csv",
+                           "--samples", f"{out}/dtb_gaps_samples.csv"],
+        "position-gaps": ["position", "--toa", f"{i}/toa_gaps.csv", "--nodes", f"{i}/nodes.csv",
+                          "--dtb", f"{i}/dtb_gaps.csv", "--noise", f"{i}/noise.csv",
+                          "--out", f"{out}/track_gaps.csv",
+                          "--residuals", f"{out}/residuals_gaps.csv"],
     }[name]
 
 

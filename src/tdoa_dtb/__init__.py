@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .geometry import NodeCatalog, Position, range_between, read_nodes, write_nodes
 from .ingestion import ReferenceTrajectory, Session, group_epochs
-from .differencing import form_tdoa, select_reference
+from .differencing import form_tdoa, reference_rows, select_reference
 from .dtb import (DtbEntry, DtbTable, aggregate_dtb, calibrate, read_dtb, rereference_dtb,
                   write_dtb)
 from .noise import (NoiseModel, NoisePoint, detrend_toa, estimate_noise_points,
@@ -15,7 +15,7 @@ from .metrics import session_metrics, sigma_formal, sigma_postfits, true_error
 __all__ = [
     "NodeCatalog", "Position", "range_between", "read_nodes", "write_nodes",
     "ReferenceTrajectory", "Session", "group_epochs",
-    "form_tdoa", "select_reference",
+    "form_tdoa", "reference_rows", "select_reference",
     "DtbEntry", "DtbTable", "aggregate_dtb", "calibrate", "read_dtb",
     "rereference_dtb", "write_dtb",
     "NoiseModel", "NoisePoint", "detrend_toa", "estimate_noise_points",

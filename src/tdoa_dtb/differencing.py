@@ -2,7 +2,9 @@
 
 Differencing every pseudo-range against a common reference node removes the
 rover clock term exactly; what remains is differenced geometry plus the
-differential transmitter bias and noise.
+differential transmitter bias and noise. Each epoch's reference row is chosen
+once per session from reference_rows; where an epoch lacks the reference node,
+calibration drops it and the filter falls back to its strongest node.
 """
 
 from __future__ import annotations
@@ -10,29 +12,25 @@ from __future__ import annotations
 import bisect
 from collections import Counter
 
-from .errors import EmptySession, ReferenceMissing
+from .errors import EmptySession
 from .geometry import node_sort_key
 from .ingestion import Session
 
 
-def form_tdoa(session: Session, epoch: int, ref: int) -> tuple[int, list[int], list[float]]:
-    """The reference node's row of an epoch, the epoch's other rows in node
-    order, and their single differences (pseudorange minus the reference's, m).
+def reference_rows(session: Session, ref: int) -> list[int]:
+    """Per epoch, the row of node index ref, or -1 where the epoch has none
+    (every epoch for ref -1, a node the session never saw)."""
+    node, starts = session.node, session.starts
+    rows = [bisect.bisect_left(node, ref, start, end) for start, end in zip(starts, starts[1:])]
+    return [row if row < end and node[row] == ref else -1 for row, end in zip(rows, starts[1:])]
 
-    ref is an index into session.node_ids. Raises ReferenceMissing when the
-    epoch has no row for it; callers decide whether to drop the epoch or
-    re-reference.
-    """
-    start, end = session.starts[epoch], session.starts[epoch + 1]
-    node = session.node
-    ref_row = bisect.bisect_left(node, ref, start, end)
-    if ref_row == end or node[ref_row] != ref:
-        raise ReferenceMissing(f"epoch t={session.times[epoch]} has no observation for "
-                               f"the reference node (index {ref})")
-    pseudorange = session.pseudorange
-    ref_pseudorange = pseudorange[ref_row]
-    rows = [*range(start, ref_row), *range(ref_row + 1, end)]
-    return ref_row, rows, [pseudorange[row] - ref_pseudorange for row in rows]
+
+def form_tdoa(session: Session, epoch: int, ref_row: int) -> tuple[list[int], list[float]]:
+    """The epoch's rows other than ref_row, one of its rows, in node order,
+    and their single differences (pseudorange minus the reference's, m)."""
+    pseudorange, ref_pseudorange = session.pseudorange, session.pseudorange[ref_row]
+    rows = [*range(session.starts[epoch], ref_row), *range(ref_row + 1, session.starts[epoch + 1])]
+    return rows, [pseudorange[row] - ref_pseudorange for row in rows]
 
 
 def select_reference(session: Session) -> str:

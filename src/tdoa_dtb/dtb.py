@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .differencing import form_tdoa
+from .differencing import form_tdoa, reference_rows
 from .errors import ParseError, ReferenceMissing, TdoaDtbError, UnknownNode
 from .geometry import NodeCatalog, node_sort_key, range_between
 from .ingestion import ReferenceTrajectory, Session
@@ -139,13 +139,10 @@ def calibrate(session: Session, traj: ReferenceTrajectory, catalog: NodeCatalog,
     ids, node, ref_index = session.node_ids, session.node, session.node_index(ref)
     positions = [catalog[node_id] for node_id in ids]   # by node index
     samples = []
-    for epoch, t in enumerate(session.times):
-        if not traj.covers(t):
+    for epoch, (t, ref_row) in enumerate(zip(session.times, reference_rows(session, ref_index))):
+        if ref_row < 0 or not traj.covers(t):
             continue
-        try:
-            _, rows, diffs = form_tdoa(session, epoch, ref_index)
-        except ReferenceMissing:
-            continue
+        rows, diffs = form_tdoa(session, epoch, ref_row)
         rover = traj.interpolate(t)
         ref_range = range_between(rover, positions[ref_index])
         for row, sd in zip(rows, diffs):

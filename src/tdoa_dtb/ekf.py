@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .differencing import form_tdoa
+from .differencing import form_tdoa, reference_rows
 from .dtb import DtbTable
-from .errors import ReferenceMissing, SingularGeometry, TdoaDtbError
+from .errors import SingularGeometry, TdoaDtbError
 from .geometry import NodeCatalog
 from .ingestion import Session
 from .noise import DEFAULT_SIGMA_NO_RSRP, NoiseModel, sigma_for
@@ -140,38 +140,45 @@ def predict(state: EkfState, dt: float, cfg: EkfConfig) -> EkfState:
 
 
 def session_model(session: Session, dtb: DtbTable, catalog: NodeCatalog,
-                  noise: NoiseModel, cfg: EkfConfig) -> tuple[int, list, list[float]]:
-    """What update needs of a session besides the state, built once: the DTB
-    reference's index in session.node_ids; per node index, (x, y, z^2, DTB
+                  noise: NoiseModel, cfg: EkfConfig) -> tuple[list[int], list, list[float]]:
+    """What update needs of a session besides the state, built once: per
+    epoch, the DTB reference's row or else the strongest row by rsrp (a blank
+    rsrp loses, a tie goes to node order); per node index, (x, y, z^2, DTB
     mean); per row, sigma(rsrp)^2. Raises UnknownNode for the first node, in
     node order, that the catalog or the DTB table lacks."""
     nodes = []
     for node_id in session.node_ids:
         node = catalog[node_id]
         nodes.append((node.x, node.y, node.z * node.z, dtb.mean(node_id)))
-    return (session.node_index(dtb.ref_node_id), nodes,
-            [s * s for s in (sigma_for(noise, rsrp, cfg.default_sigma) for rsrp in session.rsrp)])
+    rsrp, starts = session.rsrp, session.starts
+    refs = reference_rows(session, session.node_index(dtb.ref_node_id))
+    for epoch, row in enumerate(refs):
+        if row < 0:
+            refs[epoch] = max(range(starts[epoch], starts[epoch + 1]),
+                              key=lambda r: -math.inf if rsrp[r] is None else rsrp[r])
+    return (refs, nodes,
+            [s * s for s in (sigma_for(noise, value, cfg.default_sigma) for value in rsrp)])
 
 
-def update(state: EkfState, session: Session, epoch: int, ref: int, nodes: list,
+def update(state: EkfState, session: Session, epoch: int, refs: list[int], nodes: list,
            var: list[float], cfg: EkfConfig) -> tuple[EkfState, list[tuple[int, float]], int]:
     """Joint update with all accepted single differences of an epoch, in information form.
 
-    nodes and var come from session_model. The epoch is differenced against
-    node index ref (ReferenceMissing if absent), the DTB table's reference or
-    any other. Difference n is modelled as rho_n - rho_ref + (DTB_n - DTB_ref),
-    3D ranges from the rover at z = 0, with partials h = (x - x_n)/rho_n -
-    (x - x_ref)/rho_ref, likewise for y. Every difference carries the
-    reference's noise, so their covariance is R = diag(sigma_n^2) +
+    refs, nodes and var come from session_model; the epoch is differenced
+    against its row refs[epoch]. Difference n is modelled as rho_n - rho_ref +
+    (DTB_n - DTB_ref), 3D ranges from the rover at z = 0, with partials
+    h = (x - x_n)/rho_n - (x - x_ref)/rho_ref, likewise for y. Every difference
+    carries the reference's noise, so their covariance is R = diag(sigma_n^2) +
     sigma_ref^2 11'. A difference is rejected, never applied, where a range
-    below MIN_RANGE_M leaves h undefined or its innovation exceeds gate *
-    sqrt(h P h' + R_ii). With fewer than cfg.min_obs_per_update accepted the
-    predicted state is returned unchanged. Otherwise, with M =
-    H'R^-1 H and g = H'R^-1 nu over the accepted ones, P+ = (I + P M)^-1 P and
+    below MIN_RANGE_M leaves h undefined or its innovation exceeds
+    gate * sqrt(h P h' + R_ii). With fewer than cfg.min_obs_per_update accepted
+    the predicted state is returned unchanged. Otherwise, with M = H'R^-1 H and
+    g = H'R^-1 nu over the accepted ones, P+ = (I + P M)^-1 P and
     x+ = x + P+ g. Returns (state, [(node index, postfit_m)], n_rejected).
     """
-    ref_row, rows, diffs = form_tdoa(session, epoch, ref)
-    node, ref_var = session.node, var[ref_row]
+    ref_row = refs[epoch]
+    rows, diffs = form_tdoa(session, epoch, ref_row)
+    node, ref, ref_var = session.node, session.node[ref_row], var[ref_row]
     x, y = state.position
     (a, b), (_, d) = state.covariance
     ref_x, ref_y, ref_zz, ref_mean = nodes[ref]
@@ -249,26 +256,18 @@ def run_filter(session: Session, dtb: DtbTable, catalog: NodeCatalog,
     """Filter a session: apriori from the node layout, then predict/update per epoch.
 
     Returns the track, one point per epoch, and the (time, node_id, postfit_m)
-    residual rows. Single differences are formed against the DTB table's
-    reference node; an epoch that lacks it is differenced against its
-    strongest node by rsrp, where a blank rsrp loses and a tie goes to node
-    order. A session node missing from the catalog or the DTB table raises
-    UnknownNode before the first epoch.
+    residual rows. Each epoch is differenced against its reference row from
+    session_model. A session node missing from the catalog or the DTB table
+    raises UnknownNode before the first epoch.
     """
     cfg = cfg or EkfConfig()
-    ref, nodes, var = session_model(session, dtb, catalog, noise, cfg)
-    rsrp, track, residuals = session.rsrp, [], []
+    refs, nodes, var = session_model(session, dtb, catalog, noise, cfg)
+    track, residuals = [], []
     for epoch, t in enumerate(session.times):
         try:
             state = (predict(state, t - session.times[epoch - 1], cfg) if epoch
                      else init_apriori(catalog))
-            try:
-                state, postfits, rejected = update(state, session, epoch, ref, nodes, var, cfg)
-            except ReferenceMissing:
-                rows = range(session.starts[epoch], session.starts[epoch + 1])
-                best = max(rows, key=lambda row: -math.inf if rsrp[row] is None else rsrp[row])
-                state, postfits, rejected = update(state, session, epoch, session.node[best],
-                                                   nodes, var, cfg)
+            state, postfits, rejected = update(state, session, epoch, refs, nodes, var, cfg)
         except (ValueError, OverflowError, ZeroDivisionError) as exc:
             # an EkfState check failed, a float overflowed or the weights of
             # sigmas whose squares overflow summed to 0: the epoch times, the node

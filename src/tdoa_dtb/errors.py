@@ -28,7 +28,7 @@ class UnitError(TdoaDtbError):
 
 
 class ReferenceMissing(TdoaDtbError):
-    """An epoch lacks the reference node needed to form single differences."""
+    """calibrate found no epoch within the trajectory span that holds its reference node."""
 
 
 class EmptySession(TdoaDtbError):

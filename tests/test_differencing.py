@@ -1,7 +1,7 @@
 import pytest
 
-from tdoa_dtb.differencing import form_tdoa, select_reference
-from tdoa_dtb.errors import EmptySession, ReferenceMissing
+from tdoa_dtb.differencing import form_tdoa, reference_rows, select_reference
+from tdoa_dtb.errors import EmptySession
 from tdoa_dtb.ingestion import Session
 from tdoa_dtb.synthetic import ClockModel, Scenario, generate
 
@@ -14,7 +14,7 @@ def make_epoch(values, t=0.0, rsrp=None):
 
 def differences(session, ref, epoch=0):
     """form_tdoa's differences as (node_id, sd, rsrp) rows."""
-    _, rows, diffs = form_tdoa(session, epoch, session.node_index(ref))
+    rows, diffs = form_tdoa(session, epoch, reference_rows(session, session.node_index(ref))[epoch])
     return [(session.node_ids[session.node[row]], sd, session.rsrp[row])
             for row, sd in zip(rows, diffs)]
 
@@ -28,15 +28,14 @@ def test_subtraction_definition():
 
 def test_reference_only_epoch_gives_empty_list():
     epoch = make_epoch({"m": 62.0})
-    assert form_tdoa(epoch, 0, epoch.node_index("m")) == (0, [], [])
+    assert reference_rows(epoch, epoch.node_index("m")) == [0]
+    assert form_tdoa(epoch, 0, 0) == ([], [])
 
 
 def test_reference_missing():
     epoch = make_epoch({"n": 65.0})
-    with pytest.raises(ReferenceMissing):
-        form_tdoa(epoch, 0, epoch.node_index("m"))
-    with pytest.raises(ReferenceMissing):
-        form_tdoa(make_epoch({"n": 65.0, "m": 62.0}, t=1.0), 0, 5)
+    assert epoch.node_index("m") == -1 and reference_rows(epoch, -1) == [-1]
+    assert reference_rows(make_epoch({"n": 65.0, "m": 62.0}, t=1.0), 5) == [-1]
 
 
 def test_rover_bias_cancellation_constant_shift():
@@ -73,7 +72,8 @@ def test_output_count():
 
 def test_rsrp_carried_through():
     epoch = session_of([(0.0, {"1": (65.0, -80.0), "2": (62.0, -85.0)})])
-    ref_row, [row], _ = form_tdoa(epoch, 0, epoch.node_index("2"))
+    [ref_row] = reference_rows(epoch, epoch.node_index("2"))
+    [row], _ = form_tdoa(epoch, 0, ref_row)
     assert epoch.rsrp[row] == -80.0
     assert epoch.rsrp[ref_row] == -85.0
 
@@ -82,10 +82,32 @@ def test_form_tdoa_walks_one_epoch_of_many():
     session = session_of([(0.0, {"1": (1.0, None), "2": (5.0, None)}),
                           (1.0, {"2": (7.0, None), "3": (2.0, None)}),
                           (2.0, {"1": (4.0, None), "2": (6.0, None), "3": (9.0, None)})])
-    assert form_tdoa(session, 2, session.node_index("2")) == (5, [4, 6], [-2.0, 3.0])
-    assert form_tdoa(session, 1, session.node_index("3")) == (3, [2], [5.0])
-    with pytest.raises(ReferenceMissing):
-        form_tdoa(session, 1, session.node_index("1"))
+    assert reference_rows(session, session.node_index("2")) == [1, 2, 5]
+    assert reference_rows(session, session.node_index("3")) == [-1, 3, 6]
+    assert reference_rows(session, session.node_index("1")) == [0, -1, 4]
+    assert form_tdoa(session, 2, 5) == ([4, 6], [-2.0, 3.0])
+    assert form_tdoa(session, 1, 3) == ([2], [5.0])
+
+
+def test_reference_rows_match_a_linear_scan():
+    """On random sessions, among them epochs that hold only the reference, the
+    row of each node, and of a node the session never saw, is the one a scan
+    of the epoch finds, or -1."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ids = ["1", "2", "3", "10", "a"]
+    epoch = st.dictionaries(st.sampled_from(ids), st.just((0.0, None)), min_size=1)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.lists(epoch, min_size=1, max_size=8))
+    def check(epochs):
+        session = session_of([(float(t), obs) for t, obs in enumerate(epochs)])
+        for ref in [*range(len(session.node_ids)), -1]:
+            scan = [next((row for row in range(start, end) if session.node[row] == ref), -1)
+                    for start, end in zip(session.starts, session.starts[1:])]
+            assert reference_rows(session, ref) == scan
+
+    check()
 
 
 def test_select_most_visible():

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from tdoa_dtb.differencing import form_tdoa
+from tdoa_dtb.differencing import form_tdoa, reference_rows
 from tdoa_dtb.dtb import (DtbEntry, DtbTable, aggregate_dtb, calibrate, read_dtb,
                           rereference_dtb, write_dtb)
 from tdoa_dtb.errors import ParseError, ReferenceMissing, UnknownNode
@@ -21,9 +21,9 @@ def calibrate_synthetic(scenario, ref="1"):
     sim = generate(scenario)
     toa = sim.toa
     samples = []
-    for epoch, t in enumerate(toa.times):
+    for epoch, (t, ref_row) in enumerate(zip(toa.times, reference_rows(toa, toa.node_index(ref)))):
         rover = sim.trajectory.interpolate(t)
-        _, rows, diffs = form_tdoa(toa, epoch, toa.node_index(ref))
+        rows, diffs = form_tdoa(toa, epoch, ref_row)
         for row, sd in zip(rows, diffs):
             node_id = toa.node_ids[toa.node[row]]
             geom = sd_range(rover, sim.catalog[node_id], sim.catalog[ref])

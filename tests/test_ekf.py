@@ -8,7 +8,7 @@ from tdoa_dtb.dtb import DtbEntry, DtbTable, rereference_dtb
 from tdoa_dtb.ekf import (PSD_TOL, EkfConfig, EkfState, _variance, init_apriori, predict,
                           read_residuals_csv, read_track_csv, run_filter, session_model,
                           update, write_residuals_csv, write_track_csv)
-from tdoa_dtb.errors import ReferenceMissing, SingularGeometry
+from tdoa_dtb.errors import SingularGeometry
 from tdoa_dtb.geometry import NodeCatalog, Position, node_sort_key
 from tdoa_dtb.ingestion import Session
 from tdoa_dtb.metrics import true_error
@@ -276,8 +276,6 @@ def reference_update(state, session, epoch, dtb, catalog, noise, cfg):
     obs = {ids[session.node[row]]: (session.pseudorange[row], session.rsrp[row])
            for row in range(session.starts[epoch], session.starts[epoch + 1])}
     ref = dtb.ref_node_id
-    if ref not in obs:
-        raise ReferenceMissing(ref)
     ref_pseudorange, rsrp_ref = obs[ref]
     r_ref = sigma_for(noise, rsrp_ref, cfg.default_sigma) ** 2
     x, y = state.position
@@ -519,14 +517,34 @@ def test_run_filter_falls_back_to_the_strongest_node(monkeypatch):
     assert got[0][5].n_obs == len(obs) - 1
     assert sorted(n for time, n, _ in got[1] if time == t) == sorted(set(obs) - {strongest})
 
-    def oracle(state, toa, epoch, ref, *_):
-        node_id = toa.node_ids[ref]
+    def oracle(state, toa, epoch, refs, *_):
+        node_id = toa.node_ids[toa.node[refs[epoch]]]
         table = dtb if node_id == "1" else rereference_dtb(dtb, node_id)
         return reference_update(state, toa, epoch, table, session.catalog, WIDE_NOISE,
                                 EkfConfig())
 
     monkeypatch.setattr("tdoa_dtb.ekf.update", oracle)
     assert_runs_agree(got, run_filter(toa, dtb, session.catalog, WIDE_NOISE))
+
+
+def test_run_filter_updates_once_per_epoch_with_fallback_epochs(monkeypatch):
+    """An epoch without the table's reference is updated once, like any
+    other, against the row session_model chose for it."""
+    scenario = positioning_scenario(noise=1.0, seed=7, duration=20.0)
+    session = generate(scenario)
+    epochs = epochs_of(session.toa)
+    for _, obs in epochs[::4]:
+        del obs["1"]
+    toa = session_of(epochs)
+    calls = []
+
+    def counted(state, toa, epoch, *args):
+        calls.append(epoch)
+        return update(state, toa, epoch, *args)
+
+    monkeypatch.setattr("tdoa_dtb.ekf.update", counted)
+    track, _ = run_filter(toa, truth_dtb(scenario, "1"), session.catalog, WIDE_NOISE)
+    assert calls == list(range(len(toa.times))) == list(range(len(track)))
 
 
 @pytest.mark.parametrize("rsrp,fallback", [

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from tdoa_dtb.differencing import form_tdoa
+from tdoa_dtb.differencing import form_tdoa, reference_rows
 from tdoa_dtb.cli import main
 from tdoa_dtb.errors import EmptySession, ParseError, TdoaDtbError, UnitError
 from tdoa_dtb.geometry import NodeCatalog, Position, node_sort_key
@@ -172,7 +172,8 @@ def test_obs_is_in_node_sort_key_order(tmp_path):
     assert [list(obs) for _, obs in epochs] == [order] * 3 + [["2", "9", "10"]]
     for epoch, (_, obs) in enumerate(epochs):
         for ref in obs:
-            _, diff_rows, _ = form_tdoa(session, epoch, session.node_index(ref))
+            ref_row = reference_rows(session, session.node_index(ref))[epoch]
+            diff_rows, _ = form_tdoa(session, epoch, ref_row)
             assert [session.node_ids[session.node[row]] for row in diff_rows] == \
                 [n for n in obs if n != ref]
 

@@ -59,6 +59,8 @@ class EkfConfig(Record):
             raise ValueError("default sigma must be positive")
         if not self.default_sigma * self.default_sigma > 0:   # else a weight of 1/0
             raise ValueError(f"default sigma {self.default_sigma} squares to 0")
+        if not self.default_sigma * self.default_sigma < math.inf:   # else weights summing to 0
+            raise ValueError(f"default sigma {self.default_sigma} squares to inf")
         if self.min_obs_per_update < 1:
             raise ValueError("min_obs_per_update must be at least 1")
 

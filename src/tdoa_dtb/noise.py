@@ -45,6 +45,8 @@ class NoiseModel(Record):
             raise ValueError("need 0 < sigma_floor < sigma_cap < inf")
         if not self.sigma_floor * self.sigma_floor > 0:   # else a weight of 1/0
             raise ValueError(f"sigma_floor {self.sigma_floor} squares to 0")
+        if not self.sigma_cap * self.sigma_cap < math.inf:   # else weights that sum to 0
+            raise ValueError(f"sigma_cap {self.sigma_cap} squares to inf")
 
 
 class NoisePoint(Record):

@@ -435,6 +435,20 @@ def test_sigma_floor_that_squares_to_0_is_a_noise_file_error(tmp_path, capsys, e
     assert "Traceback" not in err and not track.exists()
 
 
+def test_sigma_cap_that_squares_to_inf_is_a_noise_file_error(tmp_path, capsys, eight_node_session):
+    """A noise model whose sigma cap squares to inf, weights that sum to 0, is
+    a data error at its line of noise.csv before the filter runs."""
+    noise, track = tmp_path / "noise.csv", tmp_path / "track.csv"
+    noise.write_text("k,rsrp0,sigma_floor,sigma_cap\n1e300,-110.0,0.3,1e200\n")
+    assert main(["position", "--toa", str(eight_node_session / "toa.csv"),
+                 "--nodes", str(eight_node_session / "nodes.csv"),
+                 "--dtb", str(eight_node_session / "truth_dtb.csv"), "--noise", str(noise),
+                 "--out", str(track), "--residuals", str(tmp_path / "residuals.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"{noise}:2: bad noise model: sigma_cap 1e+200 squares to inf" in err
+    assert "Traceback" not in err and not track.exists()
+
+
 SQUARE = {"1": (0, 0), "2": (20, 0), "3": (20, 20), "4": (0, 20), "5": (10, 30), "9": (30, 10)}
 
 

@@ -59,6 +59,7 @@ CHECKS = [
     (lambda: NoiseModel(60.0, -110.0, 1.0, 0.5), "need 0 < sigma_floor < sigma_cap < inf"),
     (lambda: NoiseModel(60.0, -110.0, 0.3, math.inf), "need 0 < sigma_floor < sigma_cap < inf"),
     (lambda: NoiseModel(60.0, -110.0, 1e-200, 15.0), "sigma_floor 1e-200 squares to 0"),
+    (lambda: NoiseModel(1e300, -110.0, 0.3, 1e200), "sigma_cap 1e+200 squares to inf"),
     (lambda: NoisePoint(-80.0, -1.0), "negative sigma_hat"),
     (lambda: EkfConfig(sigma_y=0.0, innovation_gate=0.0),
      "process noise densities must be positive"),
@@ -69,6 +70,8 @@ CHECKS = [
     (lambda: EkfConfig(default_sigma=-1.0, min_obs_per_update=0), "default sigma must be positive"),
     (lambda: EkfConfig(default_sigma=1e-200, min_obs_per_update=0),
      "default sigma 1e-200 squares to 0"),
+    (lambda: EkfConfig(default_sigma=1e200, min_obs_per_update=0),
+     "default sigma 1e+200 squares to inf"),
     (lambda: EkfConfig(min_obs_per_update=0), "min_obs_per_update must be at least 1"),
     (lambda: EkfState((math.nan, 0.0), ((math.inf, 0.0), (0.0, 1.0))),
      "non-finite filter covariance"),

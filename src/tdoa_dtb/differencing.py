@@ -26,8 +26,8 @@ def reference_rows(session: Session, ref: int) -> list[int]:
 
 
 def form_tdoa(session: Session, epoch: int, ref_row: int) -> tuple[list[int], list[float]]:
-    """The epoch's rows other than ref_row, one of its rows, in node order,
-    and their single differences (pseudorange minus the reference's, m)."""
+    """The rows of an epoch other than its row ref_row, in node order, and
+    their single differences (pseudorange minus the reference's, m)."""
     pseudorange, ref_pseudorange = session.pseudorange, session.pseudorange[ref_row]
     rows = [*range(session.starts[epoch], ref_row), *range(ref_row + 1, session.starts[epoch + 1])]
     return rows, [pseudorange[row] - ref_pseudorange for row in rows]

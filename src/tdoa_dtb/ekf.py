@@ -271,9 +271,9 @@ def run_filter(session: Session, dtb: DtbTable, catalog: NodeCatalog,
                      else init_apriori(catalog))
             state, postfits, rejected = update(state, session, epoch, refs, nodes, var, cfg)
         except (ValueError, OverflowError, ZeroDivisionError) as exc:
-            # an EkfState check failed, a float overflowed or the weights of
-            # sigmas whose squares overflow summed to 0: the epoch times, the node
-            # layout or the settings drove the filter out of float range
+            # an EkfState check failed, a float overflowed or a divisor rounded
+            # to 0: the epoch times, the node layout or the settings drove the
+            # filter out of float range
             raise TdoaDtbError(f"filter state at t={t}: {exc}") from None
         (a, b), (_, d) = state.covariance
         track.append(TrackPoint(t, *state.position, a, b, d, len(postfits), rejected))

@@ -502,8 +502,8 @@ def test_run_filter_single_epoch():
 
 def test_run_filter_falls_back_to_the_strongest_node(monkeypatch):
     """An epoch without the table's reference is differenced against its
-    strongest node by rsrp, and updates as the Kalman-gain oracle does with
-    the table re-referenced to that node."""
+    strongest node by rsrp, and updates once, as the Kalman-gain oracle does
+    with the table re-referenced to that node."""
     scenario = positioning_scenario(noise=1.0, seed=7, duration=20.0)
     session = generate(scenario)
     dtb = truth_dtb(scenario, "1")
@@ -517,7 +517,10 @@ def test_run_filter_falls_back_to_the_strongest_node(monkeypatch):
     assert got[0][5].n_obs == len(obs) - 1
     assert sorted(n for time, n, _ in got[1] if time == t) == sorted(set(obs) - {strongest})
 
+    calls = []
+
     def oracle(state, toa, epoch, refs, *_):
+        calls.append(epoch)
         node_id = toa.node_ids[toa.node[refs[epoch]]]
         table = dtb if node_id == "1" else rereference_dtb(dtb, node_id)
         return reference_update(state, toa, epoch, table, session.catalog, WIDE_NOISE,
@@ -525,26 +528,7 @@ def test_run_filter_falls_back_to_the_strongest_node(monkeypatch):
 
     monkeypatch.setattr("tdoa_dtb.ekf.update", oracle)
     assert_runs_agree(got, run_filter(toa, dtb, session.catalog, WIDE_NOISE))
-
-
-def test_run_filter_updates_once_per_epoch_with_fallback_epochs(monkeypatch):
-    """An epoch without the table's reference is updated once, like any
-    other, against the row session_model chose for it."""
-    scenario = positioning_scenario(noise=1.0, seed=7, duration=20.0)
-    session = generate(scenario)
-    epochs = epochs_of(session.toa)
-    for _, obs in epochs[::4]:
-        del obs["1"]
-    toa = session_of(epochs)
-    calls = []
-
-    def counted(state, toa, epoch, *args):
-        calls.append(epoch)
-        return update(state, toa, epoch, *args)
-
-    monkeypatch.setattr("tdoa_dtb.ekf.update", counted)
-    track, _ = run_filter(toa, truth_dtb(scenario, "1"), session.catalog, WIDE_NOISE)
-    assert calls == list(range(len(toa.times))) == list(range(len(track)))
+    assert calls == list(range(len(toa.times)))   # once per epoch, the fallback one too
 
 
 @pytest.mark.parametrize("rsrp,fallback", [

@@ -60,17 +60,6 @@ def _finite_float(text: str, zero_ok: bool = False) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
-
-
 def _write_manifest(args: argparse.Namespace) -> None:
     """Describe a successful run in run_manifest.json beside its output."""
     out_dir = args.out_dir if args.subcommand == "simulate" else os.path.dirname(args.out)
@@ -102,7 +91,7 @@ def _cmd_simulate(args) -> None:
     if args.seed is not None:
         scenario.seed = args.seed
     sim = generate(scenario)
-    truth = truth_dtb(scenario, args.truth_ref or sim.catalog.ids()[0])
+    truth = truth_dtb(scenario, sim.catalog.ids()[0])
     os.makedirs(args.out_dir, exist_ok=True)
     write_toa_csv(sim.toa, os.path.join(args.out_dir, "toa.csv"))
     write_nodes(sim.catalog, os.path.join(args.out_dir, "nodes.csv"))
@@ -143,9 +132,7 @@ def _cmd_position(args) -> None:
     dtb = read_dtb(args.dtb)
     noise = read_noise_model(args.noise)
     cfg = EkfConfig(sigma_x=args.sigma_x, sigma_y=args.sigma_y,
-                    min_obs_per_update=args.min_obs,
-                    innovation_gate=args.gate,
-                    default_sigma=args.default_sigma)
+                    innovation_gate=args.gate, default_sigma=args.default_sigma)
     track, residuals = run_filter(session, dtb, catalog, noise, cfg)
     write_track_csv(track, args.out)
     write_residuals_csv(residuals, args.residuals)
@@ -189,8 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    p.add_argument("--truth-ref", default=None,
-                   help="reference node for truth_dtb.csv (default: first node)")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("fit-noise", help="fit the received-power noise model")
@@ -229,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-x", type=_finite_float, default=EkfConfig.sigma_x)
     p.add_argument("--sigma-y", type=_finite_float, default=EkfConfig.sigma_y)
     p.add_argument("--gate", type=_finite_float, default=EkfConfig.innovation_gate)
-    p.add_argument("--min-obs", type=_positive_int, default=EkfConfig.min_obs_per_update)
     p.add_argument("--default-sigma", type=_finite_float, default=EkfConfig.default_sigma)
     _add_session_flags(p)
     p.set_defaults(func=_cmd_position)

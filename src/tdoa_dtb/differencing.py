@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 from collections import Counter
 
-from .errors import EmptySession
+from .errors import TdoaDtbError
 from .geometry import node_sort_key
 from .ingestion import Session
 
@@ -37,7 +37,7 @@ def select_reference(session: Session) -> str:
     """The node present in the largest number of epochs, ties broken by
     smallest node id."""
     if not session.times:
-        raise EmptySession("cannot select a reference node from an empty session")
+        raise TdoaDtbError("cannot select a reference node from an empty session")
     counts = Counter(session.node)   # a node has at most one row per epoch
     top = max(counts.values())
     return min((session.node_ids[n] for n, c in counts.items() if c == top), key=node_sort_key)

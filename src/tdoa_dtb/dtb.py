@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .differencing import form_tdoa, reference_rows
-from .errors import ParseError, ReferenceMissing, TdoaDtbError, UnknownNode
+from .errors import ParseError, TdoaDtbError, UnknownNode
 from .geometry import NodeCatalog, node_sort_key, range_between
 from .ingestion import ReferenceTrajectory, Session
 from .table import Record, read_csv, row_error, write_csv
@@ -31,8 +31,10 @@ class DtbEntry(Record):
             raise ValueError("negative DTB std")
 
 
-class DtbTable:
+class DtbTable(Record):
     """Per-node differential bias statistics against a fixed reference node."""
+
+    __slots__ = _fields = ("ref_node_id", "entries", "session")
 
     def __init__(self, ref_node_id: str, entries: dict[str, DtbEntry], session: str = ""):
         if ref_node_id in entries:
@@ -49,12 +51,6 @@ class DtbTable:
             return self.entries[node_id].mean
         except KeyError:
             raise UnknownNode(f"node {node_id!r} not in DTB table") from None
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, DtbTable)
-                and self.ref_node_id == other.ref_node_id
-                and self.session == other.session
-                and self.entries == other.entries)
 
 
 def mean_std(values: list[float]) -> tuple[float, float]:
@@ -134,7 +130,7 @@ def calibrate(session: Session, traj: ReferenceTrajectory, catalog: NodeCatalog,
     Drop policy: epochs outside the trajectory span, and epochs without the
     reference node, give no samples, which keeps the whole table tied to one
     reference. Raises UnknownNode when a session node is not in the catalog,
-    and ReferenceMissing when no sample is left.
+    and TdoaDtbError when no sample is left.
     """
     ids, node, ref_index = session.node_ids, session.node, session.node_index(ref)
     positions = [catalog[node_id] for node_id in ids]   # by node index
@@ -152,8 +148,7 @@ def calibrate(session: Session, traj: ReferenceTrajectory, catalog: NodeCatalog,
                 raise TdoaDtbError(f"non-finite DTB sample {value} of node {ids[n]!r} at t={t}")
             samples.append((t, ids[n], value))
     if not samples:
-        raise ReferenceMissing(
-            f"reference node {ref!r} never observed within the trajectory span")
+        raise TdoaDtbError(f"reference node {ref!r} never observed within the trajectory span")
     return aggregate_dtb(samples, ref, session=label, trim_sigma=trim_sigma), samples
 
 

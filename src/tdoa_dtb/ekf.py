@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .differencing import form_tdoa, reference_rows
 from .dtb import DtbTable
-from .errors import SingularGeometry, TdoaDtbError
+from .errors import TdoaDtbError
 from .geometry import NodeCatalog
 from .ingestion import Session
 from .noise import DEFAULT_SIGMA_NO_RSRP, NoiseModel, sigma_for
@@ -36,16 +36,15 @@ class EkfConfig(Record):
     independent of the epoch raster. The CLI reads the defaults off the class.
     """
 
-    _fields = ("sigma_x", "sigma_y", "min_obs_per_update", "innovation_gate", "default_sigma")
+    _fields = ("sigma_x", "sigma_y", "innovation_gate", "default_sigma")
     sigma_x: float = 0.5
     sigma_y: float = 0.5
-    min_obs_per_update: int = 1
     innovation_gate: float = 5.0
     default_sigma: float = DEFAULT_SIGMA_NO_RSRP   # m, per-ToA sigma when rsrp is absent
 
-    def __init__(self, sigma_x=sigma_x, sigma_y=sigma_y, min_obs_per_update=min_obs_per_update,
-                 innovation_gate=innovation_gate, default_sigma=default_sigma):
-        self.sigma_x, self.sigma_y, self.min_obs_per_update = sigma_x, sigma_y, min_obs_per_update
+    def __init__(self, sigma_x=sigma_x, sigma_y=sigma_y, innovation_gate=innovation_gate,
+                 default_sigma=default_sigma):
+        self.sigma_x, self.sigma_y = sigma_x, sigma_y
         self.innovation_gate, self.default_sigma = innovation_gate, default_sigma
         # written as not (x > 0) so that NaN fails too; a square that overflows
         # would drive the covariance out of float range at the first prediction
@@ -61,8 +60,6 @@ class EkfConfig(Record):
             raise ValueError(f"default sigma {self.default_sigma} squares to 0")
         if not self.default_sigma * self.default_sigma < math.inf:   # else weights summing to 0
             raise ValueError(f"default sigma {self.default_sigma} squares to inf")
-        if self.min_obs_per_update < 1:
-            raise ValueError("min_obs_per_update must be at least 1")
 
 
 def _min_eig(a: float, b: float, d: float) -> float:
@@ -173,10 +170,10 @@ def update(state: EkfState, session: Session, epoch: int, refs: list[int], nodes
     carries the reference's noise, so their covariance is R = diag(sigma_n^2) +
     sigma_ref^2 11'. A difference is rejected, never applied, where a range
     below MIN_RANGE_M leaves h undefined or its innovation exceeds
-    gate * sqrt(h P h' + R_ii). With fewer than cfg.min_obs_per_update accepted
-    the predicted state is returned unchanged. Otherwise, with M = H'R^-1 H and
-    g = H'R^-1 nu over the accepted ones, P+ = (I + P M)^-1 P and
-    x+ = x + P+ g. Returns (state, [(node index, postfit_m)], n_rejected).
+    gate * sqrt(h P h' + R_ii). With none accepted the predicted state is
+    returned unchanged. Otherwise, with M = H'R^-1 H and g = H'R^-1 nu over
+    the accepted ones, P+ = (I + P M)^-1 P and x+ = x + P+ g. Returns
+    (state, [(node index, postfit_m)], n_rejected).
     """
     ref_row = refs[epoch]
     rows, diffs = form_tdoa(session, epoch, ref_row)
@@ -217,8 +214,7 @@ def update(state: EkfState, session: Session, epoch: int, refs: list[int], nodes
         wh_y += w_hy
         w_nu += w * innovation
 
-    if len(applied) < cfg.min_obs_per_update:
-        # too few usable observations: state stays at the prediction
+    if not applied:   # no usable observation: state stays at the prediction
         return state, [], rejected
     # Sherman-Morrison: R^-1 = W - (W 1)(W 1)' / (1 / sigma_ref^2 + 1'W 1), W = diag(w)
     den = 1.0 / ref_var + w_sum
@@ -247,7 +243,7 @@ def update(state: EkfState, session: Session, epoch: int, refs: list[int], nodes
         rho_n = math.sqrt((x - node_x) * (x - node_x) + (y - node_y) * (y - node_y) + node_zz)
         if rho_n < MIN_RANGE_M or rho_m < MIN_RANGE_M:
             node_id = session.node_ids[n if rho_n < MIN_RANGE_M else ref]
-            raise SingularGeometry(f"rover coincides with node {node_id!r}")
+            raise TdoaDtbError(f"rover coincides with node {node_id!r}")
         postfits.append((n, sd - (rho_n - rho_m + (mean - ref_mean))))
     return new_state, postfits, rejected
 

@@ -1,8 +1,10 @@
 """Exception hierarchy shared by all modules.
 
-A TdoaDtbError is a problem with data a command read, and maps to exit code 2;
-each class below is one that a command can end with. A bad argument from a
-library caller is a ValueError instead, and the CLI reports a bad flag itself.
+A TdoaDtbError is a problem with data a command read, and maps to exit code 2.
+The subclasses below are the problems with a class of their own; every other
+data error is a plain TdoaDtbError whose message says what went wrong. A bad
+argument from a library caller is a ValueError instead, and the CLI reports a
+bad flag itself.
 """
 
 
@@ -23,18 +25,6 @@ class UnknownNode(TdoaDtbError):
     """An observation or lookup references a node id that is not known."""
 
 
-class UnitError(TdoaDtbError):
-    """Values are implausible for the declared unit mode."""
-
-
-class ReferenceMissing(TdoaDtbError):
-    """calibrate found no epoch within the trajectory span that holds its reference node."""
-
-
-class EmptySession(TdoaDtbError):
-    """No epochs available where at least one was required."""
-
-
 class WindowTooSmall(TdoaDtbError):
     """Detrending window does not cover the sample spacing."""
 
@@ -45,18 +35,6 @@ class NoRsrp(TdoaDtbError):
 
 class FitError(TdoaDtbError):
     """Noise-model fit is degenerate or violates model constraints."""
-
-
-class SingularGeometry(TdoaDtbError):
-    """Rover coincides with a node; range partials are undefined."""
-
-
-class NoOverlap(TdoaDtbError):
-    """Track and reference trajectory share no common time span."""
-
-
-class InsufficientResiduals(TdoaDtbError):
-    """Not enough residuals for the requested degrees of freedom."""
 
 
 class InvalidScenario(TdoaDtbError):

@@ -13,7 +13,7 @@ import itertools
 import operator
 from typing import NamedTuple
 
-from .errors import EmptySession, ParseError, TdoaDtbError, UnitError
+from .errors import ParseError, TdoaDtbError
 from .geometry import Position, node_sort_key
 from .table import read_csv, row_error, write_csv
 
@@ -64,7 +64,7 @@ def group_epochs(times: list[float], node_ids: list[str], pseudoranges: list[flo
     one epoch is a data error naming source and the first such node.
     """
     if not times:
-        raise EmptySession(f"{source}: no observations")
+        raise TdoaDtbError(f"{source}: no observations")
     # node_sort_key once per node; ranks from the ids in first-appearance order,
     # so that an id whose key compares with nothing (nan) still sorts one way
     ids = sorted(dict.fromkeys(node_ids), key=node_sort_key)
@@ -139,9 +139,8 @@ def load_toa_session(path, unit_mode: str = "meters",
         toas = [toa * SPEED_OF_LIGHT for toa in toas]
         for index, pseudorange in enumerate(toas):
             if abs(pseudorange) > MAX_PLAUSIBLE_RANGE_M:
-                raise UnitError(str(row_error(path, index, f"converted pseudorange "
-                                f"{pseudorange:.3e} m exceeds plausible light-travel bounds; "
-                                f"raw values are likely meters")))
+                raise row_error(path, index, f"converted pseudorange {pseudorange:.3e} m exceeds "
+                                "plausible light-travel bounds; raw values are likely meters")
     return group_epochs(times, node_ids, toas, rsrps, epoch_tol, source=str(path))
 
 

@@ -17,7 +17,7 @@ import json
 import math
 
 from .ekf import TrackPoint
-from .errors import InsufficientResiduals, NoOverlap, TdoaDtbError
+from .errors import TdoaDtbError
 from .ingestion import ReferenceTrajectory
 
 N_PARAM_2D = 2  # estimated parameters: the two position components
@@ -40,7 +40,7 @@ def true_error(track: list[TrackPoint], traj: ReferenceTrajectory) -> tuple[floa
         ref = traj.interpolate(p.time)
         errors.append(math.hypot(p.x - ref.x, p.y - ref.y))
     if not errors:
-        raise NoOverlap("track and reference trajectory have no common time span")
+        raise TdoaDtbError("track and reference trajectory have no common time span")
     mean = _fsum(errors) / len(errors)
     rms = math.sqrt(_fsum(e * e for e in errors) / len(errors))
     return mean, rms
@@ -58,7 +58,7 @@ def sigma_postfits(residuals: list[float]) -> float:
     """Degrees-of-freedom-corrected RMS of the postfit residuals."""
     n = len(residuals)
     if n <= N_PARAM_2D:
-        raise InsufficientResiduals(f"{n} residuals with {N_PARAM_2D} parameters")
+        raise TdoaDtbError(f"{n} residuals with {N_PARAM_2D} parameters")
     return math.sqrt(_fsum(e * e for e in residuals) / (n - N_PARAM_2D))
 
 

@@ -33,6 +33,7 @@ from .errors import InvalidScenario
 from .geometry import NodeCatalog, Position
 from .ingestion import ReferenceTrajectory, Session, group_epochs
 from .noise import NoiseModel, sigma_for
+from .table import finite_float
 
 # NumPy's SeedSequence hash and mix constants, and PCG64's LCG multiplier.
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
@@ -270,16 +271,8 @@ def generate(scenario: Scenario) -> SyntheticSession:
     return SyntheticSession(session, scenario.catalog, trajectory, scenario)
 
 
-def _float(value) -> float:
-    """A finite float, the rule the CSV layer applies to every number."""
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"non-finite number {value!r}")
-    return number
-
-
 def _floats(mapping) -> dict[str, float]:
-    return {str(key): _float(value) for key, value in mapping.items()}
+    return {str(key): finite_float(value) for key, value in mapping.items()}
 
 
 def load_scenario(path) -> Scenario:
@@ -301,7 +294,7 @@ def load_scenario(path) -> Scenario:
         raise InvalidScenario(f"{path}: scenario file must be a mapping")
     try:
         nodes = {
-            str(node_id): Position(*map(_float, coords))
+            str(node_id): Position(*map(finite_float, coords))
             for node_id, coords in raw["nodes"].items()
         }
         catalog = NodeCatalog(nodes)
@@ -310,24 +303,24 @@ def load_scenario(path) -> Scenario:
         noise_raw = raw.get("noise", 0.0)
         if isinstance(noise_raw, dict):
             if "sigma" in noise_raw:
-                noise = _float(noise_raw["sigma"])
+                noise = finite_float(noise_raw["sigma"])
             else:
                 noise = NoiseModel(**_floats(noise_raw))
         else:
-            noise = _float(noise_raw)
+            noise = finite_float(noise_raw)
         return Scenario(
             catalog=catalog,
             node_biases=_floats(raw.get("biases", {})),
             rover_clock=clock,
-            waypoints=[(_float(x), _float(y)) for x, y in raw["waypoints"]],
-            speed=_float(raw.get("speed", 1.0)),
-            epoch_rate=_float(raw.get("epoch_rate", 1.0)),
+            waypoints=[(finite_float(x), finite_float(y)) for x, y in raw["waypoints"]],
+            speed=finite_float(raw.get("speed", 1.0)),
+            epoch_rate=finite_float(raw.get("epoch_rate", 1.0)),
             noise=noise,
             path_loss=PathLossModel(**_floats(raw.get("path_loss", {}))),
             nlos_offset=_floats(raw.get("nlos") or {}),
             seed=int(raw.get("seed", 0)),
-            duration=_float(raw["duration"]) if raw.get("duration") is not None else None,
-            quantize=_float(raw["quantize"]) if raw.get("quantize") is not None else None,
+            duration=finite_float(raw["duration"]) if raw.get("duration") is not None else None,
+            quantize=finite_float(raw["quantize"]) if raw.get("quantize") is not None else None,
         )
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InvalidScenario(f"{path}: {exc}") from None

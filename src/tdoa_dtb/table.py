@@ -93,12 +93,20 @@ def _first_bad_cell(path, cells, columns) -> ParseError:
     for index in range(len(cells[0])):
         for name, column, kind, blank_ok in columns:
             cell = cells[column][index]
+            if blank_ok and cell == "":
+                continue
             try:
-                value = None if blank_ok and cell == "" else kind(cell)
-                if kind is float and not math.isfinite(value or 0.0):
-                    raise ValueError(f"non-finite number {cell!r}")
+                (finite_float if kind is float else kind)(cell)
             except ValueError as exc:
                 return row_error(path, index, f"bad {name}: {exc}")
+
+
+def finite_float(value) -> float:
+    """value as a float, which must be finite: the rule for every number read."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"non-finite number {value!r}")
+    return number
 
 
 def row_error(path, index: int, message: str) -> ParseError:

@@ -4,7 +4,7 @@ import pytest
 
 from tdoa_dtb.dtb import DtbTable
 from tdoa_dtb.ekf import MIN_RANGE_M
-from tdoa_dtb.errors import SingularGeometry
+from tdoa_dtb.errors import TdoaDtbError
 from tdoa_dtb.geometry import NodeCatalog, Position, range_between
 from tdoa_dtb.ingestion import group_epochs
 from tdoa_dtb.synthetic import ClockModel, Scenario
@@ -93,6 +93,6 @@ def measurement_model(x: float, y: float, node_id: str, dtb: DtbTable,
     rho_m = math.sqrt(dx_m * dx_m + dy_m * dy_m + ref.z * ref.z)
     if rho_n < MIN_RANGE_M or rho_m < MIN_RANGE_M:
         culprit = node_id if rho_n < MIN_RANGE_M else dtb.ref_node_id
-        raise SingularGeometry(f"rover coincides with node {culprit!r}")
+        raise TdoaDtbError(f"rover coincides with node {culprit!r}")
     predicted = rho_n - rho_m + dtb.mean(node_id)
     return predicted, (dx_n / rho_n - dx_m / rho_m, dy_n / rho_n - dy_m / rho_m)

@@ -1,7 +1,7 @@
 import pytest
 
 from tdoa_dtb.differencing import form_tdoa, reference_rows, select_reference
-from tdoa_dtb.errors import EmptySession
+from tdoa_dtb.errors import TdoaDtbError
 from tdoa_dtb.ingestion import Session
 from tdoa_dtb.synthetic import ClockModel, Scenario, generate
 
@@ -122,5 +122,5 @@ def test_select_tie_breaks_to_smallest_id():
 
 
 def test_select_empty_session():
-    with pytest.raises(EmptySession):
+    with pytest.raises(TdoaDtbError, match="cannot select a reference node from an empty session"):
         select_reference(Session([], [], [], [], [], [0]))

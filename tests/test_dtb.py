@@ -5,7 +5,7 @@ import pytest
 from tdoa_dtb.differencing import form_tdoa, reference_rows
 from tdoa_dtb.dtb import (DtbEntry, DtbTable, aggregate_dtb, calibrate, read_dtb,
                           rereference_dtb, write_dtb)
-from tdoa_dtb.errors import ParseError, ReferenceMissing, UnknownNode
+from tdoa_dtb.errors import ParseError, TdoaDtbError, UnknownNode
 from tdoa_dtb.geometry import NodeCatalog, Position
 from tdoa_dtb.ingestion import ReferenceTrajectory
 from tdoa_dtb.noise import NoiseModel
@@ -74,10 +74,12 @@ def test_calibrate_drops_epochs_without_reference(basic_scenario):
 
 def test_calibrate_without_usable_epoch(basic_scenario):
     sim = generate(basic_scenario)
-    with pytest.raises(ReferenceMissing):
+    with pytest.raises(TdoaDtbError, match="reference node '99' never observed within the "
+                                            "trajectory span"):
         calibrate(sim.toa, sim.trajectory, sim.catalog, "99")
     late = ReferenceTrajectory([(1e6, Position(5, 5)), (1e6 + 1, Position(6, 5))])
-    with pytest.raises(ReferenceMissing):
+    with pytest.raises(TdoaDtbError, match="reference node '1' never observed within the "
+                                            "trajectory span"):
         calibrate(sim.toa, late, sim.catalog, "1")
 
 

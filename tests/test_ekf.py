@@ -8,7 +8,7 @@ from tdoa_dtb.dtb import DtbEntry, DtbTable, rereference_dtb
 from tdoa_dtb.ekf import (PSD_TOL, EkfConfig, EkfState, _variance, init_apriori, predict,
                           read_residuals_csv, read_track_csv, run_filter, session_model,
                           update, write_residuals_csv, write_track_csv)
-from tdoa_dtb.errors import SingularGeometry
+from tdoa_dtb.errors import TdoaDtbError, UnknownNode
 from tdoa_dtb.geometry import NodeCatalog, Position, node_sort_key
 from tdoa_dtb.ingestion import Session
 from tdoa_dtb.metrics import true_error
@@ -127,7 +127,6 @@ def test_state_rejects_non_finite_covariance():
 @pytest.mark.parametrize("field,value", [
     ("sigma_x", np.nan), ("sigma_y", np.nan), ("innovation_gate", np.nan),
     ("default_sigma", np.nan), ("innovation_gate", 0.0), ("default_sigma", -1.0),
-    ("min_obs_per_update", 0), ("min_obs_per_update", -1),
     ("sigma_x", 1e200), ("sigma_y", 1e200), ("sigma_x", np.inf)])
 def test_config_rejects_out_of_range(field, value):
     with pytest.raises(ValueError):
@@ -199,7 +198,7 @@ def test_measurement_model_collinear():
 def test_measurement_model_singular():
     catalog = NodeCatalog({"n": Position(10, 0), "m": Position(-10, 0)})
     dtb = empty_dtb(catalog, "m")
-    with pytest.raises(SingularGeometry):
+    with pytest.raises(TdoaDtbError, match="rover coincides with node 'n'"):
         measurement_model(10.0, 0.0, "n", dtb, catalog)
 
 
@@ -288,7 +287,9 @@ def reference_update(state, session, epoch, dtb, catalog, noise, cfg):
         sd = pseudorange - ref_pseudorange
         try:
             predicted, h = measurement_model(x, y, node_id, dtb, catalog)
-        except SingularGeometry:
+        except UnknownNode:
+            raise
+        except TdoaDtbError:   # the rover on a node: the partials are undefined
             rejected += 1
             continue
         r_var = (sigma_for(noise, rsrp, cfg.default_sigma) ** 2
@@ -300,7 +301,7 @@ def reference_update(state, session, epoch, dtb, catalog, noise, cfg):
             rejected += 1
             continue
         rows.append(((node_id, sd), innovation, hvec, r_var))
-    if len(rows) < cfg.min_obs_per_update:
+    if not rows:
         return state, [], rejected
     h_mat = np.array([r[2] for r in rows])
     innovations = np.array([r[1] for r in rows])

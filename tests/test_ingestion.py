@@ -6,7 +6,7 @@ import pytest
 
 from tdoa_dtb.differencing import form_tdoa, reference_rows
 from tdoa_dtb.cli import main
-from tdoa_dtb.errors import EmptySession, ParseError, TdoaDtbError, UnitError
+from tdoa_dtb.errors import ParseError, TdoaDtbError
 from tdoa_dtb.geometry import NodeCatalog, Position, node_sort_key
 from tdoa_dtb.ingestion import (SPEED_OF_LIGHT, ReferenceTrajectory, Session,
                                 load_toa_session, write_toa_csv, write_trajectory_csv,
@@ -62,8 +62,10 @@ def test_seconds_unit_conversion(tmp_path):
 def test_seconds_unit_implausible(tmp_path):
     # values already in meters declared as seconds blow past light-travel bounds
     toa = _write(tmp_path / "toa.csv", "time,node_id,toa,rsrp\n0.0,1,65.0,\n")
-    with pytest.raises(UnitError):
+    with pytest.raises(ParseError, match=r":2: converted pseudorange 1\.949e\+10 m exceeds "
+                                         "plausible light-travel bounds") as exc:
         load_toa_session(toa, unit_mode="seconds")
+    assert (exc.value.path, exc.value.line) == (toa, 2)
 
 
 def test_unknown_node(tmp_path, capsys):
@@ -104,7 +106,7 @@ def test_grouping_is_a_partition(tmp_path):
     def check(rows, tol):
         path = _toa_rows_file(tmp_path / "toa.csv", rows)
         if not rows:
-            with pytest.raises(EmptySession):
+            with pytest.raises(TdoaDtbError, match="no observations"):
                 load_toa_session(path, epoch_tol=tol)
             return
         try:

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from tdoa_dtb.ekf import TrackPoint
-from tdoa_dtb.errors import InsufficientResiduals, NoOverlap
+from tdoa_dtb.errors import TdoaDtbError
 from tdoa_dtb.geometry import Position
 from tdoa_dtb.ingestion import ReferenceTrajectory
 from tdoa_dtb.metrics import (session_metrics, sigma_formal, sigma_postfits,
@@ -47,7 +47,8 @@ def test_true_error_skips_uncovered_epochs():
 
 def test_true_error_no_overlap():
     track = [track_point(99.0, 0.0, 0.0)]
-    with pytest.raises(NoOverlap):
+    with pytest.raises(TdoaDtbError,
+                       match="track and reference trajectory have no common time span"):
         true_error(track, straight_traj())
 
 
@@ -79,7 +80,7 @@ def test_sigma_postfits_zero_residuals():
 
 
 def test_sigma_postfits_dof_guard():
-    with pytest.raises(InsufficientResiduals):
+    with pytest.raises(TdoaDtbError, match="2 residuals with 2 parameters"):
         sigma_postfits([1.0, 2.0])
 
 

@@ -67,12 +67,9 @@ CHECKS = [
      "process noise densities must have a finite square"),
     (lambda: EkfConfig(innovation_gate=math.nan, default_sigma=0.0),
      "innovation gate must be positive"),
-    (lambda: EkfConfig(default_sigma=-1.0, min_obs_per_update=0), "default sigma must be positive"),
-    (lambda: EkfConfig(default_sigma=1e-200, min_obs_per_update=0),
-     "default sigma 1e-200 squares to 0"),
-    (lambda: EkfConfig(default_sigma=1e200, min_obs_per_update=0),
-     "default sigma 1e+200 squares to inf"),
-    (lambda: EkfConfig(min_obs_per_update=0), "min_obs_per_update must be at least 1"),
+    (lambda: EkfConfig(default_sigma=-1.0), "default sigma must be positive"),
+    (lambda: EkfConfig(default_sigma=1e-200), "default sigma 1e-200 squares to 0"),
+    (lambda: EkfConfig(default_sigma=1e200), "default sigma 1e+200 squares to inf"),
     (lambda: EkfState((math.nan, 0.0), ((math.inf, 0.0), (0.0, 1.0))),
      "non-finite filter covariance"),
     (lambda: EkfState((math.nan, 0.0), ((1.0, 2.0), (2.0, 1.0))),
@@ -101,10 +98,10 @@ def test_ekf_state_normalises_and_hashes_like_the_other_records():
 
 def test_ekf_config_defaults_are_class_attributes():
     """The CLI reads its option defaults from the class."""
-    assert (EkfConfig.sigma_x, EkfConfig.sigma_y, EkfConfig.min_obs_per_update,
-            EkfConfig.innovation_gate, EkfConfig.default_sigma) == (0.5, 0.5, 1, 5.0, 3.0)
+    assert (EkfConfig.sigma_x, EkfConfig.sigma_y, EkfConfig.innovation_gate,
+            EkfConfig.default_sigma) == (0.5, 0.5, 5.0, 3.0)
     cfg = EkfConfig(sigma_y=2.0)
     assert (cfg.sigma_x, cfg.sigma_y) == (0.5, 2.0)
-    assert cfg == EkfConfig(0.5, 2.0, 1, 5.0, 3.0) and cfg != EkfConfig()
-    assert repr(EkfConfig()) == ("EkfConfig(sigma_x=0.5, sigma_y=0.5, min_obs_per_update=1, "
-                                 "innovation_gate=5.0, default_sigma=3.0)")
+    assert cfg == EkfConfig(0.5, 2.0, 5.0, 3.0) and cfg != EkfConfig()
+    assert repr(EkfConfig()) == ("EkfConfig(sigma_x=0.5, sigma_y=0.5, innovation_gate=5.0, "
+                                 "default_sigma=3.0)")

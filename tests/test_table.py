@@ -10,7 +10,7 @@ import pytest
 from tdoa_dtb.cli import main
 from tdoa_dtb.dtb import read_dtb
 from tdoa_dtb.ekf import read_residuals_csv, read_track_csv
-from tdoa_dtb.errors import EmptySession, ParseError
+from tdoa_dtb.errors import ParseError, TdoaDtbError
 from tdoa_dtb.geometry import read_nodes
 from tdoa_dtb.ingestion import load_toa_session, load_trajectory
 from tdoa_dtb.noise import NoiseModel, read_noise_model, write_noise_model
@@ -171,7 +171,7 @@ def test_cells_past_the_header_are_ignored(tmp_path):
 
 
 def test_header_only_toa_file_is_an_empty_session(tmp_path):
-    with pytest.raises(EmptySession):
+    with pytest.raises(TdoaDtbError, match="no observations"):
         load_toa_session(toa_file(tmp_path, ""))
 
 

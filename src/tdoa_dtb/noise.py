@@ -87,8 +87,9 @@ def estimate_noise_points(session: Session, window: float = DEFAULT_WINDOW_S,
 
     The nodes are taken in the order of their first rows, each series in time
     order. Bins with fewer than MIN_BIN_SAMPLES residuals are dropped. Raises
-    NoRsrp when no observation carries a power value, and FitError when a
-    bin's spread is not finite (pseudoranges so large that their sums overflow).
+    NoRsrp when no observation carries a power value, and FitError when an
+    rsrp over the bin width is out of the float range or a bin's spread is not
+    finite (pseudoranges so large that their sums overflow).
     """
     rows_of: dict[int, list[int]] = {}
     for row, n in enumerate(session.node):
@@ -102,7 +103,12 @@ def estimate_noise_points(session: Session, window: float = DEFAULT_WINDOW_S,
                                 [pseudorange[row] for row in rows], window)
         for resid, row in zip(residuals, rows):
             if rsrp[row] is not None:
-                bins.setdefault(int(math.floor(rsrp[row] / rsrp_bin_width)), []).append(resid)
+                try:
+                    idx = math.floor(rsrp[row] / rsrp_bin_width)
+                except OverflowError:   # an infinite quotient has no bin
+                    raise FitError(f"rsrp {rsrp[row]} dBm over the {rsrp_bin_width} dB bin "
+                                   "width is out of the float range") from None
+                bins.setdefault(idx, []).append(resid)
     if not bins:
         raise NoRsrp("no observations carry received-power values")
     points = []

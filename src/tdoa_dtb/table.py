@@ -10,6 +10,7 @@ row and that row's first bad column.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 
@@ -45,21 +46,20 @@ def read_csv(path, required: dict, optional: dict | None = None) -> list[list]:
     row's line.
     """
     optional = optional or {}
-    rows, failure, header = [], None, []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader, None)
-            missing = [name for name in required if header is None or name not in header]
-            if missing:
-                wanted = ",".join(required) + "".join(f"[,{n}]" for n in optional)
-                raise ParseError(path, 1, f"expected header {wanted}; "
-                                          f"missing {','.join(missing)}")
-            rows.extend(filter(None, reader))   # keeps the rows before a malformed line
-        except csv.Error as exc:
-            failure = ParseError(path, reader.line_num, f"malformed CSV: {exc}")
-        except UnicodeDecodeError as exc:
-            failure = ParseError(path, reader.line_num + 1, f"not a text file: {exc}")
+    text, failure = _text(path)
+    rows, header, reader = [], [], csv.reader(text)
+    try:
+        header = next(reader, None)
+        if header is None and failure:   # the header's own line is not UTF-8
+            raise failure
+        missing = [name for name in required if header is None or name not in header]
+        if missing:
+            wanted = ",".join(required) + "".join(f"[,{n}]" for n in optional)
+            raise ParseError(path, 1, f"expected header {wanted}; "
+                                      f"missing {','.join(missing)}")
+        rows.extend(filter(None, reader))   # keeps the rows before a malformed line
+    except csv.Error as exc:
+        failure = ParseError(path, reader.line_num, f"malformed CSV: {exc}")
     # past a short row's end cells read blank; cells past the header are never read
     cells = list(itertools.zip_longest(*rows, fillvalue=""))
     cells += [("",) * len(rows)] * (len(header) - len(cells))
@@ -70,7 +70,7 @@ def read_csv(path, required: dict, optional: dict | None = None) -> list[list]:
                   for name, index, kind, blank_ok in columns}
     except ValueError:
         raise _first_bad_cell(path, cells, columns) from None
-    if failure:   # a malformed line after the rows read, or in the header
+    if failure:   # a malformed or undecodable line after the rows read
         raise failure
     return [values[name] if name in values else [None] * len(rows)
             for name in [*required, *optional]]
@@ -109,18 +109,32 @@ def finite_float(value) -> float:
     return number
 
 
+def _text(path) -> tuple[io.StringIO, ParseError | None]:
+    """A file's text, decoded as UTF-8 whatever the locale, and None; or, at a
+    byte that is not UTF-8, the lines before that byte's line and a ParseError
+    at it. A line ends at LF, CR LF or CR, as csv counts lines."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=""), None
+    except UnicodeDecodeError as exc:
+        head = data[:max(data.rfind(b"\n", 0, exc.start), data.rfind(b"\r", 0, exc.start)) + 1]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return (io.StringIO(head.decode("utf-8"), newline=""),
+                ParseError(path, line, f"not a text file: {exc}"))
+
+
 def row_error(path, index: int, message: str) -> ParseError:
     """ParseError at the line on which row index (from 0, past the header and
     blank lines) of a CSV table ends."""
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        next(itertools.islice(filter(None, reader), index + 1, None))
-        return ParseError(path, reader.line_num, message)
+    reader = csv.reader(_text(path)[0])
+    next(itertools.islice(filter(None, reader), index + 1, None))
+    return ParseError(path, reader.line_num, message)
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    """Write a header row, then the rows: floats in full repr, None as a blank cell."""
-    with open(path, "w", newline="") as f:
+    """Write a header row, then the rows, in UTF-8: floats in full repr, None as a blank cell."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(header)
         writer.writerows(rows)

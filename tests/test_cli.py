@@ -1,8 +1,10 @@
+import argparse
 import csv
 import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -12,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import tdoa_dtb
-from tdoa_dtb.cli import main
+from tdoa_dtb.cli import build_parser, main
 from tdoa_dtb.dtb import read_dtb
 from tdoa_dtb.ekf import read_residuals_csv, read_track_csv
 from tdoa_dtb.ingestion import SPEED_OF_LIGHT
@@ -149,6 +151,22 @@ def test_non_finite_noise_spread_is_a_data_error(tmp_path, scenario_file, capsys
     err = capsys.readouterr().err
     assert "not finite" in err
     assert "Traceback" not in err and not out.exists()
+
+
+def test_rsrp_over_the_bin_width_out_of_float_range_is_a_data_error(tmp_path, capsys):
+    """An rsrp of -1e308 has no 0.5 dB bin, as -2e308 is past the float range:
+    exit 2 naming the value and the width, with no noise model file. It has a
+    2 dB bin."""
+    golden = Path(__file__).resolve().parent / "data" / "golden" / "toa.csv"
+    header, first, *rows = golden.read_text().splitlines()
+    toa = tmp_path / "toa.csv"
+    toa.write_text("\n".join([header, ",".join(first.split(",")[:3] + ["-1e308"]), *rows]))
+    out = tmp_path / "noise.csv"
+    assert main(["fit-noise", "--toa", str(toa), "--out", str(out), "--bin", "0.5"]) == 2
+    assert capsys.readouterr().err == ("tdoa-dtb fit-noise: FitError: rsrp -1e+308 dBm over the "
+                                       "0.5 dB bin width is out of the float range\n")
+    assert not out.exists()
+    assert main(["fit-noise", "--toa", str(toa), "--out", str(out), "--bin", "2"]) == 0
 
 
 @pytest.mark.parametrize("probe", ["node-at-1e200", "trajectory-at-1e200"])
@@ -707,3 +725,16 @@ def test_simulate_negative_seed_is_a_data_error(tmp_path, capsys, scenario_file)
     assert "seed must be non-negative" in err and "Traceback" not in err
     assert not out.exists()
 
+
+def test_readme_names_exactly_the_cli_options():
+    """README's "CLI pipeline" section, up to "Scenario YAML", names every
+    option of every command, and no option that no command has."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## CLI pipeline", 1)[1].split("## Scenario YAML", 1)[0]
+    named = set(re.findall(r"--[a-z](?:[a-z-]*[a-z])?", section))
+    parser = build_parser()
+    (commands,) = (action for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction))
+    options = {option for command in commands.choices.values() for action in command._actions
+               for option in action.option_strings if option.startswith("--")}
+    assert named == options - {"--help"}

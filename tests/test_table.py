@@ -3,10 +3,15 @@ CLI command that reads the file turns that into exit 2 with ``path:line``."""
 
 import csv
 import math
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tdoa_dtb
 from tdoa_dtb.cli import main
 from tdoa_dtb.dtb import read_dtb
 from tdoa_dtb.ekf import read_residuals_csv, read_track_csv
@@ -146,6 +151,56 @@ def test_bad_cell_before_a_malformed_line_is_reported_first(tmp_path):
     error = toa_parse_error(toa_file(tmp_path, f"0.0,1,{huge},-80\n0.0,2,x1,-80\n"))
     assert error.line == 2
     assert "malformed CSV" in str(error)
+
+
+GOLDEN_TOA = Path(__file__).resolve().parent / "data" / "golden" / "toa.csv"
+
+
+def golden_toa_with(tmp_path, appended: dict, line_end=b"\r\n"):
+    """The golden toa.csv with bytes appended to some lines, {line: bytes},
+    written with the given line end."""
+    lines = GOLDEN_TOA.read_bytes().split(b"\r\n")
+    for line, extra in appended.items():
+        lines[line - 1] += extra
+    path = tmp_path / "toa.csv"
+    path.write_bytes(line_end.join(lines))
+    return path
+
+
+@pytest.mark.parametrize("line,line_end", [(3, b"\r\n"), (200, b"\r\n"), (501, b"\r\n"),
+                                           (501, b"\r"), (501, b"\n")],
+                         ids=["3", "200", "501", "501-cr", "501-lf"])
+def test_byte_that_is_not_utf8_is_reported_at_its_line(tmp_path, capsys, line, line_end):
+    path = golden_toa_with(tmp_path, {line: b"\xff"}, line_end)
+    assert main(["fit-noise", "--toa", str(path), "--out", str(tmp_path / "noise.csv")]) == 2
+    assert (f"ParseError: {path}:{line}: not a text file: 'utf-8' codec can't decode byte 0xff"
+            in capsys.readouterr().err)
+
+
+def test_first_problem_in_file_order_wins_over_a_byte_that_is_not_utf8(tmp_path):
+    error = toa_parse_error(golden_toa_with(tmp_path, {3: b"x", 501: b"\xff"}))
+    assert error.line == 3 and "bad rsrp" in str(error)
+    error = toa_parse_error(golden_toa_with(tmp_path, {3: b"\xff", 501: b"x"}))
+    assert error.line == 3 and "not a text file" in str(error)
+    error = toa_parse_error(golden_toa_with(tmp_path, {1: b"\xff"}))
+    assert error.line == 1 and "not a text file" in str(error)
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    """Under the C locale, without UTF-8 mode, a catalog holding the id \u00e9
+    reads, and is written back in UTF-8."""
+    nodes, out = tmp_path / "nodes.csv", tmp_path / "out.csv"
+    nodes.write_bytes("node_id,x,y\n1,0,0\n\u00e9,10,0\n".encode())
+    script = ("import sys; from tdoa_dtb.geometry import read_nodes, write_nodes; "
+              "catalog = read_nodes(sys.argv[1]); write_nodes(catalog, sys.argv[2]); "
+              "print(ascii(catalog.ids()))")
+    src = str(Path(tdoa_dtb.__file__).resolve().parent.parent)
+    result = subprocess.run([sys.executable, "-c", script, str(nodes), str(out)],
+                            env=dict(os.environ, PYTHONPATH=src, LC_ALL="C", PYTHONUTF8="0"),
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "['1', '\\xe9']\n"
+    assert out.read_bytes() == "node_id,x,y,z\r\n1,0.0,0.0,0.0\r\n\u00e9,10.0,0.0,0.0\r\n".encode()
 
 
 def test_blank_optional_cells_interleaved_read_as_none(tmp_path):

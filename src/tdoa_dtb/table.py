@@ -50,16 +50,19 @@ def read_csv(path, required: dict, optional: dict | None = None) -> list[list]:
     rows, header, reader = [], [], csv.reader(text)
     try:
         header = next(reader, None)
-        if header is None and failure:   # the header's own line is not UTF-8
+        if failure and reader.line_num >= failure.line:   # a byte of the header is not UTF-8
             raise failure
         missing = [name for name in required if header is None or name not in header]
         if missing:
             wanted = ",".join(required) + "".join(f"[,{n}]" for n in optional)
             raise ParseError(path, 1, f"expected header {wanted}; "
                                       f"missing {','.join(missing)}")
-        rows.extend(filter(None, reader))   # keeps the rows before a malformed line
+        # keeps the rows before a malformed line, and those ending before a byte that is not UTF-8
+        rows.extend(filter(None, reader) if failure is None else itertools.takewhile(
+            lambda row: reader.line_num < failure.line, filter(None, reader)))
     except csv.Error as exc:
-        failure = ParseError(path, reader.line_num, f"malformed CSV: {exc}")
+        if failure is None or reader.line_num < failure.line:
+            failure = ParseError(path, reader.line_num, f"malformed CSV: {exc}")
     # past a short row's end cells read blank; cells past the header are never read
     cells = list(itertools.zip_longest(*rows, fillvalue=""))
     cells += [("",) * len(rows)] * (len(header) - len(cells))
@@ -110,17 +113,17 @@ def finite_float(value) -> float:
 
 
 def _text(path) -> tuple[io.StringIO, ParseError | None]:
-    """A file's text, decoded as UTF-8 whatever the locale, and None; or, at a
-    byte that is not UTF-8, the lines before that byte's line and a ParseError
-    at it. A line ends at LF, CR LF or CR, as csv counts lines."""
+    """A file's text decoded as UTF-8, whatever the locale, and None; or, past a
+    byte that is not UTF-8, the text with U+FFFD for it and a ParseError at its
+    line (lines end at LF, CR LF or CR, as csv counts them)."""
     with open(path, "rb") as f:
         data = f.read()
     try:
         return io.StringIO(data.decode("utf-8"), newline=""), None
     except UnicodeDecodeError as exc:
-        head = data[:max(data.rfind(b"\n", 0, exc.start), data.rfind(b"\r", 0, exc.start)) + 1]
+        head = data[:exc.start]
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        return (io.StringIO(head.decode("utf-8"), newline=""),
+        return (io.StringIO(data.decode("utf-8", "replace"), newline=""),
                 ParseError(path, line, f"not a text file: {exc}"))
 
 

@@ -186,6 +186,15 @@ def test_first_problem_in_file_order_wins_over_a_byte_that_is_not_utf8(tmp_path)
     assert error.line == 1 and "not a text file" in str(error)
 
 
+def test_row_that_reaches_a_byte_that_is_not_utf8_is_not_read(tmp_path):
+    """A quoted cell that spans from line 3 into the bad byte's line 4 makes
+    no row of its own to check: the byte is the error."""
+    path = toa_file(tmp_path, "")
+    path.write_bytes(TOA_HEADER.encode() + b'0.0,1,5.0,-80\n0.0,"2\n\xff",5.0,-80\n0.1,1,x,-80\n')
+    error = toa_parse_error(path)
+    assert error.line == 4 and "not a text file" in str(error)
+
+
 def test_files_are_utf8_whatever_the_locale(tmp_path):
     """Under the C locale, without UTF-8 mode, a catalog holding the id \u00e9
     reads, and is written back in UTF-8."""

@@ -112,19 +112,19 @@ def finite_float(value) -> float:
     return number
 
 
-def _text(path) -> tuple[io.StringIO, ParseError | None]:
-    """A file's text decoded as UTF-8, whatever the locale, and None; or, past a
-    byte that is not UTF-8, the text with U+FFFD for it and a ParseError at its
-    line (lines end at LF, CR LF or CR, as csv counts them)."""
+def _text(path) -> tuple[io.TextIOWrapper, ParseError | None]:
+    """A file's text, decoded as UTF-8 whatever the locale, a chunk at a time
+    (io.StringIO would hold the whole file at 4 bytes a character), with U+FFFD
+    for a byte that is not UTF-8; and a ParseError at the first such byte, or None."""
     with open(path, "rb") as f:
         data = f.read()
+    failure = None
     try:
-        return io.StringIO(data.decode("utf-8"), newline=""), None
-    except UnicodeDecodeError as exc:
-        head = data[:exc.start]
-        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        return (io.StringIO(data.decode("utf-8", "replace"), newline=""),
-                ParseError(path, line, f"not a text file: {exc}"))
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:   # bytes.splitlines ends lines where csv does
+        failure = ParseError(path, len(data[:exc.start + 1].splitlines()),
+                             f"not a text file: {exc}")
+    return io.TextIOWrapper(io.BytesIO(data), "utf-8", "replace", newline=""), failure
 
 
 def row_error(path, index: int, message: str) -> ParseError:

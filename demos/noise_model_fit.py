@@ -33,7 +33,7 @@ scenario = Scenario(
 )
 session = generate(scenario)
 
-points = estimate_noise_points(session.toa, window=2.0, rsrp_bin_width=2.0)
+points = estimate_noise_points(session.toa, window=2.0)
 print(f"{len(points)} scatter points from {len(session.toa.times)} epochs:")
 for p in points:
     print(f"  rsrp {p.rsrp:7.1f} dBm   sigma {p.sigma_hat:5.2f} m")

@@ -9,7 +9,7 @@ from .dtb import (DtbEntry, DtbTable, aggregate_dtb, calibrate, read_dtb, rerefe
                   write_dtb)
 from .noise import (NoiseModel, NoisePoint, detrend_toa, estimate_noise_points,
                     fit_noise_model, sigma_for)
-from .ekf import EkfConfig, EkfState, TrackPoint, init_apriori, predict, run_filter, update
+from .ekf import EkfState, TrackPoint, init_apriori, predict, run_filter, update
 from .metrics import session_metrics, sigma_formal, sigma_postfits, true_error
 
 __all__ = [
@@ -20,7 +20,7 @@ __all__ = [
     "rereference_dtb", "write_dtb",
     "NoiseModel", "NoisePoint", "detrend_toa", "estimate_noise_points",
     "fit_noise_model", "sigma_for",
-    "EkfConfig", "EkfState", "TrackPoint", "init_apriori", "predict", "run_filter", "update",
+    "EkfState", "TrackPoint", "init_apriori", "predict", "run_filter", "update",
     "session_metrics", "sigma_formal", "sigma_postfits", "true_error",
     "ClockModel", "PathLossModel", "Scenario", "generate", "load_scenario",
 ]

@@ -24,16 +24,15 @@ from datetime import datetime, timezone
 from . import __version__
 from .differencing import select_reference
 from .dtb import calibrate, read_dtb, rereference_dtb, write_dtb
-from .ekf import (EkfConfig, read_residuals_csv, read_track_csv, run_filter,
-                  write_residuals_csv, write_track_csv)
+from .ekf import (read_residuals_csv, read_track_csv, run_filter, write_residuals_csv,
+                  write_track_csv)
 from .errors import TdoaDtbError
 from .geometry import read_nodes, write_nodes
 from .ingestion import (DEFAULT_EPOCH_TOL, load_toa_session, load_trajectory,
                         write_toa_csv, write_trajectory_csv)
 from .metrics import session_metrics, write_metrics_json
-from .noise import (DEFAULT_BIN_DB, DEFAULT_WINDOW_S, estimate_noise_points,
-                    fit_noise_model, read_noise_model, write_noise_model,
-                    write_noise_points)
+from .noise import (DEFAULT_WINDOW_S, estimate_noise_points, fit_noise_model,
+                    read_noise_model, write_noise_model, write_noise_points)
 from .table import write_csv
 
 RESIDUAL_HIST_BIN_M = 0.25
@@ -101,8 +100,7 @@ def _cmd_simulate(args) -> None:
 
 def _cmd_fit_noise(args) -> None:
     session = load_toa_session(args.toa, args.unit, args.epoch_tol)
-    points = estimate_noise_points(session, window=args.window,
-                                   rsrp_bin_width=args.bin)
+    points = estimate_noise_points(session, window=args.window)
     model = fit_noise_model(points)
     write_noise_model(model, args.out)
     if args.points:
@@ -131,9 +129,7 @@ def _cmd_position(args) -> None:
     catalog = read_nodes(args.nodes)
     dtb = read_dtb(args.dtb)
     noise = read_noise_model(args.noise)
-    cfg = EkfConfig(sigma_x=args.sigma_x, sigma_y=args.sigma_y,
-                    innovation_gate=args.gate, default_sigma=args.default_sigma)
-    track, residuals = run_filter(session, dtb, catalog, noise, cfg)
+    track, residuals = run_filter(session, dtb, catalog, noise)
     write_track_csv(track, args.out)
     write_residuals_csv(residuals, args.residuals)
     n_upd = sum(1 for p in track if p.n_obs > 0)
@@ -182,8 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--toa", required=True)
     p.add_argument("--window", type=_finite_float, default=DEFAULT_WINDOW_S,
                    help="detrend window, s")
-    p.add_argument("--bin", type=_finite_float, default=DEFAULT_BIN_DB,
-                   help="rsrp bin width, dB")
     p.add_argument("--out", required=True)
     p.add_argument("--points", default=None, help="optional scatter CSV output")
     _add_session_flags(p)
@@ -193,11 +187,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--toa", required=True)
     p.add_argument("--nodes", required=True)
     p.add_argument("--traj", required=True)
-    p.add_argument("--ref-node", default="auto",
+    p.add_argument("--ref-node", type=str.strip, default="auto",
                    help="'auto' picks the most visible node; epochs missing the "
                         "reference are dropped")
     p.add_argument("--out", required=True)
-    p.add_argument("--session", default="", help="session label stored in the table")
+    p.add_argument("--session", type=str.strip, default="",
+                   help="session label stored in the table")
     p.add_argument("--trim-sigma", type=_finite_float, default=None,
                    help="optional outlier trim factor (off by default)")
     p.add_argument("--samples", default=None, help="optional DTB time-series CSV output")
@@ -211,10 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", required=True)
     p.add_argument("--out", required=True, help="track CSV output")
     p.add_argument("--residuals", required=True, help="postfit residual CSV output")
-    p.add_argument("--sigma-x", type=_finite_float, default=EkfConfig.sigma_x)
-    p.add_argument("--sigma-y", type=_finite_float, default=EkfConfig.sigma_y)
-    p.add_argument("--gate", type=_finite_float, default=EkfConfig.innovation_gate)
-    p.add_argument("--default-sigma", type=_finite_float, default=EkfConfig.default_sigma)
     _add_session_flags(p)
     p.set_defaults(func=_cmd_position)
 
@@ -229,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rereference", help="switch a DTB table to another reference node")
     p.add_argument("--dtb", required=True)
-    p.add_argument("--new-ref", required=True)
+    p.add_argument("--new-ref", type=str.strip, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_rereference)
 

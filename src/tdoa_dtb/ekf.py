@@ -21,45 +21,15 @@ from .dtb import DtbTable
 from .errors import TdoaDtbError
 from .geometry import NodeCatalog
 from .ingestion import Session
-from .noise import DEFAULT_SIGMA_NO_RSRP, NoiseModel, sigma_for
+from .noise import NoiseModel, sigma_for
 from .table import Record, read_csv, row_error, write_csv
 
 MIN_RANGE_M = 1.0e-6   # below this the range partials are undefined
 PSD_TOL = -1.0e-9
-
-
-class EkfConfig(Record):
-    """Filter tuning knobs.
-
-    sigma_x / sigma_y are process-noise densities in m/sqrt(s): the position
-    uncertainty grows by sigma^2 * dt per prediction, which keeps behavior
-    independent of the epoch raster. The CLI reads the defaults off the class.
-    """
-
-    _fields = ("sigma_x", "sigma_y", "innovation_gate", "default_sigma")
-    sigma_x: float = 0.5
-    sigma_y: float = 0.5
-    innovation_gate: float = 5.0
-    default_sigma: float = DEFAULT_SIGMA_NO_RSRP   # m, per-ToA sigma when rsrp is absent
-
-    def __init__(self, sigma_x=sigma_x, sigma_y=sigma_y, innovation_gate=innovation_gate,
-                 default_sigma=default_sigma):
-        self.sigma_x, self.sigma_y = sigma_x, sigma_y
-        self.innovation_gate, self.default_sigma = innovation_gate, default_sigma
-        # written as not (x > 0) so that NaN fails too; a square that overflows
-        # would drive the covariance out of float range at the first prediction
-        if not (self.sigma_x > 0 and self.sigma_y > 0):
-            raise ValueError("process noise densities must be positive")
-        if not (self.sigma_x * self.sigma_x < math.inf and self.sigma_y * self.sigma_y < math.inf):
-            raise ValueError("process noise densities must have a finite square")
-        if not self.innovation_gate > 0:
-            raise ValueError("innovation gate must be positive")
-        if not self.default_sigma > 0:
-            raise ValueError("default sigma must be positive")
-        if not self.default_sigma * self.default_sigma > 0:   # else a weight of 1/0
-            raise ValueError(f"default sigma {self.default_sigma} squares to 0")
-        if not self.default_sigma * self.default_sigma < math.inf:   # else weights summing to 0
-            raise ValueError(f"default sigma {self.default_sigma} squares to inf")
+# Process-noise density on each axis, m/sqrt(s): the position variance grows by
+# its square times dt per prediction, whatever the epoch raster.
+PROCESS_NOISE = 0.5
+INNOVATION_GATE = 5.0   # sigmas of the innovation beyond which a difference is rejected
 
 
 def _min_eig(a: float, b: float, d: float) -> float:
@@ -128,18 +98,17 @@ def _variance(values: list[float]) -> float:
     return (n * sum(m * m for m in nums) - total * total) / (n * (n - 1) * den * den)
 
 
-def predict(state: EkfState, dt: float, cfg: EkfConfig) -> EkfState:
+def predict(state: EkfState, dt: float) -> EkfState:
     """Identity propagation: position carried over, covariance inflated by Q*dt."""
     if dt < 0:
         raise ValueError(f"dt={dt}")
     (a, b), (_, d) = state.covariance
-    return EkfState(position=state.position,
-                    covariance=((a + cfg.sigma_x * cfg.sigma_x * dt, b),
-                                (b, d + cfg.sigma_y * cfg.sigma_y * dt)))
+    q = PROCESS_NOISE * PROCESS_NOISE * dt
+    return EkfState(position=state.position, covariance=((a + q, b), (b, d + q)))
 
 
 def session_model(session: Session, dtb: DtbTable, catalog: NodeCatalog,
-                  noise: NoiseModel, cfg: EkfConfig) -> tuple[list[int], list, list[float]]:
+                  noise: NoiseModel) -> tuple[list[int], list, list[float]]:
     """What update needs of a session besides the state, built once: per
     epoch, the DTB reference's row or else the strongest row by rsrp (a blank
     rsrp loses, a tie goes to node order); per node index, (x, y, z^2, DTB
@@ -155,12 +124,11 @@ def session_model(session: Session, dtb: DtbTable, catalog: NodeCatalog,
         if row < 0:
             refs[epoch] = max(range(starts[epoch], starts[epoch + 1]),
                               key=lambda r: -math.inf if rsrp[r] is None else rsrp[r])
-    return (refs, nodes,
-            [s * s for s in (sigma_for(noise, value, cfg.default_sigma) for value in rsrp)])
+    return refs, nodes, [s * s for s in (sigma_for(noise, value) for value in rsrp)]
 
 
 def update(state: EkfState, session: Session, epoch: int, refs: list[int], nodes: list,
-           var: list[float], cfg: EkfConfig) -> tuple[EkfState, list[tuple[int, float]], int]:
+           var: list[float]) -> tuple[EkfState, list[tuple[int, float]], int]:
     """Joint update with all accepted single differences of an epoch, in information form.
 
     refs, nodes and var come from session_model; the epoch is differenced
@@ -170,7 +138,7 @@ def update(state: EkfState, session: Session, epoch: int, refs: list[int], nodes
     carries the reference's noise, so their covariance is R = diag(sigma_n^2) +
     sigma_ref^2 11'. A difference is rejected, never applied, where a range
     below MIN_RANGE_M leaves h undefined or its innovation exceeds
-    gate * sqrt(h P h' + R_ii). With none accepted the predicted state is
+    INNOVATION_GATE * sqrt(h P h' + R_ii). With none accepted the predicted state is
     returned unchanged. Otherwise, with M = H'R^-1 H and g = H'R^-1 nu over
     the accepted ones, P+ = (I + P M)^-1 P and x+ = x + P+ g. Returns
     (state, [(node index, postfit_m)], n_rejected).
@@ -198,7 +166,7 @@ def update(state: EkfState, session: Session, epoch: int, refs: list[int], nodes
         r_var = var[row] + ref_var
         innovation = sd - (rho_n - rho_m + (mean - ref_mean))
         s = a * hx * hx + 2.0 * b * hx * hy + d * hy * hy + r_var
-        if abs(innovation) > cfg.innovation_gate * math.sqrt(s):
+        if abs(innovation) > INNOVATION_GATE * math.sqrt(s):
             rejected += 1
             continue
         applied.append((node[row], sd))
@@ -248,8 +216,7 @@ def update(state: EkfState, session: Session, epoch: int, refs: list[int], nodes
     return new_state, postfits, rejected
 
 
-def run_filter(session: Session, dtb: DtbTable, catalog: NodeCatalog,
-               noise: NoiseModel, cfg: EkfConfig | None = None
+def run_filter(session: Session, dtb: DtbTable, catalog: NodeCatalog, noise: NoiseModel
                ) -> tuple[list[TrackPoint], list[tuple[float, str, float]]]:
     """Filter a session: apriori from the node layout, then predict/update per epoch.
 
@@ -258,18 +225,17 @@ def run_filter(session: Session, dtb: DtbTable, catalog: NodeCatalog,
     session_model. A session node missing from the catalog or the DTB table
     raises UnknownNode before the first epoch.
     """
-    cfg = cfg or EkfConfig()
-    refs, nodes, var = session_model(session, dtb, catalog, noise, cfg)
+    refs, nodes, var = session_model(session, dtb, catalog, noise)
     track, residuals = [], []
     for epoch, t in enumerate(session.times):
         try:
-            state = (predict(state, t - session.times[epoch - 1], cfg) if epoch
+            state = (predict(state, t - session.times[epoch - 1]) if epoch
                      else init_apriori(catalog))
-            state, postfits, rejected = update(state, session, epoch, refs, nodes, var, cfg)
+            state, postfits, rejected = update(state, session, epoch, refs, nodes, var)
         except (ValueError, OverflowError, ZeroDivisionError) as exc:
             # an EkfState check failed, a float overflowed or a divisor rounded
-            # to 0: the epoch times, the node layout or the settings drove the
-            # filter out of float range
+            # to 0: the epoch times or the node layout drove the filter out of
+            # float range
             raise TdoaDtbError(f"filter state at t={t}: {exc}") from None
         (a, b), (_, d) = state.covariance
         track.append(TrackPoint(t, *state.position, a, b, d, len(postfits), rejected))

@@ -20,7 +20,7 @@ from .ingestion import Session
 from .table import Record, read_csv, row_error, write_csv
 
 DEFAULT_WINDOW_S = 2.0
-DEFAULT_BIN_DB = 2.0
+RSRP_BIN_DB = 2.0   # dB, width of a received-power bin
 MIN_BIN_SAMPLES = 20
 DEFAULT_SIGMA_FLOOR = 0.3   # m
 DEFAULT_SIGMA_CAP = 15.0    # m
@@ -81,15 +81,15 @@ def detrend_toa(times: list[float], values: list[float], window: float = DEFAULT
     return [v - (csum[h] - csum[l]) / (h - l) for v, l, h in zip(values, lo, hi)]
 
 
-def estimate_noise_points(session: Session, window: float = DEFAULT_WINDOW_S,
-                          rsrp_bin_width: float = DEFAULT_BIN_DB) -> list[NoisePoint]:
+def estimate_noise_points(session: Session, window: float = DEFAULT_WINDOW_S
+                          ) -> list[NoisePoint]:
     """Detrend each node's ToA series and bucket residual spread by received power.
 
     The nodes are taken in the order of their first rows, each series in time
-    order. Bins with fewer than MIN_BIN_SAMPLES residuals are dropped. Raises
-    NoRsrp when no observation carries a power value, and FitError when an
-    rsrp over the bin width is out of the float range or a bin's spread is not
-    finite (pseudoranges so large that their sums overflow).
+    order, and the rsrp in bins of RSRP_BIN_DB. Bins with fewer than MIN_BIN_SAMPLES
+    residuals are dropped. Raises NoRsrp when no observation carries a power
+    value, and FitError when a bin's spread is not finite (pseudoranges so
+    large that their sums overflow).
     """
     rows_of: dict[int, list[int]] = {}
     for row, n in enumerate(session.node):
@@ -102,13 +102,8 @@ def estimate_noise_points(session: Session, window: float = DEFAULT_WINDOW_S,
         residuals = detrend_toa([times[row] for row in rows],
                                 [pseudorange[row] for row in rows], window)
         for resid, row in zip(residuals, rows):
-            if rsrp[row] is not None:
-                try:
-                    idx = math.floor(rsrp[row] / rsrp_bin_width)
-                except OverflowError:   # an infinite quotient has no bin
-                    raise FitError(f"rsrp {rsrp[row]} dBm over the {rsrp_bin_width} dB bin "
-                                   "width is out of the float range") from None
-                bins.setdefault(idx, []).append(resid)
+            if rsrp[row] is not None:   # finite, so its quotient by RSRP_BIN_DB is too
+                bins.setdefault(math.floor(rsrp[row] / RSRP_BIN_DB), []).append(resid)
     if not bins:
         raise NoRsrp("no observations carry received-power values")
     points = []
@@ -116,7 +111,7 @@ def estimate_noise_points(session: Session, window: float = DEFAULT_WINDOW_S,
         resids = bins[idx]
         if len(resids) < MIN_BIN_SAMPLES:
             continue
-        center = (idx + 0.5) * rsrp_bin_width
+        center = (idx + 0.5) * RSRP_BIN_DB
         _, spread = mean_std(resids)
         if not math.isfinite(spread):
             raise FitError(f"noise spread of the {center} dBm power bin is not finite "
@@ -160,11 +155,11 @@ def fit_noise_model(points: list[NoisePoint]) -> NoiseModel:
         raise FitError(f"fitted model unusable: {exc}") from None
 
 
-def sigma_for(model: NoiseModel, rsrp: float | None,
-              default_sigma: float = DEFAULT_SIGMA_NO_RSRP) -> float:
-    """Measurement sigma for one ToA, clamped to [floor, cap]; total function."""
+def sigma_for(model: NoiseModel, rsrp: float | None) -> float:
+    """Measurement sigma for one ToA, clamped to [floor, cap], or
+    DEFAULT_SIGMA_NO_RSRP without an rsrp; total function."""
     if rsrp is None:
-        return default_sigma
+        return DEFAULT_SIGMA_NO_RSRP
     if rsrp <= model.rsrp0:
         return model.sigma_cap
     return min(max(model.k / (rsrp - model.rsrp0), model.sigma_floor), model.sigma_cap)

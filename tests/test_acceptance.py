@@ -17,7 +17,7 @@ import pytest
 from tdoa_dtb.cli import main as cli_main
 from tdoa_dtb.dtb import DtbEntry, DtbTable, rereference_dtb
 from tdoa_dtb.dtb import calibrate as calibrate_dtb
-from tdoa_dtb.ekf import EkfConfig, run_filter
+from tdoa_dtb.ekf import run_filter
 from tdoa_dtb.geometry import NodeCatalog, Position
 from tdoa_dtb.metrics import sigma_formal, sigma_postfits, true_error
 from tdoa_dtb.noise import NoiseModel, NoisePoint, fit_noise_model

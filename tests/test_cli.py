@@ -15,7 +15,7 @@ import pytest
 
 import tdoa_dtb
 from tdoa_dtb.cli import build_parser, main
-from tdoa_dtb.dtb import read_dtb
+from tdoa_dtb.dtb import DtbEntry, DtbTable, read_dtb, write_dtb
 from tdoa_dtb.ekf import read_residuals_csv, read_track_csv
 from tdoa_dtb.ingestion import SPEED_OF_LIGHT
 
@@ -153,20 +153,13 @@ def test_non_finite_noise_spread_is_a_data_error(tmp_path, scenario_file, capsys
     assert "Traceback" not in err and not out.exists()
 
 
-def test_rsrp_over_the_bin_width_out_of_float_range_is_a_data_error(tmp_path, capsys):
-    """An rsrp of -1e308 has no 0.5 dB bin, as -2e308 is past the float range:
-    exit 2 naming the value and the width, with no noise model file. It has a
-    2 dB bin."""
+def test_rsrp_near_the_float_limit_has_a_bin(tmp_path):
+    """An rsrp of -1e308 falls in a 2 dB bin: fit-noise succeeds."""
     golden = Path(__file__).resolve().parent / "data" / "golden" / "toa.csv"
     header, first, *rows = golden.read_text().splitlines()
     toa = tmp_path / "toa.csv"
     toa.write_text("\n".join([header, ",".join(first.split(",")[:3] + ["-1e308"]), *rows]))
-    out = tmp_path / "noise.csv"
-    assert main(["fit-noise", "--toa", str(toa), "--out", str(out), "--bin", "0.5"]) == 2
-    assert capsys.readouterr().err == ("tdoa-dtb fit-noise: FitError: rsrp -1e+308 dBm over the "
-                                       "0.5 dB bin width is out of the float range\n")
-    assert not out.exists()
-    assert main(["fit-noise", "--toa", str(toa), "--out", str(out), "--bin", "2"]) == 0
+    assert main(["fit-noise", "--toa", str(toa), "--out", str(tmp_path / "noise.csv")]) == 0
 
 
 @pytest.mark.parametrize("probe", ["node-at-1e200", "trajectory-at-1e200"])
@@ -287,6 +280,22 @@ def test_rereference_subcommand(tmp_path, scenario_file):
     assert table.entries["2"].mean == pytest.approx(-30.0, abs=1e-9)
 
 
+def test_text_flags_are_stripped_as_cells_are_on_read(tmp_path, eight_node_session):
+    """calibrate --session ' a ' writes the session cell that rereference, which
+    reads the table back with its text cells stripped, writes again; the node
+    flags are stripped too."""
+    sim, dtb, dtb3 = eight_node_session, tmp_path / "dtb.csv", tmp_path / "dtb3.csv"
+    assert main(["calibrate", "--toa", str(sim / "toa.csv"), "--nodes", str(sim / "nodes.csv"),
+                 "--traj", str(sim / "trajectory.csv"), "--ref-node", " 1 ",
+                 "--session", " a ", "--out", str(dtb)]) == 0
+    assert main(["rereference", "--dtb", str(dtb), "--new-ref", " 3 ", "--out", str(dtb3)]) == 0
+    cells = []
+    for path in (dtb, dtb3):
+        with open(path, newline="") as f:
+            cells.append({(row["session"], row["ref_node"]) for row in csv.DictReader(f)})
+    assert cells == [{("a", "1")}, {("a", "3")}]
+
+
 def test_simulate_seed_override_changes_data(tmp_path, scenario_file):
     a, b = tmp_path / "a", tmp_path / "b"
     main(["simulate", "--scenario", str(scenario_file), "--out-dir", str(a)])
@@ -307,10 +316,7 @@ _POSITION = ["position", "--nodes", "n.csv", "--dtb", "d.csv", "--noise", "m.csv
              "--residuals", "r.csv"]
 _CALIBRATE = ["calibrate", "--nodes", "n.csv", "--traj", "t.csv"]
 BAD_FLAG_COMMANDS = {
-    "--epoch-tol": _CALIBRATE, "--trim-sigma": _CALIBRATE,
-    "--bin": ["fit-noise"], "--window": ["fit-noise"],
-    "--sigma-x": _POSITION, "--sigma-y": _POSITION, "--gate": _POSITION,
-    "--default-sigma": _POSITION,
+    "--epoch-tol": _CALIBRATE, "--trim-sigma": _CALIBRATE, "--window": ["fit-noise"],
 }
 BAD_FLAG_CASES = [(flag, value) for flag in BAD_FLAG_COMMANDS
                   for value in ("0", "-1", "nan", "inf", "1e200", "1e-200")
@@ -325,6 +331,25 @@ def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, flag, value):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "error:" in err and flag in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("position", "--sigma-x"), ("position", "--sigma-y"), ("position", "--gate"),
+    ("position", "--default-sigma"), ("fit-noise", "--bin")])
+def test_removed_tuning_flag_is_unrecognised(tmp_path, capsys, eight_node_session, command, flag):
+    """The filter's process noise, gate and no-rsrp sigma and the noise fit's
+    bin width are fixed: each former flag is an unrecognised argument, exit 1,
+    with no output file."""
+    sim, out = eight_node_session, tmp_path / "out.csv"
+    argv = [command, "--toa", str(sim / "toa.csv"), "--out", str(out), flag, "2"]
+    if command == "position":
+        argv += ["--nodes", str(sim / "nodes.csv"), "--dtb", str(sim / "truth_dtb.csv"),
+                 "--noise", str(tmp_path / "noise.csv"),
+                 "--residuals", str(tmp_path / "residuals.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: unrecognized arguments: {flag} 2" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -402,17 +427,13 @@ def eight_node_session(tmp_path):
 
 
 def _overflow_probe(tmp_path, sim, probe):
-    """Files and flags for one probe: (toa, nodes, flags, time of the failing epoch)."""
+    """Files for one probe: (toa, nodes, time of the failing epoch)."""
     header, *rows = (sim / "toa.csv").read_text().splitlines()
-    toa, nodes, flags = tmp_path / "toa_probe.csv", sim / "nodes.csv", []
+    toa, nodes = tmp_path / "toa_probe.csv", sim / "nodes.csv"
     if probe == "first-epoch-at-minus-1.7e308":
         # the first epoch's eight rows; the next epoch's update overflows
         rows = [f"-1.7e308,{row.split(',', 1)[1]}" for row in rows[:8]] + rows[8:]
         failing = float(rows[8].split(",")[0])
-    elif probe == "one-row-at-1e308":
-        # its prediction adds Q = 4 * 1e308 = inf
-        rows = rows + [f"1e308,{rows[0].split(',', 1)[1]}"]
-        flags, failing = ["--sigma-x", "2"], 1e308
     else:
         # the prior's variance of the node x coordinates overflows
         node_header, *node_rows = nodes.read_text().splitlines()
@@ -422,20 +443,19 @@ def _overflow_probe(tmp_path, sim, probe):
         nodes.write_text("\n".join([node_header, *node_rows]) + "\n")
         failing = float(rows[0].split(",")[0])
     toa.write_text("\n".join([header, *rows]) + "\n")
-    return toa, nodes, flags, failing
+    return toa, nodes, failing
 
 
-@pytest.mark.parametrize("probe", ["first-epoch-at-minus-1.7e308", "one-row-at-1e308",
-                                   "node-at-1e200"])
+@pytest.mark.parametrize("probe", ["first-epoch-at-minus-1.7e308", "node-at-1e200"])
 def test_filter_overflow_is_a_data_error(tmp_path, capsys, eight_node_session, probe):
     """Times or a node layout that drive the filter state beyond the float
     range end as exit 2 naming the epoch time, with no track or residual file."""
-    toa, nodes, flags, failing = _overflow_probe(tmp_path, eight_node_session, probe)
+    toa, nodes, failing = _overflow_probe(tmp_path, eight_node_session, probe)
     track, residuals = tmp_path / "track.csv", tmp_path / "residuals.csv"
     assert main(["position", "--toa", str(toa), "--nodes", str(nodes),
                  "--dtb", str(eight_node_session / "truth_dtb.csv"),
                  "--noise", str(tmp_path / "noise.csv"), "--out", str(track),
-                 "--residuals", str(residuals), *flags]) == 2
+                 "--residuals", str(residuals)]) == 2
     err = capsys.readouterr().err
     assert f"filter state at t={failing!r}:" in err and "Traceback" not in err
     assert not track.exists() and not residuals.exists()
@@ -573,23 +593,22 @@ def test_command_path_loads_neither_numpy_nor_yaml(tmp_path, scenario_file):
     assert json.loads((d / "metrics.json").read_text())["n_epochs"] == 601
 
 
-def _position_track(tmp_path, sim, *flags):
-    """Track rows of position on a simulated session with its truth DTB table."""
-    track = tmp_path / "track.csv"
-    assert main(["position", "--toa", str(sim / "toa.csv"), "--nodes", str(sim / "nodes.csv"),
-                 "--dtb", str(sim / "truth_dtb.csv"), "--noise", str(tmp_path / "noise.csv"),
-                 "--out", str(track), "--residuals", str(tmp_path / "residuals.csv"),
-                 *flags]) == 0
-    with open(track) as f:
-        return list(csv.DictReader(f))
-
-
-def test_position_tiny_gate_rejects_every_difference(tmp_path, eight_node_session):
-    with open(eight_node_session / "toa.csv") as f:
+def test_position_dtb_off_by_1000_m_rejects_every_difference(tmp_path, eight_node_session):
+    """With 1000 m added to every DTB mean each difference fails the innovation
+    gate: no epoch updates, and each rejects all its differences."""
+    sim, dtb, track = eight_node_session, tmp_path / "dtb_off.csv", tmp_path / "track.csv"
+    with open(sim / "toa.csv") as f:
         rows_per_epoch = Counter(row["time"] for row in csv.DictReader(f))
-    track = _position_track(tmp_path, eight_node_session, "--gate", "1e-6")
-    assert [(row["n_obs"], int(row["n_rejected"])) for row in track] == \
-        [("0", rows - 1) for rows in rows_per_epoch.values()]
+    truth = read_dtb(sim / "truth_dtb.csv")
+    write_dtb(DtbTable(truth.ref_node_id, {
+        node_id: DtbEntry(e.mean + 1000.0, e.std, e.n_samples)
+        for node_id, e in truth.entries.items()}, truth.session), dtb)
+    assert main(["position", "--toa", str(sim / "toa.csv"), "--nodes", str(sim / "nodes.csv"),
+                 "--dtb", str(dtb), "--noise", str(tmp_path / "noise.csv"),
+                 "--out", str(track), "--residuals", str(tmp_path / "residuals.csv")]) == 0
+    with open(track) as f:
+        assert [(row["n_obs"], int(row["n_rejected"])) for row in csv.DictReader(f)] == \
+            [("0", rows - 1) for rows in rows_per_epoch.values()]
 
 
 @pytest.mark.parametrize("command", ["calibrate", "position"])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tdoa_dtb.dtb import DtbEntry, DtbTable, rereference_dtb
-from tdoa_dtb.ekf import (PSD_TOL, EkfConfig, EkfState, _variance, init_apriori, predict,
+from tdoa_dtb.ekf import (INNOVATION_GATE, PSD_TOL, EkfState, _variance, init_apriori, predict,
                           read_residuals_csv, read_track_csv, run_filter, session_model,
                           update, write_residuals_csv, write_track_csv)
 from tdoa_dtb.errors import TdoaDtbError, UnknownNode
@@ -40,10 +40,10 @@ def positioning_scenario(seed=0, noise=0.0, biases=None, **kwargs):
     return Scenario(**defaults)
 
 
-def run_synthetic(scenario, dtb=None, cfg=None):
+def run_synthetic(scenario, dtb=None):
     session = generate(scenario)
     dtb = dtb or truth_dtb(scenario, "1")
-    track, residuals = run_filter(session.toa, dtb, session.catalog, WIDE_NOISE, cfg)
+    track, residuals = run_filter(session.toa, dtb, session.catalog, WIDE_NOISE)
     return session, track, residuals
 
 
@@ -124,15 +124,6 @@ def test_state_rejects_non_finite_covariance():
         EkfState(np.zeros(2), [[np.nan, 0.0], [0.0, 1.0]])
 
 
-@pytest.mark.parametrize("field,value", [
-    ("sigma_x", np.nan), ("sigma_y", np.nan), ("innovation_gate", np.nan),
-    ("default_sigma", np.nan), ("innovation_gate", 0.0), ("default_sigma", -1.0),
-    ("sigma_x", 1e200), ("sigma_y", 1e200), ("sigma_x", np.inf)])
-def test_config_rejects_out_of_range(field, value):
-    with pytest.raises(ValueError):
-        EkfConfig(**{field: value})
-
-
 def test_psd_check_agrees_with_eigvalsh():
     """The closed-form 2x2 check raises exactly when eigvalsh finds an eigenvalue
     below PSD_TOL, on random symmetric matrices clear of the tolerance."""
@@ -156,22 +147,15 @@ def test_psd_check_agrees_with_eigvalsh():
 
 def test_predict_identity_at_zero_dt():
     state = EkfState(np.array([1.0, 2.0]), np.eye(2))
-    out = predict(state, 0.0, EkfConfig())
+    out = predict(state, 0.0)
     assert np.array_equal(out.position, state.position)
     assert np.array_equal(out.covariance, state.covariance)
 
 
 def test_predict_growth():
     state = EkfState(np.zeros(2), np.eye(2))
-    out = predict(state, 4.0, EkfConfig(sigma_x=0.5, sigma_y=0.5))
+    out = predict(state, 4.0)
     assert np.allclose(out.covariance, np.eye(2) * 2.0)   # 1 + 0.25*4
-
-
-def test_predict_adds_noise_per_axis():
-    state = EkfState((1.0, 2.0), ((1.0, 0.3), (0.3, 2.0)))
-    out = predict(state, 4.0, EkfConfig(sigma_x=0.5, sigma_y=1.0))
-    assert out.covariance == ((2.0, 0.3), (0.3, 6.0))
-    assert out.position == (1.0, 2.0)
 
 
 def test_state_holds_floats_and_symmetrises():
@@ -183,7 +167,7 @@ def test_state_holds_floats_and_symmetrises():
 
 def test_predict_negative_dt():
     with pytest.raises(ValueError, match="dt=-1.0"):
-        predict(EkfState(np.zeros(2), np.eye(2)), -1.0, EkfConfig())
+        predict(EkfState(np.zeros(2), np.eye(2)), -1.0)
 
 
 def test_measurement_model_collinear():
@@ -244,9 +228,8 @@ def test_update_all_gated_leaves_prediction():
     state = EkfState(np.array([10.0, 10.0]), np.eye(2) * 0.01)
     # absurd measurement far outside the gate
     epoch = session_of([(0.0, {"1": (0.0, None), "2": (500.0, None)})])
-    cfg = EkfConfig()
     new_state, postfits, n_rejected = update(
-        state, epoch, 0, *session_model(epoch, dtb, catalog, WIDE_NOISE, cfg), cfg)
+        state, epoch, 0, *session_model(epoch, dtb, catalog, WIDE_NOISE))
     assert len(postfits) == 0
     assert n_rejected == 1
     assert np.array_equal(new_state.position, state.position)
@@ -258,15 +241,13 @@ def test_update_reduces_covariance_trace():
     session = generate(scenario)
     dtb = truth_dtb(scenario, "1")
     state = init_apriori(session.catalog)
-    cfg = EkfConfig()
     new_state, postfits, _ = update(
-        state, session.toa, 0, *session_model(session.toa, dtb, session.catalog, WIDE_NOISE, cfg),
-        cfg)
+        state, session.toa, 0, *session_model(session.toa, dtb, session.catalog, WIDE_NOISE))
     assert len(postfits) == session.toa.starts[1] - 1
     assert np.trace(new_state.covariance) < np.trace(state.covariance)
 
 
-def reference_update(state, session, epoch, dtb, catalog, noise, cfg):
+def reference_update(state, session, epoch, dtb, catalog, noise):
     """The Kalman-gain form of update: n-by-n S, its inverse and the Joseph
     covariance, kept as the oracle for the information-form update. It reads
     epoch k of the session by node id, differences it itself and takes
@@ -276,7 +257,7 @@ def reference_update(state, session, epoch, dtb, catalog, noise, cfg):
            for row in range(session.starts[epoch], session.starts[epoch + 1])}
     ref = dtb.ref_node_id
     ref_pseudorange, rsrp_ref = obs[ref]
-    r_ref = sigma_for(noise, rsrp_ref, cfg.default_sigma) ** 2
+    r_ref = sigma_for(noise, rsrp_ref) ** 2
     x, y = state.position
     rows = []
     rejected = 0
@@ -292,12 +273,11 @@ def reference_update(state, session, epoch, dtb, catalog, noise, cfg):
         except TdoaDtbError:   # the rover on a node: the partials are undefined
             rejected += 1
             continue
-        r_var = (sigma_for(noise, rsrp, cfg.default_sigma) ** 2
-                 + sigma_for(noise, rsrp_ref, cfg.default_sigma) ** 2)
+        r_var = sigma_for(noise, rsrp) ** 2 + sigma_for(noise, rsrp_ref) ** 2
         innovation = sd - predicted
         hvec = np.array(h)
         s = float(hvec @ state.covariance @ hvec + r_var)
-        if abs(innovation) > cfg.innovation_gate * np.sqrt(s):
+        if abs(innovation) > INNOVATION_GATE * np.sqrt(s):
             rejected += 1
             continue
         rows.append(((node_id, sd), innovation, hvec, r_var))
@@ -364,15 +344,13 @@ def test_update_matches_kalman_gain_reference(n_nodes):
     """Information-form update against the Kalman-gain oracle on random epochs,
     including gated blunders, a rover on a node, blank rsrp and a singular prior."""
     rng = np.random.default_rng(n_nodes)
-    cfg = EkfConfig()
     n_rejected = n_singular = n_blank = 0
     for trial in range(40):
         state, epoch, dtb, catalog = random_epoch(rng, n_nodes, rover_at_node=trial % 10 == 1)
         if trial == 0:
             state = EkfState(state.position, np.diag([1e-12, 1.0]))
-        got = update(state, epoch, 0, *session_model(epoch, dtb, catalog, WIDE_NOISE, cfg), cfg)
-        assert_updates_agree(got, reference_update(state, epoch, 0, dtb, catalog, WIDE_NOISE,
-                                                   cfg))
+        got = update(state, epoch, 0, *session_model(epoch, dtb, catalog, WIDE_NOISE))
+        assert_updates_agree(got, reference_update(state, epoch, 0, dtb, catalog, WIDE_NOISE))
         n_rejected += got[2]
         n_singular += trial % 10 == 1
         n_blank += sum(rsrp is None for n, rsrp in zip(epoch.node, epoch.rsrp)
@@ -389,7 +367,7 @@ def test_run_filter_matches_kalman_gain_reference(monkeypatch):
 
     def oracle(state, toa, epoch, *_):
         epochs.append(epoch)
-        return reference_update(state, toa, epoch, dtb, session.catalog, WIDE_NOISE, EkfConfig())
+        return reference_update(state, toa, epoch, dtb, session.catalog, WIDE_NOISE)
 
     monkeypatch.setattr("tdoa_dtb.ekf.update", oracle)
     want = run_filter(session.toa, dtb, session.catalog, WIDE_NOISE)
@@ -524,8 +502,7 @@ def test_run_filter_falls_back_to_the_strongest_node(monkeypatch):
         calls.append(epoch)
         node_id = toa.node_ids[toa.node[refs[epoch]]]
         table = dtb if node_id == "1" else rereference_dtb(dtb, node_id)
-        return reference_update(state, toa, epoch, table, session.catalog, WIDE_NOISE,
-                                EkfConfig())
+        return reference_update(state, toa, epoch, table, session.catalog, WIDE_NOISE)
 
     monkeypatch.setattr("tdoa_dtb.ekf.update", oracle)
     assert_runs_agree(got, run_filter(toa, dtb, session.catalog, WIDE_NOISE))

@@ -182,7 +182,7 @@ def make_epochs(rsrp_by_node, sigma_by_node, n=3000, rate=10.0, seed=0):
 
 def test_noise_points_single_bin():
     epochs = make_epochs({"1": -80.5, "2": -81.0}, {"1": 1.0, "2": 1.0}, n=200)
-    points = estimate_noise_points(session_of(epochs), window=2.0, rsrp_bin_width=2.0)
+    points = estimate_noise_points(session_of(epochs), window=2.0)
     assert len(points) == 1
 
 
@@ -200,7 +200,7 @@ def test_noise_spread_whose_sum_overflows_is_fit_error():
     epochs = [(i / 4.0, {"1": (1.7e308, -50.0) if i % 2 else (-1.7e308, -60.0)})
               for i in range(60)]
     with pytest.raises(FitError, match="power bin is not finite"):
-        estimate_noise_points(session_of(epochs), window=2.0, rsrp_bin_width=2.0)
+        estimate_noise_points(session_of(epochs), window=2.0)
 
 
 def test_noise_points_match_numpy_std():
@@ -220,7 +220,7 @@ def test_noise_points_match_numpy_std():
             if rsrp is not None:
                 bins.setdefault(math.floor(rsrp / 2.0), []).append(resid)
     want = [((idx + 0.5) * 2.0, float(np.std(bins[idx], ddof=1))) for idx in sorted(bins)]
-    points = estimate_noise_points(session_of(epochs), window=2.0, rsrp_bin_width=2.0)
+    points = estimate_noise_points(session_of(epochs), window=2.0)
     assert len(points) == len(want) >= 10
     for p, (center, std) in zip(points, want):
         assert p.rsrp == center
@@ -233,7 +233,7 @@ def test_noise_points_track_generating_model():
     rsrps = {str(i): float(r) for i, r in enumerate(range(-95, -65, 5))}
     sigmas = {n: k / (r - rsrp0) for n, r in rsrps.items()}
     epochs = make_epochs(rsrps, sigmas, n=4000, seed=11)
-    points = estimate_noise_points(session_of(epochs), window=2.0, rsrp_bin_width=2.0)
+    points = estimate_noise_points(session_of(epochs), window=2.0)
     assert len(points) >= 5
     for p in points:
         expected = k / (p.rsrp - rsrp0)
@@ -374,7 +374,6 @@ def test_sigma_for_floor():
 def test_sigma_for_missing_rsrp_default():
     model = NoiseModel(60.0, -110.0)
     assert sigma_for(model, None) == 3.0
-    assert sigma_for(model, None, default_sigma=1.5) == 1.5
 
 
 def test_sigma_non_increasing_in_rsrp():

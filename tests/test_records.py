@@ -7,7 +7,7 @@ import math
 import pytest
 
 from tdoa_dtb.dtb import DtbEntry, DtbTable
-from tdoa_dtb.ekf import EkfConfig, EkfState
+from tdoa_dtb.ekf import EkfState
 from tdoa_dtb.geometry import Position
 from tdoa_dtb.noise import NoiseModel, NoisePoint
 
@@ -61,15 +61,6 @@ CHECKS = [
     (lambda: NoiseModel(60.0, -110.0, 1e-200, 15.0), "sigma_floor 1e-200 squares to 0"),
     (lambda: NoiseModel(1e300, -110.0, 0.3, 1e200), "sigma_cap 1e+200 squares to inf"),
     (lambda: NoisePoint(-80.0, -1.0), "negative sigma_hat"),
-    (lambda: EkfConfig(sigma_y=0.0, innovation_gate=0.0),
-     "process noise densities must be positive"),
-    (lambda: EkfConfig(sigma_x=1e200, default_sigma=0.0),
-     "process noise densities must have a finite square"),
-    (lambda: EkfConfig(innovation_gate=math.nan, default_sigma=0.0),
-     "innovation gate must be positive"),
-    (lambda: EkfConfig(default_sigma=-1.0), "default sigma must be positive"),
-    (lambda: EkfConfig(default_sigma=1e-200), "default sigma 1e-200 squares to 0"),
-    (lambda: EkfConfig(default_sigma=1e200), "default sigma 1e+200 squares to inf"),
     (lambda: EkfState((math.nan, 0.0), ((math.inf, 0.0), (0.0, 1.0))),
      "non-finite filter covariance"),
     (lambda: EkfState((math.nan, 0.0), ((1.0, 2.0), (2.0, 1.0))),
@@ -95,13 +86,3 @@ def test_ekf_state_normalises_and_hashes_like_the_other_records():
     assert repr(state) == "EkfState(position=(1.0, 2.0), covariance=((2.0, 0.5), (0.5, 2.0)))"
     assert not hasattr(state, "epoch")
 
-
-def test_ekf_config_defaults_are_class_attributes():
-    """The CLI reads its option defaults from the class."""
-    assert (EkfConfig.sigma_x, EkfConfig.sigma_y, EkfConfig.innovation_gate,
-            EkfConfig.default_sigma) == (0.5, 0.5, 5.0, 3.0)
-    cfg = EkfConfig(sigma_y=2.0)
-    assert (cfg.sigma_x, cfg.sigma_y) == (0.5, 2.0)
-    assert cfg == EkfConfig(0.5, 2.0, 5.0, 3.0) and cfg != EkfConfig()
-    assert repr(EkfConfig()) == ("EkfConfig(sigma_x=0.5, sigma_y=0.5, innovation_gate=5.0, "
-                                 "default_sigma=3.0)")

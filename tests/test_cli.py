@@ -15,7 +15,7 @@ import pytest
 
 import tdoa_dtb
 from tdoa_dtb.cli import build_parser, main
-from tdoa_dtb.dtb import DtbEntry, DtbTable, read_dtb, write_dtb
+from tdoa_dtb.dtb import read_dtb
 from tdoa_dtb.ekf import read_residuals_csv, read_track_csv
 from tdoa_dtb.ingestion import SPEED_OF_LIGHT
 
@@ -317,6 +317,9 @@ _POSITION = ["position", "--nodes", "n.csv", "--dtb", "d.csv", "--noise", "m.csv
 _CALIBRATE = ["calibrate", "--nodes", "n.csv", "--traj", "t.csv"]
 BAD_FLAG_COMMANDS = {
     "--epoch-tol": _CALIBRATE, "--trim-sigma": _CALIBRATE, "--window": ["fit-noise"],
+    # flags the fit and the filter no longer take: any value is a usage error
+    "--bin": ["fit-noise"], "--sigma-x": _POSITION, "--sigma-y": _POSITION,
+    "--gate": _POSITION, "--default-sigma": _POSITION,
 }
 BAD_FLAG_CASES = [(flag, value) for flag in BAD_FLAG_COMMANDS
                   for value in ("0", "-1", "nan", "inf", "1e200", "1e-200")
@@ -426,7 +429,7 @@ def eight_node_session(tmp_path):
     return sim
 
 
-def _overflow_probe(tmp_path, sim, probe):
+def _overflow_probe(tmp_path, monkeypatch, sim, probe):
     """Files for one probe: (toa, nodes, time of the failing epoch)."""
     header, *rows = (sim / "toa.csv").read_text().splitlines()
     toa, nodes = tmp_path / "toa_probe.csv", sim / "nodes.csv"
@@ -434,6 +437,11 @@ def _overflow_probe(tmp_path, sim, probe):
         # the first epoch's eight rows; the next epoch's update overflows
         rows = [f"-1.7e308,{row.split(',', 1)[1]}" for row in rows[:8]] + rows[8:]
         failing = float(rows[8].split(",")[0])
+    elif probe == "one-row-at-1e308":
+        # at a process noise density of 2 m/sqrt(s) its prediction adds Q = 4 * 1e308 = inf
+        monkeypatch.setattr("tdoa_dtb.ekf.PROCESS_NOISE", 2.0)
+        rows = rows + [f"1e308,{rows[0].split(',', 1)[1]}"]
+        failing = 1e308
     else:
         # the prior's variance of the node x coordinates overflows
         node_header, *node_rows = nodes.read_text().splitlines()
@@ -446,11 +454,13 @@ def _overflow_probe(tmp_path, sim, probe):
     return toa, nodes, failing
 
 
-@pytest.mark.parametrize("probe", ["first-epoch-at-minus-1.7e308", "node-at-1e200"])
-def test_filter_overflow_is_a_data_error(tmp_path, capsys, eight_node_session, probe):
+@pytest.mark.parametrize("probe", ["first-epoch-at-minus-1.7e308", "one-row-at-1e308",
+                                   "node-at-1e200"])
+def test_filter_overflow_is_a_data_error(tmp_path, capsys, monkeypatch, eight_node_session,
+                                         probe):
     """Times or a node layout that drive the filter state beyond the float
     range end as exit 2 naming the epoch time, with no track or residual file."""
-    toa, nodes, failing = _overflow_probe(tmp_path, eight_node_session, probe)
+    toa, nodes, failing = _overflow_probe(tmp_path, monkeypatch, eight_node_session, probe)
     track, residuals = tmp_path / "track.csv", tmp_path / "residuals.csv"
     assert main(["position", "--toa", str(toa), "--nodes", str(nodes),
                  "--dtb", str(eight_node_session / "truth_dtb.csv"),
@@ -593,18 +603,15 @@ def test_command_path_loads_neither_numpy_nor_yaml(tmp_path, scenario_file):
     assert json.loads((d / "metrics.json").read_text())["n_epochs"] == 601
 
 
-def test_position_dtb_off_by_1000_m_rejects_every_difference(tmp_path, eight_node_session):
-    """With 1000 m added to every DTB mean each difference fails the innovation
-    gate: no epoch updates, and each rejects all its differences."""
-    sim, dtb, track = eight_node_session, tmp_path / "dtb_off.csv", tmp_path / "track.csv"
+def test_position_tiny_gate_rejects_every_difference(tmp_path, monkeypatch, eight_node_session):
+    """At an innovation gate of 1e-6 sigmas each difference is rejected: no epoch
+    updates, and each rejects all its differences."""
+    monkeypatch.setattr("tdoa_dtb.ekf.INNOVATION_GATE", 1e-6)
+    sim, track = eight_node_session, tmp_path / "track.csv"
     with open(sim / "toa.csv") as f:
         rows_per_epoch = Counter(row["time"] for row in csv.DictReader(f))
-    truth = read_dtb(sim / "truth_dtb.csv")
-    write_dtb(DtbTable(truth.ref_node_id, {
-        node_id: DtbEntry(e.mean + 1000.0, e.std, e.n_samples)
-        for node_id, e in truth.entries.items()}, truth.session), dtb)
     assert main(["position", "--toa", str(sim / "toa.csv"), "--nodes", str(sim / "nodes.csv"),
-                 "--dtb", str(dtb), "--noise", str(tmp_path / "noise.csv"),
+                 "--dtb", str(sim / "truth_dtb.csv"), "--noise", str(tmp_path / "noise.csv"),
                  "--out", str(track), "--residuals", str(tmp_path / "residuals.csv")]) == 0
     with open(track) as f:
         assert [(row["n_obs"], int(row["n_rejected"])) for row in csv.DictReader(f)] == \

@@ -158,6 +158,13 @@ def test_predict_growth():
     assert np.allclose(out.covariance, np.eye(2) * 2.0)   # 1 + 0.25*4
 
 
+def test_predict_adds_noise_per_axis():
+    state = EkfState((1.0, 2.0), ((1.0, 0.3), (0.3, 2.0)))
+    out = predict(state, 4.0)
+    assert out.covariance == ((2.0, 0.3), (0.3, 3.0))   # 0.25*4 on each variance
+    assert out.position == (1.0, 2.0)
+
+
 def test_state_holds_floats_and_symmetrises():
     state = EkfState(np.array([1, 2]), [[2, 1], [0, 2]])
     assert state.position == (1.0, 2.0) and state.covariance == ((2.0, 0.5), (0.5, 2.0))

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -30,10 +29,10 @@ from .errors import TdoaDtbError
 from .geometry import read_nodes, write_nodes
 from .ingestion import (DEFAULT_EPOCH_TOL, load_toa_session, load_trajectory,
                         write_toa_csv, write_trajectory_csv)
-from .metrics import session_metrics, write_metrics_json
+from .metrics import session_metrics
 from .noise import (DEFAULT_WINDOW_S, estimate_noise_points, fit_noise_model,
                     read_noise_model, write_noise_model, write_noise_points)
-from .table import write_csv
+from .table import write_csv, write_json
 
 RESIDUAL_HIST_BIN_M = 0.25
 
@@ -69,8 +68,7 @@ def _write_manifest(args: argparse.Namespace) -> None:
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    with open(os.path.join(out_dir, "run_manifest.json"), "w") as f:
-        f.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(os.path.join(out_dir, "run_manifest.json"), manifest)
 
 
 def _add_session_flags(p: argparse.ArgumentParser) -> None:
@@ -141,7 +139,7 @@ def _cmd_evaluate(args) -> None:
     traj = load_trajectory(args.traj)
     residuals = [v for _, _, v in read_residuals_csv(args.residuals)]
     metrics = session_metrics(track, traj, residuals)
-    write_metrics_json(metrics, args.out)
+    write_json(args.out, metrics)
     if args.residual_hist:
         _write_residual_hist(residuals, args.residual_hist)
     print(f"true error mean {metrics['true_error_mean_m']:.3f} m, "

@@ -136,10 +136,9 @@ def calibrate(session: Session, traj: ReferenceTrajectory, catalog: NodeCatalog,
     positions = [catalog[node_id] for node_id in ids]   # by node index
     samples = []
     for epoch, (t, ref_row) in enumerate(zip(session.times, reference_rows(session, ref_index))):
-        if ref_row < 0 or not traj.covers(t):
+        if ref_row < 0 or (rover := traj.interpolate(t)) is None:
             continue
         rows, diffs = form_tdoa(session, epoch, ref_row)
-        rover = traj.interpolate(t)
         ref_range = range_between(rover, positions[ref_index])
         for row, sd in zip(rows, diffs):
             n = node[row]

@@ -99,16 +99,11 @@ class ReferenceTrajectory:
         self.times = [float(t) for t in times]
         self.xyz = [(float(p.x), float(p.y), float(p.z)) for _, p in samples]
 
-    def covers(self, t: float) -> bool:
-        return self.times[0] <= t <= self.times[-1]
-
-    def interpolate(self, t: float) -> Position:
-        if not self.covers(t):
-            raise ValueError(f"t={t} outside trajectory span [{self.times[0]}, {self.times[-1]}]")
-        i = bisect.bisect_right(self.times, t)
-        if i == len(self.times):
-            return Position(*self.xyz[-1])
-        i0 = max(i - 1, 0)
+    def interpolate(self, t: float) -> Position | None:
+        """The position at time t, or None outside the trajectory's time span."""
+        if not self.times[0] <= t <= self.times[-1]:
+            return None
+        i0 = bisect.bisect_right(self.times, t) - 1
         t0 = self.times[i0]
         if t == t0:
             return Position(*self.xyz[i0])

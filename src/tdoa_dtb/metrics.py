@@ -13,7 +13,6 @@ Three complementary error measures for one filtered session:
 
 from __future__ import annotations
 
-import json
 import math
 
 from .ekf import TrackPoint
@@ -35,9 +34,9 @@ def true_error(track: list[TrackPoint], traj: ReferenceTrajectory) -> tuple[floa
     """Mean and RMS planar distance to the interpolated reference trajectory."""
     errors = []
     for p in track:
-        if not traj.covers(p.time):
-            continue
         ref = traj.interpolate(p.time)
+        if ref is None:
+            continue
         errors.append(math.hypot(p.x - ref.x, p.y - ref.y))
     if not errors:
         raise TdoaDtbError("track and reference trajectory have no common time span")
@@ -79,9 +78,3 @@ def session_metrics(track: list[TrackPoint], traj: ReferenceTrajectory,
         if not math.isfinite(value):
             raise TdoaDtbError(f"metric {name} is {value}: the inputs are out of float range")
     return metrics
-
-
-def write_metrics_json(metrics: dict, path) -> None:
-    with open(path, "w") as f:
-        json.dump(metrics, f, indent=2, sort_keys=True, allow_nan=False)
-        f.write("\n")

@@ -1,7 +1,7 @@
-"""The one CSV table layer behind every file format of the package.
+"""The one file layer behind every format of the package: CSV tables and JSON outputs.
 
-Each format is a header row naming its columns, then one row per record; the
-rules all formats share are stated once in the README's "File formats".
+Each table is a header row naming its columns, then one row per record; the
+rules all tables share are stated once in the README's "File formats".
 A table is read as columns, each converted in one pass; only a column that
 fails sends the reader back over the rows, in file order, for the first bad
 row and that row's first bad column.
@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import json
 import math
 
 from .errors import ParseError
@@ -141,3 +142,10 @@ def write_csv(path, header: list[str], rows) -> None:
         writer = csv.writer(f)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_json(path, value) -> None:
+    """Write value as JSON in UTF-8: keys sorted, indented by 2, a final newline; nan refused."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(value, f, indent=2, sort_keys=True, allow_nan=False)
+        f.write("\n")

@@ -603,6 +603,53 @@ def test_command_path_loads_neither_numpy_nor_yaml(tmp_path, scenario_file):
     assert json.loads((d / "metrics.json").read_text())["n_epochs"] == 601
 
 
+PACKAGE_NAMES = [
+    "NodeCatalog", "Position", "range_between", "read_nodes", "write_nodes",
+    "ReferenceTrajectory", "Session", "group_epochs",
+    "form_tdoa", "reference_rows", "select_reference",
+    "DtbEntry", "DtbTable", "aggregate_dtb", "calibrate", "read_dtb", "rereference_dtb",
+    "write_dtb",
+    "NoiseModel", "NoisePoint", "detrend_toa", "estimate_noise_points", "fit_noise_model",
+    "sigma_for",
+    "EkfState", "TrackPoint", "init_apriori", "predict", "run_filter", "update",
+    "session_metrics", "sigma_formal", "sigma_postfits", "true_error",
+    "ClockModel", "PathLossModel", "Scenario", "generate", "load_scenario",
+]
+
+PACKAGE_ROOT_SCRIPT = """
+import json, sys
+
+import tdoa_dtb
+
+loaded = sorted(m for m in sys.modules if m.startswith("tdoa_dtb."))
+namespace = {}
+exec("from tdoa_dtb import *", namespace)
+names = [name for name in namespace if name != "__builtins__"]
+modules = sorted({namespace[name].__module__ for name in names})
+try:
+    tdoa_dtb.no_such_name
+except AttributeError as exc:
+    missing = str(exc)
+print(json.dumps([loaded, tdoa_dtb.__all__, names, modules, missing]))
+"""
+
+
+def test_package_root_imports_each_name_on_first_use():
+    """import tdoa_dtb loads no submodule; a star import then binds the same
+    39 names, each from its own module."""
+    src = str(Path(tdoa_dtb.__file__).resolve().parent.parent)
+    result = subprocess.run([sys.executable, "-c", PACKAGE_ROOT_SCRIPT],
+                            env=dict(os.environ, PYTHONPATH=src),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    loaded, names_all, names, modules, missing = json.loads(result.stdout)
+    assert loaded == []
+    assert names_all == names == PACKAGE_NAMES
+    assert modules == [f"tdoa_dtb.{m}" for m in ("differencing", "dtb", "ekf", "geometry",
+                                                 "ingestion", "metrics", "noise", "synthetic")]
+    assert missing == "module 'tdoa_dtb' has no attribute 'no_such_name'"
+
+
 def test_position_tiny_gate_rejects_every_difference(tmp_path, monkeypatch, eight_node_session):
     """At an innovation gate of 1e-6 sigmas each difference is rejected: no epoch
     updates, and each rejects all its differences."""

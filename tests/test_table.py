@@ -19,7 +19,7 @@ from tdoa_dtb.errors import ParseError, TdoaDtbError
 from tdoa_dtb.geometry import read_nodes
 from tdoa_dtb.ingestion import load_toa_session, load_trajectory
 from tdoa_dtb.noise import NoiseModel, read_noise_model, write_noise_model
-from tdoa_dtb.table import read_csv
+from tdoa_dtb.table import read_csv, write_json
 
 SCENARIO_YAML = """
 seed: 5
@@ -295,3 +295,11 @@ def test_column_reader_matches_row_by_row_reader(tmp_path):
         assert got == want
 
     check()
+
+
+def test_write_json_is_sorted_indented_and_refuses_nan(tmp_path):
+    path = tmp_path / "out.json"
+    write_json(path, {"b": 1.5, "a": ["\u00e9", 2]})
+    assert path.read_bytes() == b'{\n  "a": [\n    "\\u00e9",\n    2\n  ],\n  "b": 1.5\n}\n'
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_json(path, {"x": math.nan})

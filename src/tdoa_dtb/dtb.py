@@ -164,18 +164,21 @@ def write_dtb(table: DtbTable, path) -> None:
 
 
 def read_dtb(path) -> DtbTable:
-    rows = list(zip(*read_csv(path, DTB_COLUMNS)))
-    if not rows:
-        raise ParseError(path, 1, "empty DTB file")
-    session, ref = rows[0][:2]
     entries: dict[str, DtbEntry] = {}
-    for index, (row_session, row_ref, node_id, mean, std, n_samples) in enumerate(rows):
-        if (row_session, row_ref) != (session, ref):
-            raise row_error(path, index, "mixed reference node or session in one file")
-        if node_id in entries or node_id == ref:
-            raise row_error(path, index, f"duplicate or reference node row {node_id!r}")
-        try:
-            entries[node_id] = DtbEntry(mean, std, n_samples)
-        except ValueError as exc:
-            raise row_error(path, index, f"bad DTB row: {exc}") from None
-    return DtbTable(ref, entries, session)
+
+    def add(sessions, refs, *columns):   # read_csv's rule, which builds the entries
+        for index, (row_session, row_ref, node_id, mean, std, n_samples) in enumerate(
+                zip(sessions, refs, *columns)):
+            if (row_session, row_ref) != (sessions[0], refs[0]):
+                raise row_error(path, index, "mixed reference node or session in one file")
+            if node_id in entries or node_id == row_ref:
+                raise row_error(path, index, f"duplicate or reference node row {node_id!r}")
+            try:
+                entries[node_id] = DtbEntry(mean, std, n_samples)
+            except ValueError as exc:
+                raise row_error(path, index, f"bad DTB row: {exc}") from None
+
+    sessions, refs, *_ = read_csv(path, DTB_COLUMNS, rule=add)
+    if not sessions:
+        raise ParseError(path, 1, "empty DTB file")
+    return DtbTable(refs[0], entries, sessions[0])

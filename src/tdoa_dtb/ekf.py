@@ -255,11 +255,12 @@ def write_track_csv(track: list[TrackPoint], path) -> None:
 def read_track_csv(path) -> list[TrackPoint]:
     """The track of a track CSV; a row whose covariance is not PSD, as EkfState
     checks it, is a ParseError at its line."""
-    columns = read_csv(path, TRACK_COLUMNS)
-    for index, min_eig in enumerate(map(_min_eig, *columns[3:6])):
-        if not min_eig >= PSD_TOL:
-            raise row_error(path, index, f"covariance not PSD, min eigenvalue {min_eig:.3e}")
-    return list(map(TrackPoint, *columns))
+    def psd(*columns):   # read_csv's rule
+        for index, min_eig in enumerate(map(_min_eig, *columns[3:6])):
+            if not min_eig >= PSD_TOL:
+                raise row_error(path, index, f"covariance not PSD, min eigenvalue {min_eig:.3e}")
+
+    return list(map(TrackPoint, *read_csv(path, TRACK_COLUMNS, rule=psd)))
 
 
 def write_residuals_csv(residuals: list[tuple[float, str, float]], path) -> None:

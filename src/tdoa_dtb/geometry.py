@@ -69,18 +69,21 @@ def read_nodes(path) -> NodeCatalog:
     """Load a catalog from a CSV with header node_id,x,y[,z]."""
     positions: dict[str, Position] = {}
     owners: dict[Position, str] = {}
-    columns = read_csv(path, {"node_id": str, "x": float, "y": float}, {"z": float})
-    if len(columns[0]) < 2:
-        raise ParseError(path, 1, f"catalog needs at least 2 nodes, got {len(columns[0])}")
-    for index, (node_id, x, y, z) in enumerate(zip(*columns)):
-        pos = Position(x, y, 0.0 if z is None else z)
-        if node_id in positions:
-            raise row_error(path, index, f"duplicate node id {node_id!r}")
-        if pos in owners:
-            raise row_error(path, index, f"node {node_id!r} shares the position "
-                                         f"of node {owners[pos]!r}")
-        positions[node_id] = pos
-        owners[pos] = node_id
+
+    def add(*columns):   # read_csv's rule, which builds the catalog's positions
+        for index, (node_id, x, y, z) in enumerate(zip(*columns)):
+            pos = Position(x, y, 0.0 if z is None else z)
+            if node_id in positions:
+                raise row_error(path, index, f"duplicate node id {node_id!r}")
+            if pos in owners:
+                raise row_error(path, index, f"node {node_id!r} shares the position "
+                                             f"of node {owners[pos]!r}")
+            positions[node_id] = pos
+            owners[pos] = node_id
+
+    read_csv(path, {"node_id": str, "x": float, "y": float}, {"z": float}, add)
+    if len(positions) < 2:
+        raise ParseError(path, 1, f"catalog needs at least 2 nodes, got {len(positions)}")
     return NodeCatalog(positions)
 
 

@@ -114,12 +114,15 @@ class ReferenceTrajectory:
 
 
 def load_trajectory(path) -> ReferenceTrajectory:
-    times, xs, ys, zs = read_csv(path, {"time": float, "x": float, "y": float}, {"z": float})
+    def increasing(times, *_):   # read_csv's rule
+        for index in range(1, len(times)):
+            if times[index] <= times[index - 1]:
+                raise row_error(path, index, "trajectory times must be strictly increasing")
+
+    times, xs, ys, zs = read_csv(path, {"time": float, "x": float, "y": float}, {"z": float},
+                                 increasing)
     if len(times) < 2:
         raise ParseError(path, 1, "trajectory needs at least 2 samples")
-    for index in range(1, len(times)):
-        if times[index] <= times[index - 1]:
-            raise row_error(path, index, "trajectory times must be strictly increasing")
     return ReferenceTrajectory([(t, Position(x, y, 0.0 if z is None else z))
                                 for t, x, y, z in zip(times, xs, ys, zs)])
 
@@ -129,13 +132,18 @@ def load_toa_session(path, unit_mode: str = "meters",
     """Load a ToA file as a Session, converting seconds to meters if asked."""
     if unit_mode not in ("meters", "seconds"):
         raise ValueError(f"unit_mode must be 'meters' or 'seconds', got {unit_mode!r}")
-    times, node_ids, toas, rsrps = read_csv(path, TOA_COLUMNS, {"rsrp": float})
-    if unit_mode == "seconds":
-        toas = [toa * SPEED_OF_LIGHT for toa in toas]
-        for index, pseudorange in enumerate(toas):
+
+    def plausible(times, node_ids, toas, rsrps):   # read_csv's rule in the seconds unit
+        for index, pseudorange in enumerate(toa * SPEED_OF_LIGHT for toa in toas):
             if abs(pseudorange) > MAX_PLAUSIBLE_RANGE_M:
                 raise row_error(path, index, f"converted pseudorange {pseudorange:.3e} m exceeds "
                                 "plausible light-travel bounds; raw values are likely meters")
+
+    seconds = unit_mode == "seconds"
+    times, node_ids, toas, rsrps = read_csv(path, TOA_COLUMNS, {"rsrp": float},
+                                            plausible if seconds else None)
+    if seconds:
+        toas = [toa * SPEED_OF_LIGHT for toa in toas]
     return group_epochs(times, node_ids, toas, rsrps, epoch_tol, source=str(path))
 
 

@@ -37,14 +37,16 @@ class Record:
         return f"{type(self).__name__}({fields})"
 
 
-def read_csv(path, required: dict, optional: dict | None = None) -> list[list]:
+def read_csv(path, required: dict, optional: dict | None = None, rule=None) -> list[list]:
     """Columns of a CSV table, required then optional, one value per row.
 
     required and optional map column names to float, int or str. Text is
     stripped, floats must be finite, and a blank optional cell, or every
     cell of an absent optional column, is None. Any failure is a ParseError
-    at its line; row_error places a caller's own failure of a row at that
-    row's line.
+    at its line. rule, a reader's own check of its rows, is called with the
+    columns of the rows before the table's first failure, and raises the
+    ParseError of the first row it refuses (see row_error): the error is
+    always the first problem in file order.
     """
     optional = optional or {}
     text, failure = _text(path)
@@ -69,15 +71,25 @@ def read_csv(path, required: dict, optional: dict | None = None) -> list[list]:
     cells += [("",) * len(rows)] * (len(header) - len(cells))
     columns = [(name, header.index(name), kind, name in optional)
                for name, kind in [*required.items(), *optional.items()] if name in header]
+    count = len(rows)
     try:
-        values = {name: _column(cells[index], kind, blank_ok)
-                  for name, index, kind, blank_ok in columns}
-    except ValueError:
-        raise _first_bad_cell(path, cells, columns) from None
-    if failure:   # a malformed or undecodable line after the rows read
+        values = _convert(cells, columns)
+    except ValueError:   # the rows before the first bad cell convert
+        count, message = _first_bad_cell(cells, columns)
+        failure = row_error(path, count, message)
+        values = _convert([column[:count] for column in cells], columns)
+    table = [values[name] if name in values else [None] * count
+             for name in [*required, *optional]]
+    if rule:
+        rule(*table)
+    if failure:   # the first bad cell or row, or a malformed or undecodable line
         raise failure
-    return [values[name] if name in values else [None] * len(rows)
-            for name in [*required, *optional]]
+    return table
+
+
+def _convert(cells, columns) -> dict:
+    """Each named column converted in one pass; ValueError if any cell fails."""
+    return {name: _column(cells[index], kind, blank_ok) for name, index, kind, blank_ok in columns}
 
 
 def _column(cells, kind, blank_ok: bool) -> list:
@@ -91,9 +103,9 @@ def _column(cells, kind, blank_ok: bool) -> list:
     return values
 
 
-def _first_bad_cell(path, cells, columns) -> ParseError:
-    """ParseError at the first row, in file order, with a cell that does not
-    convert, naming that row's first such column."""
+def _first_bad_cell(cells, columns) -> tuple[int, str]:
+    """Index of the first row, in file order, with a cell that does not
+    convert, and a message naming that row's first such column."""
     for index in range(len(cells[0])):
         for name, column, kind, blank_ok in columns:
             cell = cells[column][index]
@@ -102,7 +114,7 @@ def _first_bad_cell(path, cells, columns) -> ParseError:
             try:
                 (finite_float if kind is float else kind)(cell)
             except ValueError as exc:
-                return row_error(path, index, f"bad {name}: {exc}")
+                return index, f"bad {name}: {exc}"
 
 
 def finite_float(value) -> float:

@@ -303,3 +303,43 @@ def test_write_json_is_sorted_indented_and_refuses_nan(tmp_path):
     assert path.read_bytes() == b'{\n  "a": [\n    "\\u00e9",\n    2\n  ],\n  "b": 1.5\n}\n'
     with pytest.raises(ValueError, match="not JSON compliant"):
         write_json(path, {"x": math.nan})
+
+
+TRACK_HEADER = b"time,x,y,cov_xx,cov_xy,cov_yy,n_obs,n_rejected\n"
+TRAJECTORY = b"time,x,y\n0,0,0\n2,1,1\n1,2,2\n3,3,3\n"
+HUGE_CELL = b"9" * (csv.field_size_limit() + 1)   # a malformed line: too long a field
+# (reader, file bytes, line and message of the first problem in file order): a
+# reader's own check of a row wins over a later bad cell, malformed line or byte
+RULE_CASES = {
+    "trajectory-then-not-utf8": (load_trajectory, TRAJECTORY + b"4,4,4\xff\n",
+                                 "4: trajectory times must be strictly increasing"),
+    "trajectory-then-bad-cell": (load_trajectory, TRAJECTORY + b"4,abc,4\n",
+                                 "4: trajectory times must be strictly increasing"),
+    "trajectory-then-malformed": (load_trajectory, TRAJECTORY + b"4,%s,4\n" % HUGE_CELL,
+                                  "4: trajectory times must be strictly increasing"),
+    "nodes-then-bad-cell": (read_nodes, b"node_id,x,y\n1,0,0\n2,10,0\n1,20,0\n3,0,10\n4,x,1\n",
+                            "4: duplicate node id '1'"),
+    "track-then-bad-cell": (read_track_csv,
+                            TRACK_HEADER + b"0,0,0,1,0,1,3,0\n1,0,0,1,5,1,3,0\n"
+                                           b"2,0,0,1,0,1,3,0\n3,0,0,1,0,1,three,0\n",
+                            "3: covariance not PSD, min eigenvalue -4.000e+00"),
+    "dtb-then-not-utf8": (read_dtb, b"session,ref_node,node_id,mean_m,std_m,n_samples\n"
+                                    b",1,2,0.5,0.1,10\n,3,4,0.5,0.1,10\n,1,5,0.5,0.1,10\xff\n",
+                          "3: mixed reference node or session in one file"),
+    "noise-then-bad-cell": (read_noise_model, b"k,rsrp0,sigma_floor,sigma_cap\n"
+                                              b"60,-110,2,1\n60,-110,x,15\n",
+                            "2: bad noise model"),
+    "seconds-then-bad-cell": (lambda path: load_toa_session(path, "seconds"),
+                              TOA_HEADER.encode() + b"0,1,1e-8,-80\n0,2,1.0,-80\n0,3,x,-80\n",
+                              "3: converted pseudorange 2.998e+08 m exceeds"),
+}
+
+
+@pytest.mark.parametrize("case", RULE_CASES)
+def test_a_readers_own_row_check_wins_over_a_later_problem(tmp_path, case):
+    reader, data, message = RULE_CASES[case]
+    path = tmp_path / "file.csv"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as exc:
+        reader(path)
+    assert str(exc.value).startswith(f"{path}:{message}")

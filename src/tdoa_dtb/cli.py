@@ -7,7 +7,8 @@ Subcommands wire the pipeline end to end:
 plus ``rereference`` for switching a correction table to another reference
 node. Exit codes: 0 success, 1 usage error, 2 data error. Diagnostics go to
 stderr; data only ever goes to files. Every successful run writes a
-``run_manifest.json`` describing the invocation beside its output.
+manifest describing the invocation beside its output: ``<out>.manifest.json``,
+or ``run_manifest.json`` in simulate's output directory.
 """
 
 from __future__ import annotations
@@ -59,8 +60,11 @@ def _finite_float(text: str, zero_ok: bool = False) -> float:
 
 
 def _write_manifest(args: argparse.Namespace) -> None:
-    """Describe a successful run in run_manifest.json beside its output."""
-    out_dir = args.out_dir if args.subcommand == "simulate" else os.path.dirname(args.out)
+    """Describe a successful run beside its output, so that no other command's
+    manifest replaces it: <out>.manifest.json, or run_manifest.json in
+    simulate's output directory."""
+    path = (os.path.join(args.out_dir, "run_manifest.json") if args.subcommand == "simulate"
+            else f"{args.out}.manifest.json")
     params = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     manifest = {
         "subcommand": args.subcommand,
@@ -68,7 +72,7 @@ def _write_manifest(args: argparse.Namespace) -> None:
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    write_json(os.path.join(out_dir, "run_manifest.json"), manifest)
+    write_json(path, manifest)
 
 
 def _add_session_flags(p: argparse.ArgumentParser) -> None:

@@ -268,6 +268,34 @@ def test_full_pipeline(tmp_path, scenario_file):
     assert data["n_epochs"] == 601
 
 
+def test_each_command_keeps_its_own_manifest(tmp_path):
+    """The four pipeline commands writing into one directory leave four
+    manifests, each beside its output and naming its own command; a rerun
+    replaces only its own."""
+    i, d = Path(__file__).resolve().parent / "data" / "golden", tmp_path
+    steps = {
+        "fit-noise": ["fit-noise", "--toa", f"{i}/toa.csv", "--out", f"{d}/noise.csv"],
+        "calibrate": ["calibrate", "--toa", f"{i}/toa.csv", "--nodes", f"{i}/nodes.csv",
+                      "--traj", f"{i}/trajectory.csv", "--out", f"{d}/dtb.csv"],
+        "position": ["position", "--toa", f"{i}/toa.csv", "--nodes", f"{i}/nodes.csv",
+                     "--dtb", f"{d}/dtb.csv", "--noise", f"{d}/noise.csv",
+                     "--out", f"{d}/track.csv", "--residuals", f"{d}/residuals.csv"],
+        "evaluate": ["evaluate", "--track", f"{d}/track.csv", "--traj", f"{i}/trajectory.csv",
+                     "--residuals", f"{d}/residuals.csv", "--out", f"{d}/metrics.json"],
+    }
+    for argv in steps.values():
+        assert main(argv) == 0, argv
+    manifests = {path.name: path.read_bytes() for path in d.glob("*manifest*")}
+    assert {name: json.loads(text)["subcommand"] for name, text in manifests.items()} == {
+        "noise.csv.manifest.json": "fit-noise", "dtb.csv.manifest.json": "calibrate",
+        "track.csv.manifest.json": "position", "metrics.json.manifest.json": "evaluate"}
+    assert main(steps["calibrate"] + ["--session", "rerun"]) == 0
+    rerun = {path.name: path.read_bytes() for path in d.glob("*manifest*")}
+    assert [name for name in manifests if rerun[name] != manifests[name]] == \
+        ["dtb.csv.manifest.json"]
+    assert json.loads(rerun["dtb.csv.manifest.json"])["parameters"]["session"] == "rerun"
+
+
 def test_rereference_subcommand(tmp_path, scenario_file):
     sim = tmp_path / "sim"
     main(["simulate", "--scenario", str(scenario_file), "--out-dir", str(sim)])
@@ -648,6 +676,19 @@ def test_package_root_imports_each_name_on_first_use():
     assert modules == [f"tdoa_dtb.{m}" for m in ("differencing", "dtb", "ekf", "geometry",
                                                  "ingestion", "metrics", "noise", "synthetic")]
     assert missing == "module 'tdoa_dtb' has no attribute 'no_such_name'"
+
+
+def test_readme_quick_start_runs():
+    """README's Python block runs in a fresh interpreter, through the package
+    root, with RuntimeWarnings as errors."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    src = str(Path(tdoa_dtb.__file__).resolve().parent.parent)
+    result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", blocks[0]],
+                            env=dict(os.environ, PYTHONPATH=src),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 def test_position_tiny_gate_rejects_every_difference(tmp_path, monkeypatch, eight_node_session):

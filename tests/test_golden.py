@@ -3,7 +3,8 @@ calibrate, position, evaluate, rereference) on the session in data/golden,
 against the list in data/golden/SHA256SUMS. The arithmetic of the command path
 is spelled so that these bytes are the same on every supported Python version
 and C library; simulate, which needs numpy's random stream and the C
-library's log10, and run_manifest.json, which holds a timestamp, stay out.
+library's log10, and each command's <out>.manifest.json, which holds a
+timestamp, stay out.
 
 toa_gaps.csv is toa.csv without node "1"'s row in every epoch k with
 k % 4 == 3, and with node "3"'s rsrp blank where k % 5 == 0. Calibrated against
@@ -78,7 +79,7 @@ def actual_sums() -> str:
         run_command_path(out)
         return "".join(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}\n"
                        for path in sorted(out.iterdir())
-                       if path.name not in (*SESSION, "run_manifest.json"))
+                       if path.name not in SESSION and not path.name.endswith(".manifest.json"))
 
 
 def test_command_path_outputs_match_the_golden_hashes():

@@ -81,7 +81,7 @@ def read_nodes(path) -> NodeCatalog:
             positions[node_id] = pos
             owners[pos] = node_id
 
-    read_csv(path, {"node_id": str, "x": float, "y": float}, {"z": float}, add)
+    read_csv(path, {"node_id": str, "x": float, "y": float}, {"z": float}, rule=add)
     if len(positions) < 2:
         raise ParseError(path, 1, f"catalog needs at least 2 nodes, got {len(positions)}")
     return NodeCatalog(positions)

@@ -120,7 +120,7 @@ def load_trajectory(path) -> ReferenceTrajectory:
                 raise row_error(path, index, "trajectory times must be strictly increasing")
 
     times, xs, ys, zs = read_csv(path, {"time": float, "x": float, "y": float}, {"z": float},
-                                 increasing)
+                                 rule=increasing)
     if len(times) < 2:
         raise ParseError(path, 1, "trajectory needs at least 2 samples")
     return ReferenceTrajectory([(t, Position(x, y, 0.0 if z is None else z))
@@ -141,7 +141,7 @@ def load_toa_session(path, unit_mode: str = "meters",
 
     seconds = unit_mode == "seconds"
     times, node_ids, toas, rsrps = read_csv(path, TOA_COLUMNS, {"rsrp": float},
-                                            plausible if seconds else None)
+                                            rule=plausible if seconds else None)
     if seconds:
         toas = [toa * SPEED_OF_LIGHT for toa in toas]
     return group_epochs(times, node_ids, toas, rsrps, epoch_tol, source=str(path))

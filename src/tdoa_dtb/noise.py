@@ -174,18 +174,17 @@ def write_noise_model(model: NoiseModel, path) -> None:
 
 
 def read_noise_model(path) -> NoiseModel:
-    models = []
-
-    def add(*columns):   # read_csv's rule: the first row makes a model
+    def first_row_is_a_model(*columns):   # read_csv's rule
         try:
-            models.extend(map(NoiseModel, *(column[:1] for column in columns)))
+            if columns[0]:
+                NoiseModel(*(column[0] for column in columns))
         except ValueError as exc:
             raise row_error(path, 0, f"bad noise model: {exc}") from None
 
-    ks = read_csv(path, NOISE_COLUMNS, rule=add)[0]
-    if len(ks) != 1:
-        raise ParseError(path, 2, f"expected exactly one model row, got {len(ks)}")
-    return models[0]
+    rows = list(zip(*read_csv(path, NOISE_COLUMNS, rule=first_row_is_a_model)))
+    if len(rows) != 1:
+        raise ParseError(path, 2, f"expected exactly one model row, got {len(rows)}")
+    return NoiseModel(*rows[0])
 
 
 def write_noise_points(points: list[NoisePoint], path) -> None:

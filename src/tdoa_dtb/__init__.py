@@ -13,8 +13,8 @@ _EXPORTS = {
     "differencing": ("form_tdoa", "reference_rows", "select_reference"),
     "dtb": ("DtbEntry", "DtbTable", "aggregate_dtb", "calibrate", "read_dtb",
             "rereference_dtb", "write_dtb"),
-    "noise": ("NoiseModel", "NoisePoint", "detrend_toa", "estimate_noise_points",
-              "fit_noise_model", "sigma_for"),
+    "noise": ("NoiseModel", "NoisePoint", "estimate_noise_points", "fit_noise_model",
+              "sigma_for"),
     "ekf": ("EkfState", "TrackPoint", "init_apriori", "predict", "run_filter", "update"),
     "metrics": ("session_metrics", "sigma_formal", "sigma_postfits", "true_error"),
     "synthetic": ("ClockModel", "PathLossModel", "Scenario", "generate", "load_scenario"),

@@ -31,8 +31,8 @@ from .geometry import read_nodes, write_nodes
 from .ingestion import (DEFAULT_EPOCH_TOL, load_toa_session, load_trajectory,
                         write_toa_csv, write_trajectory_csv)
 from .metrics import session_metrics
-from .noise import (DEFAULT_WINDOW_S, estimate_noise_points, fit_noise_model,
-                    read_noise_model, write_noise_model, write_noise_points)
+from .noise import (estimate_noise_points, fit_noise_model, read_noise_model,
+                    write_noise_model, write_noise_points)
 from .table import write_csv, write_json
 
 RESIDUAL_HIST_BIN_M = 0.25
@@ -102,7 +102,7 @@ def _cmd_simulate(args) -> None:
 
 def _cmd_fit_noise(args) -> None:
     session = load_toa_session(args.toa, args.unit, args.epoch_tol)
-    points = estimate_noise_points(session, window=args.window)
+    points = estimate_noise_points(session)
     model = fit_noise_model(points)
     write_noise_model(model, args.out)
     if args.points:
@@ -178,8 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-noise", help="fit the received-power noise model")
     p.add_argument("--toa", required=True)
-    p.add_argument("--window", type=_finite_float, default=DEFAULT_WINDOW_S,
-                   help="detrend window, s")
     p.add_argument("--out", required=True)
     p.add_argument("--points", default=None, help="optional scatter CSV output")
     _add_session_flags(p)

@@ -25,10 +25,6 @@ class UnknownNode(TdoaDtbError):
     """An observation or lookup references a node id that is not known."""
 
 
-class WindowTooSmall(TdoaDtbError):
-    """Detrending window does not cover the sample spacing."""
-
-
 class NoRsrp(TdoaDtbError):
     """Operation needs received-power values but none are present."""
 

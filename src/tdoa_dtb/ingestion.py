@@ -46,11 +46,6 @@ class Session(NamedTuple):   # every command builds it at import: 8x faster than
         """Index of node_id in node_ids; -1, which no row holds, for an unseen node."""
         return self.node_ids.index(node_id) if node_id in self.node_ids else -1
 
-    def row_times(self) -> list[float]:
-        """Each row's epoch time."""
-        counts = map(operator.sub, self.starts[1:], self.starts)
-        return list(itertools.chain.from_iterable(map(itertools.repeat, self.times, counts)))
-
 
 def group_epochs(times: list[float], node_ids: list[str], pseudoranges: list[float],
                  rsrps: list[float | None], epoch_tol: float = DEFAULT_EPOCH_TOL,

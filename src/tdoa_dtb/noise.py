@@ -1,25 +1,23 @@
 """Range-noise estimation and the received-power measurement noise model.
 
-Detrending a per-node ToA series with a centered moving average strips the
-slowly varying geometry and bias content, leaving the fast noise. Binning the
-residual spread against received power yields scatter points, and a
-reciprocal model sigma(rsrp) = k / (rsrp - rsrp0) is fitted through them.
-The fit is closed-form via the linearization 1/sigma = (rsrp - rsrp0) / k,
-an ordinary least squares of 1/sigma on rsrp.
+A node's second difference in time over three consecutive epochs cancels its
+bias and its slowly varying range; centring it on the epoch's median across
+nodes cancels the receiver clock, which every node shares. Binning what is
+left against received power yields scatter points, and a reciprocal model
+sigma(rsrp) = k / (rsrp - rsrp0) is fitted through them. The fit is
+closed-form via the linearization 1/sigma = (rsrp - rsrp0) / k, an ordinary
+least squares of 1/sigma on rsrp.
 """
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
 
 from .dtb import mean_std
-from .errors import FitError, NoRsrp, ParseError, WindowTooSmall
+from .errors import FitError, NoRsrp, ParseError
 from .ingestion import Session
 from .table import Record, read_csv, row_error, write_csv
 
-DEFAULT_WINDOW_S = 2.0
 RSRP_BIN_DB = 2.0   # dB, width of a received-power bin
 MIN_BIN_SAMPLES = 20
 DEFAULT_SIGMA_FLOOR = 0.3   # m
@@ -58,54 +56,49 @@ class NoisePoint(Record):
             raise ValueError("negative sigma_hat")
 
 
-def detrend_toa(times: list[float], values: list[float], window: float = DEFAULT_WINDOW_S
-                ) -> list[float]:
-    """Residuals of a time-sorted series about its centered moving average (time window)."""
-    if len(times) < 2:
-        return [0.0] * len(times)
-    steps = sorted(t1 - t0 for t0, t1 in zip(times, times[1:]))
-    if steps[0] < 0:
-        raise ValueError("series must be time-sorted")
-    mid = len(steps) // 2
-    spacing = steps[mid] if len(steps) % 2 else (steps[mid - 1] + steps[mid]) / 2   # median
-    if window <= spacing:
-        raise WindowTooSmall(
-            f"window {window}s must exceed the median sample spacing {spacing}s"
-        )
-    # tiny padding keeps boundary samples symmetrically included despite
-    # floating-point timestamps
-    half = window / 2.0 + 1e-9 * window
-    lo = [bisect.bisect_left(times, t - half) for t in times]
-    hi = [bisect.bisect_right(times, t + half) for t in times]
-    csum = [0.0, *itertools.accumulate(values)]
-    return [v - (csum[h] - csum[l]) / (h - l) for v, l, h in zip(values, lo, hi)]
+def _median(values: list[float]) -> float:
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
 
 
-def estimate_noise_points(session: Session, window: float = DEFAULT_WINDOW_S
-                          ) -> list[NoisePoint]:
-    """Detrend each node's ToA series and bucket residual spread by received power.
+def estimate_noise_points(session: Session) -> list[NoisePoint]:
+    """Bucket the spread of each node's clock-free second difference by received power.
 
-    The nodes are taken in the order of their first rows, each series in time
-    order, and the rsrp in bins of RSRP_BIN_DB. Bins with fewer than MIN_BIN_SAMPLES
-    residuals are dropped. Raises NoRsrp when no observation carries a power
-    value, and FitError when a bin's spread is not finite (pseudoranges so
-    large that their sums overflow).
+    For consecutive epochs t0 < t1 < t2, each node seen in all three gives
+    d = (p2 - p1) - r (p1 - p0) with r = (t2 - t1) / (t1 - t0), which a bias
+    and a range linear in time leave at 0. Each d less the median d of those
+    nodes, which removes the receiver clock, is divided by
+    sqrt(1 + (1 + r)^2 + r^2), the std of d per unit ToA noise, and goes to
+    the RSRP_BIN_DB bin of the node's rsrp at t1. An epoch with fewer than 3
+    such nodes gives nothing. Bins with fewer than MIN_BIN_SAMPLES values are
+    dropped. Raises NoRsrp when no observation carries a power value, and
+    FitError when no three consecutive epochs share 3 nodes or a bin's spread
+    is not finite (pseudoranges so large that their differences overflow).
     """
-    rows_of: dict[int, list[int]] = {}
-    for row, n in enumerate(session.node):
-        rows_of.setdefault(n, []).append(row)
-    times, pseudorange, rsrp = session.row_times(), session.pseudorange, session.rsrp
-    bins: dict[int, list[float]] = {}   # power bin -> residuals
-    for rows in rows_of.values():
-        if len(rows) < 2:
-            continue
-        residuals = detrend_toa([times[row] for row in rows],
-                                [pseudorange[row] for row in rows], window)
-        for resid, row in zip(residuals, rows):
-            if rsrp[row] is not None:   # finite, so its quotient by RSRP_BIN_DB is too
-                bins.setdefault(math.floor(rsrp[row] / RSRP_BIN_DB), []).append(resid)
-    if not bins:
+    pseudorange, rsrp, times = session.pseudorange, session.rsrp, session.times
+    if all(value is None for value in rsrp):
         raise NoRsrp("no observations carry received-power values")
+    row_of = [dict(zip(session.node[start:end], range(start, end)))   # node -> row, per epoch
+              for start, end in zip(session.starts, session.starts[1:])]
+    bins: dict[int, list[float]] = {}   # power bin -> centred second differences
+    shared = False
+    for k in range(1, len(times) - 1):
+        before, after = row_of[k - 1], row_of[k + 1]
+        r = (times[k + 1] - times[k]) / (times[k] - times[k - 1])
+        diffs = [(row, pseudorange[after[n]] - pseudorange[row]
+                  - r * (pseudorange[row] - pseudorange[before[n]]))
+                 for n, row in row_of[k].items() if n in before and n in after]
+        if len(diffs) < 3:
+            continue
+        shared, centre = True, _median([d for _, d in diffs])
+        scale = math.sqrt(1.0 + (1.0 + r) * (1.0 + r) + r * r)
+        for row, d in diffs:
+            if rsrp[row] is not None:   # finite, so its quotient by RSRP_BIN_DB is too
+                bins.setdefault(math.floor(rsrp[row] / RSRP_BIN_DB), []).append(
+                    (d - centre) / scale)
+    if not shared:
+        raise FitError("no three consecutive epochs share 3 nodes; the noise fit needs them")
     points = []
     for idx in sorted(bins):
         resids = bins[idx]
@@ -115,7 +108,7 @@ def estimate_noise_points(session: Session, window: float = DEFAULT_WINDOW_S
         _, spread = mean_std(resids)
         if not math.isfinite(spread):
             raise FitError(f"noise spread of the {center} dBm power bin is not finite "
-                           f"({spread}); pseudoranges too large to detrend")
+                           f"({spread}); pseudoranges too large to difference")
         points.append(NoisePoint(center, spread))
     return points
 

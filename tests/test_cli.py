@@ -153,6 +153,20 @@ def test_non_finite_noise_spread_is_a_data_error(tmp_path, scenario_file, capsys
     assert "Traceback" not in err and not out.exists()
 
 
+def test_fit_noise_on_two_nodes_is_a_data_error(tmp_path, capsys):
+    """The golden session's rows of nodes 1 and 2 alone share no 3 nodes in
+    any epoch: exit 2 saying so, with no noise model file."""
+    golden = Path(__file__).resolve().parent / "data" / "golden" / "toa.csv"
+    header, *rows = golden.read_text().splitlines()
+    toa, out = tmp_path / "toa.csv", tmp_path / "noise.csv"
+    kept = [row for row in rows if row.split(",")[1] in ("1", "2")]
+    toa.write_text("\n".join([header, *kept]))
+    assert main(["fit-noise", "--toa", str(toa), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "no three consecutive epochs share 3 nodes" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_rsrp_near_the_float_limit_has_a_bin(tmp_path):
     """An rsrp of -1e308 falls in a 2 dB bin: fit-noise succeeds."""
     golden = Path(__file__).resolve().parent / "data" / "golden" / "toa.csv"
@@ -344,9 +358,9 @@ _POSITION = ["position", "--nodes", "n.csv", "--dtb", "d.csv", "--noise", "m.csv
              "--residuals", "r.csv"]
 _CALIBRATE = ["calibrate", "--nodes", "n.csv", "--traj", "t.csv"]
 BAD_FLAG_COMMANDS = {
-    "--epoch-tol": _CALIBRATE, "--trim-sigma": _CALIBRATE, "--window": ["fit-noise"],
+    "--epoch-tol": _CALIBRATE, "--trim-sigma": _CALIBRATE,
     # flags the fit and the filter no longer take: any value is a usage error
-    "--bin": ["fit-noise"], "--sigma-x": _POSITION, "--sigma-y": _POSITION,
+    "--window": ["fit-noise"], "--bin": ["fit-noise"], "--sigma-x": _POSITION, "--sigma-y": _POSITION,
     "--gate": _POSITION, "--default-sigma": _POSITION,
 }
 BAD_FLAG_CASES = [(flag, value) for flag in BAD_FLAG_COMMANDS
@@ -367,11 +381,11 @@ def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, flag, value):
 
 @pytest.mark.parametrize("command,flag", [
     ("position", "--sigma-x"), ("position", "--sigma-y"), ("position", "--gate"),
-    ("position", "--default-sigma"), ("fit-noise", "--bin")])
+    ("position", "--default-sigma"), ("fit-noise", "--bin"), ("fit-noise", "--window")])
 def test_removed_tuning_flag_is_unrecognised(tmp_path, capsys, eight_node_session, command, flag):
     """The filter's process noise, gate and no-rsrp sigma and the noise fit's
-    bin width are fixed: each former flag is an unrecognised argument, exit 1,
-    with no output file."""
+    bin width are fixed, and the fit has no detrend window: each former flag
+    is an unrecognised argument, exit 1, with no output file."""
     sim, out = eight_node_session, tmp_path / "out.csv"
     argv = [command, "--toa", str(sim / "toa.csv"), "--out", str(out), flag, "2"]
     if command == "position":
@@ -637,8 +651,7 @@ PACKAGE_NAMES = [
     "form_tdoa", "reference_rows", "select_reference",
     "DtbEntry", "DtbTable", "aggregate_dtb", "calibrate", "read_dtb", "rereference_dtb",
     "write_dtb",
-    "NoiseModel", "NoisePoint", "detrend_toa", "estimate_noise_points", "fit_noise_model",
-    "sigma_for",
+    "NoiseModel", "NoisePoint", "estimate_noise_points", "fit_noise_model", "sigma_for",
     "EkfState", "TrackPoint", "init_apriori", "predict", "run_filter", "update",
     "session_metrics", "sigma_formal", "sigma_postfits", "true_error",
     "ClockModel", "PathLossModel", "Scenario", "generate", "load_scenario",
@@ -664,7 +677,7 @@ print(json.dumps([loaded, tdoa_dtb.__all__, names, modules, missing]))
 
 def test_package_root_imports_each_name_on_first_use():
     """import tdoa_dtb loads no submodule; a star import then binds the same
-    39 names, each from its own module."""
+    38 names, each from its own module."""
     src = str(Path(tdoa_dtb.__file__).resolve().parent.parent)
     result = subprocess.run([sys.executable, "-c", PACKAGE_ROOT_SCRIPT],
                             env=dict(os.environ, PYTHONPATH=src),

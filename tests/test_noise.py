@@ -1,16 +1,20 @@
-import itertools
 import math
-import statistics
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tdoa_dtb.errors import FitError, NoRsrp, WindowTooSmall
-from tdoa_dtb.noise import (NoiseModel, NoisePoint, detrend_toa,
-                            estimate_noise_points, fit_noise_model,
+from tdoa_dtb.errors import FitError, NoRsrp
+from tdoa_dtb.ingestion import load_toa_session
+from tdoa_dtb.noise import (NoiseModel, NoisePoint, estimate_noise_points, fit_noise_model,
                             read_noise_model, sigma_for, write_noise_model)
+from tdoa_dtb.synthetic import ClockModel, Scenario, generate
 
-from conftest import session_of
+from conftest import eight_node_catalog, loop_waypoints, session_of
+
+GOLDEN_TOA = Path(__file__).resolve().parent / "data" / "golden" / "toa.csv"
+# the README's sawtooth receiver clock
+SAWTOOTH = ClockModel(kind="sawtooth", drift_rate=10.0, reset_period=5.0, reset_magnitude=50.0)
 
 
 def grid_search_fit(points, k_range=(1.0, 300.0), rsrp0_range=(-160.0, -90.0), n=400):
@@ -31,144 +35,6 @@ def exact_points(k=60.0, rsrp0=-110.0, rsrps=(-95, -90, -85, -80, -75, -70)):
     return [NoisePoint(float(r), k / (r - rsrp0)) for r in rsrps]
 
 
-def detrend(series, window):
-    """detrend_toa on a series of (time, value) pairs, as (time, residual) pairs."""
-    times = [t for t, _ in series]
-    return list(zip(times, detrend_toa(times, [v for _, v in series], window)))
-
-
-def test_detrend_constant_series():
-    series = [(float(t), 42.0) for t in np.arange(0, 20, 0.1)]
-    for _, resid in detrend(series, window=2.0):
-        assert resid == pytest.approx(0.0, abs=1e-9)
-
-
-def test_detrend_linear_ramp_interior():
-    series = [(float(t), 3.0 * t) for t in np.arange(0, 20, 0.1)]
-    out = detrend(series, window=2.0)
-    for t, resid in out:
-        if 1.5 < t < 18.5:   # away from the edges
-            assert abs(resid) < 1e-6
-
-
-def test_detrend_recovers_noise_std():
-    rng = np.random.default_rng(42)
-    times = np.arange(0, 300, 0.1)
-    noise = rng.normal(0.0, 1.0, times.size)
-    series = list(zip(times.tolist(), (5.0 + 0.3 * times + noise).tolist()))
-    residuals = np.array(detrend_toa(times.tolist(), [v for _, v in series], window=2.0))
-    assert 0.9 < residuals.std(ddof=1) < 1.1
-
-
-def reference_detrend(series, window):
-    """The numpy form of detrend_toa, kept as the oracle for the stdlib one."""
-    if len(series) < 2:
-        return [(t, 0.0) for t, _ in series]
-    times = np.asarray([t for t, _ in series], dtype=float)
-    values = np.asarray([v for _, v in series], dtype=float)
-    if np.any(np.diff(times) < 0):
-        raise ValueError("series must be time-sorted")
-    spacing = float(np.median(np.diff(times)))
-    if window <= spacing:
-        raise WindowTooSmall(
-            f"window {window}s must exceed the median sample spacing {spacing}s"
-        )
-    half = window / 2.0 + 1e-9 * window
-    lo = np.searchsorted(times, times - half, side="left")
-    hi = np.searchsorted(times, times + half, side="right")
-    csum = np.concatenate([[0.0], np.cumsum(values)])
-    trend = (csum[hi] - csum[lo]) / (hi - lo)
-    return list(zip(times.tolist(), (values - trend).tolist()))
-
-
-def detrend_outcome(fn, series, window):
-    try:
-        return fn(series, window)
-    except (ValueError, WindowTooSmall) as exc:
-        return type(exc), str(exc)
-
-
-def seeded_series(rng, n):
-    """Irregular times with gaps, samples exactly a half window apart and
-    values with a clock-like ramp, resets and noise."""
-    steps = rng.choice([0.1, 1.0], size=n - 1, p=[0.6, 0.4]) * rng.uniform(0.5, 1.5, n - 1)
-    steps[rng.random(n - 1) < 0.4] = 0.1      # on a 0.1 s raster a 2 s window's edges hit samples
-    steps[rng.random(n - 1) < 0.03] = rng.uniform(5.0, 60.0)   # gaps
-    steps[rng.random(n - 1) < 0.02] = 0.0     # repeated timestamps
-    times = 1000.0 * rng.random() + np.concatenate([[0.0], np.cumsum(steps)])
-    values = (80.0 + 10.0 * times - 50.0 * np.floor(times / 5.0)
-              + rng.normal(0.0, 10.0 ** rng.uniform(-2, 1), n))
-    return list(zip(times.tolist(), values.tolist()))
-
-
-def test_detrend_matches_numpy_reference():
-    rng = np.random.default_rng(77)
-    half = 2.0 / 2.0 + 1e-9 * 2.0   # detrend_toa's padded half window for a 2 s window
-    edges = list(itertools.accumulate([0.0] + [half] * 7 + [0.5] * 6))
-    cases = [[(3.0, 1.5), (3.1, -2.0)], [(0.0, 1.0)], [],
-             [(t, float(i % 3)) for i, t in enumerate(edges)]]
-    cases += [seeded_series(rng, int(n)) for n in rng.integers(2, 400, 200)]
-    compared = 0
-    for series in cases:
-        for window in (0.1, 0.25, 2.0, 7.5):
-            got = detrend_outcome(detrend, series, window)
-            want = detrend_outcome(reference_detrend, series, window)
-            if isinstance(want, tuple):   # the same error, with the same message
-                assert got == want
-                continue
-            assert [t for t, _ in got] == [t for t, _ in want]
-            assert max((abs(a - b) for (_, a), (_, b) in zip(got, want)), default=0.0) <= 1e-12
-            compared += 1
-    assert compared > 300
-
-
-def test_detrend_errors_match_numpy_reference():
-    unsorted = [(0.0, 1.0), (0.2, 2.0), (0.1, 3.0), (0.3, 4.0)]
-    sparse = [(float(t), 0.0) for t in range(10)]
-    for series, window, error in ((unsorted, 2.0, ValueError), (sparse, 0.5, WindowTooSmall),
-                                  (sparse, 1.0, WindowTooSmall)):
-        with pytest.raises(error) as got:
-            detrend(series, window)
-        with pytest.raises(error) as want:
-            reference_detrend(series, window)
-        assert str(got.value) == str(want.value)
-
-
-def test_detrend_window_bound_is_the_median_spacing():
-    """A window of exactly the median sample spacing, as statistics.median
-    gives it for odd and even step counts, is too small, and the next float
-    above it is not."""
-    rng = np.random.default_rng(8)
-    for n in (2, 3, 4, 5, 30, 31):
-        times = np.cumsum(rng.uniform(0.05, 0.5, n)).tolist()
-        spacing = statistics.median(b - a for a, b in zip(times, times[1:]))
-        with pytest.raises(WindowTooSmall, match=f"spacing {spacing}s"):
-            detrend_toa(times, [0.0] * n, window=spacing)
-        detrend_toa(times, [0.0] * n, window=math.nextafter(spacing, math.inf))
-
-
-def test_detrend_window_too_small():
-    series = [(float(t), 0.0) for t in range(10)]
-    with pytest.raises(WindowTooSmall):
-        detrend(series, window=0.5)
-
-
-def test_detrend_idempotent():
-    # dense sampling so the window average of pure noise is well below the
-    # noise itself; idempotence holds up to edge effects
-    rng = np.random.default_rng(3)
-    times = np.arange(0, 40, 2e-4)
-    series = list(zip(times.tolist(),
-                      (0.3 * times + rng.normal(0, 1.0, times.size)).tolist()))
-    once = detrend(series, window=4.0)
-    twice = detrend(once, window=4.0)
-    interior = np.array([4.0 < t < 36.0 for t, _ in once])
-    r1 = np.array([r for _, r in once])[interior]
-    r2 = np.array([r for _, r in twice])[interior]
-    rms = math.sqrt(np.mean(r1 ** 2))
-    assert math.sqrt(np.mean((r1 - r2) ** 2)) < 0.01 * rms
-
-
 def make_epochs(rsrp_by_node, sigma_by_node, n=3000, rate=10.0, seed=0):
     rng = np.random.default_rng(seed)
     epochs = []
@@ -181,9 +47,18 @@ def make_epochs(rsrp_by_node, sigma_by_node, n=3000, rate=10.0, seed=0):
 
 
 def test_noise_points_single_bin():
-    epochs = make_epochs({"1": -80.5, "2": -81.0}, {"1": 1.0, "2": 1.0}, n=200)
-    points = estimate_noise_points(session_of(epochs), window=2.0)
+    epochs = make_epochs({"1": -80.5, "2": -81.0, "3": -81.0}, {"1": 1.0, "2": 1.0, "3": 1.0},
+                         n=200)
+    points = estimate_noise_points(session_of(epochs))
     assert len(points) == 1
+
+
+def test_fewer_than_three_shared_nodes_is_fit_error():
+    """Two nodes leave no epoch's median to centre on: a FitError that says
+    so, not the fit's later complaint about too few points."""
+    epochs = make_epochs({"1": -80.5, "2": -81.0}, {"1": 1.0, "2": 1.0}, n=200)
+    with pytest.raises(FitError, match="no three consecutive epochs share 3 nodes"):
+        estimate_noise_points(session_of(epochs))
 
 
 def test_noise_points_no_rsrp():
@@ -194,33 +69,45 @@ def test_noise_points_no_rsrp():
 
 
 def test_noise_spread_whose_sum_overflows_is_fit_error():
-    """A power bin whose residuals are finite but sum past the float range is
-    a FitError: +-1.7e308 alternate, each sign in its own bin, so one bin holds
-    thirty residuals of 8/9 * 1.7e308."""
-    epochs = [(i / 4.0, {"1": (1.7e308, -50.0) if i % 2 else (-1.7e308, -60.0)})
+    """Finite pseudoranges whose differences leave the float range are a
+    FitError: three nodes alternate +-1.7e308 together, so each second
+    difference overflows and no bin's spread is finite."""
+    epochs = [(i / 4.0, {node: (1.7e308, -50.0) if i % 2 else (-1.7e308, -60.0)
+                         for node in ("1", "2", "3")})
               for i in range(60)]
     with pytest.raises(FitError, match="power bin is not finite"):
-        estimate_noise_points(session_of(epochs), window=2.0)
+        estimate_noise_points(session_of(epochs))
 
 
-def test_noise_points_match_numpy_std():
-    """Each bin's two-pass sample std against np.std(ddof=1) of the same
-    residuals, on nodes spread over many bins with blank rsrp rows."""
+def reference_noise_points(epochs):
+    """The numpy form of estimate_noise_points on (time, {node_id: (pseudorange,
+    rsrp)}) epochs, kept as its oracle: (bin centre, np.std(ddof=1)) per bin."""
+    bins = {}
+    for (t0, before), (t1, now), (t2, after) in zip(epochs, epochs[1:], epochs[2:]):
+        nodes = [n for n in now if n in before and n in after]
+        if len(nodes) < 3:
+            continue
+        r = (t2 - t1) / (t1 - t0)
+        d = np.array([(after[n][0] - now[n][0]) - r * (now[n][0] - before[n][0]) for n in nodes])
+        centred = (d - np.median(d)) / np.sqrt(1.0 + (1.0 + r) ** 2 + r ** 2)
+        for n, value in zip(nodes, centred.tolist()):
+            if now[n][1] is not None:
+                bins.setdefault(math.floor(now[n][1] / 2.0), []).append(value)
+    return [((idx + 0.5) * 2.0, float(np.std(bins[idx], ddof=1))) for idx in sorted(bins)]
+
+
+def test_noise_points_match_numpy_reference():
+    """Each bin's two-pass sample std against the numpy oracle of the same
+    centred second differences, on nodes spread over many bins with blank
+    rsrp rows."""
     rsrps = {str(i): float(r) for i, r in enumerate(np.linspace(-100.0, -55.0, 12))}
     sigmas = {n: 60.0 / (r + 110.0) for n, r in rsrps.items()}
     epochs = make_epochs(rsrps, sigmas, n=600, seed=4)
     epochs = [(t, {n: (p, None if (i + j) % 7 == 0 else r)
                    for j, (n, (p, r)) in enumerate(obs.items())})
               for i, (t, obs) in enumerate(epochs)]
-    bins = {}
-    for node in rsrps:
-        rows = [(t, *obs[node]) for t, obs in epochs if node in obs]
-        for (_, resid), (_, _, rsrp) in zip(reference_detrend([(t, v) for t, v, _ in rows], 2.0),
-                                            rows):
-            if rsrp is not None:
-                bins.setdefault(math.floor(rsrp / 2.0), []).append(resid)
-    want = [((idx + 0.5) * 2.0, float(np.std(bins[idx], ddof=1))) for idx in sorted(bins)]
-    points = estimate_noise_points(session_of(epochs), window=2.0)
+    want = reference_noise_points(epochs)
+    points = estimate_noise_points(session_of(epochs))
     assert len(points) == len(want) >= 10
     for p, (center, std) in zip(points, want):
         assert p.rsrp == center
@@ -233,11 +120,54 @@ def test_noise_points_track_generating_model():
     rsrps = {str(i): float(r) for i, r in enumerate(range(-95, -65, 5))}
     sigmas = {n: k / (r - rsrp0) for n, r in rsrps.items()}
     epochs = make_epochs(rsrps, sigmas, n=4000, seed=11)
-    points = estimate_noise_points(session_of(epochs), window=2.0)
+    points = estimate_noise_points(session_of(epochs))
     assert len(points) >= 5
     for p in points:
         expected = k / (p.rsrp - rsrp0)
         assert abs(p.sigma_hat - expected) < 0.15 * expected
+
+
+def test_noise_points_are_immune_to_the_receiver_clock():
+    """A seeded 8-node session fitted under no clock and under the README's
+    sawtooth gives the same bins and spreads: the clock is common to every
+    node of an epoch, so the median takes it out."""
+    fits = []
+    for clock in (ClockModel(), SAWTOOTH):
+        scenario = Scenario(catalog=eight_node_catalog(), waypoints=loop_waypoints(),
+                            rover_clock=clock, epoch_rate=10.0,
+                            noise=NoiseModel(60.0, -110.0), seed=5)
+        fits.append(estimate_noise_points(generate(scenario).toa))
+    plain, sawtooth = fits
+    assert len(plain) >= 3
+    assert [p.rsrp for p in sawtooth] == [p.rsrp for p in plain]
+    for a, b in zip(sawtooth, plain):
+        assert a.sigma_hat == pytest.approx(b.sigma_hat, rel=1e-12)
+
+
+def test_golden_fit_tracks_the_generating_model():
+    """The golden session's fitted sigma(rsrp) is within 15% of the generating
+    k = 60, rsrp0 = -110 over the file's own power range."""
+    session = load_toa_session(GOLDEN_TOA)
+    model, truth = fit_noise_model(estimate_noise_points(session)), NoiseModel(60.0, -110.0)
+    powers = [value for value in session.rsrp if value is not None]
+    for rsrp in np.linspace(min(powers), max(powers), 50).tolist():
+        assert abs(sigma_for(model, rsrp) / sigma_for(truth, rsrp) - 1.0) <= 0.15, rsrp
+
+
+def test_noise_free_linear_ranges_on_uneven_epochs_give_zero_spread():
+    """Pseudoranges linear in time, with a different rate per node and a
+    common sawtooth added, on irregular epoch times: the r weighting of the
+    second difference cancels each rate, so every spread is 0 to rounding."""
+    rng = np.random.default_rng(21)
+    times = np.cumsum(rng.uniform(0.05, 0.5, 400)).tolist()
+    clock = SAWTOOTH.bias_at(np.array(times)).tolist()
+    nodes = {str(n): (rng.uniform(10.0, 90.0), rng.uniform(-3.0, 3.0), -90.0 + 4.0 * n)
+             for n in range(6)}
+    epochs = [(t, {n: (a + b * t + c, rsrp) for n, (a, b, rsrp) in nodes.items()})
+              for t, c in zip(times, clock)]
+    points = estimate_noise_points(session_of(epochs))
+    assert len(points) == len(nodes)
+    assert max(p.sigma_hat for p in points) < 1e-9
 
 
 def test_fit_exact_round_trip():

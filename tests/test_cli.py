@@ -360,8 +360,8 @@ _CALIBRATE = ["calibrate", "--nodes", "n.csv", "--traj", "t.csv"]
 BAD_FLAG_COMMANDS = {
     "--epoch-tol": _CALIBRATE, "--trim-sigma": _CALIBRATE,
     # flags the fit and the filter no longer take: any value is a usage error
-    "--window": ["fit-noise"], "--bin": ["fit-noise"], "--sigma-x": _POSITION, "--sigma-y": _POSITION,
-    "--gate": _POSITION, "--default-sigma": _POSITION,
+    "--window": ["fit-noise"], "--bin": ["fit-noise"], "--sigma-x": _POSITION,
+    "--sigma-y": _POSITION, "--gate": _POSITION, "--default-sigma": _POSITION,
 }
 BAD_FLAG_CASES = [(flag, value) for flag in BAD_FLAG_COMMANDS
                   for value in ("0", "-1", "nan", "inf", "1e200", "1e-200")

@@ -245,7 +245,8 @@ def test_generate_matches_the_per_row_oracle():
         assert all(type(v) is float for v in [*toa.times, *toa.pseudorange, *toa.rsrp])
         assert [toa.node_ids[i] for i in toa.node] == node_ids
         counts = [end - start for start, end in zip(toa.starts, toa.starts[1:])]
-        assert _bits(t for t, count in zip(toa.times, counts) for _ in range(count)) == _bits(times)
+        row_times = [t for t, count in zip(toa.times, counts) for _ in range(count)]
+        assert _bits(row_times) == _bits(times)
         assert _bits(toa.pseudorange) == _bits(pseudoranges)
         assert _bits(toa.rsrp) == _bits(rsrps)
         assert _bits(toa.times) == _bits(traj.times) == _bits(t for t, *_ in trajectory)

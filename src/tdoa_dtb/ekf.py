@@ -17,14 +17,14 @@ import math
 from typing import NamedTuple
 
 from .differencing import form_tdoa, reference_rows
-from .dtb import DtbTable
+from .dtb import DtbTable, mean_std
 from .errors import TdoaDtbError
 from .geometry import NodeCatalog
 from .ingestion import Session
 from .noise import NoiseModel, sigma_for
 from .table import Record, read_csv, row_error, write_csv
 
-MIN_RANGE_M = 1.0e-6   # below this the range partials are undefined
+MIN_RANGE_M = 1.0e-6   # a range below this has zero partials, its subgradient at the node
 PSD_TOL = -1.0e-9
 # Process-noise density on each axis, m/sqrt(s): the position variance grows by
 # its square times dt per prediction, whatever the epoch raster.
@@ -77,25 +77,14 @@ class TrackPoint(NamedTuple):
 def init_apriori(catalog: NodeCatalog) -> EkfState:
     """Start at the average node position with the node dispersion as uncertainty.
 
-    Per-axis variance is the sample variance of the node coordinates, floored
-    at 1 m^2 so degenerate layouts still give a usable prior.
+    Per axis, mean_std of the node coordinates gives the mean and the sample
+    std, whose square is floored at 1 m^2 so degenerate layouts still give a
+    usable prior.
     """
-    xs = [p.x for _, p in catalog.items()]
-    ys = [p.y for _, p in catalog.items()]
-    var_x = max(_variance(xs), 1.0)
-    var_y = max(_variance(ys), 1.0)
-    return EkfState(position=(math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)),
-                    covariance=((var_x, 0.0), (0.0, var_y)))
-
-
-def _variance(values: list[float]) -> float:
-    """Sample variance (n-1 divisor) as statistics.variance: exact integer sums over the
-    largest, power-of-two denominator, rounded once; OverflowError past the float range."""
-    ratios = [v.as_integer_ratio() for v in values]
-    den = max(d for _, d in ratios)
-    nums = [n * (den // d) for n, d in ratios]
-    n, total = len(nums), sum(nums)
-    return (n * sum(m * m for m in nums) - total * total) / (n * (n - 1) * den * den)
+    (x, std_x), (y, std_y) = (mean_std([p.x for _, p in catalog.items()]),
+                              mean_std([p.y for _, p in catalog.items()]))
+    return EkfState(position=(x, y), covariance=((max(std_x * std_x, 1.0), 0.0),
+                                                 (0.0, max(std_y * std_y, 1.0))))
 
 
 def predict(state: EkfState, dt: float) -> EkfState:
@@ -136,11 +125,12 @@ def update(state: EkfState, session: Session, epoch: int, refs: list[int], nodes
     (DTB_n - DTB_ref), 3D ranges from the rover at z = 0, with partials
     h = (x - x_n)/rho_n - (x - x_ref)/rho_ref, likewise for y. Every difference
     carries the reference's noise, so their covariance is R = diag(sigma_n^2) +
-    sigma_ref^2 11'. A difference is rejected, never applied, where a range
-    below MIN_RANGE_M leaves h undefined or its innovation exceeds
-    INNOVATION_GATE * sqrt(h P h' + R_ii). With none accepted the predicted state is
-    returned unchanged. Otherwise, with M = H'R^-1 H and g = H'R^-1 nu over
-    the accepted ones, P+ = (I + P M)^-1 P and x+ = x + P+ g. Returns
+    sigma_ref^2 11'. A range below MIN_RANGE_M contributes zero partials, the
+    subgradient of a distance at its own point. A difference is rejected, never
+    applied, where its innovation exceeds INNOVATION_GATE * sqrt(h P h' + R_ii).
+    With none accepted the predicted state is returned unchanged. Otherwise,
+    with M = H'R^-1 H and g = H'R^-1 nu over the accepted ones,
+    P+ = (I + P M)^-1 P and x+ = x + P+ g. Returns
     (state, [(node index, postfit_m)], n_rejected).
     """
     ref_row = refs[epoch]
@@ -151,6 +141,7 @@ def update(state: EkfState, session: Session, epoch: int, refs: list[int], nodes
     ref_x, ref_y, ref_zz, ref_mean = nodes[ref]
     dx_m, dy_m = x - ref_x, y - ref_y
     rho_m = math.sqrt(dx_m * dx_m + dy_m * dy_m + ref_zz)
+    ux_m, uy_m = (dx_m / rho_m, dy_m / rho_m) if rho_m >= MIN_RANGE_M else (0.0, 0.0)
     applied = []
     rejected = 0
     m_xx = m_xy = m_yy = g_x = g_y = 0.0
@@ -159,10 +150,10 @@ def update(state: EkfState, session: Session, epoch: int, refs: list[int], nodes
         node_x, node_y, node_zz, mean = nodes[node[row]]
         dx_n, dy_n = x - node_x, y - node_y
         rho_n = math.sqrt(dx_n * dx_n + dy_n * dy_n + node_zz)
-        if rho_n < MIN_RANGE_M or rho_m < MIN_RANGE_M:   # partials undefined
-            rejected += 1
-            continue
-        hx, hy = dx_n / rho_n - dx_m / rho_m, dy_n / rho_n - dy_m / rho_m
+        if rho_n >= MIN_RANGE_M:
+            hx, hy = dx_n / rho_n - ux_m, dy_n / rho_n - uy_m
+        else:
+            hx, hy = -ux_m, -uy_m
         r_var = var[row] + ref_var
         innovation = sd - (rho_n - rho_m + (mean - ref_mean))
         s = a * hx * hx + 2.0 * b * hx * hy + d * hy * hy + r_var
@@ -209,9 +200,6 @@ def update(state: EkfState, session: Session, epoch: int, refs: list[int], nodes
     for n, sd in applied:
         node_x, node_y, node_zz, mean = nodes[n]
         rho_n = math.sqrt((x - node_x) * (x - node_x) + (y - node_y) * (y - node_y) + node_zz)
-        if rho_n < MIN_RANGE_M or rho_m < MIN_RANGE_M:
-            node_id = session.node_ids[n if rho_n < MIN_RANGE_M else ref]
-            raise TdoaDtbError(f"rover coincides with node {node_id!r}")
         postfits.append((n, sd - (rho_n - rho_m + (mean - ref_mean))))
     return new_state, postfits, rejected
 

@@ -25,10 +25,6 @@ class UnknownNode(TdoaDtbError):
     """An observation or lookup references a node id that is not known."""
 
 
-class NoRsrp(TdoaDtbError):
-    """Operation needs received-power values but none are present."""
-
-
 class FitError(TdoaDtbError):
     """Noise-model fit is degenerate or violates model constraints."""
 

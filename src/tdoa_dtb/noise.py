@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 from .dtb import mean_std
-from .errors import FitError, NoRsrp, ParseError
+from .errors import FitError, ParseError
 from .ingestion import Session
 from .table import Record, read_csv, row_error, write_csv
 
@@ -72,13 +72,13 @@ def estimate_noise_points(session: Session) -> list[NoisePoint]:
     sqrt(1 + (1 + r)^2 + r^2), the std of d per unit ToA noise, and goes to
     the RSRP_BIN_DB bin of the node's rsrp at t1. An epoch with fewer than 3
     such nodes gives nothing. Bins with fewer than MIN_BIN_SAMPLES values are
-    dropped. Raises NoRsrp when no observation carries a power value, and
-    FitError when no three consecutive epochs share 3 nodes or a bin's spread
-    is not finite (pseudoranges so large that their differences overflow).
+    dropped. Raises FitError when no observation carries a power value, when
+    no three consecutive epochs share 3 nodes, or when a bin's spread is not
+    finite (pseudoranges so large that their differences overflow).
     """
     pseudorange, rsrp, times = session.pseudorange, session.rsrp, session.times
     if all(value is None for value in rsrp):
-        raise NoRsrp("no observations carry received-power values")
+        raise FitError("no observations carry received-power values")
     row_of = [dict(zip(session.node[start:end], range(start, end)))   # node -> row, per epoch
               for start, end in zip(session.starts, session.starts[1:])]
     bins: dict[int, list[float]] = {}   # power bin -> centred second differences

@@ -4,7 +4,6 @@ import pytest
 
 from tdoa_dtb.dtb import DtbTable
 from tdoa_dtb.ekf import MIN_RANGE_M
-from tdoa_dtb.errors import TdoaDtbError
 from tdoa_dtb.geometry import NodeCatalog, Position, range_between
 from tdoa_dtb.ingestion import group_epochs
 from tdoa_dtb.synthetic import ClockModel, Scenario
@@ -81,9 +80,10 @@ def measurement_model(x: float, y: float, node_id: str, dtb: DtbTable,
     """Predicted single difference of node_id and its position partials at the rover (x, y).
 
     predicted = (range to node) - (range to reference) + DTB(node)
-    d(predicted)/dx = (x_r - x_n)/rho_n - (x_r - x_m)/rho_m, likewise for y.
-    Ranges are 3D: the rover sits at z = 0, a node at its catalog z. The
-    reference is the DTB table's reference node.
+    d(predicted)/dx = (x_r - x_n)/rho_n - (x_r - x_m)/rho_m, likewise for y,
+    where a range below MIN_RANGE_M contributes 0 instead. Ranges are 3D: the
+    rover sits at z = 0, a node at its catalog z. The reference is the DTB
+    table's reference node.
     """
     node = catalog[node_id]
     ref = catalog[dtb.ref_node_id]
@@ -91,8 +91,7 @@ def measurement_model(x: float, y: float, node_id: str, dtb: DtbTable,
     dx_m, dy_m = x - ref.x, y - ref.y
     rho_n = math.sqrt(dx_n * dx_n + dy_n * dy_n + node.z * node.z)
     rho_m = math.sqrt(dx_m * dx_m + dy_m * dy_m + ref.z * ref.z)
-    if rho_n < MIN_RANGE_M or rho_m < MIN_RANGE_M:
-        culprit = node_id if rho_n < MIN_RANGE_M else dtb.ref_node_id
-        raise TdoaDtbError(f"rover coincides with node {culprit!r}")
+    u_n = (dx_n / rho_n, dy_n / rho_n) if rho_n >= MIN_RANGE_M else (0.0, 0.0)
+    u_m = (dx_m / rho_m, dy_m / rho_m) if rho_m >= MIN_RANGE_M else (0.0, 0.0)
     predicted = rho_n - rho_m + dtb.mean(node_id)
-    return predicted, (dx_n / rho_n - dx_m / rho_m, dy_n / rho_n - dy_m / rho_m)
+    return predicted, (u_n[0] - u_m[0], u_n[1] - u_m[1])

@@ -364,7 +364,7 @@ BAD_FLAG_COMMANDS = {
     "--sigma-y": _POSITION, "--gate": _POSITION, "--default-sigma": _POSITION,
 }
 BAD_FLAG_CASES = [(flag, value) for flag in BAD_FLAG_COMMANDS
-                  for value in ("0", "-1", "nan", "inf", "1e200", "1e-200")
+                  for value in ("0", "-1", "nan", "inf", "1e200", "1e-200", "abc")
                   if (flag, value) != ("--epoch-tol", "0")]
 
 
@@ -759,6 +759,49 @@ def test_evaluate_on_a_bad_track_is_a_data_error(tmp_path, capsys, row, message)
     assert not (tmp_path / "metrics.json").exists()
 
 
+def test_reference_node_at_the_prior_updates_every_epoch(tmp_path, capsys):
+    """tests/data/centre_reference.yaml puts node "1" at the centre of a 3x3
+    grid: the node centroid, where the filter's prior starts, and the node
+    that --ref-node auto picks. With default flags every epoch updates and
+    evaluate succeeds."""
+    scenario = Path(__file__).resolve().parent / "data" / "centre_reference.yaml"
+    d = tmp_path / "run"
+    for argv in (["simulate", "--scenario", str(scenario), "--out-dir", str(d)],
+                 ["fit-noise", "--toa", str(d / "toa.csv"), "--out", str(d / "noise.csv")],
+                 ["calibrate", "--toa", str(d / "toa.csv"), "--nodes", str(d / "nodes.csv"),
+                  "--traj", str(d / "trajectory.csv"), "--out", str(d / "dtb.csv")],
+                 ["position", "--toa", str(d / "toa.csv"), "--nodes", str(d / "nodes.csv"),
+                  "--dtb", str(d / "dtb.csv"), "--noise", str(d / "noise.csv"),
+                  "--out", str(d / "track.csv"), "--residuals", str(d / "residuals.csv")],
+                 ["evaluate", "--track", str(d / "track.csv"), "--traj",
+                  str(d / "trajectory.csv"), "--residuals", str(d / "residuals.csv"),
+                  "--out", str(d / "metrics.json")]):
+        assert main(argv) == 0, capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "against reference '1'" in err and "filtered 181 epochs (181 with updates)" in err
+    assert read_dtb(d / "dtb.csv").ref_node_id == "1"
+    assert all(p.n_obs > 0 for p in read_track_csv(d / "track.csv"))
+    assert json.loads((d / "metrics.json").read_text())["true_error_mean_m"] <= 2.0
+
+
+@pytest.mark.parametrize("noise,same_as", [("0.5", "{sigma: 0.5}"), (None, "{sigma: 0.0}")],
+                         ids=["number", "absent"])
+def test_noise_spellings_write_the_same_session(tmp_path, noise, same_as):
+    """A bare number is a constant sigma, as {sigma: ...} is, and a scenario
+    without noise is noiseless: simulate writes the same files either way."""
+    mapping = _scenario_with("noise", same_as)
+    spelled = mapping.replace(f"noise: {same_as}\n", f"noise: {noise}\n" if noise else "")
+    assert spelled != mapping
+    sessions = []
+    for name, text in (("spelled", spelled), ("mapping", mapping)):
+        scenario, out = tmp_path / f"{name}.yaml", tmp_path / name
+        scenario.write_text(text)
+        assert main(["simulate", "--scenario", str(scenario), "--out-dir", str(out)]) == 0
+        sessions.append({f: (out / f).read_bytes() for f in
+                         ("toa.csv", "nodes.csv", "trajectory.csv", "truth_dtb.csv")})
+    assert sessions[0] == sessions[1]
+
+
 def _scenario_with(key, value):
     """SCENARIO_YAML with the entry of key replaced by key: value."""
     lines = SCENARIO_YAML.strip().splitlines()
@@ -798,6 +841,11 @@ SCENARIO_PROBES = {
     # 4e301 s at 2 Hz: finite, but far more epochs than the noise key holds
     "speed-1e-300": _scenario_with("speed", "1.0e-300").replace("duration: 300.0\n", ""),
     "epoch-count-2**32": _scenario_with("duration", "2147483647.5"),   # 2**32 epochs at 2 Hz
+    "clock-reset-period-0": _scenario_with("clock", "{kind: sawtooth, reset_period: 0}"),
+    "speed-negative": _scenario_with("speed", "-1.0"),
+    "noise-negative": _scenario_with("noise", "-1.0"),
+    "top-level-list": "- seed: 11\n- epoch_rate: 2.0\n",
+    "duration-0.1": _scenario_with("duration", "0.1"),   # 0.2 epoch steps at 2 Hz
 }
 
 

@@ -4,12 +4,12 @@ import statistics
 import numpy as np
 import pytest
 
-from tdoa_dtb.dtb import DtbEntry, DtbTable, rereference_dtb
-from tdoa_dtb.ekf import (INNOVATION_GATE, PSD_TOL, EkfState, _variance, init_apriori, predict,
+from tdoa_dtb.dtb import DtbEntry, DtbTable, mean_std, rereference_dtb
+from tdoa_dtb.ekf import (INNOVATION_GATE, PSD_TOL, EkfState, init_apriori, predict,
                           read_residuals_csv, read_track_csv, run_filter, session_model,
                           update, write_residuals_csv, write_track_csv)
-from tdoa_dtb.errors import TdoaDtbError, UnknownNode
-from tdoa_dtb.geometry import NodeCatalog, Position, node_sort_key
+from tdoa_dtb.errors import UnknownNode
+from tdoa_dtb.geometry import NodeCatalog, Position, node_sort_key, range_between
 from tdoa_dtb.ingestion import Session
 from tdoa_dtb.metrics import true_error
 from tdoa_dtb.noise import NoiseModel, sigma_for
@@ -84,29 +84,29 @@ def test_init_apriori_matches_numpy_reference():
     assert floored > 0
 
 
-def test_init_apriori_equals_the_statistics_module_bit_for_bit():
-    """The fsum mean and the exact integer-sum variance are statistics.fmean and
-    statistics.variance, bit for bit, on seeded samples of 2 to 64 values,
-    scales from 1e-3 to 1e6 and offsets up to 1e6; past the float range both
-    raise OverflowError."""
+def test_init_apriori_is_mean_std_of_the_node_coordinates():
+    """Each axis's mean and floored variance are mean_std's mean and squared
+    std, bit for bit, on seeded samples of 2 to 64 values, scales from 1e-3 to
+    1e6 and offsets up to 1e6. The mean is statistics.fmean, bit for bit, and
+    the variance statistics.variance to within 1e-12. Coordinates whose
+    variance leaves the float range give a non-finite prior, a ValueError."""
     rng = random.Random(21)
     for _ in range(3000):
         n = rng.randint(2, 64)
         scale, offset = 10.0 ** rng.uniform(-3.0, 6.0), rng.uniform(-1e6, 1e6)
         xs = [offset + scale * rng.gauss(0.0, 1.0) for _ in range(n)]
-        assert _variance(xs) == statistics.variance(xs)
-    xs = [rng.uniform(-1e6, 1e6) for _ in range(40)]
-    ys = [rng.uniform(-1e3, 1e3) for _ in range(40)]
-    state = init_apriori(NodeCatalog({str(i): Position(x, y)
-                                      for i, (x, y) in enumerate(zip(xs, ys))}))
-    assert state.position == (statistics.fmean(xs), statistics.fmean(ys))
-    assert state.covariance == ((statistics.variance(xs), 0.0), (0.0, statistics.variance(ys)))
-    assert _variance([3, 5, 10]) == statistics.variance([3, 5, 10]) == 13.0
+        ys = [float(i) for i in range(n)]
+        state = init_apriori(NodeCatalog({str(i): Position(x, y)
+                                          for i, (x, y) in enumerate(zip(xs, ys))}))
+        (mean, std), (mean_y, std_y) = mean_std(xs), mean_std(ys)
+        assert state.position == (mean, mean_y) and mean == statistics.fmean(xs)
+        assert state.covariance == ((max(std * std, 1.0), 0.0), (0.0, max(std_y * std_y, 1.0)))
+        assert std * std == pytest.approx(statistics.variance(xs), rel=1e-12)
+    # sqrt(13) squared is 13 to an ulp, not exactly
+    assert mean_std([3.0, 5.0, 10.0])[1] ** 2 == pytest.approx(13.0, rel=2.0 ** -52)
     for xs in ([1e308, -1e308], [1.7e308, 1.7e308, -1.7e308], [0.0, 2e154, -2e154]):
-        with pytest.raises(OverflowError):
-            statistics.variance(xs)
-        with pytest.raises(OverflowError):
-            _variance(xs)
+        with pytest.raises(ValueError, match="non-finite"):
+            init_apriori(NodeCatalog({str(i): Position(x, i) for i, x in enumerate(xs)}))
 
 
 def test_state_rejects_indefinite_covariance():
@@ -187,10 +187,12 @@ def test_measurement_model_collinear():
 
 
 def test_measurement_model_singular():
+    """A rover on a node, the reference or not, takes that range's partials
+    as 0: the subgradient of a distance at its own point."""
     catalog = NodeCatalog({"n": Position(10, 0), "m": Position(-10, 0)})
     dtb = empty_dtb(catalog, "m")
-    with pytest.raises(TdoaDtbError, match="rover coincides with node 'n'"):
-        measurement_model(10.0, 0.0, "n", dtb, catalog)
+    assert measurement_model(10.0, 0.0, "n", dtb, catalog) == (-20.0, (-1.0, 0.0))
+    assert measurement_model(-10.0, 0.0, "n", dtb, catalog) == (20.0, (-1.0, 0.0))
 
 
 def test_measurement_model_applies_dtb():
@@ -273,13 +275,7 @@ def reference_update(state, session, epoch, dtb, catalog, noise):
             continue
         pseudorange, rsrp = obs[node_id]
         sd = pseudorange - ref_pseudorange
-        try:
-            predicted, h = measurement_model(x, y, node_id, dtb, catalog)
-        except UnknownNode:
-            raise
-        except TdoaDtbError:   # the rover on a node: the partials are undefined
-            rejected += 1
-            continue
+        predicted, h = measurement_model(x, y, node_id, dtb, catalog)
         r_var = sigma_for(noise, rsrp) ** 2 + sigma_for(noise, rsrp_ref) ** 2
         innovation = sd - predicted
         hvec = np.array(h)
@@ -306,21 +302,20 @@ def reference_update(state, session, epoch, dtb, catalog, noise):
     return new_state, postfits, rejected
 
 
-def random_epoch(rng, n_nodes, rover_at_node=False):
+def random_epoch(rng, n_nodes, at_node=None):
     """One epoch differenced against node "1" with noise, blunders and blank rsrp.
 
     Returns (state, session, dtb, catalog), the session holding the one epoch;
     node "1" has pseudorange 0, so every
     other node's pseudorange is its single difference. The state sits near the
-    true rover, or exactly on node "2" when rover_at_node is set.
+    true rover, or exactly on node at_node when it is given.
     """
     ids = [str(i + 1) for i in range(n_nodes)]
     catalog = NodeCatalog({i: Position(*rng.uniform(0.0, 120.0, 2)) for i in ids})
     dtb = DtbTable("1", {i: DtbEntry(float(rng.uniform(-20, 20)), 0.0, 1) for i in ids[1:]})
     rover = Position(*rng.uniform(10.0, 110.0, 2))
-    node2 = catalog["2"]
-    guess = (node2.x, node2.y) if rover_at_node else (rover.x + rng.normal(),
-                                                      rover.y + rng.normal())
+    guess = ((catalog[at_node].x, catalog[at_node].y) if at_node else
+             (rover.x + rng.normal(), rover.y + rng.normal()))
     root = rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-1, 1.5)
     state = EkfState(np.array(guess), root @ root.T + 1e-3 * np.eye(2))
     rsrp_ref = None if rng.random() < 0.2 else float(rng.uniform(-105, -50))
@@ -349,20 +344,24 @@ def assert_updates_agree(got, want):
 @pytest.mark.parametrize("n_nodes", [8, 64])
 def test_update_matches_kalman_gain_reference(n_nodes):
     """Information-form update against the Kalman-gain oracle on random epochs,
-    including gated blunders, a rover on a node, blank rsrp and a singular prior."""
+    including gated blunders, a rover on node "2" (trials 1, 11, 21 and 31) or
+    on the reference (the last 4), blank rsrp and a singular prior."""
     rng = np.random.default_rng(n_nodes)
-    n_rejected = n_singular = n_blank = 0
-    for trial in range(40):
-        state, epoch, dtb, catalog = random_epoch(rng, n_nodes, rover_at_node=trial % 10 == 1)
+    n_rejected = n_blank = 0
+    updated = {"1": 0, "2": 0}   # on-node trials that applied a difference
+    for trial in range(44):
+        at_node = "1" if trial >= 40 else "2" if trial % 10 == 1 else None
+        state, epoch, dtb, catalog = random_epoch(rng, n_nodes, at_node)
         if trial == 0:
             state = EkfState(state.position, np.diag([1e-12, 1.0]))
         got = update(state, epoch, 0, *session_model(epoch, dtb, catalog, WIDE_NOISE))
         assert_updates_agree(got, reference_update(state, epoch, 0, dtb, catalog, WIDE_NOISE))
         n_rejected += got[2]
-        n_singular += trial % 10 == 1
+        if at_node:
+            updated[at_node] += bool(got[1])
         n_blank += sum(rsrp is None for n, rsrp in zip(epoch.node, epoch.rsrp)
                        if epoch.node_ids[n] != "1")
-    assert n_rejected > n_singular > 0 and n_blank > 0
+    assert n_rejected > 0 and n_blank > 0 and min(updated.values()) > 0
 
 
 def test_run_filter_matches_kalman_gain_reference(monkeypatch):
@@ -412,6 +411,27 @@ def test_zero_noise_convergence():
         ref = session.trajectory.interpolate(p.time)
         err = np.hypot(p.x - ref.x, p.y - ref.y)
         assert err < 1e-3
+
+
+@pytest.mark.parametrize("node_id", ["2", "1"], ids=["node", "reference"])
+def test_rover_parked_on_a_node_is_followed_when_it_moves(node_id):
+    """A noiseless rover parked on a node for 150 epochs at 2 Hz, then moving
+    at 0.1 m/s towards the layout's centre for 150 more: the estimate reaches
+    the node, where that range's partials are 0, and follows the rover off it,
+    applying every difference of every epoch."""
+    catalog = eight_node_catalog(30.0)
+    start = catalog[node_id]
+    heading = np.subtract((15.0, 15.0), (start.x, start.y))
+    heading /= np.hypot(*heading)
+    rovers = [Position(*((start.x, start.y) + 0.05 * max(k - 149, 0) * heading))
+              for k in range(300)]
+    epochs = [(0.5 * k, {n: (range_between(rover, p), -60.0) for n, p in catalog.items()})
+              for k, rover in enumerate(rovers)]
+    track, _ = run_filter(session_of(epochs), empty_dtb(catalog, "1"), catalog, WIDE_NOISE)
+    assert [(p.n_obs, p.n_rejected) for p in track] == [(7, 0)] * 300
+    errors = [np.hypot(p.x - r.x, p.y - r.y) for p, r in zip(track, rovers)]
+    assert max(errors[100:150]) < 1e-6   # on the node
+    assert max(errors[-20:]) < 0.2   # 7.5 m off it, behind by the random walk's lag
 
 
 def test_covariance_psd_through_filter():

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tdoa_dtb.errors import FitError, NoRsrp
+from tdoa_dtb.errors import FitError
 from tdoa_dtb.ingestion import load_toa_session
 from tdoa_dtb.noise import (NoiseModel, NoisePoint, estimate_noise_points, fit_noise_model,
                             read_noise_model, sigma_for, write_noise_model)
@@ -64,7 +64,7 @@ def test_fewer_than_three_shared_nodes_is_fit_error():
 def test_noise_points_no_rsrp():
     epochs = make_epochs({"1": -80.0}, {"1": 1.0}, n=50)
     stripped = [(t, {n: (p, None) for n, (p, _) in obs.items()}) for t, obs in epochs]
-    with pytest.raises(NoRsrp):
+    with pytest.raises(FitError, match="no observations carry received-power values"):
         estimate_noise_points(session_of(stripped))
 
 

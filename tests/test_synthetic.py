@@ -38,6 +38,8 @@ def test_truth_dtb_matches_bias_differences():
     table = truth_dtb(scenario, "1")
     # DTB(2 vs 1) = -b^2 + b^1
     assert table.entries["2"].mean == pytest.approx(25.8, abs=1e-12)
+    with pytest.raises(InvalidScenario, match="reference '9' not in catalog"):
+        truth_dtb(scenario, "9")
 
 
 def test_truth_dtb_includes_nlos_differences():

@@ -56,7 +56,8 @@ def group_epochs(times: list[float], node_ids: list[str], pseudoranges: list[flo
     differs from the current epoch's first row by more than the tolerance, so
     each row lands in exactly one epoch, which takes its first row's time.
     Each epoch's rows are then sorted by node_sort_key. A node seen twice in
-    one epoch is a data error naming source and the first such node.
+    one epoch is a data error naming source and the first such node. Rows
+    already in that order, as simulate and every writer give them, skip the sorts.
     """
     if not times:
         raise TdoaDtbError(f"{source}: no observations")
@@ -65,12 +66,21 @@ def group_epochs(times: list[float], node_ids: list[str], pseudoranges: list[flo
     ids = sorted(dict.fromkeys(node_ids), key=node_sort_key)
     rank = dict(zip(ids, range(len(ids))))
     node = list(map(rank.__getitem__, node_ids))
-    order = sorted(range(len(node)), key=times.__getitem__)
-    times, starts = list(map(times.__getitem__, order)), [0]
+    order, starts = range(len(node)), [0]
+    in_time_order = all(map(operator.le, times, times[1:]))
+    if not in_time_order:
+        order = sorted(order, key=times.__getitem__)
+        times = list(map(times.__getitem__, order))
     for row, t in enumerate(times):
         if t - times[starts[-1]] > epoch_tol:
             starts.append(row)
     starts.append(len(times))
+    # in order when each row whose node does not follow its predecessor's opens an epoch
+    if in_time_order and set(starts).issuperset(
+            itertools.compress(range(1, len(node)), map(operator.ge, node, node[1:]))):
+        return Session(ids, node, list(pseudoranges), list(rsrps),
+                       [times[start] for start in starts[:-1]], starts)
+    order = list(order)
     for start, end in zip(starts, starts[1:]):
         rows = order[start:end] = sorted(order[start:end], key=node.__getitem__)
         for a, b in zip(rows, rows[1:]):   # a duplicate node is two adjacent rows

@@ -2,9 +2,11 @@
 
 Each table is a header row naming its columns, then one row per record; the
 rules all tables share are stated once in the README's "File formats".
-A table is read as columns, each converted in one pass; only a column that
-fails sends the reader back over the rows, in file order, for the first bad
-row and that row's first bad column.
+A table without a quote, whose rows are all as long as its header, is taken
+apart by one split at its commas, the whole file decoded at once; any other
+is read by csv.reader. Either way it is read as columns, each converted in
+one pass; only a column that fails sends the reader back over the rows, in
+file order, for the first bad row and that row's first bad column.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import json
 import math
 
 from .errors import ParseError
+
+_NOT_COMMA_OR_LF = bytes(set(range(256)) - set(b",\n"))   # deleted by the split path's row check
 
 
 class Record:
@@ -49,29 +53,33 @@ def read_csv(path, required: dict, optional: dict | None = None, rule=None) -> l
     always the first problem in file order.
     """
     optional = optional or {}
-    text, failure = _text(path)
-    rows, header, reader = [], [], csv.reader(text)
-    try:
-        header = next(reader, None)
-        if failure and reader.line_num >= failure.line:   # a byte of the header is not UTF-8
-            raise failure
-        missing = [name for name in required if header is None or name not in header]
-        if missing:
-            wanted = ",".join(required) + "".join(f"[,{n}]" for n in optional)
-            raise ParseError(path, 1, f"expected header {wanted}; "
-                                      f"missing {','.join(missing)}")
-        # keeps the rows before a malformed line, and those ending before a byte that is not UTF-8
-        rows.extend(filter(None, reader) if failure is None else itertools.takewhile(
-            lambda row: reader.line_num < failure.line, filter(None, reader)))
-    except csv.Error as exc:
-        if failure is None or reader.line_num < failure.line:
-            failure = ParseError(path, reader.line_num, f"malformed CSV: {exc}")
-    # past a short row's end cells read blank; cells past the header are never read
-    cells = list(itertools.zip_longest(*rows, fillvalue=""))
-    cells += [("",) * len(rows)] * (len(header) - len(cells))
+    data, text, failure = _text(path)
+    split = failure is None and _split(data, required)
+    header, cells = split or ([], [])
+    if not split:   # csv.reader's rows, then columns
+        rows, reader = [], csv.reader(text)
+        try:
+            header = next(reader, None)
+            if failure and reader.line_num >= failure.line:   # a byte of the header is not UTF-8
+                raise failure
+            header = [cell.strip() for cell in header or ()]
+            missing = [name for name in required if name not in header]
+            if missing:
+                wanted = ",".join(required) + "".join(f"[,{n}]" for n in optional)
+                raise ParseError(path, 1, f"expected header {wanted}; "
+                                          f"missing {','.join(missing)}")
+            # the rows before a malformed line, and those ending before a byte not UTF-8
+            rows.extend(filter(None, reader) if failure is None else itertools.takewhile(
+                lambda row: reader.line_num < failure.line, filter(None, reader)))
+        except csv.Error as exc:
+            if failure is None or reader.line_num < failure.line:
+                failure = ParseError(path, reader.line_num, f"malformed CSV: {exc}")
+        # past a short row's end cells read blank; cells past the header are never read
+        cells = list(itertools.zip_longest(*rows, fillvalue=""))
+        cells += [("",) * len(rows)] * (len(header) - len(cells))
     columns = [(name, header.index(name), kind, name in optional)
                for name, kind in [*required.items(), *optional.items()] if name in header]
-    count = len(rows)
+    count = len(cells[0]) if cells else 0
     try:
         values = _convert(cells, columns)
     except ValueError:   # the rows before the first bad cell convert
@@ -85,6 +93,26 @@ def read_csv(path, required: dict, optional: dict | None = None, rule=None) -> l
     if failure:   # the first bad cell or row, or a malformed or undecodable line
         raise failure
     return table
+
+
+def _split(data: bytes, required) -> tuple[list, list] | None:
+    """The header and the cells, column by column, of a UTF-8 table; None unless
+    csv.reader would read the same: no quote, NUL or line past csv's field
+    limit, every required column, and rows, each as long as the header."""
+    lines = data.splitlines()   # split where csv splits: \r, \n and \r\n
+    if not lines or b'"' in data or b"\0" in data or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    header = [cell.strip() for cell in lines[0].decode().split(",")]
+    rows, width = list(filter(None, lines[1:])), len(header)
+    body, count = b"\n".join(rows), len(rows)
+    del lines, rows   # a lower peak of memory: the lines go before the text is copied twice
+    # each row as long as the header: the commas and line ends, all else deleted, repeat one row's
+    if (not count or any(name not in header for name in required)
+            or body.translate(None, _NOT_COMMA_OR_LF) != b"\n".join([b"," * (width - 1)] * count)):
+        return None
+    body = body.replace(b"\n", b",")
+    cells = body.decode().split(",")
+    return header, [cells[index::width] for index in range(width)]
 
 
 def _convert(cells, columns) -> dict:
@@ -125,25 +153,27 @@ def finite_float(value) -> float:
     return number
 
 
-def _text(path) -> tuple[io.TextIOWrapper, ParseError | None]:
-    """A file's text, decoded as UTF-8 whatever the locale, a chunk at a time
-    (io.StringIO would hold the whole file at 4 bytes a character), with U+FFFD
-    for a byte that is not UTF-8; and a ParseError at the first such byte, or None."""
+def _text(path) -> tuple[bytes, io.TextIOWrapper, ParseError | None]:
+    """A file's bytes, less a leading UTF-8 byte order mark, which holds no line
+    end; its text for csv.reader, decoded as UTF-8 whatever the locale, a chunk
+    at a time (io.StringIO would hold the whole file at 4 bytes a character; the
+    split path decodes the whole file at once), with U+FFFD for a byte that is
+    not UTF-8; and a ParseError at the first such byte, or None."""
     with open(path, "rb") as f:
-        data = f.read()
+        data = f.read().removeprefix(b"\xef\xbb\xbf")
     failure = None
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:   # bytes.splitlines ends lines where csv does
         failure = ParseError(path, len(data[:exc.start + 1].splitlines()),
                              f"not a text file: {exc}")
-    return io.TextIOWrapper(io.BytesIO(data), "utf-8", "replace", newline=""), failure
+    return data, io.TextIOWrapper(io.BytesIO(data), "utf-8", "replace", newline=""), failure
 
 
 def row_error(path, index: int, message: str) -> ParseError:
     """ParseError at the line on which row index (from 0, past the header and
     blank lines) of a CSV table ends."""
-    reader = csv.reader(_text(path)[0])
+    reader = csv.reader(_text(path)[1])
     next(itertools.islice(filter(None, reader), index + 1, None))
     return ParseError(path, reader.line_num, message)
 

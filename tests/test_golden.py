@@ -11,6 +11,11 @@ k % 4 == 3, and with node "3"'s rsrp blank where k % 5 == 0. Calibrated against
 node "1", its 20 epochs without that node give no samples; positioned with
 that table, they are differenced against their strongest node instead.
 
+The command path runs twice: on the session as it is, whose tables the
+reader splits at their commas, and on a copy whose input tables have their
+first header cell quoted, which sends them to csv.reader. Both give the same
+hashes.
+
 Imports neither pytest nor numpy, so that it also runs on a bare interpreter:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -19,7 +24,6 @@ On a mismatch it prints the actual list, in the format of SHA256SUMS.
 """
 
 import hashlib
-import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -62,21 +66,25 @@ def command(name: str, inputs: Path, out: Path) -> list[str]:
     }[name]
 
 
-def run_command_path(out: Path, commands=COMMANDS) -> None:
-    """Copy the golden session into out and run the commands there, in order."""
+def run_command_path(out: Path, commands=COMMANDS, quoted: bool = False) -> None:
+    """Copy the golden session into out, with the first header cell of each
+    table quoted if asked, and run the commands there, in order."""
     for name in SESSION:
-        shutil.copy(GOLDEN / name, out / name)
+        data = (GOLDEN / name).read_bytes()
+        if quoted:   # "time",node_id,...
+            data = b'"' + data.replace(b",", b'",', 1)
+        (out / name).write_bytes(data)
     for name in commands:
         code = main(command(name, out, out))
         if code != 0:
             raise AssertionError(f"tdoa-dtb {name} exited {code}")
 
 
-def actual_sums() -> str:
+def actual_sums(quoted: bool = False) -> str:
     """The SHA256SUMS text of the outputs of a fresh run of the command path."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        run_command_path(out)
+        run_command_path(out, quoted=quoted)
         return "".join(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}\n"
                        for path in sorted(out.iterdir())
                        if path.name not in SESSION and not path.name.endswith(".manifest.json"))
@@ -87,10 +95,18 @@ def test_command_path_outputs_match_the_golden_hashes():
     assert actual == SUMS.read_text(), f"outputs differ from {SUMS}; actual list:\n{actual}"
 
 
+def test_quoted_header_copy_matches_the_golden_hashes():
+    actual = actual_sums(quoted=True)
+    assert actual == SUMS.read_text(), f"outputs differ from {SUMS}; actual list:\n{actual}"
+
+
 if __name__ == "__main__":
-    actual = actual_sums()
-    if actual != SUMS.read_text():
-        print(f"{__file__}: outputs differ from {SUMS}; actual list:", file=sys.stderr)
-        sys.stdout.write(actual)
-        sys.exit(1)
-    print(f"{__file__}: all outputs match {SUMS}", file=sys.stderr)
+    for quoted in (False, True):
+        actual = actual_sums(quoted)
+        session = "the quoted-header copy" if quoted else "the session"
+        if actual != SUMS.read_text():
+            print(f"{__file__}: outputs of {session} differ from {SUMS}; actual list:",
+                  file=sys.stderr)
+            sys.stdout.write(actual)
+            sys.exit(1)
+        print(f"{__file__}: all outputs of {session} match {SUMS}", file=sys.stderr)

@@ -10,8 +10,8 @@ from tdoa_dtb.cli import main
 from tdoa_dtb.errors import ParseError, TdoaDtbError
 from tdoa_dtb.geometry import NodeCatalog, Position, node_sort_key
 from tdoa_dtb.ingestion import (SPEED_OF_LIGHT, ReferenceTrajectory, Session,
-                                load_toa_session, write_toa_csv, write_trajectory_csv,
-                                load_trajectory)
+                                group_epochs, load_toa_session, write_toa_csv,
+                                write_trajectory_csv, load_trajectory)
 from tdoa_dtb.noise import NoiseModel
 from tdoa_dtb.synthetic import ClockModel, Scenario, generate
 from tdoa_dtb.table import write_csv
@@ -149,6 +149,15 @@ def test_epoch_rejects_duplicate_node(tmp_path):
         load_toa_session(path)
 
 
+def test_duplicate_node_in_rows_already_in_order_is_rejected(tmp_path):
+    """Rows in time and node order, as a file written from a session holds
+    them, but for one node twice: the grouping that skips the sorts names it."""
+    path = _toa_rows_file(tmp_path / "toa.csv", [(0.0, "1", 1.0, None), (0.0, "2", 1.0, None),
+                                                 (0.0, "2", 2.0, None), (0.1, "1", 1.0, None)])
+    with pytest.raises(TdoaDtbError, match=r"duplicate node '2' in epoch at t=0.0"):
+        load_toa_session(path)
+
+
 @pytest.mark.parametrize("nodes", ["3232", "2323"])
 def test_duplicate_error_names_the_first_duplicated_node_in_node_order(tmp_path, nodes):
     """An epoch holding two duplicated nodes, its rows at four times within the
@@ -200,6 +209,23 @@ def test_generated_session_round_trips_through_a_toa_file(tmp_path):
     write_toa_csv(session, tmp_path / "toa.csv")
     assert load_toa_session(tmp_path / "toa.csv") == session
     assert len(session.times) == 301 and len(session.node) == 8 * 301
+
+
+def test_shuffled_rows_group_into_the_sorted_session():
+    """Rows out of time or node order give the Session that the same rows in
+    order give without a sort."""
+    session = generate(Scenario(catalog=eight_node_catalog(), waypoints=loop_waypoints(),
+                                epoch_rate=10.0, noise=NoiseModel(60.0, -110.0), seed=5,
+                                duration=10.0)).toa
+    counts = [end - start for start, end in zip(session.starts, session.starts[1:])]
+    rows = list(zip([t for t, n in zip(session.times, counts) for _ in range(n)],
+                    map(session.node_ids.__getitem__, session.node),
+                    session.pseudorange, session.rsrp))
+    assert group_epochs(*map(list, zip(*rows))) == session
+    random.Random(11).shuffle(rows)
+    assert group_epochs(*map(list, zip(*rows))) == session
+    rows.sort(key=lambda row: row[0])   # in time order, each epoch's nodes shuffled
+    assert group_epochs(*map(list, zip(*rows))) == session
 
 
 def test_interpolate_midpoint():

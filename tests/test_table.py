@@ -340,7 +340,7 @@ def test_split_reader_matches_the_csv_reader(tmp_path):
             message = str(exc).removeprefix(f"{path}:{exc.line}: ")
             return exc.line, re.sub(r"position \d+", "position N", message)
 
-    # one draw per table: drawing cell by cell took 5 ms a table, 3000 tables 15 s
+    # one draw per table: hypothesis drawing cell by cell made the test three times slower
     @hypothesis.settings(max_examples=3000, deadline=None)
     @hypothesis.given(hypothesis.strategies.randoms(use_true_random=True))
     def check(rng):

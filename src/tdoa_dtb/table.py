@@ -19,7 +19,7 @@ import math
 
 from .errors import ParseError
 
-_NOT_COMMA_OR_LF = bytes(set(range(256)) - set(b",\n"))   # deleted by the split path's row check
+_NOT_COMMA_CR_LF = bytes(set(range(256)) - set(b",\r\n"))   # deleted by the split path's row check
 
 
 class Record:
@@ -103,16 +103,16 @@ def _split(data: bytes, required) -> tuple[list, list] | None:
     if not lines or b'"' in data or b"\0" in data or max(map(len, lines)) > csv.field_size_limit():
         return None
     header = [cell.strip() for cell in lines[0].decode().split(",")]
-    rows, width = list(filter(None, lines[1:])), len(header)
-    body, count = b"\n".join(rows), len(rows)
-    del lines, rows   # a lower peak of memory: the lines go before the text is copied twice
-    # each row as long as the header: the commas and line ends, all else deleted, repeat one row's
-    if (not count or any(name not in header for name in required)
-            or body.translate(None, _NOT_COMMA_OR_LF) != b"\n".join([b"," * (width - 1)] * count)):
+    rows, commas = list(filter(None, lines[1:])), b"," * (len(header) - 1)
+    # all but commas and line ends deleted, each line that is not blank is the header's commas
+    if (not rows or any(name not in header for name in required)
+            or data.translate(None, _NOT_COMMA_CR_LF).splitlines()
+            != [commas if line else b"" for line in lines]):
         return None
-    body = body.replace(b"\n", b",")
-    cells = body.decode().split(",")
-    return header, [cells[index::width] for index in range(width)]
+    text = b",".join(rows).decode()
+    del lines, rows   # a lower peak of memory: the lines go before the text is split
+    cells = text.split(",")
+    return header, [cells[index::len(header)] for index in range(len(header))]
 
 
 def _convert(cells, columns) -> dict:

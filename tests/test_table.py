@@ -350,7 +350,7 @@ def test_split_reader_matches_the_csv_reader(tmp_path):
         header = [f" {name} " if rng.random() < 0.3 else name for name in names]
         body = b""
         for _ in range(rng.randrange(7)):   # mostly rows of the header's width
-            width = len(header) + rng.choice([0] * 8 + [-1, 1, -9])
+            width = len(header) + rng.choice([0] * 8 + [-1, 1, -2, -3, -9])
             body += b",".join(rng.choices(cells, k=max(width, 0))) + rng.choice(line_ends)
         header_end = rng.choice(line_ends)
         path = tmp_path / "t.csv"

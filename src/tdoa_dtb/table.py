@@ -104,7 +104,7 @@ def _split(data: bytes, required) -> tuple[list, list] | None:
         return None
     header = [cell.strip() for cell in lines[0].decode().split(",")]
     rows, commas = list(filter(None, lines[1:])), b"," * (len(header) - 1)
-    # all but commas and line ends deleted, each line that is not blank is the header's commas
+    # all but commas and line ends deleted: the same lines, each not blank the header's commas
     if (not rows or any(name not in header for name in required)
             or data.translate(None, _NOT_COMMA_CR_LF).splitlines()
             != [commas if line else b"" for line in lines]):

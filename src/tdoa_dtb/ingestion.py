@@ -154,7 +154,8 @@ def load_toa_session(path, unit_mode: str = "meters",
 
 def write_toa_csv(session: Session, path) -> None:
     """Write a session back to the canonical ToA format (meters), each row at
-    its epoch's time, formatted once per epoch as the CSV writer would (repr)."""
+    its epoch's time, formatted once per epoch as write_csv formats a float
+    (its str, which is its repr)."""
     counts = map(operator.sub, session.starts[1:], session.starts)
     texts = itertools.chain.from_iterable(map(itertools.repeat, map(repr, session.times), counts))
     write_csv(path, list(TOA_COLUMNS) + ["rsrp"],

@@ -7,6 +7,10 @@ apart by one split at its commas, the whole file decoded at once; any other
 is read by csv.reader. Either way it is read as columns, each converted in
 one pass; only a column that fails sends the reader back over the rows, in
 file order, for the first bad row and that row's first bad column.
+
+Writing mirrors reading: rows are formatted as text a chunk at a time, and
+only a chunk with a cell that csv must quote, or a row not as long as the
+header, is written by csv.writer.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import math
 from .errors import ParseError
 
 _NOT_COMMA_CR_LF = bytes(set(range(256)) - set(b",\r\n"))   # deleted by the split path's row check
+_CHUNK_ROWS = 4096   # rows write_csv formats and writes at a time
 
 
 class Record:
@@ -179,15 +184,48 @@ def row_error(path, index: int, message: str) -> ParseError:
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    """Write a header row, then the rows, in UTF-8: floats in full repr, None as a blank cell."""
+    """Write a header row, then the rows, in UTF-8, byte for byte as csv.writer
+    writes them: floats in full repr, None as a blank cell, and a cell quoted
+    exactly when it holds a comma, a double quote or a line end. Each chunk of
+    rows is formatted with a %s per cell (str is csv.writer's conversion) and
+    written at once, unless csv.writer would write it otherwise (_format)."""
+    template = ",".join(["%s"] * len(header)) + "\r\n"
+    rows = itertools.chain([header], rows)
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(header)
-        writer.writerows(rows)
+        while chunk := list(map(tuple, itertools.islice(rows, _CHUNK_ROWS))):
+            text = _format(chunk, template, len(header))
+            if text is None:
+                writer.writerows(chunk)
+            else:
+                f.write(text)
+
+
+def _format(rows: list[tuple], template: str, width: int) -> str | None:
+    """The rows as text, None as a blank cell; None where csv.writer writes
+    otherwise: a row not as wide as the header, a one-column table (a lone
+    empty cell is written ""), or a cell holding a comma, a quote, a line end
+    or a NUL (which csv refuses before Python 3.11)."""
+    try:
+        lines = list(map(template.__mod__, rows))
+    except TypeError:   # a row not as wide as the header
+        return None
+    text = "".join(lines)
+    if "None" in text:   # the rows that may hold a None, again with "" for it
+        for index in itertools.compress(itertools.count(), map(str.__contains__, lines,
+                                                               itertools.repeat("None"))):
+            lines[index] = template % tuple("" if cell is None else cell for cell in rows[index])
+        text = "".join(lines)
+    count = len(rows)
+    # only the template's commas and line ends: no cell to quote
+    if (width > 1 and text.count(",") == count * (width - 1) and '"' not in text
+            and text.count("\r") == text.count("\n") == count and "\0" not in text):
+        return text
+    return None
 
 
 def write_json(path, value) -> None:
     """Write value as JSON in UTF-8: keys sorted, indented by 2, a final newline; nan refused."""
+    text = json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(value, f, indent=2, sort_keys=True, allow_nan=False)
-        f.write("\n")
+        f.write(text + "\n")

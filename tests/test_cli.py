@@ -17,7 +17,9 @@ import tdoa_dtb
 from tdoa_dtb.cli import build_parser, main
 from tdoa_dtb.dtb import read_dtb
 from tdoa_dtb.ekf import read_residuals_csv, read_track_csv
-from tdoa_dtb.ingestion import SPEED_OF_LIGHT
+from tdoa_dtb.geometry import read_nodes
+from tdoa_dtb.ingestion import SPEED_OF_LIGHT, load_toa_session
+from tdoa_dtb.table import read_csv
 
 SCENARIO_YAML = """
 seed: 11
@@ -336,6 +338,52 @@ def test_text_flags_are_stripped_as_cells_are_on_read(tmp_path, eight_node_sessi
         with open(path, newline="") as f:
             cells.append({(row["session"], row["ref_node"]) for row in csv.DictReader(f)})
     assert cells == [{("a", "1")}, {("a", "3")}]
+
+
+def test_ids_and_labels_that_csv_must_quote_survive_every_command(tmp_path):
+    """Node ids and a session label holding a comma, a double quote, a space
+    and the text None: csv.writer quotes them, csv.reader reads them back, and
+    every table of the pipeline reads back with the same ids."""
+    ids = ["1,a", '2"b', "3 c", "None", '5, "None" e', "6", "7", "8"]
+    label = 'lab, "None" 1'
+    text = (Path(__file__).parent / "data" / "golden" / "scenario.yaml").read_text()
+    for number, node_id in enumerate(ids, 1):   # the golden session's nodes, renamed
+        text = text.replace(f'"{number}":', f"'{node_id}':")
+    (tmp_path / "scenario.yaml").write_text(text)
+    sim, d = tmp_path / "sim", tmp_path
+    steps = [
+        ["simulate", "--scenario", f"{d}/scenario.yaml", "--out-dir", f"{sim}"],
+        ["fit-noise", "--toa", f"{sim}/toa.csv", "--out", f"{d}/noise.csv",
+         "--points", f"{d}/points.csv"],
+        ["calibrate", "--toa", f"{sim}/toa.csv", "--nodes", f"{sim}/nodes.csv",
+         "--traj", f"{sim}/trajectory.csv", "--ref-node", "None", "--session", label,
+         "--out", f"{d}/dtb.csv", "--samples", f"{d}/samples.csv"],
+        ["position", "--toa", f"{sim}/toa.csv", "--nodes", f"{sim}/nodes.csv",
+         "--dtb", f"{d}/dtb.csv", "--noise", f"{d}/noise.csv",
+         "--out", f"{d}/track.csv", "--residuals", f"{d}/residuals.csv"],
+        ["evaluate", "--track", f"{d}/track.csv", "--traj", f"{sim}/trajectory.csv",
+         "--residuals", f"{d}/residuals.csv", "--out", f"{d}/metrics.json",
+         "--residual-hist", f"{d}/hist.csv"],
+        ["rereference", "--dtb", f"{d}/dtb.csv", "--new-ref", ids[4], "--out", f"{d}/dtb5.csv"],
+    ]
+    for argv in steps:
+        assert main(argv) == 0, argv
+    assert sorted(load_toa_session(sim / "toa.csv").node_ids) == sorted(ids)
+    assert sorted(read_nodes(sim / "nodes.csv").ids()) == sorted(ids)
+    truth = read_dtb(sim / "truth_dtb.csv")
+    assert sorted([truth.ref_node_id, *truth.entries]) == sorted(ids)
+    for path, ref in ((d / "dtb.csv", "None"), (d / "dtb5.csv", ids[4])):
+        table = read_dtb(path)
+        assert (table.session, table.ref_node_id) == (label, ref)
+        assert sorted([ref, *table.entries]) == sorted(ids)
+    _, node_ids, refs, _ = read_csv(d / "samples.csv", {"time": float, "node_id": str,
+                                                         "ref_node": str, "dtb_m": float})
+    assert set(node_ids) == set(ids) - {"None"} and set(refs) == {"None"}
+    assert {node_id for _, node_id, _ in read_residuals_csv(d / "residuals.csv")} <= set(ids)
+    assert len(read_track_csv(d / "track.csv")) == 81
+    for name, columns in (("points.csv", ["rsrp_dbm", "sigma_m"]),
+                          ("hist.csv", ["bin_left_m", "bin_right_m", "count"])):
+        assert all(read_csv(d / name, dict.fromkeys(columns, float)))
 
 
 def test_simulate_seed_override_changes_data(tmp_path, scenario_file):

@@ -2,7 +2,9 @@
 CLI command that reads the file turns that into exit 2 with ``path:line``."""
 
 import codecs
+import collections
 import csv
+import io
 import math
 import os
 import re
@@ -14,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import tdoa_dtb
+from tdoa_dtb import table
 from tdoa_dtb.cli import main
 from tdoa_dtb.dtb import read_dtb
 from tdoa_dtb.ekf import read_residuals_csv, read_track_csv
@@ -21,7 +24,7 @@ from tdoa_dtb.errors import ParseError, TdoaDtbError
 from tdoa_dtb.geometry import read_nodes
 from tdoa_dtb.ingestion import load_toa_session, load_trajectory
 from tdoa_dtb.noise import NoiseModel, read_noise_model, write_noise_model
-from tdoa_dtb.table import read_csv, write_json
+from tdoa_dtb.table import read_csv, write_csv, write_json
 
 SCENARIO_YAML = """
 seed: 5
@@ -364,6 +367,75 @@ def test_split_reader_matches_the_csv_reader(tmp_path):
         check()
     finally:
         csv.field_size_limit(limit)
+
+
+# cells that csv.writer writes bare, and rarer ones that it quotes or, NUL on
+# Python 3.10, refuses
+PLAIN_CELLS = [-0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2, 0, -7, 10**20, True, False, None,
+               "plain", "", "None", "\u00e9", " padded "]
+RARE_CELLS = ["a,b", 'say "hi"', "cr\r", "lf\n", "crlf\r\n", "nul\0"]
+NAMEDTUPLES = [collections.namedtuple(f"Row{width}", [f"c{i}" for i in range(width)])
+               for width in range(7)]
+
+
+def test_write_csv_writes_the_bytes_of_csv_writer(tmp_path, monkeypatch):
+    """write_csv writes each random table as csv.writer does, or fails as it
+    does after the same rows. The tables have 1 to 5 columns and rows of
+    tuples, lists and namedtuples, some a cell wider or narrower than the
+    header, and span several chunks, so that a cell to quote in one chunk
+    leaves the others on the format path."""
+    hypothesis = pytest.importorskip("hypothesis")
+    monkeypatch.setattr(table, "_CHUNK_ROWS", 4)
+    path = tmp_path / "t.csv"
+
+    @hypothesis.settings(max_examples=1500, deadline=None)
+    @hypothesis.given(hypothesis.strategies.randoms(use_true_random=True))
+    def check(rng):
+        header = rng.sample(["time", "node_id", "toa", "rsrp", "None", "a b"], rng.randint(1, 5))
+        rows = []
+        for _ in range(rng.randrange(14)):
+            width = len(header) + rng.choice([0] * 12 + [-1, 1])
+            cells = rng.choices(PLAIN_CELLS * 6 + RARE_CELLS, k=width)
+            rows.append(rng.choice([tuple, list, NAMEDTUPLES[width]._make])(cells))
+        expected, error = io.StringIO(), None
+        try:
+            csv.writer(expected).writerows([header, *rows])
+        except csv.Error as exc:
+            error = exc
+        try:
+            write_csv(path, header, iter(rows))
+        except csv.Error as exc:
+            assert str(exc) == str(error)
+        else:
+            assert error is None
+        assert path.read_bytes() == expected.getvalue().encode()
+
+    check()
+
+
+def test_write_csv_hands_only_a_chunk_to_quote_to_csv_writer(tmp_path, monkeypatch):
+    """A cell to quote, a short row or a None cell sends no other chunk to
+    csv.writer; a None cell is written blank on the format path."""
+    handed = []
+
+    class Writer:   # csv.writer, noting how many rows it is handed
+        def __init__(self, f):
+            self.writer = real_writer(f)
+
+        def writerows(self, rows):
+            handed.append(len(rows))
+            self.writer.writerows(rows)
+
+    real_writer = csv.writer
+    monkeypatch.setattr(table, "_CHUNK_ROWS", 3)
+    monkeypatch.setattr(csv, "writer", Writer)
+    path = tmp_path / "t.csv"
+    rows = [(1.5, "None", None), (2, "n 1", -0.0), (3, 'say "hi"', 1e16), (4, "a", None),
+            (5, "b"), (6, "c", True)]
+    write_csv(path, ["time", "node_id", "rsrp"], rows)
+    assert handed == [3]   # the second chunk, rows 3 to 5: the header opens the first
+    assert path.read_bytes() == (b'time,node_id,rsrp\r\n1.5,None,\r\n2,n 1,-0.0\r\n'
+                                 b'3,"say ""hi""",1e+16\r\n4,a,\r\n5,b\r\n6,c,True\r\n')
 
 
 def test_write_json_is_sorted_indented_and_refuses_nan(tmp_path):

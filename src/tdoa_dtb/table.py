@@ -8,9 +8,9 @@ is read by csv.reader. Either way it is read as columns, each converted in
 one pass; only a column that fails sends the reader back over the rows, in
 file order, for the first bad row and that row's first bad column.
 
-Writing mirrors reading: rows are formatted as text a chunk at a time, and
-only a chunk with a cell that csv must quote, or a row not as long as the
-header, is written by csv.writer.
+Writing mirrors reading: a table is formatted as text in one pass and
+written at once; only a table with a cell that csv must quote, or a row not
+as long as its header, is written by csv.writer.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ import io
 import itertools
 import json
 import math
+import operator
 
 from .errors import ParseError
 
 _NOT_COMMA_CR_LF = bytes(set(range(256)) - set(b",\r\n"))   # deleted by the split path's row check
-_CHUNK_ROWS = 4096   # rows write_csv formats and writes at a time
 
 
 class Record:
@@ -186,26 +186,34 @@ def row_error(path, index: int, message: str) -> ParseError:
 def write_csv(path, header: list[str], rows) -> None:
     """Write a header row, then the rows, in UTF-8, byte for byte as csv.writer
     writes them: floats in full repr, None as a blank cell, and a cell quoted
-    exactly when it holds a comma, a double quote or a line end. Each chunk of
-    rows is formatted with a %s per cell (str is csv.writer's conversion) and
-    written at once, unless csv.writer would write it otherwise (_format)."""
-    template = ",".join(["%s"] * len(header)) + "\r\n"
-    rows = itertools.chain([header], rows)
+    exactly when it holds a comma, a double quote or a line end. The table is
+    formatted with a %s per cell (str is csv.writer's conversion) and written
+    at once, unless csv.writer would write it otherwise (_format)."""
+    rows = [tuple(header), *map(tuple, rows)]
+    text = _format(rows, len(header))
     with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        while chunk := list(map(tuple, itertools.islice(rows, _CHUNK_ROWS))):
-            text = _format(chunk, template, len(header))
-            if text is None:
-                writer.writerows(chunk)
-            else:
-                f.write(text)
+        if text is None:
+            csv.writer(f).writerows(rows)
+        else:
+            f.write(text)
 
 
-def _format(rows: list[tuple], template: str, width: int) -> str | None:
+def _format(rows: list[tuple], width: int) -> str | None:
     """The rows as text, None as a blank cell; None where csv.writer writes
     otherwise: a row not as wide as the header, a one-column table (a lone
     empty cell is written ""), or a cell holding a comma, a quote, a line end
-    or a NUL (which csv refuses before Python 3.11)."""
+    or a NUL (which csv refuses before Python 3.11). The distinct cells of the
+    text columns (those whose last cell is a str, as ids and labels are) are
+    checked first, so that a table with an id to quote is not formatted twice."""
+    try:
+        texts = "".join(map(str, {cell for index, last in enumerate(rows[-1])
+                                  if isinstance(last, str)
+                                  for cell in set(map(operator.itemgetter(index), rows))}))
+    except (IndexError, TypeError):   # a row shorter than the last, an unhashable cell
+        return None
+    if width < 2 or any(map(texts.__contains__, ',"\r\n\0')):
+        return None
+    template = ",".join(["%s"] * width) + "\r\n"
     try:
         lines = list(map(template.__mod__, rows))
     except TypeError:   # a row not as wide as the header
@@ -218,7 +226,7 @@ def _format(rows: list[tuple], template: str, width: int) -> str | None:
         text = "".join(lines)
     count = len(rows)
     # only the template's commas and line ends: no cell to quote
-    if (width > 1 and text.count(",") == count * (width - 1) and '"' not in text
+    if (text.count(",") == count * (width - 1) and '"' not in text
             and text.count("\r") == text.count("\n") == count and "\0" not in text):
         return text
     return None

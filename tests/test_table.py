@@ -16,7 +16,6 @@ from pathlib import Path
 import pytest
 
 import tdoa_dtb
-from tdoa_dtb import table
 from tdoa_dtb.cli import main
 from tdoa_dtb.dtb import read_dtb
 from tdoa_dtb.ekf import read_residuals_csv, read_track_csv
@@ -369,33 +368,34 @@ def test_split_reader_matches_the_csv_reader(tmp_path):
         csv.field_size_limit(limit)
 
 
-# cells that csv.writer writes bare, and rarer ones that it quotes or, NUL on
-# Python 3.10, refuses
+# cells that csv.writer writes bare, and rarer ones that it quotes (the list, an
+# unhashable cell, for the comma of its str) or, NUL on Python 3.10, refuses
 PLAIN_CELLS = [-0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2, 0, -7, 10**20, True, False, None,
                "plain", "", "None", "\u00e9", " padded "]
-RARE_CELLS = ["a,b", 'say "hi"', "cr\r", "lf\n", "crlf\r\n", "nul\0"]
+RARE_CELLS = ["a,b", 'say "hi"', "cr\r", "lf\n", "crlf\r\n", "nul\0", [1, "a"]]
 NAMEDTUPLES = [collections.namedtuple(f"Row{width}", [f"c{i}" for i in range(width)])
                for width in range(7)]
 
 
-def test_write_csv_writes_the_bytes_of_csv_writer(tmp_path, monkeypatch):
+def test_write_csv_writes_the_bytes_of_csv_writer(tmp_path):
     """write_csv writes each random table as csv.writer does, or fails as it
     does after the same rows. The tables have 1 to 5 columns and rows of
-    tuples, lists and namedtuples, some a cell wider or narrower than the
-    header, and span several chunks, so that a cell to quote in one chunk
-    leaves the others on the format path."""
+    tuples, lists and namedtuples; half of them hold rare cells, and half
+    hold rows a cell wider or narrower than the header, so that each path
+    of write_csv, and each of its checks, meets many tables."""
     hypothesis = pytest.importorskip("hypothesis")
-    monkeypatch.setattr(table, "_CHUNK_ROWS", 4)
     path = tmp_path / "t.csv"
 
     @hypothesis.settings(max_examples=1500, deadline=None)
     @hypothesis.given(hypothesis.strategies.randoms(use_true_random=True))
     def check(rng):
         header = rng.sample(["time", "node_id", "toa", "rsrp", "None", "a b"], rng.randint(1, 5))
+        pool = PLAIN_CELLS * 6 + RARE_CELLS * rng.randint(0, 1)
+        ragged = [0] * 12 + [-1, 1] * rng.randint(0, 1)
         rows = []
         for _ in range(rng.randrange(14)):
-            width = len(header) + rng.choice([0] * 12 + [-1, 1])
-            cells = rng.choices(PLAIN_CELLS * 6 + RARE_CELLS, k=width)
+            width = len(header) + rng.choice(ragged)
+            cells = rng.choices(pool, k=width)
             rows.append(rng.choice([tuple, list, NAMEDTUPLES[width]._make])(cells))
         expected, error = io.StringIO(), None
         try:
@@ -413,29 +413,28 @@ def test_write_csv_writes_the_bytes_of_csv_writer(tmp_path, monkeypatch):
     check()
 
 
-def test_write_csv_hands_only_a_chunk_to_quote_to_csv_writer(tmp_path, monkeypatch):
-    """A cell to quote, a short row or a None cell sends no other chunk to
-    csv.writer; a None cell is written blank on the format path."""
+def test_write_csv_hands_only_a_table_to_quote_to_csv_writer(tmp_path, monkeypatch):
+    """None cells and the text None are written on the format path; a text
+    column with a cell to quote sends the table to csv.writer before any row
+    is formatted."""
     handed = []
-
-    class Writer:   # csv.writer, noting how many rows it is handed
-        def __init__(self, f):
-            self.writer = real_writer(f)
-
-        def writerows(self, rows):
-            handed.append(len(rows))
-            self.writer.writerows(rows)
-
     real_writer = csv.writer
-    monkeypatch.setattr(table, "_CHUNK_ROWS", 3)
-    monkeypatch.setattr(csv, "writer", Writer)
-    path = tmp_path / "t.csv"
-    rows = [(1.5, "None", None), (2, "n 1", -0.0), (3, 'say "hi"', 1e16), (4, "a", None),
-            (5, "b"), (6, "c", True)]
-    write_csv(path, ["time", "node_id", "rsrp"], rows)
-    assert handed == [3]   # the second chunk, rows 3 to 5: the header opens the first
-    assert path.read_bytes() == (b'time,node_id,rsrp\r\n1.5,None,\r\n2,n 1,-0.0\r\n'
-                                 b'3,"say ""hi""",1e+16\r\n4,a,\r\n5,b\r\n6,c,True\r\n')
+    monkeypatch.setattr(csv, "writer", lambda f: handed.append(f) or real_writer(f))
+    path, header = tmp_path / "t.csv", ["time", "node_id", "rsrp"]
+    write_csv(path, header, [(1.5, "None", None), (2, "n 1", -0.0), (3, "a", True)])
+    assert not handed
+    assert path.read_bytes() == b"time,node_id,rsrp\r\n1.5,None,\r\n2,n 1,-0.0\r\n3,a,True\r\n"
+    texts = []
+
+    class Cell:   # a cell that notes each time it is turned into text
+        def __str__(self):
+            texts.append(self)
+            return "x"
+
+    write_csv(path, header, [(1.5, "a", Cell()), (3, 'say "hi"', 1e16), (4, "b", 2.5)])
+    assert len(handed) == 1 and len(texts) == 1   # by csv.writer alone
+    assert path.read_bytes() == (b'time,node_id,rsrp\r\n1.5,a,x\r\n3,"say ""hi""",1e+16\r\n'
+                                 b"4,b,2.5\r\n")
 
 
 def test_write_json_is_sorted_indented_and_refuses_nan(tmp_path):

@@ -237,11 +237,8 @@ def main(argv=None) -> int:
         args.func(args)
         _write_manifest(args)
         return 0
-    except TdoaDtbError as exc:
+    except (TdoaDtbError, OSError) as exc:
         print(f"tdoa-dtb {args.subcommand}: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"tdoa-dtb {args.subcommand}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -13,7 +13,6 @@ import bisect
 from collections import Counter
 
 from .errors import TdoaDtbError
-from .geometry import node_sort_key
 from .ingestion import Session
 
 
@@ -34,10 +33,10 @@ def form_tdoa(session: Session, epoch: int, ref_row: int) -> tuple[list[int], li
 
 
 def select_reference(session: Session) -> str:
-    """The node present in the largest number of epochs, ties broken by
-    smallest node id."""
+    """The node present in the largest number of epochs, ties broken by node
+    order: the smallest node index, since node_ids are in node order."""
     if not session.times:
         raise TdoaDtbError("cannot select a reference node from an empty session")
     counts = Counter(session.node)   # a node has at most one row per epoch
     top = max(counts.values())
-    return min((session.node_ids[n] for n, c in counts.items() if c == top), key=node_sort_key)
+    return session.node_ids[min(n for n, c in counts.items() if c == top)]

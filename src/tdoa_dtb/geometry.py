@@ -25,11 +25,13 @@ class Position(Record):
 
 
 def node_sort_key(node_id: str):
-    """Order node ids numerically when they look numeric, lexically otherwise."""
+    """Node order, total: ids that float() reads as a number other than NaN by
+    value, then all other ids; the id's text breaks every tie ("-0" < "0")."""
     try:
-        return (0, float(node_id), node_id)
+        value = float(node_id)
     except ValueError:
-        return (1, 0.0, node_id)
+        value = math.nan
+    return (1, 0.0, node_id) if math.isnan(value) else (0, value, node_id)
 
 
 class NodeCatalog:

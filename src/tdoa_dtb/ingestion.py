@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 import operator
 from typing import NamedTuple
 
@@ -61,9 +62,7 @@ def group_epochs(times: list[float], node_ids: list[str], pseudoranges: list[flo
     """
     if not times:
         raise TdoaDtbError(f"{source}: no observations")
-    # node_sort_key once per node; ranks from the ids in first-appearance order,
-    # so that an id whose key compares with nothing (nan) still sorts one way
-    ids = sorted(dict.fromkeys(node_ids), key=node_sort_key)
+    ids = sorted(set(node_ids), key=node_sort_key)   # node_sort_key once per node
     rank = dict(zip(ids, range(len(ids))))
     node = list(map(rank.__getitem__, node_ids))
     order, starts = range(len(node)), [0]
@@ -99,8 +98,8 @@ class ReferenceTrajectory:
         if len(samples) < 2:
             raise ValueError("trajectory needs at least 2 samples")
         times = [t for t, _ in samples]
-        if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
-            raise ValueError("trajectory times must be strictly increasing")
+        if not all(0 < t1 - t0 < math.inf for t0, t1 in zip(times, times[1:])):
+            raise ValueError("trajectory times must be strictly increasing in finite steps")
         self.times = [float(t) for t in times]
         self.xyz = [(float(p.x), float(p.y), float(p.z)) for _, p in samples]
 
@@ -121,8 +120,9 @@ class ReferenceTrajectory:
 def load_trajectory(path) -> ReferenceTrajectory:
     def increasing(times, *_):   # read_csv's rule
         for index in range(1, len(times)):
-            if times[index] <= times[index - 1]:
-                raise row_error(path, index, "trajectory times must be strictly increasing")
+            if not 0 < times[index] - times[index - 1] < math.inf:
+                raise row_error(path, index,
+                                "trajectory times must be strictly increasing in finite steps")
 
     times, xs, ys, zs = read_csv(path, {"time": float, "x": float, "y": float}, {"z": float},
                                  rule=increasing)

@@ -133,6 +133,8 @@ def _path_samples(waypoints: list[tuple[float, float]]) -> list[tuple[float, Pos
     for dist, point, length in zip(itertools.accumulate(lengths), pts[1:], lengths):
         if length > 0:
             samples.append((dist, Position(*point)))
+    if samples[-1][0] == math.inf:   # a step overflows, and so every distance after it
+        raise InvalidScenario("waypoint path length is past the float range")
     return samples
 
 

@@ -55,11 +55,51 @@ def test_unknown_subcommand_is_usage_error():
     assert main(["frobnicate"]) == 1
 
 
-def test_data_error_exit_code(tmp_path, capsys):
-    bad = tmp_path / "missing.csv"
-    code = main(["evaluate", "--track", str(bad), "--traj", str(bad),
-                 "--residuals", str(bad), "--out", str(tmp_path / "m.json")])
+TRAJECTORY_CSV = "time,x,y\n-1e308,0,0\n1e308,10,0\n"
+TRACK_CSV = "time,x,y,cov_xx,cov_xy,cov_yy,n_obs,n_rejected\n9e307,1,1,1,0,1,3,0\n"
+RESIDUALS_CSV = "time,node_id,postfit_m\n9e307,1,0.1\n9e307,2,0.2\n9e307,3,-0.1\n"
+
+
+def _one_error_line(capsys, prefix):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("missing", ["input", "out-dir"])
+def test_data_error_exit_code(tmp_path, capsys, missing):
+    """A file that cannot be read or written is exit 2 with one line that
+    names the error's class, as a data error is."""
+    track, traj, residuals = (tmp_path / name for name in ("track.csv", "traj.csv", "res.csv"))
+    if missing == "input":
+        track = traj = residuals = tmp_path / "missing.csv"
+    else:   # readable inputs with a common span, and an output in no directory
+        track.write_text(TRACK_CSV)
+        traj.write_text("time,x,y\n0,0,0\n1e308,10,0\n")
+        residuals.write_text(RESIDUALS_CSV)
+    code = main(["evaluate", "--track", str(track), "--traj", str(traj),
+                 "--residuals", str(residuals), "--out", str(tmp_path / "no" / "m.json")])
     assert code == 2
+    _one_error_line(capsys, "tdoa-dtb evaluate: FileNotFoundError: ")
+
+
+@pytest.mark.parametrize("command", ["calibrate", "evaluate"])
+def test_trajectory_step_past_float_range_is_a_data_error(tmp_path, capsys, command):
+    """Samples at -1e308 and 1e308 s are 2e308 s apart, past the float range:
+    a data error at the second sample's line, where interpolating at 9e307 s
+    used to ask for a non-finite position."""
+    traj = tmp_path / "traj.csv"
+    traj.write_text(TRAJECTORY_CSV)
+    inputs = {"calibrate": {"--toa": RESIDUALS_CSV.replace("postfit_m", "toa"),
+                            "--nodes": "node_id,x,y\n1,0,0\n2,10,0\n3,0,10\n"},
+              "evaluate": {"--track": TRACK_CSV, "--residuals": RESIDUALS_CSV}}[command]
+    argv = [command, "--traj", str(traj), "--out", str(tmp_path / "out")]
+    for flag, text in inputs.items():
+        (tmp_path / f"{flag[2:]}.csv").write_text(text)
+        argv += [flag, str(tmp_path / f"{flag[2:]}.csv")]
+    assert main(argv) == 2
+    _one_error_line(capsys, f"tdoa-dtb {command}: ParseError: {traj}:3: "
+                            "trajectory times must be strictly increasing")
+    assert not (tmp_path / "out").exists()
 
 
 def test_duplicate_node_in_one_epoch_is_a_data_error(tmp_path, capsys):
@@ -454,12 +494,71 @@ def test_epoch_tol_zero_is_accepted(tmp_path, scenario_file):
 
 
 
-def test_row_order_within_an_epoch_does_not_change_outputs(tmp_path, scenario_file):
+# the dense-8n benchmark layout: the 120 m ring at 10 Hz, walked from its centre
+# for 40 s, long enough for fit-noise to see more than 10 dB of received power
+ODD_ID_YAML = """
+seed: 3
+epoch_rate: 10.0
+speed: 1.0
+duration: 40.0
+nodes: {"nan": [0.0, 0.0], "NaN": [60.0, 0.0], "inf": [120.0, 0.0], "0": [120.0, 60.0],
+        "-0": [120.0, 120.0], "01": [60.0, 120.0], "a": [0.0, 120.0], "B": [0.0, 60.0]}
+biases: {"nan": 4.0, "NaN": -7.0, "inf": 12.0, "0": -3.0, "-0": 9.0, "01": -15.0, "a": 1.0}
+clock: {kind: sawtooth, drift_rate: 10.0, reset_period: 5.0, reset_magnitude: 50.0}
+waypoints: [[60.0, 60.0], [60.0, 10.0]]
+noise: {k: 60.0, rsrp0: -110.0}
+path_loss: {p0: -40.0, gamma: 2.5}
+"""
+
+
+def _write_rows(path, header, rows):
+    with open(path, "w", newline="") as f:
+        csv.writer(f).writerows([header, *rows])
+    return path
+
+
+def _reversed_rows(path):
+    """A copy of the CSV table at path with its rows in reverse order."""
+    with open(path, newline="") as f:
+        header, *rows = csv.reader(f)
+    return _write_rows(path.with_name(f"reversed_{path.name}"), header, rows[::-1])
+
+
+def _pipeline_outputs(d, toa, nodes, traj, new_ref, reorder):
+    """The bytes of every output of fit-noise, calibrate, position, evaluate and
+    rereference run into d, each command reading reorder(path) of an earlier output."""
+    d.mkdir()
+    assert main(["fit-noise", "--toa", str(toa), "--out", str(d / "noise.csv"),
+                 "--points", str(d / "points.csv")]) == 0
+    assert main(["calibrate", "--toa", str(toa), "--nodes", str(nodes), "--traj", str(traj),
+                 "--ref-node", "auto", "--out", str(d / "dtb.csv"),
+                 "--samples", str(d / "samples.csv")]) == 0
+    assert main(["position", "--toa", str(toa), "--nodes", str(nodes),
+                 "--dtb", str(reorder(d / "dtb.csv")), "--noise", str(d / "noise.csv"),
+                 "--out", str(d / "track.csv"), "--residuals", str(d / "residuals.csv")]) == 0
+    assert main(["evaluate", "--track", str(reorder(d / "track.csv")), "--traj", str(traj),
+                 "--residuals", str(reorder(d / "residuals.csv")),
+                 "--out", str(d / "metrics.json"), "--residual-hist", str(d / "hist.csv")]) == 0
+    assert main(["rereference", "--dtb", str(reorder(d / "dtb.csv")), "--new-ref", new_ref,
+                 "--out", str(d / "reref.csv")]) == 0
+    return {name: (d / name).read_bytes() for name in
+            ("noise.csv", "points.csv", "dtb.csv", "samples.csv", "track.csv", "residuals.csv",
+             "metrics.json", "hist.csv", "reref.csv")}
+
+
+@pytest.mark.parametrize("scenario,new_ref", [(SCENARIO_YAML, "3"), (ODD_ID_YAML, "nan")],
+                         ids=["numeric-ids", "nan-and-text-ids"])
+def test_row_order_within_an_epoch_does_not_change_outputs(tmp_path, scenario, new_ref):
     """Rows of one epoch written out of node order, their times spread within
     the tolerance after the epoch's first row, give byte for byte the outputs
-    of the same rows all stamped with the epoch's time."""
+    of the same rows all stamped with the epoch's time; so do those rows
+    shuffled across the whole file, and the rows of the nodes file and of the
+    DTB, track and residual files a command reads in reverse order. Node order
+    holds for ids that read as NaN or as equal numbers too."""
+    (tmp_path / "scenario.yaml").write_text(scenario)
     sim = tmp_path / "sim"
-    assert main(["simulate", "--scenario", str(scenario_file), "--out-dir", str(sim)]) == 0
+    assert main(["simulate", "--scenario", str(tmp_path / "scenario.yaml"),
+                 "--out-dir", str(sim)]) == 0
     with open(sim / "toa.csv", newline="") as f:
         header, *rows = csv.reader(f)
     rng, jittered = random.Random(1), []
@@ -468,24 +567,15 @@ def test_row_order_within_an_epoch_does_not_change_outputs(tmp_path, scenario_fi
         rng.shuffle(epoch)
         jittered += [[repr(float(t) + (i and rng.uniform(1e-5, 9e-4))), *cells]
                      for i, (t, *cells) in enumerate(epoch)]
-    with open(tmp_path / "jittered.csv", "w", newline="") as f:
-        csv.writer(f).writerows([header, *jittered])
-    outputs = []
-    for toa in (sim / "toa.csv", tmp_path / "jittered.csv"):
-        d = tmp_path / toa.stem
-        d.mkdir()
-        assert main(["fit-noise", "--toa", str(toa), "--out", str(d / "noise.csv"),
-                     "--points", str(d / "points.csv")]) == 0
-        assert main(["calibrate", "--toa", str(toa), "--nodes", str(sim / "nodes.csv"),
-                     "--traj", str(sim / "trajectory.csv"), "--out", str(d / "dtb.csv"),
-                     "--samples", str(d / "samples.csv")]) == 0
-        assert main(["position", "--toa", str(toa), "--nodes", str(sim / "nodes.csv"),
-                     "--dtb", str(d / "dtb.csv"), "--noise", str(d / "noise.csv"),
-                     "--out", str(d / "track.csv"), "--residuals", str(d / "residuals.csv")]) == 0
-        outputs.append([(d / name).read_bytes() for name in
-                        ("noise.csv", "points.csv", "dtb.csv", "samples.csv", "track.csv",
-                         "residuals.csv")])
-    assert outputs[0] == outputs[1]
+    shuffled = rng.sample(jittered, len(jittered))
+    traj, nodes = sim / "trajectory.csv", _reversed_rows(sim / "nodes.csv")
+    expected = _pipeline_outputs(tmp_path / "canonical", sim / "toa.csv", sim / "nodes.csv",
+                                 traj, new_ref, reorder=lambda path: path)
+    for name, toa_rows in (("jittered", jittered), ("shuffled", shuffled)):
+        toa = _write_rows(tmp_path / f"{name}.csv", header, toa_rows)
+        assert _pipeline_outputs(tmp_path / name, toa, nodes, traj, new_ref,
+                                 reorder=_reversed_rows) == expected, name
+
 
 EIGHT_NODE_YAML = """
 seed: 5
@@ -894,6 +984,10 @@ SCENARIO_PROBES = {
     "noise-negative": _scenario_with("noise", "-1.0"),
     "top-level-list": "- seed: 11\n- epoch_rate: 2.0\n",
     "duration-0.1": _scenario_with("duration", "0.1"),   # 0.2 epoch steps at 2 Hz
+    # a first step of 2e308 m: past the float range, and the path with it
+    "path-length-overflows": _scenario_with("waypoints", "[[-1.0e308, 0.0], [1.0e308, 0.0]]"),
+    "path-length-overflows-then-turns": _scenario_with(
+        "waypoints", "[[-1.0e308, 0.0], [1.0e308, 0.0], [1.0e308, 1.0]]"),
 }
 
 

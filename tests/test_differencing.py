@@ -116,9 +116,12 @@ def test_select_most_visible():
     assert select_reference(session_of(epochs)) == "5"
 
 
-def test_select_tie_breaks_to_smallest_id():
-    epochs = [(float(t), {"7": (1.0, None), "3": (1.0, None)}) for t in range(4)]
-    assert select_reference(session_of(epochs)) == "3"
+@pytest.mark.parametrize("ids,expected", [(("7", "3"), "3"), (("nan", "7"), "7"),
+                                          (("nan", "NaN", "a"), "NaN"), (("0", "-0"), "-0")])
+def test_select_tie_breaks_to_smallest_id(ids, expected):
+    """Ties go to the first node in node order, an id that reads as NaN included."""
+    epochs = [(float(t), {node_id: (1.0, None) for node_id in ids}) for t in range(4)]
+    assert select_reference(session_of(epochs)) == expected
 
 
 def test_select_empty_session():

@@ -1,10 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from tdoa_dtb.errors import ParseError, UnknownNode
-from tdoa_dtb.geometry import NodeCatalog, Position, range_between, read_nodes, write_nodes
+from tdoa_dtb.geometry import (NodeCatalog, Position, node_sort_key, range_between, read_nodes,
+                               write_nodes)
 
 from conftest import sd_range
 
@@ -25,6 +27,14 @@ def test_range_unit_cube_diagonal():
 
 def test_range_uses_z():
     assert range_between(Position(0, 0, 0), Position(0, 0, 2)) == 2.0
+
+
+def test_node_sort_key_is_one_order_whatever_the_input_order():
+    """Numbers by value before text; an id that reads as NaN is text, and the
+    id's text breaks ties between equal values."""
+    expected = ["-1e400", "-0", "0", "00", "01", "1", "inf", "B", "NaN", "a", "nan"]
+    for ids in itertools.permutations(["nan", "NaN", "inf", "0", "-0", "01", "a", "B"]):
+        assert sorted([*ids, "1", "00", "-1e400"], key=node_sort_key) == expected
 
 
 def test_position_rejects_non_finite():

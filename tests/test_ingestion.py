@@ -279,9 +279,11 @@ def test_interpolate_out_of_range():
     assert traj.interpolate(10.0) == Position(10, 0)
 
 
-def test_trajectory_needs_increasing_times():
-    with pytest.raises(ValueError):
-        ReferenceTrajectory([(0.0, Position(0, 0)), (0.0, Position(1, 0))])
+@pytest.mark.parametrize("t0,t1", [(0.0, 0.0), (1.0, 0.0), (-1e308, 1e308)],
+                         ids=["repeated", "decreasing", "step-past-float-range"])
+def test_trajectory_needs_increasing_times(t0, t1):
+    with pytest.raises(ValueError, match="^trajectory times must be strictly increasing"):
+        ReferenceTrajectory([(t0, Position(0, 0)), (t1, Position(1, 0))])
 
 
 def test_session_round_trip(tmp_path):

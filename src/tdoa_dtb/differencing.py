@@ -2,9 +2,9 @@
 
 Differencing every pseudo-range against a common reference node removes the
 rover clock term exactly; what remains is differenced geometry plus the
-differential transmitter bias and noise. Each epoch's reference row is chosen
-once per session from reference_rows; where an epoch lacks the reference node,
-calibration drops it and the filter falls back to its strongest node.
+differential transmitter bias and noise. Calibration differences each epoch
+against the table's reference node, found by reference_rows, and drops the
+epochs that lack it; the filter differences each epoch against its first row.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .differencing import form_tdoa, reference_rows
+from .differencing import form_tdoa
 from .dtb import DtbTable, mean_std
 from .errors import TdoaDtbError
 from .geometry import NodeCatalog
@@ -97,43 +97,35 @@ def predict(state: EkfState, dt: float) -> EkfState:
 
 
 def session_model(session: Session, dtb: DtbTable, catalog: NodeCatalog,
-                  noise: NoiseModel) -> tuple[list[int], list, list[float]]:
-    """What update needs of a session besides the state, built once: per
-    epoch, the DTB reference's row or else the strongest row by rsrp (a blank
-    rsrp loses, a tie goes to node order); per node index, (x, y, z^2, DTB
-    mean); per row, sigma(rsrp)^2. Raises UnknownNode for the first node, in
-    node order, that the catalog or the DTB table lacks."""
+                  noise: NoiseModel) -> tuple[list, list[float]]:
+    """What update needs of a session besides the state, built once: per node
+    index, (x, y, z^2, DTB mean); per row, sigma(rsrp)^2. Raises UnknownNode
+    for the first node, in node order, that the catalog or the DTB table lacks."""
     nodes = []
     for node_id in session.node_ids:
         node = catalog[node_id]
         nodes.append((node.x, node.y, node.z * node.z, dtb.mean(node_id)))
-    rsrp, starts = session.rsrp, session.starts
-    refs = reference_rows(session, session.node_index(dtb.ref_node_id))
-    for epoch, row in enumerate(refs):
-        if row < 0:
-            refs[epoch] = max(range(starts[epoch], starts[epoch + 1]),
-                              key=lambda r: -math.inf if rsrp[r] is None else rsrp[r])
-    return refs, nodes, [s * s for s in (sigma_for(noise, value) for value in rsrp)]
+    return nodes, [s * s for s in (sigma_for(noise, value) for value in session.rsrp)]
 
 
-def update(state: EkfState, session: Session, epoch: int, refs: list[int], nodes: list,
-           var: list[float]) -> tuple[EkfState, list[tuple[int, float]], int]:
+def update(state: EkfState, session: Session, epoch: int, nodes: list, var: list[float]
+           ) -> tuple[EkfState, list[tuple[int, float]], int]:
     """Joint update with all accepted single differences of an epoch, in information form.
 
-    refs, nodes and var come from session_model; the epoch is differenced
-    against its row refs[epoch]. Difference n is modelled as rho_n - rho_ref +
-    (DTB_n - DTB_ref), 3D ranges from the rover at z = 0, with partials
-    h = (x - x_n)/rho_n - (x - x_ref)/rho_ref, likewise for y. Every difference
-    carries the reference's noise, so their covariance is R = diag(sigma_n^2) +
-    sigma_ref^2 11'. A range below MIN_RANGE_M contributes zero partials, the
-    subgradient of a distance at its own point. A difference is rejected, never
-    applied, where its innovation exceeds INNOVATION_GATE * sqrt(h P h' + R_ii).
-    With none accepted the predicted state is returned unchanged. Otherwise,
-    with M = H'R^-1 H and g = H'R^-1 nu over the accepted ones,
-    P+ = (I + P M)^-1 P and x+ = x + P+ g. Returns
-    (state, [(node index, postfit_m)], n_rejected).
+    nodes and var come from session_model. The epoch is differenced against
+    its first row, the first node in node order that it holds, ref: difference
+    n is modelled as rho_n - rho_ref + (DTB_n - DTB_ref), 3D ranges from the
+    rover at z = 0, with partials h = (x - x_n)/rho_n - (x - x_ref)/rho_ref,
+    likewise for y. Every difference carries the reference's noise, so their
+    covariance is R = diag(sigma_n^2) + sigma_ref^2 11'. A range below
+    MIN_RANGE_M contributes zero partials, the subgradient of a distance at its
+    own point. A difference is rejected, never applied, where its innovation
+    exceeds INNOVATION_GATE * sqrt(h P h' + R_ii). With none accepted the
+    predicted state is returned unchanged. Otherwise, with M = H'R^-1 H and
+    g = H'R^-1 nu over the accepted ones, P+ = (I + P M)^-1 P and
+    x+ = x + P+ g. Returns (state, [(node index, postfit_m)], n_rejected).
     """
-    ref_row = refs[epoch]
+    ref_row = session.starts[epoch]
     rows, diffs = form_tdoa(session, epoch, ref_row)
     node, ref, ref_var = session.node, session.node[ref_row], var[ref_row]
     x, y = state.position
@@ -142,8 +134,7 @@ def update(state: EkfState, session: Session, epoch: int, refs: list[int], nodes
     dx_m, dy_m = x - ref_x, y - ref_y
     rho_m = math.sqrt(dx_m * dx_m + dy_m * dy_m + ref_zz)
     ux_m, uy_m = (dx_m / rho_m, dy_m / rho_m) if rho_m >= MIN_RANGE_M else (0.0, 0.0)
-    applied = []
-    rejected = 0
+    applied, rejected = [], 0
     m_xx = m_xy = m_yy = g_x = g_y = 0.0
     w_sum = wh_x = wh_y = w_nu = 0.0   # sums of w, w h and w nu, w = 1 / sigma_n^2
     for row, sd in zip(rows, diffs):
@@ -209,17 +200,18 @@ def run_filter(session: Session, dtb: DtbTable, catalog: NodeCatalog, noise: Noi
     """Filter a session: apriori from the node layout, then predict/update per epoch.
 
     Returns the track, one point per epoch, and the (time, node_id, postfit_m)
-    residual rows. Each epoch is differenced against its reference row from
-    session_model. A session node missing from the catalog or the DTB table
-    raises UnknownNode before the first epoch.
+    residual rows. Each epoch is differenced against its first row; the DTB
+    means enter only as differences, so the track does not depend on the
+    table's reference node, apart from rounding. A session node missing from
+    the catalog or the DTB table raises UnknownNode before the first epoch.
     """
-    refs, nodes, var = session_model(session, dtb, catalog, noise)
+    nodes, var = session_model(session, dtb, catalog, noise)
     track, residuals = [], []
     for epoch, t in enumerate(session.times):
         try:
             state = (predict(state, t - session.times[epoch - 1]) if epoch
                      else init_apriori(catalog))
-            state, postfits, rejected = update(state, session, epoch, refs, nodes, var)
+            state, postfits, rejected = update(state, session, epoch, nodes, var)
         except (ValueError, OverflowError, ZeroDivisionError) as exc:
             # an EkfState check failed, a float overflowed or a divisor rounded
             # to 0: the epoch times or the node layout drove the filter out of

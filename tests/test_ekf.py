@@ -1,24 +1,27 @@
 import random
 import statistics
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tdoa_dtb.dtb import DtbEntry, DtbTable, mean_std, rereference_dtb
+from tdoa_dtb.differencing import reference_rows
+from tdoa_dtb.dtb import DtbEntry, DtbTable, calibrate, mean_std, rereference_dtb
 from tdoa_dtb.ekf import (INNOVATION_GATE, PSD_TOL, EkfState, init_apriori, predict,
                           read_residuals_csv, read_track_csv, run_filter, session_model,
                           update, write_residuals_csv, write_track_csv)
 from tdoa_dtb.errors import UnknownNode
-from tdoa_dtb.geometry import NodeCatalog, Position, node_sort_key, range_between
-from tdoa_dtb.ingestion import Session
+from tdoa_dtb.geometry import NodeCatalog, Position, node_sort_key, range_between, read_nodes
+from tdoa_dtb.ingestion import Session, load_toa_session, load_trajectory
 from tdoa_dtb.metrics import true_error
-from tdoa_dtb.noise import NoiseModel, sigma_for
+from tdoa_dtb.noise import NoiseModel, estimate_noise_points, fit_noise_model, sigma_for
 from tdoa_dtb.synthetic import ClockModel, Scenario, generate, truth_dtb
 
 from conftest import (eight_node_catalog, epochs_of, loop_waypoints, measurement_model, sd_range,
                       session_of, square_catalog)
 
 WIDE_NOISE = NoiseModel(60.0, -110.0, sigma_floor=0.3, sigma_cap=15.0)
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
 
 def empty_dtb(catalog, ref):
@@ -506,46 +509,66 @@ def test_run_filter_single_epoch():
     assert track[0].n_obs == 7
 
 
-def test_run_filter_falls_back_to_the_strongest_node(monkeypatch):
+def test_run_filter_differences_each_epoch_against_its_first_row(monkeypatch):
     """An epoch without the table's reference is differenced against its
-    strongest node by rsrp, and updates once, as the Kalman-gain oracle does
-    with the table re-referenced to that node."""
+    first node, and updates once, as the Kalman-gain oracle does with the
+    table re-referenced to that epoch's first node."""
     scenario = positioning_scenario(noise=1.0, seed=7, duration=20.0)
     session = generate(scenario)
     dtb = truth_dtb(scenario, "1")
     epochs = epochs_of(session.toa)
-    # strip the reference node from one epoch
-    t, obs = epochs[5]
-    del obs["1"]
-    strongest = max(obs, key=lambda n: obs[n][1])
+    for k, stripped in ((5, "1"), (9, "12")):   # epoch 9 keeps neither node 1 nor node 2
+        for node_id in stripped:
+            del epochs[k][1][node_id]
     toa = session_of(epochs)
     got = run_filter(toa, dtb, session.catalog, WIDE_NOISE)
-    assert got[0][5].n_obs == len(obs) - 1
-    assert sorted(n for time, n, _ in got[1] if time == t) == sorted(set(obs) - {strongest})
+    for k, first in ((5, "2"), (9, "3")):
+        t, obs = epochs[k]
+        assert got[0][k].n_obs == len(obs) - 1
+        assert sorted(n for time, n, _ in got[1] if time == t) == sorted(set(obs) - {first})
 
     calls = []
 
-    def oracle(state, toa, epoch, refs, *_):
+    def oracle(state, toa, epoch, *_):
         calls.append(epoch)
-        node_id = toa.node_ids[toa.node[refs[epoch]]]
+        node_id = toa.node_ids[toa.node[toa.starts[epoch]]]
         table = dtb if node_id == "1" else rereference_dtb(dtb, node_id)
         return reference_update(state, toa, epoch, table, session.catalog, WIDE_NOISE)
 
     monkeypatch.setattr("tdoa_dtb.ekf.update", oracle)
     assert_runs_agree(got, run_filter(toa, dtb, session.catalog, WIDE_NOISE))
-    assert calls == list(range(len(toa.times)))   # once per epoch, the fallback one too
+    assert calls == list(range(len(toa.times)))   # once per epoch, those without node 1 too
 
 
-@pytest.mark.parametrize("rsrp,fallback", [
-    ({"2": None, "3": -70.0, "4": -70.0}, "3"),   # a blank rsrp loses, a tie goes to node order
-    ({"2": None, "3": None, "4": None}, "2"),
-    ({"2": -90.0, "3": -80.0, "4": None}, "3")])
-def test_fallback_reference_is_the_strongest_node(rsrp, fallback):
+@pytest.mark.parametrize("rsrp", [
+    {"2": None, "3": -70.0, "4": -70.0},   # the first node's rsrp is blank, others tie
+    {"2": None, "3": None, "4": None},
+    {"2": -90.0, "3": -80.0, "4": None}])   # the first node is not the strongest
+def test_epoch_without_the_reference_omits_its_first_nodes_residual(rsrp):
     catalog = square_catalog()
     full = {n: (0.0, -80.0) for n in "1234"}   # equal ranges from the prior at the centre
     session = session_of([(0.0, full), (0.5, {n: (0.0, r) for n, r in rsrp.items()})])
     _, residuals = run_filter(session, empty_dtb(catalog, "1"), catalog, WIDE_NOISE)
-    assert sorted(n for t, n, _ in residuals if t == 0.5) == sorted(set(rsrp) - {fallback})
+    assert sorted(n for t, n, _ in residuals if t == 0.5) == ["3", "4"]
+
+
+def test_track_does_not_depend_on_the_tables_reference():
+    """The golden gaps session, whose every fourth epoch lacks node 1,
+    calibrated against node 1 and positioned with that table and with it
+    re-referenced to every other node: the same counts, gated blunders among
+    them, and positions within rounding."""
+    catalog = read_nodes(GOLDEN / "nodes.csv")
+    session = load_toa_session(GOLDEN / "toa_gaps.csv")
+    dtb, _ = calibrate(session, load_trajectory(GOLDEN / "trajectory.csv"), catalog, "1")
+    noise = fit_noise_model(estimate_noise_points(load_toa_session(GOLDEN / "toa.csv")))
+    track, _ = run_filter(session, dtb, catalog, noise)
+    assert 0 < sum(p.n_rejected for p in track)
+    assert reference_rows(session, session.node_index("1")).count(-1) == 20
+    for other in dtb.entries:
+        moved, _ = run_filter(session, rereference_dtb(dtb, other), catalog, noise)
+        assert [(p.time, p.n_obs, p.n_rejected) for p in moved] == \
+            [(p.time, p.n_obs, p.n_rejected) for p in track]
+        assert max(max(abs(p.x - q.x), abs(p.y - q.y)) for p, q in zip(moved, track)) <= 1e-9
 
 
 def test_track_and_residuals_round_trip(tmp_path):

@@ -9,7 +9,7 @@ timestamp, stay out.
 toa_gaps.csv is toa.csv without node "1"'s row in every epoch k with
 k % 4 == 3, and with node "3"'s rsrp blank where k % 5 == 0. Calibrated against
 node "1", its 20 epochs without that node give no samples; positioned with
-that table, they are differenced against their strongest node instead.
+that table, they are differenced against their first node, as every epoch is.
 
 The command path runs twice: on the session as it is, whose tables the
 reader splits at their commas, and on a copy whose input tables have their

@@ -11,6 +11,7 @@ least squares of 1/sigma on rsrp.
 
 from __future__ import annotations
 
+import bisect
 import math
 
 from .dtb import mean_std
@@ -20,6 +21,7 @@ from .table import Record, read_csv, row_error, write_csv
 
 RSRP_BIN_DB = 2.0   # dB, width of a received-power bin
 MIN_BIN_SAMPLES = 20
+CLIP_MADS = 5.0   # a bin's spread keeps its values within this many 1.4826 MADs of its median
 DEFAULT_SIGMA_FLOOR = 0.3   # m
 DEFAULT_SIGMA_CAP = 15.0    # m
 DEFAULT_SIGMA_NO_RSRP = 3.0  # m, used when an observation carries no power value
@@ -56,8 +58,7 @@ class NoisePoint(Record):
             raise ValueError("negative sigma_hat")
 
 
-def _median(values: list[float]) -> float:
-    ordered = sorted(values)
+def _median(ordered: list[float]) -> float:
     mid = len(ordered) // 2
     return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
 
@@ -72,9 +73,12 @@ def estimate_noise_points(session: Session) -> list[NoisePoint]:
     sqrt(1 + (1 + r)^2 + r^2), the std of d per unit ToA noise, and goes to
     the RSRP_BIN_DB bin of the node's rsrp at t1. An epoch with fewer than 3
     such nodes gives nothing. Bins with fewer than MIN_BIN_SAMPLES values are
-    dropped. Raises FitError when no observation carries a power value, when
-    no three consecutive epochs share 3 nodes, or when a bin's spread is not
-    finite (pseudoranges so large that their differences overflow).
+    dropped. A bin's spread is the sample std of its values within CLIP_MADS
+    scaled MADs (1.4826 MAD) of its median, so blunders cannot inflate it; a
+    bin whose MAD is 0 keeps the std of all its values. Raises FitError when
+    no observation carries a power value, when no three consecutive epochs
+    share 3 nodes, or when a bin's std is not finite (pseudoranges so large
+    that their differences overflow).
     """
     pseudorange, rsrp, times = session.pseudorange, session.rsrp, session.times
     if all(value is None for value in rsrp):
@@ -91,7 +95,7 @@ def estimate_noise_points(session: Session) -> list[NoisePoint]:
                  for n, row in row_of[k].items() if n in before and n in after]
         if len(diffs) < 3:
             continue
-        shared, centre = True, _median([d for _, d in diffs])
+        shared, centre = True, _median(sorted([d for _, d in diffs]))
         scale = math.sqrt(1.0 + (1.0 + r) * (1.0 + r) + r * r)
         for row, d in diffs:
             if rsrp[row] is not None:   # finite, so its quotient by RSRP_BIN_DB is too
@@ -109,6 +113,13 @@ def estimate_noise_points(session: Session) -> list[NoisePoint]:
         if not math.isfinite(spread):
             raise FitError(f"noise spread of the {center} dBm power bin is not finite "
                            f"({spread}); pseudoranges too large to difference")
+        resids.sort()
+        median = _median(resids)
+        reach = CLIP_MADS * 1.4826 * _median(sorted([abs(v - median) for v in resids]))
+        kept = resids[bisect.bisect_left(resids, median - reach):
+                      bisect.bisect_right(resids, median + reach)]
+        if reach and len(kept) < len(resids):   # a MAD of 0 would keep the median's values alone
+            _, spread = mean_std(kept)
         points.append(NoisePoint(center, spread))
     return points
 

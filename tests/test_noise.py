@@ -81,7 +81,9 @@ def test_noise_spread_whose_sum_overflows_is_fit_error():
 
 def reference_noise_points(epochs):
     """The numpy form of estimate_noise_points on (time, {node_id: (pseudorange,
-    rsrp)}) epochs, kept as its oracle: (bin centre, np.std(ddof=1)) per bin."""
+    rsrp)}) epochs, kept as its oracle: (bin centre, np.std(ddof=1)) per bin,
+    of the values within 5 * 1.4826 MAD of the bin's median where the MAD is
+    not 0."""
     bins = {}
     for (t0, before), (t1, now), (t2, after) in zip(epochs, epochs[1:], epochs[2:]):
         nodes = [n for n in now if n in before and n in after]
@@ -93,22 +95,32 @@ def reference_noise_points(epochs):
         for n, value in zip(nodes, centred.tolist()):
             if now[n][1] is not None:
                 bins.setdefault(math.floor(now[n][1] / 2.0), []).append(value)
-    return [((idx + 0.5) * 2.0, float(np.std(bins[idx], ddof=1))) for idx in sorted(bins)]
+    points = []
+    for idx in sorted(bins):
+        values = np.array(bins[idx])
+        deviation = np.abs(values - np.median(values))
+        mad = np.median(deviation)
+        kept = values[deviation <= 5.0 * 1.4826 * mad] if mad > 0 else values
+        points.append(((idx + 0.5) * 2.0, float(np.std(kept, ddof=1))))
+    return points
 
 
 def test_noise_points_match_numpy_reference():
-    """Each bin's two-pass sample std against the numpy oracle of the same
-    centred second differences, on nodes spread over many bins with blank
-    rsrp rows."""
+    """Each bin's clipped two-pass sample std against the numpy oracle of the
+    same centred second differences, on nodes spread over many bins with
+    blank rsrp rows and a 30 m blunder every 23rd epoch, which the clip
+    removes."""
     rsrps = {str(i): float(r) for i, r in enumerate(np.linspace(-100.0, -55.0, 12))}
     sigmas = {n: 60.0 / (r + 110.0) for n, r in rsrps.items()}
     epochs = make_epochs(rsrps, sigmas, n=600, seed=4)
-    epochs = [(t, {n: (p, None if (i + j) % 7 == 0 else r)
+    epochs = [(t, {n: (p + (30.0 if i % 23 == 0 and j == i % 12 else 0.0),
+                       None if (i + j) % 7 == 0 else r)
                    for j, (n, (p, r)) in enumerate(obs.items())})
               for i, (t, obs) in enumerate(epochs)]
     want = reference_noise_points(epochs)
     points = estimate_noise_points(session_of(epochs))
     assert len(points) == len(want) >= 10
+    assert max(p.sigma_hat / (60.0 / (p.rsrp + 110.0)) for p in points) < 1.3
     for p, (center, std) in zip(points, want):
         assert p.rsrp == center
         assert p.sigma_hat == pytest.approx(std, rel=1e-12)
@@ -125,6 +137,40 @@ def test_noise_points_track_generating_model():
     for p in points:
         expected = k / (p.rsrp - rsrp0)
         assert abs(p.sigma_hat - expected) < 0.15 * expected
+
+
+def test_blunders_do_not_inflate_a_bins_spread():
+    """20-60 m blunders on 0.5% of the rows, each entering three consecutive
+    second differences, leave every bin within 15% of the generating model;
+    the plain std of the same bins reads 1.1 to 2.5 times it."""
+    k, rsrp0 = 60.0, -110.0
+    rsrps = {str(i): float(r) for i, r in enumerate(range(-95, -65, 5))}
+    sigmas = {n: k / (r - rsrp0) for n, r in rsrps.items()}
+    epochs = make_epochs(rsrps, sigmas, n=4000, seed=12)
+    rng = np.random.default_rng(13)
+    for t, obs in epochs:
+        for n, (p, r) in obs.items():
+            if rng.random() < 0.005:
+                obs[n] = (p + rng.uniform(20.0, 60.0), r)
+    points = estimate_noise_points(session_of(epochs))
+    assert len(points) >= 5
+    for p in points:
+        assert abs(p.sigma_hat / (k / (p.rsrp - rsrp0)) - 1.0) < 0.15, p.rsrp
+
+
+def test_bin_whose_mad_is_zero_keeps_its_plain_spread():
+    """Four static nodes at one power, node 4 jumping by 1 m at three epochs:
+    more than half the bin's centred second differences are exactly 0, so its
+    MAD is 0 and its spread is the std of all its values, not the 0 that a
+    clip at 0 MADs would leave."""
+    epochs = [(0.5 * i, {n: (1.0 if n == "4" and i in (10, 20, 30) else 0.0, -80.0)
+                         for n in "1234"})
+              for i in range(40)]
+    jumps = [value / math.sqrt(6.0) for value in (1.0, -2.0, 1.0)] * 3
+    values = jumps + [0.0] * (4 * 38 - len(jumps))
+    [point] = estimate_noise_points(session_of(epochs))
+    assert point.sigma_hat == pytest.approx(float(np.std(values, ddof=1)), rel=1e-12)
+    assert point.sigma_hat > 0.1
 
 
 def test_noise_points_are_immune_to_the_receiver_clock():

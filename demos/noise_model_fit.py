@@ -9,10 +9,10 @@ is fitted through them. The demo generates data with a known model and fits it
 twice: with no receiver clock, and under the README's sawtooth clock, which
 gives the same fit.
 
-With only 4 nodes the fit is flatter than the truth (k about 111 against 60):
+With only 4 nodes the fit is flatter than the truth (k about 106 against 60):
 the median of so few nodes carries the other nodes' noise into the strong
 nodes' values. More nodes close the gap: with the square's edge midpoints
-added, 8 nodes fit k = 65-76 over seeds 1-5 and 9.
+added, 8 nodes fit k = 64-76 over seeds 1-5 and 9.
 """
 
 import dataclasses

@@ -229,7 +229,11 @@ RESIDUAL_COLUMNS = {"time": float, "node_id": str, "postfit_m": float}
 
 
 def write_track_csv(track: list[TrackPoint], path) -> None:
-    write_csv(path, list(TRACK_COLUMNS), track)
+    """x, y and the covariance at nine significant digits; the covariance at repr if
+    rounding an entry by 5e-9 of itself could take a row below read_track_csv's rule."""
+    cov = "%s" if any(_min_eig(a, b, d) - 5e-9 * (a + d + 2 * abs(b)) < PSD_TOL
+                      for _, _, _, a, b, d, _, _ in track) else "%.9g"
+    write_csv(path, list(TRACK_COLUMNS), track, ["%s", "%.9g", "%.9g", cov, cov, cov, "%s", "%s"])
 
 
 def read_track_csv(path) -> list[TrackPoint]:
@@ -244,7 +248,7 @@ def read_track_csv(path) -> list[TrackPoint]:
 
 
 def write_residuals_csv(residuals: list[tuple[float, str, float]], path) -> None:
-    write_csv(path, list(RESIDUAL_COLUMNS), residuals)
+    write_csv(path, list(RESIDUAL_COLUMNS), residuals, ["%s", "%s", "%.9g"])
 
 
 def read_residuals_csv(path) -> list[tuple[float, str, float]]:

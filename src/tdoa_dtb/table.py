@@ -183,28 +183,33 @@ def row_error(path, index: int, message: str) -> ParseError:
     return ParseError(path, reader.line_num, message)
 
 
-def write_csv(path, header: list[str], rows) -> None:
+def write_csv(path, header: list[str], rows, formats: list[str] | None = None) -> None:
     """Write a header row, then the rows, in UTF-8, byte for byte as csv.writer
-    writes them: floats in full repr, None as a blank cell, and a cell quoted
-    exactly when it holds a comma, a double quote or a line end. The table is
-    formatted with a %s per cell (str is csv.writer's conversion) and written
-    at once, unless csv.writer would write it otherwise (_format)."""
+    writes them once each cell is text by its column's %-format in formats (by
+    default %s, csv.writer's own str: floats in full repr): None as a blank cell,
+    a cell quoted exactly when it holds a comma, a double quote or a line end.
+    The table is written at once, unless csv.writer would write it otherwise."""
+    formats = formats or ["%s"] * len(header)
     rows = [tuple(header), *map(tuple, rows)]
-    text = _format(rows, len(header))
+    text = _format(rows, formats)
     with open(path, "w", encoding="utf-8", newline="") as f:
-        if text is None:
-            csv.writer(f).writerows(rows)
+        if text is None:   # each cell of a formatted column as its text, None still blank
+            csv.writer(f).writerows([rows[0], *(
+                [cell if cell is None or form == "%s" else form % cell
+                 for cell, form in itertools.zip_longest(row, formats[:len(row)], fillvalue="%s")]
+                for row in rows[1:])])
         else:
             f.write(text)
 
 
-def _format(rows: list[tuple], width: int) -> str | None:
-    """The rows as text, None as a blank cell; None where csv.writer writes
-    otherwise: a row not as wide as the header, a one-column table (a lone
-    empty cell is written ""), or a cell holding a comma, a quote, a line end
-    or a NUL (which csv refuses before Python 3.11). The distinct cells of the
-    text columns (those whose last cell is a str, as ids and labels are) are
-    checked first, so that a table with an id to quote is not formatted twice."""
+def _format(rows: list[tuple], formats: list[str]) -> str | None:
+    """The header by %s and each row by formats as text, None as a blank cell;
+    None where csv.writer writes otherwise: a row not as wide as the header or a
+    cell its format refuses, a one-column table (a lone empty cell is written ""),
+    or a cell holding a comma, a quote, a line end or a NUL (which csv refuses
+    before 3.11). The distinct cells of the text columns (those whose last cell is
+    a str, as ids are) are checked first, so a table to quote is not formatted twice."""
+    width = len(formats)
     try:
         texts = "".join(map(str, {cell for index, last in enumerate(rows[-1])
                                   if isinstance(last, str)
@@ -213,16 +218,17 @@ def _format(rows: list[tuple], width: int) -> str | None:
         return None
     if width < 2 or any(map(texts.__contains__, ',"\r\n\0')):
         return None
-    template = ",".join(["%s"] * width) + "\r\n"
+    plain, template = ",".join(["%s"] * width) + "\r\n", ",".join(formats) + "\r\n"
     try:
-        lines = list(map(template.__mod__, rows))
-    except TypeError:   # a row not as wide as the header
+        lines = [plain % rows[0], *map(template.__mod__, rows[1:])]
+    except TypeError:   # a row not as wide as the header, or a None in a formatted column
         return None
     text = "".join(lines)
     if "None" in text:   # the rows that may hold a None, again with "" for it
         for index in itertools.compress(itertools.count(), map(str.__contains__, lines,
                                                                itertools.repeat("None"))):
-            lines[index] = template % tuple("" if cell is None else cell for cell in rows[index])
+            lines[index] = (template if index else plain) % tuple(
+                "" if cell is None else cell for cell in rows[index])
         text = "".join(lines)
     count = len(rows)
     # only the template's commas and line ends: no cell to quote

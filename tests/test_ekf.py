@@ -1,3 +1,4 @@
+import math
 import random
 import statistics
 from pathlib import Path
@@ -7,9 +8,9 @@ import pytest
 
 from tdoa_dtb.differencing import reference_rows
 from tdoa_dtb.dtb import DtbEntry, DtbTable, calibrate, mean_std, rereference_dtb
-from tdoa_dtb.ekf import (INNOVATION_GATE, PSD_TOL, EkfState, init_apriori, predict,
-                          read_residuals_csv, read_track_csv, run_filter, session_model,
-                          update, write_residuals_csv, write_track_csv)
+from tdoa_dtb.ekf import (INNOVATION_GATE, PSD_TOL, EkfState, TrackPoint, init_apriori,
+                          predict, read_residuals_csv, read_track_csv, run_filter,
+                          session_model, update, write_residuals_csv, write_track_csv)
 from tdoa_dtb.errors import UnknownNode
 from tdoa_dtb.geometry import NodeCatalog, Position, node_sort_key, range_between, read_nodes
 from tdoa_dtb.ingestion import Session, load_toa_session, load_trajectory
@@ -571,9 +572,49 @@ def test_track_does_not_depend_on_the_tables_reference():
         assert max(max(abs(p.x - q.x), abs(p.y - q.y)) for p, q in zip(moved, track)) <= 1e-9
 
 
+def nine_digits(value: float) -> float:
+    return float("%.9g" % value)
+
+
 def test_track_and_residuals_round_trip(tmp_path):
+    """Times, node ids and counts read back exactly, and each metre value as
+    exactly its nine-significant-digit rounding."""
     _, track, residuals = run_synthetic(positioning_scenario(noise=1.0, duration=20.0))
     write_track_csv(track, tmp_path / "track.csv")
     write_residuals_csv(residuals, tmp_path / "residuals.csv")
-    assert read_track_csv(tmp_path / "track.csv") == track
-    assert read_residuals_csv(tmp_path / "residuals.csv") == residuals
+    assert read_track_csv(tmp_path / "track.csv") == [
+        TrackPoint(p.time, *map(nine_digits, p[1:6]), p.n_obs, p.n_rejected) for p in track]
+    assert read_residuals_csv(tmp_path / "residuals.csv") == [
+        (t, node_id, nine_digits(value)) for t, node_id, value in residuals]
+
+
+def test_near_singular_covariances_are_read_back(tmp_path):
+    """Rank-1 and badly conditioned covariances, which nine digits can round
+    below the reader's PSD rule, go through write_track_csv and read back: the
+    covariance columns at nine digits, or at repr for the whole track."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    path = tmp_path / "track.csv"
+    # log10 of the larger eigenvalue, log10 of the condition (rank 1 past 12), axis angle
+    shape = st.tuples(st.floats(-6.0, 4.0), st.floats(0.0, 13.0), st.floats(0.0, math.pi))
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(st.lists(shape, min_size=1, max_size=4))
+    @hypothesis.example([(4.0, 13.0, 0.3)])   # nine digits give a min eigenvalue of -2.5e-6
+    def check(shapes):
+        track = []
+        for i, (log_scale, log_cond, angle) in enumerate(shapes):
+            big = 10.0 ** log_scale
+            small = 0.0 if log_cond > 12.0 else big / 10.0 ** log_cond
+            c, s = math.cos(angle), math.sin(angle)
+            a, b, d = big * c * c + small * s * s, (big - small) * c * s, big * s * s + small * c * c
+            state = EkfState((12.345678901234 * i, -0.1 - i), [[a, b], [b, d]])
+            (a, b), (_, d) = state.covariance
+            track.append(TrackPoint(0.5 * i, *state.position, a, b, d, 3, 0))
+        write_track_csv(track, path)
+        read = read_track_csv(path)
+        nine_xy = [p._replace(x=nine_digits(p.x), y=nine_digits(p.y)) for p in track]
+        assert read in (nine_xy, [TrackPoint(*p[:3], *map(nine_digits, p[3:6]), *p[6:])
+                                  for p in nine_xy])
+
+    check()

@@ -413,6 +413,44 @@ def test_write_csv_writes_the_bytes_of_csv_writer(tmp_path):
     check()
 
 
+# cells of a column with a %-format: numbers, and None, which stays blank
+NUMBER_CELLS = [-0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2, 123.456789012345, -7, 10**20, True, None]
+
+
+def test_write_csv_with_formats_writes_the_bytes_of_csv_writer(tmp_path):
+    """With a %-format per column, write_csv writes each random table as
+    csv.writer writes the same cells pre-formatted, None kept blank. Half of the
+    tables hold a text cell that csv must quote (or, NUL on Python 3.10,
+    refuses), so that both of write_csv's paths meet the formats."""
+    hypothesis = pytest.importorskip("hypothesis")
+    path = tmp_path / "t.csv"
+
+    @hypothesis.settings(max_examples=1000, deadline=None)
+    @hypothesis.given(hypothesis.strategies.randoms(use_true_random=True))
+    def check(rng):
+        header = rng.sample(["time", "node_id", "x", "postfit_m", "None", "a b"], rng.randint(1, 5))
+        formats = [rng.choice(["%s", "%s", "%.9g", "%.3e", "%.17g"]) for _ in header]
+        texts = PLAIN_CELLS * 6 + RARE_CELLS * rng.randint(0, 1)
+        rows = [tuple(rng.choice(NUMBER_CELLS if form != "%s" or rng.random() < 0.5 else texts)
+                      for form in formats) for _ in range(rng.randrange(14))]
+        expected, error = io.StringIO(), None
+        try:
+            csv.writer(expected).writerows([header, *(
+                [None if cell is None else form % (cell,) for cell, form in zip(row, formats)]
+                for row in rows)])
+        except csv.Error as exc:
+            error = exc
+        try:
+            write_csv(path, header, iter(rows), formats)
+        except csv.Error as exc:
+            assert str(exc) == str(error)
+        else:
+            assert error is None
+        assert path.read_bytes() == expected.getvalue().encode()
+
+    check()
+
+
 def test_write_csv_hands_only_a_table_to_quote_to_csv_writer(tmp_path, monkeypatch):
     """None cells and the text None are written on the format path; a text
     column with a cell to quote sends the table to csv.writer before any row

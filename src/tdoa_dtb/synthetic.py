@@ -5,9 +5,11 @@ clock, minus the node bias, plus an optional non-line-of-sight offset and
 Gaussian noise whose sigma follows the received-power model (or a constant).
 Received power comes from a log-distance path loss. The noise stream is keyed
 by (seed, node index, epoch index), so output is byte-stable regardless of
-generation order: each row's draw is NumPy's PCG64 stream
-``default_rng([seed, node, epoch]).standard_normal()``, computed for a whole
-session at once by `noise_draws`.
+generation order: each row's draw is ``default_rng([seed, node,
+epoch]).standard_normal()``. `noise_draws` computes a whole session's first
+PCG64 outputs in array passes and applies NumPy's ziggurat fast path to them;
+NumPy's generator draws the rows that path rejects. A test pins every draw
+against the per-row generator.
 
 `generate` builds a session in array passes over the epoch x node grid, in
 the per-row forward model's order of operations, so every value is the one a
@@ -21,6 +23,7 @@ rover-clock cancellation bit-exact instead of merely exact-to-rounding.
 
 from __future__ import annotations
 
+import base64
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -35,11 +38,43 @@ from .ingestion import ReferenceTrajectory, Session, group_epochs
 from .noise import NoiseModel, sigma_for
 from .table import finite_float
 
-# NumPy's SeedSequence hash and mix constants, and PCG64's LCG multiplier.
+# NumPy's SeedSequence hash and mix constants, PCG64's LCG multiplier M, and M**2 + M + 1.
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_PCG_STEP, _LOW, _32 = (_PCG_MULT**2 + _PCG_MULT + 1) & _MASK128, np.uint64(_MASK32), np.uint64(32)
+
+# NumPy's wi_double (numpy/random/src/distributions/ziggurat_constants.h), float64 in base 85, and
+# layer i's bound floor(wi[i-1] / wi[i] * 2**52) - 2 (0 for layer 1), 0-3 below numpy's ki_double.
+_WI = np.frombuffer(base64.b85decode("".join("""dD#_sJ4w$x#`gW=3yq6Bv|B7ZuTYXaVLL=PxqOv845u&X`~jFey
+wFT83?rI6_hC3MO#qxcbaHfBFRYzB!_`bJNHU*1t-FpVGEJa7LtO$p1@)jjcQ!$nrjnsN^%{DQq9>v}fY@U=F14aO^^sS=KRly6
+FR`M*p1q?yRh$2f?>VGAr~W-QyRoD^bkiDQbtR=dmd*#KfR&{@>VDbJF#@JMJ$$2K(rczXa0LL8qSB^3ruatF+BT;=cPg_Gt(d1
+gL-j_jMfj&YcM3yO%vGp7ns$4hWU;6`n9okBE(@tV>K-hDM`NixM#VUe$+@XKET^R0%nqtNS<QECXJV>6FcuJQt+c8<oNN<qu?4
+F<DSASOgjK6NI-gRGHl(XOGJ?M<*72)6^G;d$a6YU&VLLLV6N;=nizagZ$<(YoNVk9vpB}9|5Fg|zooB5)!?+^=&abUJQ+DyGI`
+^$S{_WDW>piYK0B?FT>4UC3&Vu>9I?1j)CSve}=MAqsi1yf2_EE1quGfd2ZI!P)tS<U}Q`oOO>@-5)Rt>N`nvXg4KrXO6{G}G2>
+Q1mc5TJ5fR&TI83-oc2hL5m36JflBeXp=Qf6Pl}J<qT_YX}xg$nLN_?iH0XAP%uSz7H`6M=h~DL6MH1K1{JZ9w5ZO2y3xCG}?F?
+r-`vVh;8ms8>q27%PRQzX2!8RF4W+Yi{!C9pP)dQiUP7c>BhuzWgxOVAH(T=9X_%=`)jETv|F+~f72aiDtWRz8`l}fftIp7+Ag?
+ayR))9Q@G(`*wC^(j;YJ&+3m7C*GO&+!3wiHFuC;MjwiD`p<X6%L`1VZ)l$m3;$X8pYFGunYJIajWU{hv-I=pI13kFEJGQet;2l
+<&hSIY<gIaRlzV5R;be`aG<qEVsU38```zEwJq%b__07JAqUB}9E_g=I-Hp6C~-+Ht>FONtvx|Xy&T|ol&hqAOh+!3>^NzSx91*
+SL_0P3_nVpU%6s|B?@T8j$uO(C^BPiAV><~+4L$g&$wcUZMNcwbcx0CcrH6on4PfseI3SsNrH{i?M*J#&50a>lhh(~K{B<KeYDI
+9{K~PyMw#!yltyxEQuPqOhXq9W=H)3nsS&flszPa+b+g;%c@$H!-n;LWZ_Hv9eGpqM^1tyF;_+0ll_7Qqw45V%WAkRQO>r#Pha1
+>u8JjCl9wg#uRB$jw-i2-0pDP_eHlnA9Lk3Wns5GN%Zgf)_k`-lfAmgO_;Yl2^5Pw%ComT`y$)(OwYGG=iYOS*6O!BAL@prX9l=
+Dc818>03x_N6`zUDqCL1gz4g%_PFc7-#eRBk19iAOE%!%X!;rW<L%;=+j;y#moD89>WyrWZCu&4dN#wXZkF|3tIsmymM}sKbI2^
+e={0i?9MmV`VilPH~VpO?2?$vO+j&Qj=F)A*J%Z#}^znMRi8L7EEEZNnJdBwRr5p-`W?BTgQO49l!a{jqIk~aA{3>&&UTgajzyE
+nQ#h`S4(e^k0Wq^U}BT5-BOJu#qUOpdxd2=SjjR;#)^&h=W&c*wduHnWT2wB@=y8ll5a3j@16TbP>gd?33#01V)u3O>6$13k_`w
+OhM9Cy76~eR;b)Jon}CWS6@<ZY71=Yqh&PqQEX|lheCAgRX&_-0{0Spcd?GND#a{Eqd_f*Dky~91U(0j7_{e1&8biW^BAX7pCjr
+W{bQ$tD-i&kE*;pkk&iL;mN!_H{fV6Ug^9%ZjXyH1_`}9An!L2+bF#}N5(T1-blSXBk|{!5NW+UrTf?PbBVn?aBd)(397w34oUp
+@(#pL&H!f0@(d)fD9MVbq1`WPE_D1T&bS}O;h|$5B98kVICH|K$0CK)O3co5#A(Xy62ygemfwsOpI;RkJBiX(@sq6t^2>iZ0Ayd
+MNG9SM@ZB4fiq(Z+uXaUI}UuM5Nf|rQ|W{ST&zanuMyRN@Hh37BQVAH=m3-%bnS@^#^b)eHn)DFNrN6C)@s3E{Ss{*NmsWiYm$M
+rr=+DE`VezUFiJ6pg!XeOs4&~Csy7cOIun1aAORHEnzmzKah#K3WN&8omWNYw7pJ-@&_Fg>a?>eIkHlVuUl)abxGwx6c&|NX!`L
+2w`hZWF;gHC?-#At}K;Z3)C_9Y4W5J1$^IWL3dD^X{EH`D?*EVG`1G--5wBtm{rz8k)g8jxT?At+By8l%{d1oXNpFIj-dU>*2vX
+0omfhpZdW(fy@M*yc5Da?$d92M=ioUB%G|IMMuIs;8=FYykWvTE?KDhvV6ikcn){XE||hRQVJ?lH?+b$m)n*x)X>5_^?0eV4er7
+`?ygqS><hy@qoinFdn&^`qY|zK#7V<EK&Uf%(rLpy3PDzqvx>t!`iQP@b*#fYrUVzWC(pw?b@X7W+w#La+U2>Nq!+|IlwMR7m_5
+Wi6*{Lx&Sb<qyhEIIVvWQ+Ct7QrbGO7i0*TEHCF8_AL9FRhpAf}7LVh|@5kSQ}8{|r<v2n#b*^P0Fz@^1J{?IxkirmFKOdf{MX%
+@yj>S_Rc&Qr!b!{wj8K$XTkGU5r1Yum;=G<sj~C@04}a|Q`km3hZJjLz2dE!4+6H1a7013Ab%6nv_`539&LmPBuq;4aBLt5-k)?
+#szMT6dIq+>gpUvHf^BADGKLGpz}Nv^&i_""".split())), dtype="<f8")
+_KI = np.where(np.arange(256) == 1, 0.0, np.floor(np.roll(_WI, 1) / _WI * 2.0**52) - 2)
 
 
 @dataclass(frozen=True)
@@ -121,6 +156,8 @@ class Scenario:
             raise InvalidScenario("zero speed needs an explicit duration")
         if self.quantize is not None and not self.quantize > 0:
             raise InvalidScenario("quantize grid must be positive")
+        if type(self.seed) is not int:   # int() would truncate a float or bool, or parse a string
+            raise InvalidScenario(f"seed must be an integer, got {self.seed!r}")
 
 
 def _path_samples(waypoints: list[tuple[float, float]]) -> list[tuple[float, Position]]:
@@ -180,10 +217,28 @@ def _mix(x, y):
     return value ^ value >> 16
 
 
+def _first_outputs(words: list[np.ndarray]) -> np.ndarray:
+    """Each row's first PCG64 output from its SeedSequence words (uint64 arrays, in hash order):
+    rotr64(hi ^ lo, hi >> 58) of the state s * M**2 + (2i + 1) * (M**2 + M + 1) mod 2**128 that
+    seeding with (s, i) and one step leave, summed in 32-bit limb columns, the lowest first."""
+    cols = [np.uint64(_PCG_STEP >> shift & _MASK32) for shift in range(0, 160, 32)]   # 5th: carry
+    for order, mult in (((2, 3, 0, 1), _PCG_MULT**2), ((6, 7, 4, 5), 2 * _PCG_STEP)):   # s, i
+        for k, j in ((k, j) for k in range(4) for j in range(4 - k)):   # products < 2**64
+            product = words[order[k]] * np.uint64(mult >> 32 * j & _MASK32)
+            cols[k + j] += product & _LOW
+            cols[k + j + 1] += product >> _32
+    for k in range(3):
+        cols[k + 1] += cols[k] >> _32
+    hi, lo = cols[2] & _LOW | cols[3] << _32, cols[0] & _LOW | cols[1] << _32
+    rot, word = hi >> np.uint64(58), hi ^ lo
+    return word >> rot | word << (np.uint64(64) - rot & np.uint64(63))
+
+
 def noise_draws(seed: int, n_nodes: int, n_epochs: int) -> list[float]:
-    """Row k * n_nodes + node is np.random.default_rng([seed, node, k]).standard_normal(),
-    bit for bit: SeedSequence hashes the key words (the seed's 32-bit words, node, k)
-    for all rows at once, and each row's PCG64 state is set on one generator."""
+    """Row k * n_nodes + node is np.random.default_rng([seed, node, k]).standard_normal(), bit for
+    bit. SeedSequence hashes the key words (the seed's 32-bit words, node, k) of all rows at once;
+    numpy's ziggurat fast path on each row's first output u gives +-rabs * wi[u & 0xff], with rabs
+    = u >> 9 & (2**52 - 1), and numpy's generator, set to their seed, draws the rows it rejects."""
     size = n_nodes * n_epochs
     key = [np.full(size, seed >> shift & _MASK32, dtype=np.uint32)
            for shift in range(0, max(seed.bit_length(), 1), 32)]
@@ -198,17 +253,22 @@ def noise_draws(seed: int, n_nodes: int, n_epochs: int) -> list[float]:
         pool[dst] = _mix(pool[dst], hashmix(word))
     hashmix = _hasher(_INIT_B, _MULT_B)
     words = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
-    state_hi, state_lo, inc_hi, inc_lo = ((words[i] | words[i + 1] << 32).tolist()
+    u = _first_outputs(words)
+    layer = (u & np.uint64(0xFF)).astype(np.intp)
+    rabs = (u >> np.uint64(9) & np.uint64(2**52 - 1)).astype(np.float64)
+    draws = np.where(u & np.uint64(0x100), -rabs, rabs) * _WI[layer]
+    rows = np.flatnonzero(rabs >= _KI[layer])
+    state_hi, state_lo, inc_hi, inc_lo = ((words[i] | words[i + 1] << _32)[rows].tolist()
                                           for i in range(0, 8, 2))
     generator = np.random.Generator(np.random.PCG64())
-    full_state, draws = generator.bit_generator.state, []
+    full_state = generator.bit_generator.state
     pcg = full_state["state"]
-    for s_hi, s_lo, i_hi, i_lo in zip(state_hi, state_lo, inc_hi, inc_lo):
+    for row, s_hi, s_lo, i_hi, i_lo in zip(rows.tolist(), state_hi, state_lo, inc_hi, inc_lo):
         pcg["inc"] = inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128   # pcg_setseq_128_srandom_r
         pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
         generator.bit_generator.state = full_state
-        draws.append(generator.standard_normal())
-    return draws
+        draws[row] = generator.standard_normal()
+    return draws.tolist()
 
 
 def generate(scenario: Scenario) -> SyntheticSession:
@@ -320,7 +380,7 @@ def load_scenario(path) -> Scenario:
             noise=noise,
             path_loss=PathLossModel(**_floats(raw.get("path_loss", {}))),
             nlos_offset=_floats(raw.get("nlos") or {}),
-            seed=int(raw.get("seed", 0)),
+            seed=raw.get("seed", 0),
             duration=finite_float(raw["duration"]) if raw.get("duration") is not None else None,
             quantize=finite_float(raw["quantize"]) if raw.get("quantize") is not None else None,
         )

@@ -961,6 +961,9 @@ SCENARIO_PROBES = {
     "noise-sigma-nan": _scenario_with("noise", "{sigma: .nan}"),
     "clock-reset-period-nan": _scenario_with("clock", "{kind: sawtooth, reset_period: .nan}"),
     "seed-inf": _scenario_with("seed", ".inf"),
+    "seed-fraction": _scenario_with("seed", "1.5"),
+    "seed-bool": _scenario_with("seed", "true"),
+    "seed-negative-fraction": _scenario_with("seed", "-0.5"),
     "quantize-0": SCENARIO_YAML + "quantize: 0\n",
     "path-loss-min-range-0": _scenario_with("path_loss", "{min_range: 0}"),
     "duration-overflows": _scenario_with("duration", "1.0e308"),
@@ -1033,6 +1036,18 @@ def test_unreadable_yaml_names_its_line(tmp_path, capsys, text, line, problem):
     assert main(["simulate", "--scenario", str(scenario), "--out-dir", str(tmp_path)]) == 2
     assert capsys.readouterr().err == (f"tdoa-dtb simulate: InvalidScenario: {scenario}:{line}: "
                                        f"{problem}\n")
+
+
+@pytest.mark.parametrize("probe,seed", [("seed-fraction", "1.5"), ("seed-bool", "True"),
+                                        ("seed-negative-fraction", "-0.5"), ("seed-inf", "inf")])
+def test_seed_that_is_not_an_integer_is_named(tmp_path, capsys, probe, seed):
+    """int() would truncate such a seed, and -0.5 would pass as seed 0."""
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(SCENARIO_PROBES[probe])
+    assert main(["simulate", "--scenario", str(scenario), "--out-dir", str(tmp_path / "sim")]) == 2
+    assert capsys.readouterr().err == ("tdoa-dtb simulate: InvalidScenario: "
+                                       f"seed must be an integer, got {seed}\n")
+
 
 def test_simulate_negative_seed_is_a_data_error(tmp_path, capsys, scenario_file):
     out = tmp_path / "sim"

@@ -120,6 +120,86 @@ def test_noise_draws_match_per_row_default_rng(seed):
         assert noise_draws(seed, n_nodes, 100) == expected
 
 
+def _seed_words(seed, n_nodes, n_epochs):
+    """Each row's SeedSequence words, from numpy's own SeedSequence, as uint64 columns."""
+    words = [np.random.SeedSequence([seed, node, k]).generate_state(8)
+             for k in range(n_epochs) for node in range(n_nodes)]
+    return list(np.array(words, dtype=np.uint64).T)
+
+
+@pytest.mark.parametrize("seed", [1, 2**40 + 17])
+def test_noise_draws_fast_path_and_fallback(seed):
+    """On the benchmark's session shapes both paths of noise_draws are taken:
+    the ziggurat fast path in every layer with a bound, and numpy's generator
+    for the rows past it, and every draw is the per-row generator's."""
+    # layer 1's bound is 0, as numpy's ki_double[1] is: its rows always fall back
+    assert synthetic._KI[1] == 0 and np.all(synthetic._KI[np.arange(256) != 1] > 0)
+    for n_nodes, n_epochs in ((8, 751), (64, 81)):
+        expected = [np.random.default_rng([seed, node, k]).standard_normal()
+                    for k in range(n_epochs) for node in range(n_nodes)]
+        assert noise_draws(seed, n_nodes, n_epochs) == expected
+        u = synthetic._first_outputs(_seed_words(seed, n_nodes, n_epochs))
+        layer = (u & np.uint64(0xFF)).astype(np.intp)
+        rabs = (u >> np.uint64(9) & np.uint64(2**52 - 1)).astype(np.float64)
+        fast = rabs < synthetic._KI[layer]
+        assert set(layer[fast].tolist()) == set(range(256)) - {1}
+        assert set(layer.tolist()) == set(range(256))
+        # about 1.5% of rows fall back, and not only layer 1's
+        assert 0 < np.count_nonzero(~fast & (layer != 1)) < np.count_nonzero(~fast) < 0.03 * u.size
+
+
+_M = 0x2360ED051FC65DA44385DF649FCCF645
+EDGE_HALVES = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+def test_first_outputs_limb_arithmetic_on_edge_words():
+    """The 32-bit limb arithmetic gives numpy's first PCG64 output, and the
+    128-bit formula's, for 64-bit halves of 0, 1, all ones and carries out of
+    the low word in every position of the state and increment seeds."""
+    seeds = list(itertools.product(EDGE_HALVES, repeat=4))
+    # the hash order of the SeedSequence words: state high, state low, inc high, inc low,
+    # each 64-bit half as its low then its high 32 bits
+    words = [np.array([halves[i // 2] >> 32 * (i % 2) & (2**32 - 1) for halves in seeds],
+                      dtype=np.uint64) for i in range(8)]
+    got = synthetic._first_outputs(words).tolist()
+    bit_generator = np.random.PCG64()
+    full_state = bit_generator.state
+    for (s_hi, s_lo, i_hi, i_lo), u in zip(seeds, got):
+        s, inc = s_hi << 64 | s_lo, ((i_hi << 64 | i_lo) << 1 | 1) % 2**128
+        state = (s * _M * _M + inc * (_M * _M + _M + 1)) % 2**128   # seeded, then one step
+        hi, lo, rot = state >> 64, state & (2**64 - 1), state >> 122
+        assert u == ((hi ^ lo) >> rot | (hi ^ lo) << (64 - rot)) & (2**64 - 1)
+        full_state["state"] = {"state": ((inc + s) * _M + inc) % 2**128, "inc": inc}
+        bit_generator.state = full_state
+        assert u == int(bit_generator.random_raw())
+
+
+def test_ziggurat_table_and_bound_match_numpy():
+    """In every layer but layer 1 (bound 0), a first output at the largest rabs
+    the fast path accepts makes numpy's standard_normal return rabs * wi from
+    that one output, so the embedded table is numpy's and the derived bound is
+    not above numpy's."""
+    bit_generator = np.random.PCG64()
+    generator, full_state = np.random.Generator(bit_generator), bit_generator.state
+    for layer in set(range(256)) - {1}:
+        for sign in (0, 1):
+            rabs = int(synthetic._KI[layer]) - 1
+            u = rabs << 9 | sign << 8 | layer   # the output of state u: hi = 0, no rotation
+            full_state["state"] = {"state": (u - 1) * pow(_M, -1, 2**128) % 2**128, "inc": 1}
+            bit_generator.state = full_state
+            assert generator.standard_normal() == (-1) ** sign * rabs * synthetic._WI[layer]
+            assert bit_generator.state["state"]["state"] == u   # one output, no slow path
+
+
+@pytest.mark.parametrize("seed", [2**63, 2**64 - 1, 2**128 - 1])
+def test_noise_draws_with_high_seed_bits(seed):
+    """Seeds whose words have bit 31 set, up to four words of ones, draw as the
+    per-row generator does."""
+    expected = [np.random.default_rng([seed, node, k]).standard_normal()
+                for k in range(100) for node in range(8)]
+    assert noise_draws(seed, 8, 100) == expected
+
+
 def test_noiseless_pseudoranges_are_exact(monkeypatch):
     """With sigma 0 no noise is drawn: every pseudorange is the forward model
     to the last bit."""

@@ -15,7 +15,7 @@ _EXPORTS = {
             "rereference_dtb", "write_dtb"),
     "noise": ("NoiseModel", "NoisePoint", "estimate_noise_points", "fit_noise_model",
               "sigma_for"),
-    "ekf": ("EkfState", "TrackPoint", "init_apriori", "predict", "run_filter", "update"),
+    "ekf": ("TrackPoint", "init_apriori", "run_filter", "update"),
     "metrics": ("session_metrics", "sigma_formal", "sigma_postfits", "true_error"),
     "synthetic": ("ClockModel", "PathLossModel", "Scenario", "generate", "load_scenario"),
 }

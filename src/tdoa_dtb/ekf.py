@@ -1,14 +1,16 @@
 """Extended Kalman Filter over 2D rover position using calibrated TDoA observables.
 
 State is the planar position only: the rover clock is removed by differencing
-and the node biases by the DTB corrections, so no bias states are needed.
-Propagation is identity with process noise accumulating linearly in time.
+and the node biases by the DTB corrections, so no bias states are needed. It
+is carried as five floats, (x, y, P_xx, P_xy, P_yy), a track row's. The
+prediction carries the position over and grows each variance linearly in time.
 Each epoch's update is one joint update in information form: the accepted
 observations are folded into the 2x2 information H'R^-1 H and the vector
 H'R^-1 nu, and the covariance becomes (I + P H'R^-1 H)^-1 P. That inverts only
 a 2x2 matrix whose determinant is at least 1, never P itself (a valid prior
 may be singular) nor an n-by-n innovation covariance. Innovation gating only
-counts rejections; rejected observations are never applied.
+counts rejections; rejected observations are never applied. Each epoch's
+state is checked once, where it becomes a track row, by read_track_csv's rule.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import TdoaDtbError
 from .geometry import NodeCatalog
 from .ingestion import Session
 from .noise import NoiseModel, sigma_for
-from .table import Record, read_csv, row_error, write_csv
+from .table import read_csv, row_error, write_csv
 
 MIN_RANGE_M = 1.0e-6   # a range below this has zero partials, its subgradient at the node
 PSD_TOL = -1.0e-9
@@ -37,28 +39,16 @@ def _min_eig(a: float, b: float, d: float) -> float:
     return 0.5 * (a + d) - math.hypot(0.5 * (a - d), b)
 
 
-class EkfState(Record):
-    """Planar filter state in plain floats.
-
-    Any two numbers are accepted as the position (x, y), m, and any 2x2 nested
-    sequence as the covariance, m^2; both are stored as tuples of floats, the
-    covariance symmetrised.
-    """
-
-    __slots__ = _fields = ("position", "covariance")
-
-    def __init__(self, position, covariance):
-        x, y = map(float, position)
-        (a, b), (c, d) = covariance
-        a, b, d = float(a), 0.5 * (float(b) + float(c)), float(d)
-        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(d)):
-            raise ValueError("non-finite filter covariance")
-        min_eig = _min_eig(a, b, d)
-        if not min_eig >= PSD_TOL:
-            raise ValueError(f"covariance not PSD, min eigenvalue {min_eig:.3e}")
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError("non-finite filter position")
-        self.position, self.covariance = (x, y), ((a, b), (b, d))
+def _check_state(x: float, y: float, a: float, b: float, d: float) -> None:
+    """ValueError unless the covariance ((a, b), (b, d)) is finite and PSD within
+    PSD_TOL and the position (x, y) is finite, checked in that order."""
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(d)):
+        raise ValueError("non-finite filter covariance")
+    min_eig = _min_eig(a, b, d)
+    if not min_eig >= PSD_TOL:
+        raise ValueError(f"covariance not PSD, min eigenvalue {min_eig:.3e}")
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError("non-finite filter position")
 
 
 class TrackPoint(NamedTuple):
@@ -74,26 +64,16 @@ class TrackPoint(NamedTuple):
     n_rejected: int
 
 
-def init_apriori(catalog: NodeCatalog) -> EkfState:
+def init_apriori(catalog: NodeCatalog) -> tuple[float, float, float, float, float]:
     """Start at the average node position with the node dispersion as uncertainty.
 
     Per axis, mean_std of the node coordinates gives the mean and the sample
     std, whose square is floored at 1 m^2 so degenerate layouts still give a
-    usable prior.
+    usable prior. Returns (x, y, P_xx, P_xy, P_yy).
     """
     (x, std_x), (y, std_y) = (mean_std([p.x for _, p in catalog.items()]),
                               mean_std([p.y for _, p in catalog.items()]))
-    return EkfState(position=(x, y), covariance=((max(std_x * std_x, 1.0), 0.0),
-                                                 (0.0, max(std_y * std_y, 1.0))))
-
-
-def predict(state: EkfState, dt: float) -> EkfState:
-    """Identity propagation: position carried over, covariance inflated by Q*dt."""
-    if dt < 0:
-        raise ValueError(f"dt={dt}")
-    (a, b), (_, d) = state.covariance
-    q = PROCESS_NOISE * PROCESS_NOISE * dt
-    return EkfState(position=state.position, covariance=((a + q, b), (b, d + q)))
+    return x, y, max(std_x * std_x, 1.0), 0.0, max(std_y * std_y, 1.0)
 
 
 def session_model(session: Session, dtb: DtbTable, catalog: NodeCatalog,
@@ -108,12 +88,13 @@ def session_model(session: Session, dtb: DtbTable, catalog: NodeCatalog,
     return nodes, [s * s for s in (sigma_for(noise, value) for value in session.rsrp)]
 
 
-def update(state: EkfState, session: Session, epoch: int, nodes: list, var: list[float]
-           ) -> tuple[EkfState, list[tuple[int, float]], int]:
+def update(state: tuple, session: Session, epoch: int, nodes: list, var: list[float]
+           ) -> tuple[tuple, list[tuple[int, float]], int]:
     """Joint update with all accepted single differences of an epoch, in information form.
 
-    nodes and var come from session_model. The epoch is differenced against
-    its first row, the first node in node order that it holds, ref: difference
+    state is (x, y, P_xx, P_xy, P_yy), as is the state returned; nodes and var
+    come from session_model. The epoch is differenced against its first row,
+    the first node in node order that it holds, ref: difference
     n is modelled as rho_n - rho_ref + (DTB_n - DTB_ref), 3D ranges from the
     rover at z = 0, with partials h = (x - x_n)/rho_n - (x - x_ref)/rho_ref,
     likewise for y. Every difference carries the reference's noise, so their
@@ -128,8 +109,7 @@ def update(state: EkfState, session: Session, epoch: int, nodes: list, var: list
     ref_row = session.starts[epoch]
     rows, diffs = form_tdoa(session, epoch, ref_row)
     node, ref, ref_var = session.node, session.node[ref_row], var[ref_row]
-    x, y = state.position
-    (a, b), (_, d) = state.covariance
+    x, y, a, b, d = state
     ref_x, ref_y, ref_zz, ref_mean = nodes[ref]
     dx_m, dy_m = x - ref_x, y - ref_y
     rho_m = math.sqrt(dx_m * dx_m + dy_m * dy_m + ref_zz)
@@ -184,7 +164,6 @@ def update(state: EkfState, session: Session, epoch: int, nodes: list, var: list
     p_yy = (c_xx * d - c_yx * b) / det
     x += p_xx * g_x + p_xy * g_y
     y += p_xy * g_x + p_yy * g_y
-    new_state = EkfState(position=(x, y), covariance=((p_xx, p_xy), (p_xy, p_yy)))
     dx_m, dy_m = x - ref_x, y - ref_y
     rho_m = math.sqrt(dx_m * dx_m + dy_m * dy_m + ref_zz)
     postfits = []
@@ -192,12 +171,13 @@ def update(state: EkfState, session: Session, epoch: int, nodes: list, var: list
         node_x, node_y, node_zz, mean = nodes[n]
         rho_n = math.sqrt((x - node_x) * (x - node_x) + (y - node_y) * (y - node_y) + node_zz)
         postfits.append((n, sd - (rho_n - rho_m + (mean - ref_mean))))
-    return new_state, postfits, rejected
+    return (x, y, p_xx, p_xy, p_yy), postfits, rejected
 
 
 def run_filter(session: Session, dtb: DtbTable, catalog: NodeCatalog, noise: NoiseModel
                ) -> tuple[list[TrackPoint], list[tuple[float, str, float]]]:
-    """Filter a session: apriori from the node layout, then predict/update per epoch.
+    """Filter a session: apriori from the node layout, then per epoch the prediction
+    (each variance grows by PROCESS_NOISE^2 dt), the update and the state check.
 
     Returns the track, one point per epoch, and the (time, node_id, postfit_m)
     residual rows. Each epoch is differenced against its first row; the DTB
@@ -207,18 +187,21 @@ def run_filter(session: Session, dtb: DtbTable, catalog: NodeCatalog, noise: Noi
     """
     nodes, var = session_model(session, dtb, catalog, noise)
     track, residuals = [], []
+    state, q = init_apriori(catalog), PROCESS_NOISE * PROCESS_NOISE
     for epoch, t in enumerate(session.times):
+        if epoch:   # the prediction: x, y and P_xy carried over
+            x, y, a, b, d = state
+            dt = t - session.times[epoch - 1]
+            state = x, y, a + q * dt, b, d + q * dt
         try:
-            state = (predict(state, t - session.times[epoch - 1]) if epoch
-                     else init_apriori(catalog))
             state, postfits, rejected = update(state, session, epoch, nodes, var)
+            _check_state(*state)
         except (ValueError, OverflowError, ZeroDivisionError) as exc:
-            # an EkfState check failed, a float overflowed or a divisor rounded
+            # the state check failed, a float overflowed or a divisor rounded
             # to 0: the epoch times or the node layout drove the filter out of
             # float range
             raise TdoaDtbError(f"filter state at t={t}: {exc}") from None
-        (a, b), (_, d) = state.covariance
-        track.append(TrackPoint(t, *state.position, a, b, d, len(postfits), rejected))
+        track.append(TrackPoint(t, *state, len(postfits), rejected))
         residuals.extend((t, session.node_ids[n], value) for n, value in postfits)
     return track, residuals
 
@@ -237,14 +220,16 @@ def write_track_csv(track: list[TrackPoint], path) -> None:
 
 
 def read_track_csv(path) -> list[TrackPoint]:
-    """The track of a track CSV; a row whose covariance is not PSD, as EkfState
-    checks it, is a ParseError at its line."""
-    def psd(*columns):   # read_csv's rule
-        for index, min_eig in enumerate(map(_min_eig, *columns[3:6])):
-            if not min_eig >= PSD_TOL:
-                raise row_error(path, index, f"covariance not PSD, min eigenvalue {min_eig:.3e}")
+    """The track of a track CSV; a row whose state fails run_filter's check is a
+    ParseError at its line."""
+    def state(time, *columns):   # read_csv's rule
+        for index, row in enumerate(zip(*columns[:5])):
+            try:
+                _check_state(*row)
+            except ValueError as exc:
+                raise row_error(path, index, str(exc)) from None
 
-    return list(map(TrackPoint, *read_csv(path, TRACK_COLUMNS, rule=psd)))
+    return list(map(TrackPoint, *read_csv(path, TRACK_COLUMNS, rule=state)))
 
 
 def write_residuals_csv(residuals: list[tuple[float, str, float]], path) -> None:

@@ -8,10 +8,10 @@ import pytest
 
 from tdoa_dtb.differencing import reference_rows
 from tdoa_dtb.dtb import DtbEntry, DtbTable, calibrate, mean_std, rereference_dtb
-from tdoa_dtb.ekf import (INNOVATION_GATE, PSD_TOL, EkfState, TrackPoint, init_apriori,
-                          predict, read_residuals_csv, read_track_csv, run_filter,
-                          session_model, update, write_residuals_csv, write_track_csv)
-from tdoa_dtb.errors import UnknownNode
+from tdoa_dtb.ekf import (INNOVATION_GATE, PSD_TOL, TrackPoint, _check_state, init_apriori,
+                          read_residuals_csv, read_track_csv, run_filter, session_model,
+                          update, write_residuals_csv, write_track_csv)
+from tdoa_dtb.errors import TdoaDtbError, UnknownNode
 from tdoa_dtb.geometry import NodeCatalog, Position, node_sort_key, range_between, read_nodes
 from tdoa_dtb.ingestion import Session, load_toa_session, load_trajectory
 from tdoa_dtb.metrics import true_error
@@ -52,18 +52,18 @@ def run_synthetic(scenario, dtb=None):
 
 
 def test_init_apriori_square():
-    state = init_apriori(NodeCatalog({
+    x, y, a, b, d = init_apriori(NodeCatalog({
         "1": Position(0, 0), "2": Position(10, 0),
         "3": Position(0, 10), "4": Position(10, 10)}))
-    assert state.position == pytest.approx([5.0, 5.0])
-    assert state.covariance[0][0] == pytest.approx(100.0 / 3.0)
-    assert state.covariance[1][1] == pytest.approx(100.0 / 3.0)
-    assert state.covariance[0][1] == 0.0
+    assert (x, y) == pytest.approx([5.0, 5.0])
+    assert a == pytest.approx(100.0 / 3.0)
+    assert d == pytest.approx(100.0 / 3.0)
+    assert b == 0.0
 
 
 def test_init_apriori_variance_floor():
     state = init_apriori(NodeCatalog({"1": Position(0, 0), "2": Position(0, 100)}))
-    assert state.covariance[0][0] == 1.0   # coincident x floored to 1 m^2
+    assert state[2] == 1.0   # coincident x floored to 1 m^2
 
 
 def test_init_apriori_matches_numpy_reference():
@@ -78,11 +78,10 @@ def test_init_apriori_matches_numpy_reference():
         xy = rng.normal(size=(n, 2)) * scale + rng.uniform(-1e6, 1e6, 2)
         catalog = NodeCatalog({str(i): Position(float(x), float(y))
                                for i, (x, y) in enumerate(xy)})
-        state = init_apriori(catalog)
+        x, y, a, b, d = init_apriori(catalog)
         want_var = np.maximum(xy.var(axis=0, ddof=1), 1.0)
         floored += int(np.sum(want_var == 1.0))
-        assert state.position == pytest.approx(xy.mean(axis=0).tolist(), rel=1e-12, abs=1e-12)
-        (a, b), (_, d) = state.covariance
+        assert [x, y] == pytest.approx(xy.mean(axis=0).tolist(), rel=1e-12, abs=1e-12)
         assert [a, d] == pytest.approx(want_var.tolist(), rel=1e-12, abs=1e-12)
         assert b == 0.0
     assert floored > 0
@@ -93,7 +92,8 @@ def test_init_apriori_is_mean_std_of_the_node_coordinates():
     std, bit for bit, on seeded samples of 2 to 64 values, scales from 1e-3 to
     1e6 and offsets up to 1e6. The mean is statistics.fmean, bit for bit, and
     the variance statistics.variance to within 1e-12. Coordinates whose
-    variance leaves the float range give a non-finite prior, a ValueError."""
+    variance leaves the float range give a non-finite prior, which run_filter
+    refuses at the first epoch's time."""
     rng = random.Random(21)
     for _ in range(3000):
         n = rng.randint(2, 64)
@@ -103,29 +103,31 @@ def test_init_apriori_is_mean_std_of_the_node_coordinates():
         state = init_apriori(NodeCatalog({str(i): Position(x, y)
                                           for i, (x, y) in enumerate(zip(xs, ys))}))
         (mean, std), (mean_y, std_y) = mean_std(xs), mean_std(ys)
-        assert state.position == (mean, mean_y) and mean == statistics.fmean(xs)
-        assert state.covariance == ((max(std * std, 1.0), 0.0), (0.0, max(std_y * std_y, 1.0)))
+        assert state == (mean, mean_y, max(std * std, 1.0), 0.0, max(std_y * std_y, 1.0))
+        assert mean == statistics.fmean(xs)
         assert std * std == pytest.approx(statistics.variance(xs), rel=1e-12)
     # sqrt(13) squared is 13 to an ulp, not exactly
     assert mean_std([3.0, 5.0, 10.0])[1] ** 2 == pytest.approx(13.0, rel=2.0 ** -52)
     for xs in ([1e308, -1e308], [1.7e308, 1.7e308, -1.7e308], [0.0, 2e154, -2e154]):
-        with pytest.raises(ValueError, match="non-finite"):
-            init_apriori(NodeCatalog({str(i): Position(x, i) for i, x in enumerate(xs)}))
+        catalog = NodeCatalog({str(i): Position(x, i) for i, x in enumerate(xs)})
+        session = session_of([(t, {n: (0.0, -70.0) for n in catalog.ids()}) for t in (2.5, 3.0)])
+        with pytest.raises(TdoaDtbError) as exc:
+            run_filter(session, empty_dtb(catalog, "0"), catalog, WIDE_NOISE)
+        assert str(exc.value) == "filter state at t=2.5: non-finite filter covariance"
 
 
 def test_state_rejects_indefinite_covariance():
     with pytest.raises(ValueError, match="not PSD"):
-        EkfState(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))   # eigenvalues 3, -1
+        _check_state(0.0, 0.0, 1.0, 2.0, 1.0)   # eigenvalues 3, -1
 
 
 def test_state_accepts_near_singular_psd_covariance():
-    cov = np.diag([1e-12, 1.0])
-    assert np.array_equal(EkfState(np.zeros(2), cov).covariance, cov)
+    _check_state(0.0, 0.0, 1e-12, 0.0, 1.0)
 
 
 def test_state_rejects_non_finite_covariance():
     with pytest.raises(ValueError, match="non-finite"):
-        EkfState(np.zeros(2), [[np.nan, 0.0], [0.0, 1.0]])
+        _check_state(0.0, 0.0, math.nan, 0.0, 1.0)
 
 
 def test_psd_check_agrees_with_eigvalsh():
@@ -135,50 +137,38 @@ def test_psd_check_agrees_with_eigvalsh():
     checked = 0
     for _ in range(2000):
         scale = 10.0 ** rng.uniform(-3, 3)
-        a, b, d = rng.normal(size=3) * scale
-        cov = np.array([[a, b], [b, d]])
-        min_eig = np.linalg.eigvalsh(cov).min()
+        a, b, d = (rng.normal(size=3) * scale).tolist()
+        min_eig = np.linalg.eigvalsh(np.array([[a, b], [b, d]])).min()
         if abs(min_eig - PSD_TOL) < 1e-6 * scale:
             continue
         checked += 1
         if min_eig < PSD_TOL:
             with pytest.raises(ValueError, match="not PSD"):
-                EkfState(np.zeros(2), cov)
+                _check_state(0.0, 0.0, a, b, d)
         else:
-            EkfState(np.zeros(2), cov)
+            _check_state(0.0, 0.0, a, b, d)
     assert checked > 1900
 
 
-def test_predict_identity_at_zero_dt():
-    state = EkfState(np.array([1.0, 2.0]), np.eye(2))
-    out = predict(state, 0.0)
-    assert np.array_equal(out.position, state.position)
-    assert np.array_equal(out.covariance, state.covariance)
-
-
-def test_predict_growth():
-    state = EkfState(np.zeros(2), np.eye(2))
-    out = predict(state, 4.0)
-    assert np.allclose(out.covariance, np.eye(2) * 2.0)   # 1 + 0.25*4
-
-
-def test_predict_adds_noise_per_axis():
-    state = EkfState((1.0, 2.0), ((1.0, 0.3), (0.3, 2.0)))
-    out = predict(state, 4.0)
-    assert out.covariance == ((2.0, 0.3), (0.3, 3.0))   # 0.25*4 on each variance
-    assert out.position == (1.0, 2.0)
-
-
-def test_state_holds_floats_and_symmetrises():
-    state = EkfState(np.array([1, 2]), [[2, 1], [0, 2]])
-    assert state.position == (1.0, 2.0) and state.covariance == ((2.0, 0.5), (0.5, 2.0))
-    assert all(type(v) is float for v in (*state.position, *state.covariance[0],
-                                          *state.covariance[1]))
-
-
-def test_predict_negative_dt():
-    with pytest.raises(ValueError, match="dt=-1.0"):
-        predict(EkfState(np.zeros(2), np.eye(2)), -1.0)
+@pytest.mark.parametrize("times", [(0.0, 0.5, 4.5), (10.0, 10.25, 13.0)])
+def test_epoch_without_a_difference_keeps_the_prediction(times):
+    """Epochs that hold a single node have no difference: x, y and cov_xy are
+    the previous epoch's, and each variance grows by 0.25 dt, dt taken from
+    the two epochs' times."""
+    catalog = NodeCatalog({"1": Position(0.0, 0.0), "2": Position(20.0, 0.0),
+                           "3": Position(25.0, 20.0), "4": Position(0.0, 15.0)})
+    rover = Position(3.0, 7.0)
+    first = {n: (range_between(rover, p), -70.0) for n, p in catalog.items()}
+    session = session_of([(times[0], first), *((t, {"2": (0.0, -70.0)}) for t in times[1:])])
+    track, _ = run_filter(session, empty_dtb(catalog, "1"), catalog, WIDE_NOISE)
+    assert track[0].n_obs == 3 and track[0].cov_xy != 0.0
+    for before, after in zip(track, track[1:]):
+        dt = after.time - before.time
+        assert (after.x, after.y, after.cov_xy) == (before.x, before.y, before.cov_xy)
+        assert after.cov_xx == before.cov_xx + 0.25 * dt
+        assert after.cov_yy == before.cov_yy + 0.25 * dt
+        assert (after.n_obs, after.n_rejected) == (0, 0)
+    assert [p.time for p in track] == list(times)
 
 
 def test_measurement_model_collinear():
@@ -238,15 +228,14 @@ def test_jacobian_matches_finite_differences():
 def test_update_all_gated_leaves_prediction():
     catalog = square_catalog()
     dtb = empty_dtb(catalog, "1")
-    state = EkfState(np.array([10.0, 10.0]), np.eye(2) * 0.01)
+    state = (10.0, 10.0, 0.01, 0.0, 0.01)
     # absurd measurement far outside the gate
     epoch = session_of([(0.0, {"1": (0.0, None), "2": (500.0, None)})])
     new_state, postfits, n_rejected = update(
         state, epoch, 0, *session_model(epoch, dtb, catalog, WIDE_NOISE))
     assert len(postfits) == 0
     assert n_rejected == 1
-    assert np.array_equal(new_state.position, state.position)
-    assert np.array_equal(new_state.covariance, state.covariance)
+    assert new_state == state
 
 
 def test_update_reduces_covariance_trace():
@@ -257,21 +246,23 @@ def test_update_reduces_covariance_trace():
     new_state, postfits, _ = update(
         state, session.toa, 0, *session_model(session.toa, dtb, session.catalog, WIDE_NOISE))
     assert len(postfits) == session.toa.starts[1] - 1
-    assert np.trace(new_state.covariance) < np.trace(state.covariance)
+    assert new_state[2] + new_state[4] < state[2] + state[4]   # the trace
 
 
 def reference_update(state, session, epoch, dtb, catalog, noise):
     """The Kalman-gain form of update: n-by-n S, its inverse and the Joseph
     covariance, kept as the oracle for the information-form update. It reads
     epoch k of the session by node id, differences it itself and takes
-    sigma_ref anew for every difference. Postfits are keyed by node index."""
+    sigma_ref anew for every difference. States are (x, y, P_xx, P_xy, P_yy),
+    the covariance returned symmetrised; postfits are keyed by node index."""
     ids = session.node_ids
     obs = {ids[session.node[row]]: (session.pseudorange[row], session.rsrp[row])
            for row in range(session.starts[epoch], session.starts[epoch + 1])}
     ref = dtb.ref_node_id
     ref_pseudorange, rsrp_ref = obs[ref]
     r_ref = sigma_for(noise, rsrp_ref) ** 2
-    x, y = state.position
+    x, y, a, b, d = state
+    p = np.array([[a, b], [b, d]])
     rows = []
     rejected = 0
     for node_id in sorted(obs, key=node_sort_key):
@@ -283,7 +274,7 @@ def reference_update(state, session, epoch, dtb, catalog, noise):
         r_var = sigma_for(noise, rsrp) ** 2 + sigma_for(noise, rsrp_ref) ** 2
         innovation = sd - predicted
         hvec = np.array(h)
-        s = float(hvec @ state.covariance @ hvec + r_var)
+        s = float(hvec @ p @ hvec + r_var)
         if abs(innovation) > INNOVATION_GATE * np.sqrt(s):
             rejected += 1
             continue
@@ -293,14 +284,12 @@ def reference_update(state, session, epoch, dtb, catalog, noise):
     h_mat = np.array([r[2] for r in rows])
     innovations = np.array([r[1] for r in rows])
     r_mat = np.diag([r[3] - r_ref for r in rows]) + r_ref   # diag(sigma_n^2) + sigma_ref^2 11'
-    p = state.covariance
     s_mat = h_mat @ p @ h_mat.T + r_mat
     gain = p @ h_mat.T @ np.linalg.inv(s_mat)
-    new_pos = state.position + gain @ innovations
+    x, y = (np.array([x, y]) + gain @ innovations).tolist()
     ikh = np.eye(2) - gain @ h_mat
-    new_cov = ikh @ p @ ikh.T + gain @ r_mat @ gain.T
-    new_state = EkfState(position=new_pos, covariance=new_cov)
-    x, y = new_pos.tolist()
+    (a, b), (c, d) = (ikh @ p @ ikh.T + gain @ r_mat @ gain.T).tolist()
+    new_state = (x, y, a, 0.5 * (b + c), d)
     postfits = [(ids.index(node_id), sd - measurement_model(x, y, node_id, dtb, catalog)[0])
                 for (node_id, sd), _, _, _ in rows]
     return new_state, postfits, rejected
@@ -321,7 +310,8 @@ def random_epoch(rng, n_nodes, at_node=None):
     guess = ((catalog[at_node].x, catalog[at_node].y) if at_node else
              (rover.x + rng.normal(), rover.y + rng.normal()))
     root = rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-1, 1.5)
-    state = EkfState(np.array(guess), root @ root.T + 1e-3 * np.eye(2))
+    (a, b), (_, d) = (root @ root.T + 1e-3 * np.eye(2)).tolist()
+    state = (float(guess[0]), float(guess[1]), a, b, d)
     rsrp_ref = None if rng.random() < 0.2 else float(rng.uniform(-105, -50))
     obs = {"1": (0.0, rsrp_ref)}
     for node_id in ids[1:]:
@@ -338,9 +328,9 @@ def assert_updates_agree(got, want):
     (state, postfits, rejected), (ref_state, ref_postfits, ref_rejected) = got, want
     assert rejected == ref_rejected
     assert [n for n, _ in postfits] == [n for n, _ in ref_postfits]
-    assert np.abs(np.subtract(state.position, ref_state.position)).max() <= 1e-9
-    scale = np.abs(ref_state.covariance).max()
-    assert np.abs(np.subtract(state.covariance, ref_state.covariance)).max() <= 1e-12 * scale
+    assert np.abs(np.subtract(state[:2], ref_state[:2])).max() <= 1e-9
+    scale = np.abs(ref_state[2:]).max()
+    assert np.abs(np.subtract(state[2:], ref_state[2:])).max() <= 1e-12 * scale
     assert np.allclose([v for _, v in postfits], [v for _, v in ref_postfits],
                        rtol=0.0, atol=1e-9)
 
@@ -357,7 +347,7 @@ def test_update_matches_kalman_gain_reference(n_nodes):
         at_node = "1" if trial >= 40 else "2" if trial % 10 == 1 else None
         state, epoch, dtb, catalog = random_epoch(rng, n_nodes, at_node)
         if trial == 0:
-            state = EkfState(state.position, np.diag([1e-12, 1.0]))
+            state = (*state[:2], 1e-12, 0.0, 1.0)
         got = update(state, epoch, 0, *session_model(epoch, dtb, catalog, WIDE_NOISE))
         assert_updates_agree(got, reference_update(state, epoch, 0, dtb, catalog, WIDE_NOISE))
         n_rejected += got[2]
@@ -608,9 +598,9 @@ def test_near_singular_covariances_are_read_back(tmp_path):
             small = 0.0 if log_cond > 12.0 else big / 10.0 ** log_cond
             c, s = math.cos(angle), math.sin(angle)
             a, b, d = big * c * c + small * s * s, (big - small) * c * s, big * s * s + small * c * c
-            state = EkfState((12.345678901234 * i, -0.1 - i), [[a, b], [b, d]])
-            (a, b), (_, d) = state.covariance
-            track.append(TrackPoint(0.5 * i, *state.position, a, b, d, 3, 0))
+            state = (12.345678901234 * i, -0.1 - i, a, b, d)
+            _check_state(*state)   # each row a state run_filter could write
+            track.append(TrackPoint(0.5 * i, *state, 3, 0))
         write_track_csv(track, path)
         read = read_track_csv(path)
         nine_xy = [p._replace(x=nine_digits(p.x), y=nine_digits(p.y)) for p in track]

@@ -1,13 +1,13 @@
 """The package's small records: equality, hash and repr over their fields,
-their checks with the exact messages, in the order they run, and EkfState's
-normalisation."""
+and their checks, with the filter state's, with the exact messages, in the
+order they run."""
 
 import math
 
 import pytest
 
 from tdoa_dtb.dtb import DtbEntry, DtbTable
-from tdoa_dtb.ekf import EkfState
+from tdoa_dtb.ekf import _check_state
 from tdoa_dtb.geometry import Position
 from tdoa_dtb.noise import NoiseModel, NoisePoint
 
@@ -39,8 +39,7 @@ def test_noise_records_compare_by_fields():
 
 
 @pytest.mark.parametrize("record", [Position(0.0, 0.0), DtbEntry(0.0, 0.0, 1),
-                                    NoiseModel(60.0, -110.0), NoisePoint(-80.0, 1.0),
-                                    EkfState((0.0, 0.0), ((1.0, 0.0), (0.0, 1.0)))])
+                                    NoiseModel(60.0, -110.0), NoisePoint(-80.0, 1.0)])
 def test_records_hold_their_fields_in_slots(record):
     assert not hasattr(record, "__dict__")
     with pytest.raises(AttributeError):
@@ -61,11 +60,10 @@ CHECKS = [
     (lambda: NoiseModel(60.0, -110.0, 1e-200, 15.0), "sigma_floor 1e-200 squares to 0"),
     (lambda: NoiseModel(1e300, -110.0, 0.3, 1e200), "sigma_cap 1e+200 squares to inf"),
     (lambda: NoisePoint(-80.0, -1.0), "negative sigma_hat"),
-    (lambda: EkfState((math.nan, 0.0), ((math.inf, 0.0), (0.0, 1.0))),
-     "non-finite filter covariance"),
-    (lambda: EkfState((math.nan, 0.0), ((1.0, 2.0), (2.0, 1.0))),
+    (lambda: _check_state(math.nan, 0.0, math.inf, 0.0, 1.0), "non-finite filter covariance"),
+    (lambda: _check_state(math.nan, 0.0, 1.0, 2.0, 1.0),
      "covariance not PSD, min eigenvalue -1.000e+00"),
-    (lambda: EkfState((math.nan, 0.0), ((1.0, 0.0), (0.0, 1.0))), "non-finite filter position"),
+    (lambda: _check_state(math.nan, 0.0, 1.0, 0.0, 1.0), "non-finite filter position"),
 ]
 
 
@@ -76,13 +74,3 @@ def test_checks_raise_their_messages_in_order(build, message):
     with pytest.raises(ValueError) as exc:
         build()
     assert str(exc.value) == message
-
-
-def test_ekf_state_normalises_and_hashes_like_the_other_records():
-    state = EkfState([1, 2], [[2, 1], [0, 2]])
-    assert state.position == (1.0, 2.0) and state.covariance == ((2.0, 0.5), (0.5, 2.0))
-    same = EkfState((1.0, 2.0), ((2.0, 0.5), (0.5, 2.0)))
-    assert state == same and hash(state) == hash(same) and {state: "s"}[same] == "s"
-    assert repr(state) == "EkfState(position=(1.0, 2.0), covariance=((2.0, 0.5), (0.5, 2.0)))"
-    assert not hasattr(state, "epoch")
-

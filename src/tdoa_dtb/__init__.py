@@ -10,9 +10,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "geometry": ("NodeCatalog", "Position", "range_between", "read_nodes", "write_nodes"),
     "ingestion": ("ReferenceTrajectory", "Session", "group_epochs"),
-    "differencing": ("form_tdoa", "reference_rows", "select_reference"),
     "dtb": ("DtbEntry", "DtbTable", "aggregate_dtb", "calibrate", "read_dtb",
-            "rereference_dtb", "write_dtb"),
+            "rereference_dtb", "select_reference", "write_dtb"),
     "noise": ("NoiseModel", "NoisePoint", "estimate_noise_points", "fit_noise_model",
               "sigma_for"),
     "ekf": ("TrackPoint", "init_apriori", "run_filter", "update"),

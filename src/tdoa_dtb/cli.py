@@ -22,8 +22,7 @@ from collections import Counter
 from datetime import datetime, timezone
 
 from . import __version__
-from .differencing import select_reference
-from .dtb import calibrate, read_dtb, rereference_dtb, write_dtb
+from .dtb import calibrate, read_dtb, rereference_dtb, select_reference, write_dtb
 from .ekf import (read_residuals_csv, read_track_csv, run_filter, write_residuals_csv,
                   write_track_csv)
 from .errors import TdoaDtbError

@@ -2,16 +2,19 @@
 
 An instantaneous DTB sample is what is left of a TDoA observable after the
 known single-differenced geometry (from the reference trajectory) is removed.
-Individual node biases are not observable on their own; only differences
-against the session's reference node are, so every table is tied to one
-reference node and one session label.
+calibrate differences each epoch's pseudo-ranges against the row of the
+table's reference node, which cancels the rover clock exactly. Individual
+node biases are not observable on their own; only differences against the
+session's reference node are, so every table is tied to one reference node
+and one session label.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+from collections import Counter
 
-from .differencing import form_tdoa, reference_rows
 from .errors import ParseError, TdoaDtbError, UnknownNode
 from .geometry import NodeCatalog, node_sort_key, range_between
 from .ingestion import ReferenceTrajectory, Session
@@ -133,15 +136,19 @@ def calibrate(session: Session, traj: ReferenceTrajectory, catalog: NodeCatalog,
     and TdoaDtbError when no sample is left.
     """
     ids, node, ref_index = session.node_ids, session.node, session.node_index(ref)
+    pseudorange, starts = session.pseudorange, session.starts
     positions = [catalog[node_id] for node_id in ids]   # by node index
     samples = []
-    for epoch, (t, ref_row) in enumerate(zip(session.times, reference_rows(session, ref_index))):
-        if ref_row < 0 or (rover := traj.interpolate(t)) is None:
+    for t, start, end in zip(session.times, starts, starts[1:]):
+        ref_row = bisect.bisect_left(node, ref_index, start, end)   # rows are in node order
+        if ref_row == end or node[ref_row] != ref_index or (rover := traj.interpolate(t)) is None:
             continue
-        rows, diffs = form_tdoa(session, epoch, ref_row)
+        ref_pseudorange = pseudorange[ref_row]
         ref_range = range_between(rover, positions[ref_index])
-        for row, sd in zip(rows, diffs):
-            n = node[row]
+        for row in range(start, end):
+            if row == ref_row:
+                continue
+            n, sd = node[row], pseudorange[row] - ref_pseudorange
             value = sd - (range_between(rover, positions[n]) - ref_range)
             if not math.isfinite(value):
                 raise TdoaDtbError(f"non-finite DTB sample {value} of node {ids[n]!r} at t={t}")
@@ -149,6 +156,16 @@ def calibrate(session: Session, traj: ReferenceTrajectory, catalog: NodeCatalog,
     if not samples:
         raise TdoaDtbError(f"reference node {ref!r} never observed within the trajectory span")
     return aggregate_dtb(samples, ref, session=label, trim_sigma=trim_sigma), samples
+
+
+def select_reference(session: Session) -> str:
+    """The node present in the largest number of epochs, ties broken by node
+    order: the smallest node index, since node_ids are in node order."""
+    if not session.times:
+        raise TdoaDtbError("cannot select a reference node from an empty session")
+    counts = Counter(session.node)   # a node has at most one row per epoch
+    top = max(counts.values())
+    return session.node_ids[min(n for n, c in counts.items() if c == top)]
 
 
 DTB_COLUMNS = {"session": str, "ref_node": str, "node_id": str,

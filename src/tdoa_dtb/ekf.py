@@ -1,7 +1,8 @@
 """Extended Kalman Filter over 2D rover position using calibrated TDoA observables.
 
-State is the planar position only: the rover clock is removed by differencing
-and the node biases by the DTB corrections, so no bias states are needed. It
+State is the planar position only: each epoch's pseudo-ranges are differenced
+against its first row, which cancels the rover clock exactly, and the node
+biases are removed by the DTB corrections, so no bias states are needed. It
 is carried as five floats, (x, y, P_xx, P_xy, P_yy), a track row's. The
 prediction carries the position over and grows each variance linearly in time.
 Each epoch's update is one joint update in information form: the accepted
@@ -18,7 +19,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .differencing import form_tdoa
 from .dtb import DtbTable, mean_std
 from .errors import TdoaDtbError
 from .geometry import NodeCatalog
@@ -106,9 +106,9 @@ def update(state: tuple, session: Session, epoch: int, nodes: list, var: list[fl
     g = H'R^-1 nu over the accepted ones, P+ = (I + P M)^-1 P and
     x+ = x + P+ g. Returns (state, [(node index, postfit_m)], n_rejected).
     """
-    ref_row = session.starts[epoch]
-    rows, diffs = form_tdoa(session, epoch, ref_row)
-    node, ref, ref_var = session.node, session.node[ref_row], var[ref_row]
+    start, end = session.starts[epoch], session.starts[epoch + 1]
+    node, pseudorange = session.node, session.pseudorange
+    ref, ref_pseudorange, ref_var = node[start], pseudorange[start], var[start]
     x, y, a, b, d = state
     ref_x, ref_y, ref_zz, ref_mean = nodes[ref]
     dx_m, dy_m = x - ref_x, y - ref_y
@@ -117,7 +117,8 @@ def update(state: tuple, session: Session, epoch: int, nodes: list, var: list[fl
     applied, rejected = [], 0
     m_xx = m_xy = m_yy = g_x = g_y = 0.0
     w_sum = wh_x = wh_y = w_nu = 0.0   # sums of w, w h and w nu, w = 1 / sigma_n^2
-    for row, sd in zip(rows, diffs):
+    for row in range(start + 1, end):
+        sd = pseudorange[row] - ref_pseudorange
         node_x, node_y, node_zz, mean = nodes[node[row]]
         dx_n, dy_n = x - node_x, y - node_y
         rho_n = math.sqrt(dx_n * dx_n + dy_n * dy_n + node_zz)

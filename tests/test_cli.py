@@ -787,9 +787,8 @@ def test_command_path_loads_neither_numpy_nor_yaml(tmp_path, scenario_file):
 PACKAGE_NAMES = [
     "NodeCatalog", "Position", "range_between", "read_nodes", "write_nodes",
     "ReferenceTrajectory", "Session", "group_epochs",
-    "form_tdoa", "reference_rows", "select_reference",
     "DtbEntry", "DtbTable", "aggregate_dtb", "calibrate", "read_dtb", "rereference_dtb",
-    "write_dtb",
+    "select_reference", "write_dtb",
     "NoiseModel", "NoisePoint", "estimate_noise_points", "fit_noise_model", "sigma_for",
     "TrackPoint", "init_apriori", "run_filter", "update",
     "session_metrics", "sigma_formal", "sigma_postfits", "true_error",
@@ -816,7 +815,7 @@ print(json.dumps([loaded, tdoa_dtb.__all__, names, modules, missing]))
 
 def test_package_root_imports_each_name_on_first_use():
     """import tdoa_dtb loads no submodule; a star import then binds the same
-    38 names, each from its own module."""
+    34 names, each from its own module."""
     src = str(Path(tdoa_dtb.__file__).resolve().parent.parent)
     result = subprocess.run([sys.executable, "-c", PACKAGE_ROOT_SCRIPT],
                             env=dict(os.environ, PYTHONPATH=src),
@@ -825,8 +824,8 @@ def test_package_root_imports_each_name_on_first_use():
     loaded, names_all, names, modules, missing = json.loads(result.stdout)
     assert loaded == []
     assert names_all == names == PACKAGE_NAMES
-    assert modules == [f"tdoa_dtb.{m}" for m in ("differencing", "dtb", "ekf", "geometry",
-                                                 "ingestion", "metrics", "noise", "synthetic")]
+    assert modules == [f"tdoa_dtb.{m}" for m in ("dtb", "ekf", "geometry", "ingestion",
+                                                 "metrics", "noise", "synthetic")]
     assert missing == "module 'tdoa_dtb' has no attribute 'no_such_name'"
 
 

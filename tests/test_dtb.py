@@ -2,12 +2,11 @@ import math
 
 import pytest
 
-from tdoa_dtb.differencing import form_tdoa, reference_rows
 from tdoa_dtb.dtb import (DtbEntry, DtbTable, aggregate_dtb, calibrate, read_dtb,
-                          rereference_dtb, write_dtb)
+                          rereference_dtb, select_reference, write_dtb)
 from tdoa_dtb.errors import ParseError, TdoaDtbError, UnknownNode
 from tdoa_dtb.geometry import NodeCatalog, Position
-from tdoa_dtb.ingestion import ReferenceTrajectory
+from tdoa_dtb.ingestion import ReferenceTrajectory, Session
 from tdoa_dtb.noise import NoiseModel
 from tdoa_dtb.synthetic import ClockModel, Scenario, generate
 
@@ -19,15 +18,14 @@ def calibrate_synthetic(scenario, ref="1"):
     """Straight-line calibration of a generated session against its trajectory:
     (time, node_id, measured minus true single difference) samples."""
     sim = generate(scenario)
-    toa = sim.toa
     samples = []
-    for epoch, (t, ref_row) in enumerate(zip(toa.times, reference_rows(toa, toa.node_index(ref)))):
+    for t, obs in epochs_of(sim.toa):
         rover = sim.trajectory.interpolate(t)
-        rows, diffs = form_tdoa(toa, epoch, ref_row)
-        for row, sd in zip(rows, diffs):
-            node_id = toa.node_ids[toa.node[row]]
-            geom = sd_range(rover, sim.catalog[node_id], sim.catalog[ref])
-            samples.append((t, node_id, sd - geom))
+        ref_pseudorange, _ = obs[ref]
+        for node_id, (pseudorange, _) in obs.items():
+            if node_id != ref:
+                geom = sd_range(rover, sim.catalog[node_id], sim.catalog[ref])
+                samples.append((t, node_id, pseudorange - ref_pseudorange - geom))
     return sim, samples
 
 
@@ -70,6 +68,49 @@ def test_calibrate_drops_epochs_without_reference(basic_scenario):
     kept = {t for i, t in enumerate(sim.toa.times) if i % 3 != 0}
     _, got = calibrate(session_of(epochs), sim.trajectory, sim.catalog, "1")
     assert got == [s for s in samples if s[0] in kept]
+
+
+def test_calibrate_matches_a_linear_scan():
+    """On random sessions, among them epochs without the reference and epochs
+    that hold only it, calibrate against each session node gives the samples
+    a scan of each epoch's rows finds, bit for bit, and against an id the
+    session never saw raises. Every row's pseudo-range differs, so a wrong
+    reference row shows."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ids = ["1", "2", "3", "10", "a"]
+    epoch = st.dictionaries(st.sampled_from(ids), st.just((0.0, None)), min_size=1)
+    catalog = NodeCatalog({node_id: Position(4.0 * i, i % 2) for i, node_id in enumerate(ids)})
+    traj = ReferenceTrajectory([(0.0, Position(1.0, 3.0)), (8.0, Position(9.0, 5.0))])
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.lists(epoch, min_size=1, max_size=8))
+    def check(epochs):
+        session = session_of([(float(t), {n: (10.0 * t + ids.index(n), rsrp)
+                                          for n, (_, rsrp) in obs.items()})
+                              for t, obs in enumerate(epochs)])
+        for ref in [*ids, "b"]:
+            samples = []
+            for t, start, end in zip(session.times, session.starts, session.starts[1:]):
+                rows = range(start, end)
+                ref_row = next((row for row in rows
+                                if session.node_ids[session.node[row]] == ref), None)
+                if ref_row is None:
+                    continue
+                rover = traj.interpolate(t)
+                for row in rows:
+                    node_id = session.node_ids[session.node[row]]
+                    if row != ref_row:
+                        sd = session.pseudorange[row] - session.pseudorange[ref_row]
+                        geom = sd_range(rover, catalog[node_id], catalog[ref])
+                        samples.append((t, node_id, sd - geom))
+            if samples:
+                assert calibrate(session, traj, catalog, ref)[1] == samples
+            else:   # never in the session ("b" never is), or only in epochs holding it alone
+                with pytest.raises(TdoaDtbError, match=f"reference node {ref!r} never observed"):
+                    calibrate(session, traj, catalog, ref)
+
+    check()
 
 
 def test_calibrate_without_usable_epoch(basic_scenario):
@@ -174,6 +215,32 @@ def test_rover_clock_immunity(basic_scenario):
         kind="sawtooth", drift_rate=16.0, reset_period=4.0, reset_magnitude=64.0)
     _, sawtooth = calibrate_synthetic(basic_scenario, ref="1")
     assert clean == sawtooth
+
+
+def test_rover_bias_cancellation_constant_shift():
+    base = {"1": 65.0, "2": 62.0, "3": 70.5}
+    shifted = {k: v + 40.0 for k, v in base.items()}
+    traj = ReferenceTrajectory([(0.0, Position(5.0, 5.0)), (1.0, Position(6.0, 5.0))])
+    _, out1 = calibrate(session_of([(0.0, {k: (v, None) for k, v in base.items()})]),
+                        traj, square_catalog(), "1")
+    _, out2 = calibrate(session_of([(0.0, {k: (v, None) for k, v in shifted.items()})]),
+                        traj, square_catalog(), "1")
+    assert [s[1] for s in out1] == [s[1] for s in out2] == ["2", "3"]
+    for a, b in zip(out1, out2):
+        assert a[2] == pytest.approx(b[2], abs=1e-12)
+
+
+def test_rover_bias_cancellation_synthetic(basic_scenario):
+    """Same scenario with and without an injected clock gives identical samples."""
+    clean = generate(basic_scenario)
+    basic_scenario.rover_clock = ClockModel(kind="constant", value=40.0)
+    biased = generate(basic_scenario)
+    assert clean.toa.times == biased.toa.times and clean.toa.node == biased.toa.node
+    _, out1 = calibrate(clean.toa, clean.trajectory, clean.catalog, "1")
+    _, out2 = calibrate(biased.toa, biased.trajectory, biased.catalog, "1")
+    assert [s[:2] for s in out1] == [s[:2] for s in out2]
+    for a, b in zip(out1, out2):
+        assert a[2] == pytest.approx(b[2], abs=1e-9)
 
 
 def test_rereference_identity():
@@ -286,3 +353,22 @@ def test_table_mean_of_reference_is_zero():
     assert table.mean("2") == -3.0
     with pytest.raises(UnknownNode):
         table.mean("9")
+
+
+def test_select_most_visible():
+    epochs = [(float(t), {"5": (1.0, None), "2": (1.0, None)}) for t in range(10)]
+    epochs += [(float(t + 10), {"5": (1.0, None)}) for t in range(3)]
+    assert select_reference(session_of(epochs)) == "5"
+
+
+@pytest.mark.parametrize("ids,expected", [(("7", "3"), "3"), (("nan", "7"), "7"),
+                                          (("nan", "NaN", "a"), "NaN"), (("0", "-0"), "-0")])
+def test_select_tie_breaks_to_smallest_id(ids, expected):
+    """Ties go to the first node in node order, an id that reads as NaN included."""
+    epochs = [(float(t), {node_id: (1.0, None) for node_id in ids}) for t in range(4)]
+    assert select_reference(session_of(epochs)) == expected
+
+
+def test_select_empty_session():
+    with pytest.raises(TdoaDtbError, match="cannot select a reference node from an empty session"):
+        select_reference(Session([], [], [], [], [], [0]))

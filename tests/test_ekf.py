@@ -6,7 +6,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tdoa_dtb.differencing import reference_rows
 from tdoa_dtb.dtb import DtbEntry, DtbTable, calibrate, mean_std, rereference_dtb
 from tdoa_dtb.ekf import (INNOVATION_GATE, PSD_TOL, TrackPoint, _check_state, init_apriori,
                           read_residuals_csv, read_track_csv, run_filter, session_model,
@@ -554,7 +553,7 @@ def test_track_does_not_depend_on_the_tables_reference():
     noise = fit_noise_model(estimate_noise_points(load_toa_session(GOLDEN / "toa.csv")))
     track, _ = run_filter(session, dtb, catalog, noise)
     assert 0 < sum(p.n_rejected for p in track)
-    assert reference_rows(session, session.node_index("1")).count(-1) == 20
+    assert sum("1" not in obs for _, obs in epochs_of(session)) == 20
     for other in dtb.entries:
         moved, _ = run_filter(session, rereference_dtb(dtb, other), catalog, noise)
         assert [(p.time, p.n_obs, p.n_rejected) for p in moved] == \

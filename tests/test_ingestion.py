@@ -5,8 +5,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from tdoa_dtb.differencing import form_tdoa, reference_rows
 from tdoa_dtb.cli import main
+from tdoa_dtb.dtb import calibrate
 from tdoa_dtb.errors import ParseError, TdoaDtbError
 from tdoa_dtb.geometry import NodeCatalog, Position, node_sort_key
 from tdoa_dtb.ingestion import (SPEED_OF_LIGHT, ReferenceTrajectory, Session,
@@ -169,8 +169,8 @@ def test_duplicate_error_names_the_first_duplicated_node_in_node_order(tmp_path,
 
 def test_obs_is_in_node_sort_key_order(tmp_path):
     """Loaded and generated sessions hold each epoch's rows in node_sort_key
-    order, whatever the row order of the file, and form_tdoa returns its
-    differences in that order."""
+    order, whatever the row order of the file, and calibrate returns each
+    epoch's samples in that order."""
     ids = ["10", "9", "2", "a", " b", "1.5", "B"]
     rows = [(t, node_id, 100.0 * t + i, None if i % 3 else -70.0 - i)
             for t in (0.0, 0.1, 0.2) for i, node_id in enumerate(ids)]
@@ -182,12 +182,12 @@ def test_obs_is_in_node_sort_key_order(tmp_path):
     assert session.node_ids == order
     epochs = epochs_of(session)
     assert [list(obs) for _, obs in epochs] == [order] * 3 + [["2", "9", "10"]]
-    for epoch, (_, obs) in enumerate(epochs):
-        for ref in obs:
-            ref_row = reference_rows(session, session.node_index(ref))[epoch]
-            diff_rows, _ = form_tdoa(session, epoch, ref_row)
-            assert [session.node_ids[session.node[row]] for row in diff_rows] == \
-                [n for n in obs if n != ref]
+    traj = ReferenceTrajectory([(0.0, Position(1.0, 1.0)), (1.0, Position(5.0, 1.0))])
+    on_track = NodeCatalog({node_id: Position(3.0 * i, i % 2) for i, node_id in enumerate(order)})
+    for ref in order:
+        _, samples = calibrate(session, traj, on_track, ref)
+        assert [(t, node_id) for t, node_id, _ in samples] == \
+            [(t, n) for t, obs in epochs if ref in obs for n in obs if n != ref]
 
     catalog = NodeCatalog({node_id: Position(3.0 * i, i % 2) for i, node_id in enumerate(ids)})
     sim = generate(Scenario(catalog=catalog, waypoints=[(1.0, 1.0), (5.0, 1.0)],

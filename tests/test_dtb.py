@@ -243,6 +243,66 @@ def test_rover_bias_cancellation_synthetic(basic_scenario):
         assert a[2] == pytest.approx(b[2], abs=1e-9)
 
 
+def centre_samples(epochs, ref):
+    """calibrate's samples of epochs taken at t = 0, 1, 2 from the centre of the
+    square, where every node is at the same range, so each sample is the bare
+    single difference against ref."""
+    centre = ReferenceTrajectory([(float(t), Position(10.0, 10.0)) for t in range(3)])
+    return calibrate(session_of(epochs), centre, square_catalog(), ref)[1]
+
+
+def test_subtraction_definition():
+    assert centre_samples([(0.0, {"2": (65.0, None), "4": (62.0, None)})], "4") == [
+        (0.0, "2", 3.0)]
+
+
+def test_anti_symmetry():
+    epoch = [(0.0, {"1": (65.0, None), "2": (62.0, None)})]
+    [(_, _, fwd)] = centre_samples(epoch, "2")
+    [(_, _, rev)] = centre_samples(epoch, "1")
+    assert fwd == -rev == 3.0
+
+
+def test_output_count():
+    epoch = {"1": (1.0, None), "2": (2.0, None), "3": (3.0, None), "4": (4.0, None)}
+    samples = centre_samples([(0.0, epoch), (1.0, epoch)], "2")
+    assert [(t, node_id) for t, node_id, _ in samples] == [
+        (t, node_id) for t in (0.0, 1.0) for node_id in ("1", "3", "4")]
+
+
+def test_reference_only_epoch_gives_empty_list():
+    """An epoch holding only the reference gives no sample; a session of such
+    epochs gives none at all."""
+    alone = (0.0, {"4": (62.0, None)})
+    assert centre_samples([alone, (1.0, {"2": (65.0, None), "4": (62.0, None)})], "4") == [
+        (1.0, "2", 3.0)]
+    with pytest.raises(TdoaDtbError, match="reference node '4' never observed"):
+        centre_samples([alone], "4")
+
+
+def test_reference_missing():
+    """An epoch without the reference gives no sample; a reference the session
+    never saw, in the catalog or not, raises."""
+    epochs = [(0.0, {"2": (65.0, None), "3": (60.0, None)}),
+              (1.0, {"2": (65.0, None), "4": (62.0, None)})]
+    assert centre_samples(epochs, "4") == [(1.0, "2", 3.0)]
+    for ref in ("1", "m"):
+        with pytest.raises(TdoaDtbError, match=f"reference node {ref!r} never observed"):
+            centre_samples(epochs, ref)
+
+
+def test_calibrate_walks_each_epoch_of_many():
+    """Each epoch is differenced against its own reference row, wherever that
+    row falls in the epoch."""
+    epochs = [(0.0, {"1": (1.0, None), "2": (5.0, None)}),
+              (1.0, {"2": (7.0, None), "3": (2.0, None)}),
+              (2.0, {"1": (4.0, None), "2": (6.0, None), "3": (9.0, None)})]
+    assert centre_samples(epochs, "2") == [(0.0, "1", -4.0), (1.0, "3", -5.0),
+                                           (2.0, "1", -2.0), (2.0, "3", 3.0)]
+    assert centre_samples(epochs, "3") == [(1.0, "2", 5.0), (2.0, "1", -5.0), (2.0, "2", -3.0)]
+    assert centre_samples(epochs, "1") == [(0.0, "2", 4.0), (2.0, "2", 2.0), (2.0, "3", 5.0)]
+
+
 def test_rereference_identity():
     table = DtbTable("1", {"2": DtbEntry(-3.0, 0.1, 5)})
     assert rereference_dtb(table, "1") is table

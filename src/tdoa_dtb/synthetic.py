@@ -19,11 +19,15 @@ np.log10 is not the C library's function and may round differently.
 An optional quantization step rounds pseudo-ranges to a fixed grid, mimicking
 receiver timestamp granularity; with a grid-aligned clock model this makes
 rover-clock cancellation bit-exact instead of merely exact-to-rounding.
+
+Scenario files of printable ASCII and "\n" without "?" go to libyaml, which reads them as PyYAML
+does; PyYAML parses the rest and any file libyaml rejects, so it words every error.
 """
 
 from __future__ import annotations
 
 import base64
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -35,7 +39,7 @@ from .dtb import DtbEntry, DtbTable
 from .errors import InvalidScenario
 from .geometry import NodeCatalog, Position
 from .ingestion import ReferenceTrajectory, Session, group_epochs
-from .noise import NoiseModel, sigma_for
+from .noise import NoiseModel
 from .table import finite_float
 
 # NumPy's SeedSequence hash and mix constants, PCG64's LCG multiplier M, and M**2 + M + 1.
@@ -271,6 +275,13 @@ def noise_draws(seed: int, n_nodes: int, n_epochs: int) -> list[float]:
     return draws.tolist()
 
 
+def _sigmas(model: NoiseModel, rsrp: np.ndarray) -> np.ndarray:
+    """noise.sigma_for of each power of an array, in its order of operations."""
+    with np.errstate(divide="ignore"):   # at rsrp0, whose sigma is the cap
+        return np.where(rsrp <= model.rsrp0, model.sigma_cap, np.minimum(
+            np.maximum(model.k / (rsrp - model.rsrp0), model.sigma_floor), model.sigma_cap))
+
+
 def generate(scenario: Scenario) -> SyntheticSession:
     """Generate a full session: one ToA epoch per time step, plus the exact trajectory."""
     samples = _path_samples(scenario.waypoints)
@@ -302,10 +313,7 @@ def generate(scenario: Scenario) -> SyntheticSession:
         d = d * d
         rho = np.sqrt(d[..., 0] + d[..., 1] + d[..., 2])
         rsrp = scenario.path_loss.rsrp(rho)
-        if isinstance(noise, NoiseModel):
-            sigma = np.reshape([sigma_for(noise, r) for r in rsrp.ravel().tolist()], rho.shape)
-        else:
-            sigma = float(noise)
+        sigma = _sigmas(noise, rsrp) if isinstance(noise, NoiseModel) else float(noise)
         # a constant sigma of 0 uses no draw, so none is made
         draws = (np.reshape(noise_draws(scenario.seed, len(node_ids), n_epochs), rho.shape)
                  if np.any(sigma > 0) else 0.0)
@@ -337,12 +345,19 @@ def _floats(mapping) -> dict[str, float]:
     return {str(key): finite_float(value) for key, value in mapping.items()}
 
 
+def _parse_yaml(data: bytes):   # PyYAML's value or error, from libyaml as the module doc says
+    with contextlib.suppress(Exception):   # no libyaml, or an error that PyYAML words
+        if not data.translate(None, b"\n" + bytes(range(32, 127)).replace(b"?", b"")):
+            return yaml.load(data, Loader=yaml.CSafeLoader)
+    return yaml.safe_load(data)
+
+
 def load_scenario(path) -> Scenario:
-    """Build a scenario from its YAML description (see README for the schema)."""
+    """Build a scenario from its YAML description (see README for the schema and the parser)."""
     with open(path, "rb") as f:   # yaml decodes, so a byte that is not text is a YAMLError
         data = f.read()
     try:
-        raw = yaml.safe_load(data)
+        raw = _parse_yaml(data)
     except yaml.YAMLError as exc:   # one line: the problem, at the line the parser marks
         mark, problem = getattr(exc, "problem_mark", None), getattr(exc, "problem", None)
         line = mark and mark.line + 1

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+import yaml
 
 from tdoa_dtb.dtb import DtbTable
 from tdoa_dtb.ekf import MIN_RANGE_M
@@ -35,6 +36,15 @@ def eight_node_catalog(side=30.0):
 def loop_waypoints(side=30.0, inset=5.0):
     a, b = inset, side - inset
     return [(a, a), (b, a), (b, b), (a, b), (a, a)]
+
+
+@pytest.fixture(params=["libyaml", "pyyaml"])
+def yaml_parser(request, monkeypatch):
+    """Runs a test on both scenario parsers: as installed, where libyaml reads
+    plain-ASCII files, and with libyaml hidden, where PyYAML reads every file."""
+    if request.param == "pyyaml":
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    return request.param
 
 
 @pytest.fixture

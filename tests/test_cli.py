@@ -1011,7 +1011,7 @@ def test_malformed_scenario_is_a_data_error(tmp_path, capsys, probe):
     assert not out.exists()
 
 
-def test_yaml_syntax_error_names_its_line(tmp_path, capsys):
+def test_yaml_syntax_error_names_its_line(tmp_path, capsys, yaml_parser):
     scenario = tmp_path / "scenario.yaml"
     scenario.write_text(SCENARIO_YAML + "waypoints: [[5.0, 5.0]\n")
     assert main(["simulate", "--scenario", str(scenario), "--out-dir", str(tmp_path)]) == 2
@@ -1028,9 +1028,9 @@ def test_yaml_syntax_error_names_its_line(tmp_path, capsys):
     (("# \u00e9\u00e9\n" * 3 + "\n" + SCENARIO_YAML + "seed: 1\x01\n").encode(), 20,
      "unacceptable character #x0001: special characters are not allowed")],
     ids=["yaml-control-character", "not-utf-8", "control-character-after-utf-8"])
-def test_unreadable_yaml_names_its_line(tmp_path, capsys, text, line, problem):
+def test_unreadable_yaml_names_its_line(tmp_path, capsys, yaml_parser, text, line, problem):
     """A byte that is not UTF-8 or a character YAML does not allow ends as
-    InvalidScenario at its line, as a parser error does."""
+    InvalidScenario at its line, as a parser error does, with or without libyaml."""
     scenario = tmp_path / "scenario.yaml"
     scenario.write_bytes(text if isinstance(text, bytes) else text.encode())
     assert main(["simulate", "--scenario", str(scenario), "--out-dir", str(tmp_path)]) == 2

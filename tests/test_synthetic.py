@@ -1,10 +1,12 @@
 import itertools
 import math
 import random
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from tdoa_dtb import synthetic
 from tdoa_dtb.cli import main
@@ -16,6 +18,9 @@ from tdoa_dtb.noise import NoiseModel, sigma_for
 from tdoa_dtb.synthetic import (ClockModel, PathLossModel, Scenario, _path_samples, generate,
                                 load_scenario, noise_draws, truth_dtb)
 
+import test_acceptance
+import test_cli
+import test_table
 from conftest import epochs_of, square_catalog
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
@@ -361,8 +366,9 @@ def test_bad_row_matches_the_per_row_oracle(changes):
     assert str(array.value) == str(oracle.value)
 
 
-def test_simulate_reproduces_the_golden_session(tmp_path):
-    """simulate on the golden scenario writes the committed session files byte for byte."""
+def test_simulate_reproduces_the_golden_session(tmp_path, yaml_parser):
+    """simulate on the golden scenario writes the committed session files byte
+    for byte, whichever parser reads the scenario."""
     assert main(["simulate", "--scenario", str(GOLDEN / "scenario.yaml"),
                  "--out-dir", str(tmp_path)]) == 0
     for name in ("toa.csv", "nodes.csv", "trajectory.csv"):
@@ -504,3 +510,121 @@ def test_scenario_yaml_invalid(tmp_path):
     path.write_text("nodes: {}\n")
     with pytest.raises(InvalidScenario):
         load_scenario(path)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sigma_column_matches_sigma_for_bit_for_bit():
+    """generate's array clamp gives sigma_for's value, bit for bit and without
+    a warning, at the pole, where k / (rsrp - rsrp0) is exactly the floor or
+    the cap, one ulp either side of each, at +-inf and at huge finite powers."""
+    model = NoiseModel(60.0, -110.0, sigma_floor=0.5, sigma_cap=15.0)
+    at_floor, at_cap = -110.0 + 60.0 / 0.5, -110.0 + 60.0 / 15.0
+    assert model.k / (at_floor - model.rsrp0) == model.sigma_floor
+    assert model.k / (at_cap - model.rsrp0) == model.sigma_cap
+    points = (model.rsrp0, at_floor, at_cap, -80.0, math.inf, -math.inf, 1.0e308, -1.0e308)
+    rsrp = [math.nextafter(p, towards) for p in points for towards in (-math.inf, p, math.inf)]
+    sigmas = synthetic._sigmas(model, np.array(rsrp).reshape(4, -1))
+    assert _bits(sigmas.ravel().tolist()) == _bits(sigma_for(model, r) for r in rsrp)
+
+
+def _outcome(parse, data):
+    """A parser's value as its repr, or its error as its type and text."""
+    try:
+        return repr(parse(data))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+YAML_TOKEN = re.compile(r"\s+|\w+|.")
+# tokens that YAML reads specially, among them tabs, "?" and characters that
+# are not printable ASCII, on which libyaml and PyYAML differ
+YAML_SPECIALS = ("\t", "?", "? ", "\x85", "\ufeff", "\u2028", "\xa0", "\xe9", "\r", "\x00",
+                 "\x7f", ": ", ", ", "- ", "[", "]", "{", "}", "#", "'", '"', "\\", "&a ", "*a",
+                 "!!str ", "!!float ", "<<: ", "|", ">", "%", "@", "`", "---", "...", "~",
+                 ".inf", ".nan", "0x1F", "0o17", "1_000", "1e3", "2001-02-30", "\n", "\n  ")
+
+
+def _yaml_inputs():
+    """Every scenario in tests/data and every scenario string of the tests."""
+    data = Path(__file__).resolve().parent / "data"
+    texts = [path.read_bytes() for path in sorted(data.rglob("*.yaml"))]
+    texts += [module.SCENARIO_YAML.encode() for module in (test_acceptance, test_cli, test_table)]
+    texts += [text if isinstance(text, bytes) else text.encode()
+              for text in test_cli.SCENARIO_PROBES.values()]
+    return texts
+
+
+def _mutants(texts, count, seed=37):
+    """count seeded edits of 1 to 5 tokens each (replace, insert, delete or
+    duplicate) of the texts, with tokens drawn from the texts and YAML_SPECIALS."""
+    rng = random.Random(seed)
+    tokenized = [YAML_TOKEN.findall(text.decode(errors="replace")) for text in texts]
+    pool = sorted({token for tokens in tokenized for token in tokens}) + list(YAML_SPECIALS) * 3
+    for _ in range(count):
+        tokens = list(rng.choice(tokenized))
+        for _ in range(rng.randint(1, 5)):
+            i = rng.randrange(len(tokens))
+            edit = rng.randrange(4)
+            if edit == 0:
+                tokens[i] = rng.choice(pool)
+            elif edit == 1:
+                tokens.insert(i, rng.choice(pool))
+            elif edit == 2 and len(tokens) > 1:
+                del tokens[i]
+            else:
+                tokens.insert(i, tokens[i])
+        yield "".join(tokens).encode()
+
+
+@pytest.fixture
+def libyaml_values(monkeypatch):
+    """The texts whose value libyaml's loader gave, in call order."""
+    texts = []
+    if hasattr(yaml, "CSafeLoader"):
+        class Recorded(yaml.CSafeLoader):
+            def __init__(self, stream):
+                super().__init__(stream)
+                self.stream = stream
+
+            def get_single_data(self):
+                value = super().get_single_data()
+                texts.append(self.stream)
+                return value
+
+        monkeypatch.setattr(yaml, "CSafeLoader", Recorded)
+    return texts
+
+
+def test_libyaml_path_gives_pyyaml_value_or_error(libyaml_values):
+    """load_scenario's parser gives PyYAML's value or error, compared by repr,
+    on every scenario of the tests and on seeded token mutations of them,
+    and takes libyaml's value on every plain-ASCII scenario file."""
+    fast = libyaml_values
+    texts = _yaml_inputs()
+    for data in [*texts, *_mutants(texts, 1500)]:
+        assert _outcome(synthetic._parse_yaml, data) == _outcome(yaml.safe_load, data), data
+    if hasattr(yaml, "CSafeLoader"):
+        plain = [text for text in texts if re.fullmatch(rb"[ -~\n]*", text) and b"?" not in text
+                 and type(_outcome(yaml.safe_load, text)) is str]
+        assert len(plain) >= 25 and set(plain) <= set(fast)
+        assert len(fast) > 300   # the mutants too reach libyaml's values
+
+
+@pytest.mark.parametrize("data", [
+    b"seed:\t15\n",                                 # a tab after a colon
+    b"waypoints: [[5.0?, 5.0]]\n",                   # "?" in a flow collection
+    "seed: 15\n\ufeff# a BOM on a line\nspeed: 4.0\n".encode()],   # a character not ASCII
+    ids=["tab", "question-mark-in-flow", "bom"])
+def test_libyaml_divergence_goes_to_pyyaml(libyaml_values, data):
+    """libyaml reads each of these, PyYAML rejects it, and the parser sends it
+    to PyYAML, which words the error, without asking libyaml."""
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML built without libyaml")
+    yaml.load(data, Loader=yaml.CSafeLoader)
+    assert libyaml_values == [data]
+    with pytest.raises(yaml.YAMLError) as pyyaml:
+        yaml.safe_load(data)
+    with pytest.raises(yaml.YAMLError) as parsed:
+        synthetic._parse_yaml(data)
+    assert str(parsed.value) == str(pyyaml.value)
+    assert libyaml_values == [data]

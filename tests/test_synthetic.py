@@ -599,15 +599,14 @@ def test_libyaml_path_gives_pyyaml_value_or_error(libyaml_values):
     """load_scenario's parser gives PyYAML's value or error, compared by repr,
     on every scenario of the tests and on seeded token mutations of them,
     and takes libyaml's value on every plain-ASCII scenario file."""
-    fast = libyaml_values
     texts = _yaml_inputs()
     for data in [*texts, *_mutants(texts, 1500)]:
         assert _outcome(synthetic._parse_yaml, data) == _outcome(yaml.safe_load, data), data
     if hasattr(yaml, "CSafeLoader"):
         plain = [text for text in texts if re.fullmatch(rb"[ -~\n]*", text) and b"?" not in text
                  and type(_outcome(yaml.safe_load, text)) is str]
-        assert len(plain) >= 25 and set(plain) <= set(fast)
-        assert len(fast) > 300   # the mutants too reach libyaml's values
+        assert len(plain) >= 25 and set(plain) <= set(libyaml_values)
+        assert len(libyaml_values) > 300   # the mutants too reach libyaml's values
 
 
 @pytest.mark.parametrize("data", [

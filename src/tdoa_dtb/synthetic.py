@@ -20,13 +20,13 @@ An optional quantization step rounds pseudo-ranges to a fixed grid, mimicking
 receiver timestamp granularity; with a grid-aligned clock model this makes
 rover-clock cancellation bit-exact instead of merely exact-to-rounding.
 
-Scenario files of printable ASCII and "\n" without "?" go to libyaml, which reads them as PyYAML
-does; PyYAML parses the rest and any file libyaml rejects, so it words every error.
+Scenario files of printable ASCII and "\n" without "?", nested well within PyYAML's recursion
+limit, go to libyaml, which reads them as PyYAML does; PyYAML parses the rest and any file libyaml
+rejects, so it words every error, and a file nested too deep for it is a data error.
 """
 
 from __future__ import annotations
 
-import base64
 import contextlib
 import itertools
 import math
@@ -49,35 +49,25 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 _PCG_STEP, _LOW, _32 = (_PCG_MULT**2 + _PCG_MULT + 1) & _MASK128, np.uint64(_MASK32), np.uint64(32)
 
-# NumPy's wi_double (numpy/random/src/distributions/ziggurat_constants.h), float64 in base 85, and
-# layer i's bound floor(wi[i-1] / wi[i] * 2**52) - 2 (0 for layer 1), 0-3 below numpy's ki_double.
-_WI = np.frombuffer(base64.b85decode("".join("""dD#_sJ4w$x#`gW=3yq6Bv|B7ZuTYXaVLL=PxqOv845u&X`~jFey
-wFT83?rI6_hC3MO#qxcbaHfBFRYzB!_`bJNHU*1t-FpVGEJa7LtO$p1@)jjcQ!$nrjnsN^%{DQq9>v}fY@U=F14aO^^sS=KRly6
-FR`M*p1q?yRh$2f?>VGAr~W-QyRoD^bkiDQbtR=dmd*#KfR&{@>VDbJF#@JMJ$$2K(rczXa0LL8qSB^3ruatF+BT;=cPg_Gt(d1
-gL-j_jMfj&YcM3yO%vGp7ns$4hWU;6`n9okBE(@tV>K-hDM`NixM#VUe$+@XKET^R0%nqtNS<QECXJV>6FcuJQt+c8<oNN<qu?4
-F<DSASOgjK6NI-gRGHl(XOGJ?M<*72)6^G;d$a6YU&VLLLV6N;=nizagZ$<(YoNVk9vpB}9|5Fg|zooB5)!?+^=&abUJQ+DyGI`
-^$S{_WDW>piYK0B?FT>4UC3&Vu>9I?1j)CSve}=MAqsi1yf2_EE1quGfd2ZI!P)tS<U}Q`oOO>@-5)Rt>N`nvXg4KrXO6{G}G2>
-Q1mc5TJ5fR&TI83-oc2hL5m36JflBeXp=Qf6Pl}J<qT_YX}xg$nLN_?iH0XAP%uSz7H`6M=h~DL6MH1K1{JZ9w5ZO2y3xCG}?F?
-r-`vVh;8ms8>q27%PRQzX2!8RF4W+Yi{!C9pP)dQiUP7c>BhuzWgxOVAH(T=9X_%=`)jETv|F+~f72aiDtWRz8`l}fftIp7+Ag?
-ayR))9Q@G(`*wC^(j;YJ&+3m7C*GO&+!3wiHFuC;MjwiD`p<X6%L`1VZ)l$m3;$X8pYFGunYJIajWU{hv-I=pI13kFEJGQet;2l
-<&hSIY<gIaRlzV5R;be`aG<qEVsU38```zEwJq%b__07JAqUB}9E_g=I-Hp6C~-+Ht>FONtvx|Xy&T|ol&hqAOh+!3>^NzSx91*
-SL_0P3_nVpU%6s|B?@T8j$uO(C^BPiAV><~+4L$g&$wcUZMNcwbcx0CcrH6on4PfseI3SsNrH{i?M*J#&50a>lhh(~K{B<KeYDI
-9{K~PyMw#!yltyxEQuPqOhXq9W=H)3nsS&flszPa+b+g;%c@$H!-n;LWZ_Hv9eGpqM^1tyF;_+0ll_7Qqw45V%WAkRQO>r#Pha1
->u8JjCl9wg#uRB$jw-i2-0pDP_eHlnA9Lk3Wns5GN%Zgf)_k`-lfAmgO_;Yl2^5Pw%ComT`y$)(OwYGG=iYOS*6O!BAL@prX9l=
-Dc818>03x_N6`zUDqCL1gz4g%_PFc7-#eRBk19iAOE%!%X!;rW<L%;=+j;y#moD89>WyrWZCu&4dN#wXZkF|3tIsmymM}sKbI2^
-e={0i?9MmV`VilPH~VpO?2?$vO+j&Qj=F)A*J%Z#}^znMRi8L7EEEZNnJdBwRr5p-`W?BTgQO49l!a{jqIk~aA{3>&&UTgajzyE
-nQ#h`S4(e^k0Wq^U}BT5-BOJu#qUOpdxd2=SjjR;#)^&h=W&c*wduHnWT2wB@=y8ll5a3j@16TbP>gd?33#01V)u3O>6$13k_`w
-OhM9Cy76~eR;b)Jon}CWS6@<ZY71=Yqh&PqQEX|lheCAgRX&_-0{0Spcd?GND#a{Eqd_f*Dky~91U(0j7_{e1&8biW^BAX7pCjr
-W{bQ$tD-i&kE*;pkk&iL;mN!_H{fV6Ug^9%ZjXyH1_`}9An!L2+bF#}N5(T1-blSXBk|{!5NW+UrTf?PbBVn?aBd)(397w34oUp
-@(#pL&H!f0@(d)fD9MVbq1`WPE_D1T&bS}O;h|$5B98kVICH|K$0CK)O3co5#A(Xy62ygemfwsOpI;RkJBiX(@sq6t^2>iZ0Ayd
-MNG9SM@ZB4fiq(Z+uXaUI}UuM5Nf|rQ|W{ST&zanuMyRN@Hh37BQVAH=m3-%bnS@^#^b)eHn)DFNrN6C)@s3E{Ss{*NmsWiYm$M
-rr=+DE`VezUFiJ6pg!XeOs4&~Csy7cOIun1aAORHEnzmzKah#K3WN&8omWNYw7pJ-@&_Fg>a?>eIkHlVuUl)abxGwx6c&|NX!`L
-2w`hZWF;gHC?-#At}K;Z3)C_9Y4W5J1$^IWL3dD^X{EH`D?*EVG`1G--5wBtm{rz8k)g8jxT?At+By8l%{d1oXNpFIj-dU>*2vX
-0omfhpZdW(fy@M*yc5Da?$d92M=ioUB%G|IMMuIs;8=FYykWvTE?KDhvV6ikcn){XE||hRQVJ?lH?+b$m)n*x)X>5_^?0eV4er7
-`?ygqS><hy@qoinFdn&^`qY|zK#7V<EK&Uf%(rLpy3PDzqvx>t!`iQP@b*#fYrUVzWC(pw?b@X7W+w#La+U2>Nq!+|IlwMR7m_5
-Wi6*{Lx&Sb<qyhEIIVvWQ+Ct7QrbGO7i0*TEHCF8_AL9FRhpAf}7LVh|@5kSQ}8{|r<v2n#b*^P0Fz@^1J{?IxkirmFKOdf{MX%
-@yj>S_Rc&Qr!b!{wj8K$XTkGU5r1Yum;=G<sj~C@04}a|Q`km3hZJjLz2dE!4+6H1a7013Ab%6nv_`539&LmPBuq;4aBLt5-k)?
-#szMT6dIq+>gpUvHf^BADGKLGpz}Nv^&i_""".split())), dtype="<f8")
+
+def _normals(states) -> list[float]:
+    """NumPy's standard_normal from a PCG64 set to each (state, increment) of states."""
+    bit_generator = np.random.PCG64()
+    generator, full_state = np.random.Generator(bit_generator), bit_generator.state
+    draws = []
+    for state, inc in states:
+        full_state["state"] = {"state": state, "inc": inc}
+        bit_generator.state = full_state
+        draws.append(generator.standard_normal())
+    return draws
+
+
+# NumPy's wi_double (numpy/random/src/distributions/ziggurat_constants.h): from the state (inc 1)
+# one step before the output u = 1 << 9 | i (rabs 1, sign +) its draw is 1.0 * wi[i]; on layer 1,
+# whose bound is 0, after one wedge draw, which accepts, as exp(-x**2 / 2) is 1.0 there. Layer i's
+# bound is floor(wi[i-1] / wi[i] * 2**52) - 2 (0 for layer 1), 0-3 below numpy's ki_double.
+_WI = np.array(_normals((((1 << 9 | i) - 1) * pow(_PCG_MULT, -1, 2**128) & _MASK128, 1)
+                        for i in range(256)))
 _KI = np.where(np.arange(256) == 1, 0.0, np.floor(np.roll(_WI, 1) / _WI * 2.0**52) - 2)
 
 
@@ -262,16 +252,11 @@ def noise_draws(seed: int, n_nodes: int, n_epochs: int) -> list[float]:
     rabs = (u >> np.uint64(9) & np.uint64(2**52 - 1)).astype(np.float64)
     draws = np.where(u & np.uint64(0x100), -rabs, rabs) * _WI[layer]
     rows = np.flatnonzero(rabs >= _KI[layer])
-    state_hi, state_lo, inc_hi, inc_lo = ((words[i] | words[i + 1] << _32)[rows].tolist()
-                                          for i in range(0, 8, 2))
-    generator = np.random.Generator(np.random.PCG64())
-    full_state = generator.bit_generator.state
-    pcg = full_state["state"]
-    for row, s_hi, s_lo, i_hi, i_lo in zip(rows.tolist(), state_hi, state_lo, inc_hi, inc_lo):
-        pcg["inc"] = inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128   # pcg_setseq_128_srandom_r
-        pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        generator.bit_generator.state = full_state
-        draws[row] = generator.standard_normal()
+    halves = zip(*((words[i] | words[i + 1] << _32)[rows].tolist() for i in range(0, 8, 2)))
+    seeds = [(s_hi << 64 | s_lo, ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128)
+             for s_hi, s_lo, i_hi, i_lo in halves]
+    # the state that pcg_setseq_128_srandom_r leaves, with the increment 2i + 1
+    draws[rows] = _normals((((inc + s) * _PCG_MULT + inc) & _MASK128, inc) for s, inc in seeds)
     return draws.tolist()
 
 
@@ -347,7 +332,11 @@ def _floats(mapping) -> dict[str, float]:
 
 def _parse_yaml(data: bytes):   # PyYAML's value or error, from libyaml as the module doc says
     with contextlib.suppress(Exception):   # no libyaml, or an error that PyYAML words
-        if not data.translate(None, b"\n" + bytes(range(32, 127)).replace(b"?", b"")):
+        # the nesting, bounded by the flow openers and twice the longest run of leading spaces and
+        # dashes (a block sequence may sit at its key's indentation), well within PyYAML's reach
+        lead = max(len(line) - len(line.lstrip(b" -")) for line in data.split(b"\n"))
+        if (data.count(b"[") + data.count(b"{") + 2 * lead < 200
+                and not data.translate(None, b"\n" + bytes(range(32, 127)).replace(b"?", b""))):
             return yaml.load(data, Loader=yaml.CSafeLoader)
     return yaml.safe_load(data)
 
@@ -367,6 +356,11 @@ def load_scenario(path) -> Scenario:
             line = text[:exc.position].count(b"\n" if text is data else "\n") + 1
         where = f"{path}:{line}" if line else path
         raise InvalidScenario(f"{where}: {problem or str(exc).splitlines()[0]}") from None
+    except (AttributeError, LookupError, ValueError) as exc:   # PyYAML's constructor refuses a
+        # value, as the date 2001-02-30, or a tagged one, as !!bool x or an empty !!int
+        raise InvalidScenario(f"{path}: cannot construct a value: {exc}") from None
+    except RecursionError:   # deeper than PyYAML's recursive composer reaches
+        raise InvalidScenario(f"{path}: nested too deep") from None
     if not isinstance(raw, dict):
         raise InvalidScenario(f"{path}: scenario file must be a mapping")
     try:

@@ -9,8 +9,8 @@ one pass; only a column that fails sends the reader back over the rows, in
 file order, for the first bad row and that row's first bad column.
 
 Writing mirrors reading: a table is formatted as text in one pass and
-written at once; only a table with a cell that csv must quote, or a row not
-as long as its header, is written by csv.writer.
+written at once; only a table with a cell that csv must quote, a cell that is
+None or reads None, or a row not as long as its header is written by csv.writer.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import io
 import itertools
 import json
 import math
-import operator
 
 from .errors import ParseError
 
@@ -188,7 +187,7 @@ def write_csv(path, header: list[str], rows, formats: list[str] | None = None) -
     writes them once each cell is text by its column's %-format in formats (by
     default %s, csv.writer's own str: floats in full repr): None as a blank cell,
     a cell quoted exactly when it holds a comma, a double quote or a line end.
-    The table is written at once, unless csv.writer would write it otherwise."""
+    The table is written at once, unless _format leaves it to csv.writer."""
     formats = formats or ["%s"] * len(header)
     rows = [tuple(header), *map(tuple, rows)]
     text = _format(rows, formats)
@@ -203,37 +202,21 @@ def write_csv(path, header: list[str], rows, formats: list[str] | None = None) -
 
 
 def _format(rows: list[tuple], formats: list[str]) -> str | None:
-    """The header by %s and each row by formats as text, None as a blank cell;
-    None where csv.writer writes otherwise: a row not as wide as the header or a
-    cell its format refuses, a one-column table (a lone empty cell is written ""),
-    or a cell holding a comma, a quote, a line end or a NUL (which csv refuses
-    before 3.11). The distinct cells of the text columns (those whose last cell is
-    a str, as ids are) are checked first, so a table to quote is not formatted twice."""
-    width = len(formats)
-    try:
-        texts = "".join(map(str, {cell for index, last in enumerate(rows[-1])
-                                  if isinstance(last, str)
-                                  for cell in set(map(operator.itemgetter(index), rows))}))
-    except (IndexError, TypeError):   # a row shorter than the last, an unhashable cell
-        return None
-    if width < 2 or any(map(texts.__contains__, ',"\r\n\0')):
-        return None
+    """The header by %s and each row by formats as text; None where csv.writer
+    writes or may write otherwise: a row not as wide as the header or a cell
+    its format refuses, a one-column table (a lone empty cell is written ""),
+    a None cell or the text None (csv.writer writes None blank), or a cell
+    holding a comma, a quote, a line end or a NUL (which csv refuses before 3.11)."""
+    width, count = len(formats), len(rows)
     plain, template = ",".join(["%s"] * width) + "\r\n", ",".join(formats) + "\r\n"
     try:
-        lines = [plain % rows[0], *map(template.__mod__, rows[1:])]
+        text = "".join([plain % rows[0], *map(template.__mod__, rows[1:])])
     except TypeError:   # a row not as wide as the header, or a None in a formatted column
         return None
-    text = "".join(lines)
-    if "None" in text:   # the rows that may hold a None, again with "" for it
-        for index in itertools.compress(itertools.count(), map(str.__contains__, lines,
-                                                               itertools.repeat("None"))):
-            lines[index] = (template if index else plain) % tuple(
-                "" if cell is None else cell for cell in rows[index])
-        text = "".join(lines)
-    count = len(rows)
-    # only the template's commas and line ends: no cell to quote
-    if (text.count(",") == count * (width - 1) and '"' not in text
-            and text.count("\r") == text.count("\n") == count and "\0" not in text):
+    # only the template's commas and line ends, and no None: no cell to quote or blank
+    if (width > 1 and text.count(",") == count * (width - 1) and '"' not in text
+            and "None" not in text and text.count("\r") == text.count("\n") == count
+            and "\0" not in text):
         return text
     return None
 

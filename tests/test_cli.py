@@ -991,13 +991,21 @@ SCENARIO_PROBES = {
     "path-length-overflows": _scenario_with("waypoints", "[[-1.0e308, 0.0], [1.0e308, 0.0]]"),
     "path-length-overflows-then-turns": _scenario_with(
         "waypoints", "[[-1.0e308, 0.0], [1.0e308, 0.0], [1.0e308, 1.0]]"),
+    # values that PyYAML's constructor refuses, with a ValueError, IndexError, KeyError
+    # and AttributeError
+    "seed-date-out-of-range": _scenario_with("seed", "2001-02-30"),
+    "seed-float-tag-not-a-number": _scenario_with("seed", "!!float x"),
+    "seed-int-tag-empty": _scenario_with("seed", "!!int"),
+    "seed-bool-tag-not-a-bool": _scenario_with("seed", "!!bool x"),
+    "seed-timestamp-tag-not-a-date": _scenario_with("seed", "!!timestamp x"),
 }
 
 
 @pytest.mark.parametrize("probe", SCENARIO_PROBES)
-def test_malformed_scenario_is_a_data_error(tmp_path, capsys, probe):
+def test_malformed_scenario_is_a_data_error(tmp_path, capsys, yaml_parser, probe):
     """simulate exits 2 with one InvalidScenario line on stderr, raises no
-    warning (numpy's overflow warnings among them) and writes nothing."""
+    warning (numpy's overflow warnings among them) and writes nothing, with or
+    without libyaml."""
     scenario, out = tmp_path / "scenario.yaml", tmp_path / "sim"
     text = SCENARIO_PROBES[probe]
     scenario.write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -1009,6 +1017,36 @@ def test_malformed_scenario_is_a_data_error(tmp_path, capsys, probe):
     assert err.startswith("tdoa-dtb simulate: InvalidScenario: ") and "Traceback" not in err
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+# 50,000 levels: past the C stack of libyaml's recursive composer, which crashes on them
+DEEP_SCENARIOS = {"flow": "nodes: " + "[" * 50_000 + "]" * 50_000 + "\n",
+                  "block": "nodes:\n" + "- " * 50_000 + "x\n"}
+
+
+@pytest.mark.parametrize("shape", DEEP_SCENARIOS)
+def test_deeply_nested_scenario_is_a_data_error(tmp_path, shape):
+    """A scenario nested 50,000 deep ends as one InvalidScenario line and exit
+    2, not in a crash of the interpreter: run in a process of its own."""
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(DEEP_SCENARIOS[shape])
+    src = str(Path(tdoa_dtb.__file__).resolve().parent.parent)
+    result = subprocess.run([sys.executable, "-m", "tdoa_dtb.cli", "simulate", "--scenario",
+                             str(scenario), "--out-dir", str(tmp_path / "sim")],
+                            env=dict(os.environ, PYTHONPATH=src),
+                            capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stderr) == (
+        2, f"tdoa-dtb simulate: InvalidScenario: {scenario}: nested too deep\n")
+
+
+def test_nesting_past_pyyamls_recursion_is_a_data_error(tmp_path, capsys, yaml_parser):
+    """2,000 levels are past PyYAML's recursion limit: a data error, not a
+    RecursionError traceback, with or without libyaml."""
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text("nodes: " + "[" * 2000 + "]" * 2000 + "\n")
+    assert main(["simulate", "--scenario", str(scenario), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (f"tdoa-dtb simulate: InvalidScenario: {scenario}: "
+                                       "nested too deep\n")
 
 
 def test_yaml_syntax_error_names_its_line(tmp_path, capsys, yaml_parser):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -179,11 +180,20 @@ def test_first_outputs_limb_arithmetic_on_edge_words():
         assert u == int(bit_generator.random_raw())
 
 
+def test_ziggurat_table_is_pinned():
+    """The table read from numpy's generator at import hashes as numpy's
+    wi_double did when it was embedded, so a numpy release that changes its
+    ziggurat fails here by name."""
+    assert (hashlib.sha256(synthetic._WI.tobytes()).hexdigest()
+            == "33c6472209e1d09ea3548f0291e5e1ad67fb4f1d0305e9f1086689584b7bb7fa")
+
+
 def test_ziggurat_table_and_bound_match_numpy():
     """In every layer but layer 1 (bound 0), a first output at the largest rabs
     the fast path accepts makes numpy's standard_normal return rabs * wi from
-    that one output, so the embedded table is numpy's and the derived bound is
-    not above numpy's."""
+    that one output, so the bound derived from the table is not above numpy's.
+    The check at rabs _KI - 1 is independent of the table's derivation, which
+    reads numpy's draws at rabs 1."""
     bit_generator = np.random.PCG64()
     generator, full_state = np.random.Generator(bit_generator), bit_generator.state
     for layer in set(range(256)) - {1}:
@@ -626,4 +636,20 @@ def test_libyaml_divergence_goes_to_pyyaml(libyaml_values, data):
     with pytest.raises(yaml.YAMLError) as parsed:
         synthetic._parse_yaml(data)
     assert str(parsed.value) == str(pyyaml.value)
+    assert libyaml_values == [data]
+
+
+@pytest.mark.parametrize("data", [b"nodes: " + b"[" * 600 + b"]" * 600 + b"\n",
+                                  b"nodes:\n" + b"- " * 600 + b"x\n"], ids=["flow", "block"])
+def test_nesting_past_pyyaml_goes_to_pyyaml(libyaml_values, data):
+    """libyaml reads 600 levels, which PyYAML's recursive composer does not;
+    the parser's bound on the nesting sends them to PyYAML without asking
+    libyaml, so they fail as PyYAML fails."""
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML built without libyaml")
+    yaml.load(data, Loader=yaml.CSafeLoader)
+    assert libyaml_values == [data]
+    for parse in (yaml.safe_load, synthetic._parse_yaml):
+        with pytest.raises(RecursionError):
+            parse(data)
     assert libyaml_values == [data]

@@ -451,28 +451,36 @@ def test_write_csv_with_formats_writes_the_bytes_of_csv_writer(tmp_path):
     check()
 
 
-def test_write_csv_hands_only_a_table_to_quote_to_csv_writer(tmp_path, monkeypatch):
-    """None cells and the text None are written on the format path; a text
-    column with a cell to quote sends the table to csv.writer before any row
-    is formatted."""
+def test_write_csv_hands_csv_writer_only_the_tables_it_writes_otherwise(tmp_path, monkeypatch):
+    """Every table the pipeline writes (ids, floats, ints and %.9g columns, and
+    the optional samples, points and histogram files) is formatted and never
+    reaches csv.writer; a None cell, the text None and a cell to quote each
+    send their table to csv.writer, which writes its own bytes."""
     handed = []
     real_writer = csv.writer
     monkeypatch.setattr(csv, "writer", lambda f: handed.append(f) or real_writer(f))
-    path, header = tmp_path / "t.csv", ["time", "node_id", "rsrp"]
-    write_csv(path, header, [(1.5, "None", None), (2, "n 1", -0.0), (3, "a", True)])
-    assert not handed
-    assert path.read_bytes() == b"time,node_id,rsrp\r\n1.5,None,\r\n2,n 1,-0.0\r\n3,a,True\r\n"
-    texts = []
-
-    class Cell:   # a cell that notes each time it is turned into text
-        def __str__(self):
-            texts.append(self)
-            return "x"
-
-    write_csv(path, header, [(1.5, "a", Cell()), (3, 'say "hi"', 1e16), (4, "b", 2.5)])
-    assert len(handed) == 1 and len(texts) == 1   # by csv.writer alone
-    assert path.read_bytes() == (b'time,node_id,rsrp\r\n1.5,a,x\r\n3,"say ""hi""",1e+16\r\n'
-                                 b"4,b,2.5\r\n")
+    d = tmp_path
+    (d / "scenario.yaml").write_text(SCENARIO_YAML)
+    for argv in (["simulate", "--scenario", str(d / "scenario.yaml"), "--out-dir", str(d)],
+                 ["fit-noise", "--toa", str(d / "toa.csv"), "--out", str(d / "noise.csv"),
+                  "--points", str(d / "points.csv")],
+                 ["calibrate", "--toa", str(d / "toa.csv"), "--nodes", str(d / "nodes.csv"),
+                  "--traj", str(d / "trajectory.csv"), "--out", str(d / "dtb.csv"),
+                  "--samples", str(d / "samples.csv")],
+                 cli_argv("position", d)):
+        assert main(argv) == 0
+    (d / "track_out.csv").rename(d / "track.csv")
+    (d / "resid_out.csv").rename(d / "residuals.csv")
+    assert main([*cli_argv("evaluate", d), "--residual-hist", str(d / "hist.csv")]) == 0
+    assert len(list(d.glob("*.csv"))) == 11 and not handed
+    path, header = d / "t.csv", ["time", "node_id", "rsrp"]
+    for row, line in (((1.5, "a", None), b"1.5,a,\r\n"),
+                      ((1.5, "None", -0.0), b"1.5,None,-0\r\n"),
+                      ((2, 'say "hi"', 1e16), b'2,"say ""hi""",1e+16\r\n')):
+        handed.clear()
+        write_csv(path, header, [(1, "b", 2.5), row], ["%s", "%s", "%.9g"])
+        assert len(handed) == 1
+        assert path.read_bytes() == b"time,node_id,rsrp\r\n1,b,2.5\r\n" + line
 
 
 def test_write_json_is_sorted_indented_and_refuses_nan(tmp_path):
